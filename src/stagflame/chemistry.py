@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .errors import ConfigError, StepFailure
+from .errors import ConfigError, StepFailure, require_finite
 from .thermo import y_O_from_z
 from .transport import FaceFluxSet, face_values, upwind_face_values
 
@@ -116,13 +116,15 @@ def _tridiag_solve(lower, diag, upper, rhs):
     """Solve a tridiagonal system given the three diagonals.
 
     ``lower[i]`` multiplies x[i-1] in row i, ``upper[i]`` multiplies x[i+1].
+    A non-finite input comes out as a non-finite solution, which the bound
+    gates of ``chemistry_step`` then name.
     """
     n = diag.shape[0]
     ab = np.zeros((3, n))
     ab[0, 1:] = upper[:-1]
     ab[1, :] = diag
     ab[2, :-1] = lower[1:]
-    return solve_banded((1, 1), ab, rhs)
+    return solve_banded((1, 1), ab, rhs, check_finite=False)
 
 
 def _implicit_transport_diagonals(state, F, dt):
@@ -245,6 +247,7 @@ def chemistry_step(state, dt, config):
 
     for name, y in (("G", G_next), ("y_F", yF_next), ("y_O", yO_next),
                     ("y_N", yN_next), ("y_P", yP_next)):
+        require_finite(name, y)
         if np.min(y) < -1e-10 or np.max(y) > 1.0 + 1e-10:
             raise StepFailure(
                 f"{name} left [0, 1] (min {np.min(y):.3e}, max {np.max(y):.3e})"

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types, and the finite-value gate, shared across the package."""
+
+import numpy as np
 
 
 class ConfigError(Exception):
@@ -11,3 +13,11 @@ class StepFailure(Exception):
 
 class OracleError(Exception):
     """Raised when the exact-solution machinery cannot certify its output."""
+
+
+def require_finite(name, values):
+    """Raise StepFailure naming ``name`` and the first non-finite cell."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise StepFailure(f"{name} is not finite in cell {i} ({values[i]})")

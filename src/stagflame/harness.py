@@ -6,7 +6,7 @@ from dataclasses import dataclass, field, fields as dc_fields
 import numpy as np
 
 from .chemistry import ChemStepConfig, chemistry_step
-from .errors import ConfigError, StepFailure
+from .errors import ConfigError, StepFailure, require_finite
 from .grid import build_uniform_grid
 from .hydro import CorrectionSolveConfig, euler_step, total_energy
 from .oracle import (
@@ -36,6 +36,7 @@ _DIAG_COLUMNS = (
     "min_G", "max_G",
 )
 ERROR_FIELDS = ("p", "u", "rho", "y_F", "G", "T")
+_GATED_FIELDS = ("y_F", "y_O", "y_N", "y_P", "G", "rho", "e_s")
 
 
 @dataclass
@@ -335,7 +336,13 @@ def initialize_case(config):
 
 
 def check_state_gates(state):
-    """Hard per-step solution gates; raises StepFailure on violation."""
+    """Hard per-step solution gates; raises StepFailure on violation.
+
+    Every gated field must be finite first: NaN compares False against any
+    bound, so the range tests alone would let it through.
+    """
+    for name in _GATED_FIELDS:
+        require_finite(name, getattr(state, name))
     sum_y = state.y_F + state.y_O + state.y_N + state.y_P
     err = float(np.max(np.abs(sum_y - 1.0)))
     if err > 1e-10:

@@ -3,17 +3,22 @@
 One flow step runs: rescale the old pressure gradient, predict face
 velocities with the old gradient (implicit in the convection), measure the
 kinetic energy the prediction dissipated, then solve the coupled
-mass/enthalpy/EOS correction system for the end-of-step pressure, density
-and sensible enthalpy with the velocity eliminated through the correction
-relation.  The pieces are arranged so that a discrete total energy -
-sensible plus chemical plus kinetic including a pressure-gradient storage
-term - is conserved to the nonlinear solver tolerance.
+mass/enthalpy/EOS correction system for the end-of-step density, sensible
+enthalpy and pressure.  The velocity is eliminated through the correction
+relation and the cell-local EOS p = kappa rho h_s is substituted, which
+leaves an enthalpy balance in the pressure alone: Newton runs on the N cell
+pressures with a tridiagonal Jacobian, then one linear mass solve gives the
+density and the EOS the enthalpy.  The pieces are arranged so that a
+discrete total energy - sensible plus chemical plus kinetic including a
+pressure-gradient storage term - is conserved to the nonlinear solver
+tolerance.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .errors import StepFailure
 from .thermo import chemical_enthalpy
@@ -57,7 +62,6 @@ class CorrectionResult:
     flux: np.ndarray
     iterations: int
     residual: float
-    converged: bool
     used_fallback: bool
 
 
@@ -123,13 +127,11 @@ def predict_velocity(state, dual_flux, sgp, dt):
     return u_tilde
 
 
-def kinetic_residuals(state_n, u_tilde, u_next, dt):
+def kinetic_residuals(state_n, u_tilde, dt):
     """Kinetic energy dissipated by the prediction on each dual cell.
 
     R_sigma = |D_sigma| rho^{n-1}_D (u_tilde - u^n)^2 / (2 dt); walls carry
-    none.  (``u_next`` is accepted for signature parity with callers that
-    have already corrected the velocity; the residual only involves the
-    prediction.)
+    none.
     """
     grid = state_n.grid
     rho_d_nm1 = dual_density(grid, state_n.rho_prev)
@@ -196,13 +198,22 @@ def _upwind_cells(u, n):
 
 
 class _CorrectionSystem:
-    """Residual and Jacobian of the coupled correction equations.
+    """The correction equations, reduced to one equation per cell in p.
 
-    Unknown layout: X[3i] = p_i, X[3i+1] = rho_i, X[3i+2] = h_i.  Row layout
-    mirrors it: 3i = mass, 3i+1 = enthalpy, 3i+2 = EOS.  The velocity is
-    eliminated: u_j = a_j + b_j (p_{j-1} - p_j) on interior faces, zero at
-    the walls.  Upwind switches freeze per linearisation (semismooth
-    Newton).
+    The EOS p = kappa rho h_s is local to each cell, so rho h_s = p / kappa
+    and the upwind enthalpy flux is F h_up = u rho_up h_up = u p_up / kappa:
+    the sensible-enthalpy balance of cell K involves the pressure alone,
+
+        hdt (p/kappa - (rho h_s)^n) + div(u p_up) / kappa - hdt (p - p^n)
+            + sum of u_j (p_{j-1} - p_j) over faces j with K downwind
+            - |K| S = 0,
+
+    with the velocity eliminated, u_j = a_j + b_j (p_{j-1} - p_j) on
+    interior faces and zero at the walls.  A face couples only its two
+    cells, so the Jacobian is tridiagonal; Newton solves it through the
+    module's ``solve_banded``.  Upwind switches freeze per
+    linearisation (semismooth Newton).  Once p is known, the mass balance
+    is linear in rho (``density``) and h_s = p / (kappa rho).
     """
 
     def __init__(self, state, u_tilde, sgp, dt, source):
@@ -210,7 +221,6 @@ class _CorrectionSystem:
         self.n = grid.n_cells
         self.h = grid.cell_volumes
         self.hdt = grid.cell_volumes / dt
-        self.dt = dt
         self.kappa = (state.mixture.gamma - 1.0) / state.mixture.gamma
         rho_d_n = dual_density(grid, state.rho)
         j = np.arange(1, self.n)
@@ -220,138 +230,107 @@ class _CorrectionSystem:
         self.p_n = state.p
         self.rhoh_n = state.rho * state.h_s
         self.source = source
-        self.rho_ref = max(float(np.max(np.abs(state.rho))), 1e-300)
-        self.rhoh_ref = max(float(np.max(np.abs(self.rhoh_n))), 1e-300)
-        self.p_ref = max(float(np.max(np.abs(state.p))), 1e-300)
-
-    def unpack(self, X):
-        return X[0::3], X[1::3], X[2::3]
+        # the terms of the enthalpy balance that do not depend on p
+        self.hs_known = self.hdt * (self.p_n - self.rhoh_n) - self.h * source
+        hdt0 = float(self.hdt[0])
+        self.mass_scale = hdt0 * max(float(np.max(np.abs(state.rho))), 1e-300)
+        self.hs_scale = hdt0 * max(float(np.max(np.abs(self.rhoh_n))), 1e-300)
 
     def velocity(self, p):
         u = np.zeros(self.n + 1)
         u[1:-1] = self.a_face + self.b_face * (p[:-1] - p[1:])
         return u
 
-    def residual(self, X):
-        n = self.n
-        p, rho, hs = self.unpack(X)
-        u = self.velocity(p)
-        up = _upwind_cells(u, n)
-        F = np.zeros(n + 1)
-        F[1:n] = u[1:n] * rho[up]
-        h_face = np.zeros(n + 1)
-        h_face[1:n] = hs[up]
-        p_face = np.zeros(n + 1)
-        p_face[1:n] = p[up]
-
-        r_mass = self.hdt * (rho - self.rho_n) + F[1:] - F[:-1]
-
-        conv = F[1:] * h_face[1:] - F[:-1] * h_face[:-1]
+    def residual(self, p):
+        """Enthalpy residual at p, plus the face quantities ``jacobian`` reuses."""
+        dp = p[:-1] - p[1:]
+        u = self.a_face + self.b_face * dp  # interior faces
+        pos = u >= 0.0  # the left cell is upwind
+        p_up = np.where(pos, p[:-1], p[1:])
+        Fh = u * p_up / self.kappa
+        r = self.hdt * (p / self.kappa - p) + self.hs_known
+        r[:-1] += Fh
+        r[1:] -= Fh
         # -(u . grad p) with upwind face pressures: the term of the upwind
         # cell vanishes identically (p_sigma = p_K there), so the whole
         # contribution u_j (p_{j-1} - p_j) lands in the downwind cell
-        dn = np.arange(1, n) + np.arange(0, n - 1) - up
-        updp = np.zeros(n)
-        dp = u[1:n] * (p[:-1] - p[1:])
-        np.add.at(updp, dn, dp)
-        r_hs = (
-            self.hdt * (rho * hs - self.rhoh_n)
-            + conv
-            - self.hdt * (p - self.p_n)
-            + updp
-            - self.h * self.source
-        )
+        udp = u * dp
+        r[1:] += np.where(pos, udp, 0.0)
+        r[:-1] += np.where(pos, 0.0, udp)
+        return r, (dp, u, pos, p_up)
 
-        r_eos = p - self.kappa * rho * hs
+    def norm(self, r):
+        return float(np.max(np.abs(r))) / self.hs_scale
 
-        R = np.empty(3 * n)
-        R[0::3] = r_mass
-        R[1::3] = r_hs
-        R[2::3] = r_eos
-        return R, u, up, F
+    def jacobian(self, lin):
+        """Tridiagonal Jacobian at the point of ``lin``, in band storage.
 
-    def norm(self, R):
-        hdt0 = float(self.hdt[0])
-        return max(
-            float(np.max(np.abs(R[0::3]))) / (hdt0 * self.rho_ref),
-            float(np.max(np.abs(R[1::3]))) / (hdt0 * self.rhoh_ref),
-            float(np.max(np.abs(R[2::3]))) / self.p_ref,
-        )
-
-    def jacobian(self, X, u, up):
-        n = self.n
-        p, rho, hs = self.unpack(X)
-        ab = np.zeros((9, 3 * n))
-        i = np.arange(n)
-        j = np.arange(1, n)
-        jm = j - 1  # left cell of the face
-        jc = j      # right cell of the face
-        uj = u[1:n]
-        bj = self.b_face
-        rho_up = rho[up]
-        hs_up = hs[up]
-        pos = up == jm
-
-        def add(rows, cols, vals):
-            ab[4 + rows - cols, cols] += vals
-
-        # --- mass rows (3i)
-        add(3 * i, 3 * i + 1, self.hdt)
-        # d F_j / d rho_up, into +row(jm) and -row(jc)
-        add(3 * jm, 3 * up + 1, uj)
-        add(3 * jc, 3 * up + 1, -uj)
-        # d F_j / d p: F depends on p through u
-        br = bj * rho_up
-        add(3 * jm, 3 * jm, br)
-        add(3 * jm, 3 * jc, -br)
-        add(3 * jc, 3 * jm, -br)
-        add(3 * jc, 3 * jc, br)
-
-        # --- enthalpy rows (3i+1)
-        add(3 * i + 1, 3 * i + 1, self.hdt * hs)
-        add(3 * i + 1, 3 * i + 2, self.hdt * rho)
-        add(3 * i + 1, 3 * i, -self.hdt)
-        # convective flux F_j h_up
-        add(3 * jm + 1, 3 * up + 1, uj * hs_up)
-        add(3 * jc + 1, 3 * up + 1, -uj * hs_up)
-        add(3 * jm + 1, 3 * up + 2, uj * rho_up)
-        add(3 * jc + 1, 3 * up + 2, -uj * rho_up)
-        brh = br * hs_up
-        add(3 * jm + 1, 3 * jm, brh)
-        add(3 * jm + 1, 3 * jc, -brh)
-        add(3 * jc + 1, 3 * jm, -brh)
-        add(3 * jc + 1, 3 * jc, brh)
-        # u (p_jm - p_jc) in the downwind row
-        dn = jm + jc - up
-        c = uj + (p[:-1] - p[1:]) * bj
-        add(3 * dn + 1, 3 * jm, c)
-        add(3 * dn + 1, 3 * jc, -c)
-
-        # --- EOS rows (3i+2)
-        add(3 * i + 2, 3 * i, np.ones(n))
-        add(3 * i + 2, 3 * i + 1, -self.kappa * hs)
-        add(3 * i + 2, 3 * i + 2, -self.kappa * rho)
+        Row 0 holds the upper diagonal (d r_i / d p_{i+1} at column i+1),
+        row 1 the diagonal, row 2 the lower diagonal (d r_{i+1} / d p_i at
+        column i); both off-diagonals are indexed by interior face.
+        """
+        dp, u, pos, p_up = lin
+        neg = ~pos
+        b = self.b_face
+        # d(u p_up) / d(p_L, p_R) and d(u (p_L - p_R)) / d(p_L) = -.../d(p_R)
+        dflux_l = (b * p_up + u * pos) / self.kappa
+        dflux_r = (u * neg - b * p_up) / self.kappa
+        dwork = u + b * dp
+        ab = np.empty((3, self.n))
+        ab[0, 0] = 0.0
+        ab[0, 1:] = dflux_r - neg * dwork
+        ab[1] = self.hdt * (1.0 / self.kappa - 1.0)
+        ab[1, :-1] += dflux_l + neg * dwork
+        ab[1, 1:] -= dflux_r + pos * dwork
+        ab[2, :-1] = pos * dwork - dflux_l
+        ab[2, -1] = 0.0
         return ab
 
+    def newton_step(self, r, lin):
+        """Newton update for the residual r at the point of ``lin``.
 
-def _fixed_point(sys_, X, cfg):
-    """Segregated fallback: u(p) -> mass solve -> enthalpy solve -> EOS."""
+        Returns None when the tridiagonal solve fails or is not finite.
+        """
+        try:
+            delta = solve_banded((1, 1), self.jacobian(lin), -r,
+                                 overwrite_ab=True, overwrite_b=True,
+                                 check_finite=False)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(np.isfinite(delta)):
+            return None
+        return delta
+
+    def density(self, u):
+        """rho from the mass balance with upwind fluxes at face velocities u."""
+        uin = u[1:-1]
+        pos = uin >= 0.0
+        diag = self.hdt.copy()
+        diag[:-1] += np.where(pos, uin, 0.0)
+        diag[1:] -= np.where(pos, 0.0, uin)
+        upper = np.where(pos, 0.0, uin)
+        lower = np.where(pos, -uin, 0.0)
+        return dgtsv(lower, diag, upper, self.hdt * self.rho_n,
+                     overwrite_dl=1, overwrite_d=1, overwrite_du=1)[3]
+
+    def mass_norm(self, rho, flux):
+        r = self.hdt * (rho - self.rho_n) + flux[1:] - flux[:-1]
+        return float(np.max(np.abs(r))) / self.mass_scale
+
+
+def _fixed_point(sys_, p, cfg):
+    """Segregated fallback: u(p) -> mass solve -> enthalpy solve -> EOS.
+
+    Converged when the under-relaxed pressure meets the tolerance of the
+    reduced balance; returns that pressure.
+    """
     n = sys_.n
-    p, rho, hs = (np.array(v) for v in sys_.unpack(X))
+    p = np.array(p)
     omega = cfg.under_relaxation
     for it in range(10 * cfg.max_iterations):
         u = sys_.velocity(p)
         uin = u[1:n]
-        # mass: tridiagonal in rho with frozen upwind switches
-        diag = sys_.hdt.copy()
-        lower = np.zeros(n)
-        upper = np.zeros(n)
-        posR = uin >= 0.0  # face j = i+1 seen from cell i = j-1
-        diag[:-1] += np.where(posR, uin, 0.0)
-        upper[:-1] += np.where(posR, 0.0, uin)
-        diag[1:] -= np.where(posR, 0.0, uin)
-        lower[1:] -= np.where(posR, uin, 0.0)
-        rho = _tridiag(lower, diag, upper, sys_.hdt * sys_.rho_n)
+        rho = sys_.density(u)
         up = _upwind_cells(u, n)
         F = np.zeros(n + 1)
         F[1:n] = uin * rho[up]
@@ -375,83 +354,85 @@ def _fixed_point(sys_, X, cfg):
         )
         hs = _tridiag(lower, diag, upper, rhs)
         p = p + omega * (sys_.kappa * rho * hs - p)
-        X = np.empty(3 * n)
-        X[0::3], X[1::3], X[2::3] = p, rho, hs
-        R, _, _, _ = sys_.residual(X)
-        if sys_.norm(R) < cfg.nonlinear_tol:
-            return X, it + 1, True
-    return X, 10 * cfg.max_iterations, False
+        if not np.all(np.isfinite(p)):
+            break
+        if sys_.norm(sys_.residual(p)[0]) < cfg.nonlinear_tol:
+            return p, it + 1, True
+    return p, 10 * cfg.max_iterations, False
 
 
 def _tridiag(lower, diag, upper, rhs):
-    n = diag.shape[0]
-    ab = np.zeros((3, n))
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = lower[1:]
-    return solve_banded((1, 1), ab, rhs)
+    """Solve a tridiagonal system; ``lower[i]`` multiplies x[i-1] in row i,
+    ``upper[i]`` multiplies x[i+1].  Non-finite input gives non-finite
+    output rather than an exception, so a diverging sweep ends as a stall.
+    """
+    return dgtsv(lower[1:], diag, upper[:-1], rhs)[3]
 
 
 def correction_solve(state, u_tilde, sgp, dt, source, cfg):
-    """Solve the coupled correction system for (u, rho, h_s, p) at step end.
+    """Solve the correction system for (u, rho, h_s, p) at step end.
 
-    Semismooth Newton on the 3N unknowns with the upwind switches frozen per
-    iteration and a positivity-damped line step; falls back to an
-    under-relaxed segregated sweep if Newton stalls.  Raises StepFailure if
-    neither converges.
+    Semismooth Newton on the N pressures of the reduced enthalpy balance
+    (see ``_CorrectionSystem``), starting from p^n: upwind switches freeze
+    per iteration, each step is one tridiagonal banded solve, and a line
+    step halves until p stays positive.  Once the tolerance is met, one
+    more step takes the residual down to round-off, so that the energy
+    drift does not build up over a run.  The velocity then follows from p,
+    rho from one linear upwind mass solve (positive, since its matrix is an
+    M-matrix) and h_s = p / (kappa rho) from the EOS.  Falls back to an
+    under-relaxed segregated sweep if Newton stalls; raises StepFailure if
+    neither converges.  The reported residual is the larger of the scaled
+    enthalpy and mass residuals.
     """
     sys_ = _CorrectionSystem(state, u_tilde, sgp, dt, source)
-    n = sys_.n
-    X = np.empty(3 * n)
-    X[0::3] = state.p
-    X[1::3] = state.rho
-    X[2::3] = state.h_s
+    p = np.array(state.p, dtype=float)
     used_fallback = False
     iterations = 0
     converged = False
     for it in range(cfg.max_iterations + 1):
-        R, u, up, F = sys_.residual(X)
-        res = sys_.norm(R)
+        r, lin = sys_.residual(p)
+        res = sys_.norm(r)
         if res < cfg.nonlinear_tol:
             converged = True
             iterations = it
             break
         if it == cfg.max_iterations:
             break
-        ab = sys_.jacobian(X, u, up)
-        try:
-            delta = solve_banded((4, 4), ab, -R)
-        except np.linalg.LinAlgError:
+        delta = sys_.newton_step(r, lin)
+        if delta is None:
             break
         alpha = 1.0
         while alpha > 1e-6:
-            Xt = X + alpha * delta
-            if (
-                np.min(Xt[1::3]) > 0.0
-                and np.min(Xt[2::3]) > 0.0
-                and np.min(Xt[0::3]) > 0.0
-            ):
+            if np.min(p + alpha * delta) > 0.0:
                 break
             alpha *= 0.5
-        X = X + alpha * delta
+        p = p + alpha * delta
+    if converged and iterations:
+        delta = sys_.newton_step(r, lin)
+        iterations += 1
+        if delta is not None:
+            p_next = p + delta
+            res_next = sys_.norm(sys_.residual(p_next)[0])
+            if res_next < res and np.min(p_next) > 0.0:
+                p, res = p_next, res_next
     if not converged:
-        X, extra, converged = _fixed_point(sys_, X, cfg)
+        p, extra, converged = _fixed_point(sys_, p, cfg)
         used_fallback = True
         iterations = cfg.max_iterations + extra
-        R, u, up, F = sys_.residual(X)
-        res = sys_.norm(R)
+        res = sys_.norm(sys_.residual(p)[0])
     if not converged:
         raise StepFailure(
             f"correction solve stalled at residual {res:.3e} "
             f"(tolerance {cfg.nonlinear_tol:.1e})"
         )
-    p, rho, hs = sys_.unpack(X)
     u = sys_.velocity(p)
+    rho = sys_.density(u)
+    hs = p / (sys_.kappa * rho)
     flux = primal_mass_flux(rho, u)
     grad_p = pressure_gradient(p, state.grid)
     return CorrectionResult(
         u=u, rho=rho, h_s=hs, p=p, grad_p=grad_p, flux=flux,
-        iterations=iterations, residual=res, converged=converged,
+        iterations=iterations, residual=max(res, sys_.mass_norm(rho, flux)),
         used_fallback=used_fallback,
     )
 
@@ -470,7 +451,7 @@ def euler_step(state, omega_theta, dt, cfg):
     rho_d_nm1 = dual_density(grid, state.rho_prev)
     sgp = scale_pressure_gradient(grad_p, rho_d_n, rho_d_nm1)
     u_tilde = predict_velocity(state, dual_flux, sgp, dt)
-    R = kinetic_residuals(state, u_tilde, None, dt)
+    R = kinetic_residuals(state, u_tilde, dt)
     S = compensation_source(R, grid)
     corr = correction_solve(state, u_tilde, sgp, dt, omega_theta + S, cfg)
     return EulerResult(

@@ -257,6 +257,22 @@ def test_gates_raise_on_inadmissible_fractions():
         chemistry_step(state, state.dt, ChemStepConfig(epsilon=1.0))
 
 
+@pytest.mark.parametrize("mode,field", [
+    ("implicit-upwind", "y_F"),
+    ("explicit-limited", "y_N"),
+])
+def test_gates_raise_on_nan_fractions(mode, field):
+    from stagflame.transport import LimiterParams
+
+    state = advected_state()
+    setattr(state, field, getattr(state, field).copy())
+    getattr(state, field)[3] = np.nan
+    cfg = ChemStepConfig(epsilon=1.0, time_mode=mode,
+                         limiter=LimiterParams(scheme="upwind"))
+    with pytest.raises(StepFailure, match=rf"^{field} is not finite"):
+        chemistry_step(state, state.dt, cfg)
+
+
 def test_face_values_reported_for_energy_audit():
     state = advected_state(seed=3)
     cfg = ChemStepConfig(epsilon=1e-3)

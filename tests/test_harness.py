@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from stagflame.chemistry import ChemStepConfig
 from stagflame.errors import ConfigError, StepFailure
+from stagflame.grid import build_uniform_grid
 from stagflame.harness import (
     CaseConfig,
     advance,
@@ -17,7 +20,9 @@ from stagflame.harness import (
     write_diagnostics_csv,
     write_profile_csv,
 )
-from stagflame.transport import primal_mass_flux
+from stagflame.hydro import CorrectionSolveConfig, total_energy
+from stagflame.transport import LimiterParams, primal_mass_flux
+from helpers import benchmark_mixture, make_state
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +144,69 @@ def test_gate_violations_raise():
     state.h_s[0] = 0.5 * state.p[0] / state.rho[0]  # below p / rho
     with pytest.raises(StepFailure, match="sensible"):
         check_state_gates(state)
+
+
+@pytest.mark.parametrize("field", ["y_F", "G", "rho", "e_s"])
+def test_gates_reject_nan(field):
+    state = initialize_case(CaseConfig(n_cells=24)).state
+    if field == "e_s":
+        state.h_s[4] = np.nan  # e_s = h_s - p / rho is derived
+    else:
+        getattr(state, field)[4] = np.nan
+    with pytest.raises(StepFailure, match=rf"^{field} is not finite in cell 4"):
+        check_state_gates(state)
+
+
+@st.composite
+def admissible_states(draw):
+    """A small random state inside every gate, with a balanced mass level."""
+    n = draw(st.integers(min_value=4, max_value=12))
+
+    def cells(lo, hi, size=n):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=size,
+                                      max_size=size)))
+
+    mix = benchmark_mixture()
+    grid = build_uniform_grid(n, 0.0, 1.0)
+    rho = cells(0.3, 2.0)
+    p = cells(5.0e4, 2.0e5)
+    u = np.zeros(n + 1)
+    u[1:-1] = cells(-60.0, 60.0, n - 1)
+    y_F = cells(0.0, 0.05)
+    y_O = cells(0.0, 0.3)
+    y_N = cells(0.3, 0.6)
+    y = (y_F, y_O, y_N, 1.0 - y_F - y_O - y_N)
+    G = cells(0.0, 1.0)
+    h_s = mix.gamma / (mix.gamma - 1.0) * p / rho
+    # acoustic CFL up to 2; the benchmark runs at about 1.2
+    speed = np.max(np.sqrt(mix.gamma * p / rho)) + np.max(np.abs(u))
+    dt = draw(st.floats(0.05, 2.0)) * grid.h / speed
+    return make_state(grid, mix, dt, rho, u, h_s, y, G)
+
+
+@settings(max_examples=40, deadline=None)
+@given(state=admissible_states(),
+       scheme=st.sampled_from([None, "upwind"]),
+       flame_speed_product=st.floats(0.0, 50.0))
+def test_one_step_keeps_gates_mass_and_energy(state, scheme, flame_speed_product):
+    # implicit or explicit upwind transport: the monotone face schemes, for
+    # which the bounds on every fraction hold on any admissible state
+    if scheme is None:
+        chem = ChemStepConfig(epsilon_per_h=1e-2,
+                              flame_speed_product=flame_speed_product)
+    else:
+        chem = ChemStepConfig(epsilon_per_h=1e-2,
+                              flame_speed_product=flame_speed_product,
+                              time_mode="explicit-limited",
+                              limiter=LimiterParams(scheme=scheme))
+    check_state_gates(state)
+    new_state, _ = advance(state, chem, CorrectionSolveConfig())
+    check_state_gates(new_state)
+    vol = state.grid.cell_volumes
+    mass = np.sum(vol * state.rho)
+    assert abs(np.sum(vol * new_state.rho) - mass) <= 1e-14 * mass
+    e0 = total_energy(state)
+    assert abs(total_energy(new_state) - e0) <= 1e-12 * abs(e0)
 
 
 def test_advance_info_contract():

@@ -6,6 +6,7 @@ from stagflame.grid import build_uniform_grid
 from stagflame.harness import CaseConfig, _with_fields, advance, initialize_case
 from stagflame.hydro import (
     CorrectionSolveConfig,
+    _CorrectionSystem,
     cell_kinetic_energy,
     compensation_source,
     correction_solve,
@@ -19,7 +20,7 @@ from stagflame.hydro import (
 )
 from stagflame.thermo import chemical_enthalpy
 from stagflame.transport import dual_density, dual_mass_flux, primal_mass_flux
-from helpers import quiescent_state
+from helpers import make_state, quiescent_state
 
 
 def short_benchmark(n_cells=60, steps=2, **kw):
@@ -97,7 +98,7 @@ def test_kinetic_residuals_form():
     u_t = state.u + 0.1
     u_t[0] = 0.0
     u_t[-1] = 0.0
-    R = kinetic_residuals(state, u_t, None, state.dt)
+    R = kinetic_residuals(state, u_t, state.dt)
     assert R[0] == 0.0 and R[-1] == 0.0
     rho_d = dual_density(state.grid, state.rho_prev)
     j = 5
@@ -162,6 +163,93 @@ def test_correction_solve_converges_on_benchmark_step():
     gamma = state.mixture.gamma
     eos = result.p - (gamma - 1.0) / gamma * result.rho * result.h_s
     assert np.max(np.abs(eos)) < 1e-9 * np.max(result.p)
+    # and the sensible-enthalpy balance, assembled face by face: upwind
+    # convection of rho h_s, and -(u . grad p) with upwind face pressures,
+    # which leaves u_j (p_{j-1} - p_j) in the downwind cell of face j
+    n = state.grid.n_cells
+    res = (hdt * (result.rho * result.h_s - state.rho * state.h_s)
+           - hdt * (result.p - state.p) - state.grid.cell_volumes * result.source)
+    for j in range(1, n):
+        left, right = j - 1, j
+        up, down = (left, right) if result.u[j] >= 0.0 else (right, left)
+        conv = result.flux[j] * result.h_s[up]
+        res[left] += conv
+        res[right] -= conv
+        res[down] += result.u[j] * (result.p[left] - result.p[right])
+    scale = np.max(np.abs(hdt * result.rho * result.h_s))
+    assert np.max(np.abs(res)) < 1e-12 * scale
+
+
+def _benchmark_correction_system(n_cells):
+    """The correction system of the first step of the benchmark case."""
+    state = initialize_case(CaseConfig(n_cells=n_cells)).state
+    grid = state.grid
+    sgp = scale_pressure_gradient(pressure_gradient(state.p, grid),
+                                  dual_density(grid, state.rho),
+                                  dual_density(grid, state.rho_prev))
+    u_t = predict_velocity(state, dual_mass_flux(state.flux), sgp, state.dt)
+    source = compensation_source(kinetic_residuals(state, u_t, state.dt), grid)
+    return state, _CorrectionSystem(state, u_t, sgp, state.dt, source)
+
+
+def test_correction_jacobian_matches_central_differences():
+    state, system = _benchmark_correction_system(30)
+    n = state.grid.n_cells
+    p = state.p * (1.0 + 1e-2 * np.random.default_rng(7).uniform(-1.0, 1.0, n))
+    r, lin = system.residual(p)
+    upwind = lin[2]
+    ab = system.jacobian(lin)
+    J = np.diag(ab[1]) + np.diag(ab[2, :-1], -1) + np.diag(ab[0, 1:], 1)
+    J_fd = np.zeros((n, n))
+    for c in range(n):
+        step = 1e-6 * p[c]
+        pp = p.copy()
+        pp[c] += step
+        pm = p.copy()
+        pm[c] -= step
+        rp, lin_p = system.residual(pp)
+        rm, lin_m = system.residual(pm)
+        # the upwind switches stay put, so the residual is smooth here
+        assert np.array_equal(lin_p[2], upwind) and np.array_equal(lin_m[2], upwind)
+        J_fd[:, c] = (rp - rm) / (2.0 * step)
+    row_scale = np.max(np.abs(J), axis=1)
+    assert np.all(row_scale > 0.0)
+    rel = np.max(np.abs(J_fd - J), axis=1) / row_scale
+    assert np.max(rel) <= 1e-8
+
+
+def test_correction_solve_converges_at_large_acoustic_cfl():
+    # a resting contact with a step far beyond the acoustic limit (c dt / h
+    # near 1000): the pressure stays an unknown of its own, so no rounding
+    # of kappa rho h_s is amplified by (c dt / h)^2 and Newton reaches the
+    # tolerance
+    n = 16
+    mix = CaseConfig().mixture()
+    grid = build_uniform_grid(n, 0.0, 1.0)
+    rho = np.random.default_rng(3).uniform(0.5, 1.5, n)
+    h_s = mix.gamma / (mix.gamma - 1.0) * 1.0e5 / rho
+    y = (np.zeros(n), np.zeros(n), np.full(n, 0.6), np.full(n, 0.4))
+    state = make_state(grid, mix, 0.1, rho, np.zeros(n + 1), h_s, y, np.ones(n))
+    result = euler_step(state, np.zeros(n), state.dt, CorrectionSolveConfig())
+    assert not result.used_fallback
+    assert result.residual < 1e-12
+    assert np.max(np.abs(result.u)) < 1e-9
+    assert np.allclose(result.p, state.p, rtol=1e-12)
+
+
+def test_diverging_correction_solve_is_a_step_failure():
+    # a 2:1 pressure jump stepped at an acoustic CFL above 100: Newton stalls
+    # and the fallback sweep diverges; that must surface as a StepFailure
+    n = 4
+    mix = CaseConfig().mixture()
+    grid = build_uniform_grid(n, 0.0, 1.0)
+    h_s = np.full(n, mix.gamma / (mix.gamma - 1.0) * 5.0e4)
+    u = np.array([0.0, 0.0, 0.0, 1.0, 0.0])
+    y = (np.zeros(n), np.zeros(n), np.full(n, 0.5), np.full(n, 0.5))
+    state = make_state(grid, mix, 0.125, np.ones(n), u, h_s, y, np.zeros(n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(StepFailure, match="stalled"):
+            euler_step(state, np.zeros(n), state.dt, CorrectionSolveConfig())
 
 
 def test_correction_solve_raises_when_starved():
