@@ -1,5 +1,6 @@
 """Case setup, time loop, error measurement and convergence studies."""
 
+import math
 import time
 from dataclasses import dataclass, field, fields as dc_fields
 
@@ -9,6 +10,7 @@ from .chemistry import ChemStepConfig, chemistry_step
 from .errors import ConfigError, StepFailure, require_finite
 from .grid import build_uniform_grid
 from .hydro import CorrectionSolveConfig, euler_step, total_energy
+from .linalg import upwind_mass_solve
 from .oracle import (
     asymptotic_composition,
     exact_cell_averages,
@@ -37,6 +39,42 @@ _DIAG_COLUMNS = (
 )
 ERROR_FIELDS = ("p", "u", "rho", "y_F", "G", "T")
 _GATED_FIELDS = ("y_F", "y_O", "y_N", "y_P", "G", "rho", "e_s")
+
+# Admissible ranges of the numeric config keys: (low, high, low included,
+# high included), None for an unbounded end.  Every numeric key, listed or
+# not, must also be finite.
+_POSITIVE = (0.0, None, False, False)
+_NON_NEGATIVE = (0.0, None, True, False)
+_RANGES = {
+    "n_cells": (3, None, True, False),
+    "gamma": (1.0, None, False, False),
+    **dict.fromkeys(("nu_F", "nu_O", "nu_P", "W_F", "W_O", "W_N", "W_P",
+                     "p_fresh", "T_fresh", "cfl", "dt", "epsilon",
+                     "epsilon_per_h"), _POSITIVE),
+    **dict.fromkeys(("molar_F", "molar_O", "molar_N"), (0.0, 1.0, True, True)),
+    **dict.fromkeys(("zeta_minus", "zeta_plus"), (0.0, 2.0, True, True)),
+    **dict.fromkeys(("s_max", "grad_threshold", "flame_speed_product"),
+                    _NON_NEGATIVE),
+    "nonlinear_tol": (0.0, 1.0, False, False),
+    "max_iterations": (1, None, True, False),
+    "under_relaxation": (0.0, 1.0, False, True),
+}
+
+
+def _range_error(key, value):
+    """Why ``value`` is not admissible for ``key``; None when it is."""
+    if not math.isfinite(value):
+        return f"{key} must be finite, got {value!r}"
+    if key not in _RANGES:
+        return None
+    lo, hi, lo_in, hi_in = _RANGES[key]
+    below = lo is not None and (value < lo or (value == lo and not lo_in))
+    above = hi is not None and (value > hi or (value == hi and not hi_in))
+    if not (below or above):
+        return None
+    interval = (f"{'[' if lo_in else '('}{lo}, "
+                f"{'inf' if hi is None else hi}{']' if hi_in else ')'}")
+    return f"{key} must lie in {interval}, got {value!r}"
 
 
 @dataclass
@@ -86,8 +124,16 @@ class CaseConfig:
     output_prefix: str = None
 
     def __post_init__(self):
-        if self.n_cells < 3:
-            raise ConfigError("n_cells must be at least 3")
+        for f in dc_fields(self):
+            value = getattr(self, f.name)
+            if value is None or isinstance(value, str):
+                continue
+            error = _range_error(f.name, value)
+            if error:
+                raise ConfigError(error)
+        if not self.x_right > self.x_left:
+            raise ConfigError(f"empty domain: x_right {self.x_right!r} "
+                              f"must exceed x_left {self.x_left!r}")
         if not self.t_end > self.t_start:
             raise ConfigError("t_end must exceed t_start")
         if self.cfl is not None and self.dt is not None:
@@ -95,12 +141,8 @@ class CaseConfig:
         if self.cfl is None and self.dt is None:
             self.cfl = 0.8
         if self.cfl is not None:
-            if self.time_mode == "explicit-limited" and not 0.0 < self.cfl <= 1.0:
+            if self.time_mode == "explicit-limited" and self.cfl > 1.0:
                 raise ConfigError("cfl must lie in (0, 1] for explicit-limited mode")
-            if self.cfl <= 0.0:
-                raise ConfigError("cfl must be positive")
-        if self.dt is not None and self.dt <= 0.0:
-            raise ConfigError("dt must be positive")
         if self.epsilon is None and self.epsilon_per_h is None:
             # benchmark-calibrated default; see the convergence-study metadata
             self.epsilon_per_h = 1e-2
@@ -117,7 +159,7 @@ class CaseConfig:
             kwargs[key] = _coerce(key, raw, known[key].type)
         try:
             return cls(**kwargs)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
 
     def mixture(self):
@@ -231,28 +273,6 @@ class CaseSetup:
     t_initial: float
 
 
-def _initial_mass_solve(grid, rho_prev, u, dt):
-    """One implicit upwind mass step; returns the balanced starting density."""
-    n = grid.n_cells
-    hdt = grid.cell_volumes / dt
-    uin = u[1:n]
-    diag = hdt.copy()
-    lower = np.zeros(n)
-    upper = np.zeros(n)
-    pos = uin >= 0.0
-    diag[:-1] += np.where(pos, uin, 0.0)
-    upper[:-1] += np.where(pos, 0.0, uin)
-    diag[1:] -= np.where(pos, 0.0, uin)
-    lower[1:] -= np.where(pos, uin, 0.0)
-    from scipy.linalg import solve_banded
-
-    ab = np.zeros((3, n))
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = lower[1:]
-    return solve_banded((1, 1), ab, hdt * rho_prev)
-
-
 def _derive_dt(config, grid, rho_est, u):
     if config.dt is not None:
         return config.dt
@@ -277,8 +297,11 @@ def initialize_case(config):
     """
     grid = build_uniform_grid(config.n_cells, config.x_left, config.x_right)
     mix = config.mixture()
-    y_fresh = mass_fractions_from_molar(mix, config.molar_F, config.molar_O,
-                                        config.molar_N)
+    try:
+        y_fresh = mass_fractions_from_molar(mix, config.molar_F, config.molar_O,
+                                            config.molar_N)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     pattern = None
     if config.init_mode == "riemann_oracle":
         pattern = solve_deflagration_riemann(
@@ -319,7 +342,7 @@ def initialize_case(config):
     n_steps = max(1, int(np.ceil(span / dt_raw - 1e-9)))
     dt = span / n_steps
 
-    rho0 = _initial_mass_solve(grid, rho_prev, u0, dt)
+    rho0 = upwind_mass_solve(grid, rho_prev, u0, dt)
     flux0 = primal_mass_flux(rho0, u0)
     p0 = pressure_from_state(rho0, h_s0, mix.gamma)
     state = FieldState(
@@ -360,8 +383,21 @@ def check_state_gates(state):
 
 
 def advance(state, chem_config, solver_config):
-    """One full step: chemistry then flow; returns (new_state, info dict)."""
+    """One full step: chemistry then flow; returns (new_state, info dict).
+
+    In explicit-limited mode the step first checks the material CFL of the
+    state's fluxes and density, the one its chemistry step runs at: the
+    discrete maximum principle of the limited schemes needs it at most 1,
+    and ``dt`` stays fixed after setup.
+    """
     dt = state.dt
+    if chem_config.time_mode == "explicit-limited":
+        cfl = cfl_number(state.flux, state.rho, dt, state.grid)
+        if not cfl <= 1.0:
+            raise StepFailure(
+                f"material CFL {cfl:.4f} exceeds 1 in explicit-limited mode "
+                f"(dt {dt:.6e}); the limited face values need CFL <= 1"
+            )
     chem = chemistry_step(state, dt, chem_config)
     flow = euler_step(state, chem.omega_theta, dt, solver_config)
     new_state = FieldState(

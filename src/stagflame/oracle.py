@@ -142,13 +142,16 @@ def solve_deflagration_riemann(mixture, p_fresh, T_fresh, y_fresh, u_flame):
 
     lo = p_fresh
     hi = 2.0 * p_fresh
-    for _ in range(200):
-        if phi(hi) > 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise OracleError("could not bracket the shocked-gas pressure")
-    p2 = brentq(phi, lo, hi, rtol=4 * np.finfo(float).eps, maxiter=200)
+    try:
+        for _ in range(200):
+            if phi(hi) > 0.0:
+                break
+            hi *= 2.0
+        else:
+            raise OracleError("could not bracket the shocked-gas pressure")
+        p2 = brentq(phi, lo, hi, rtol=4 * np.finfo(float).eps, maxiter=200)
+    except OverflowError:
+        raise OracleError("the shocked-gas pressure balance overflows") from None
 
     rho2, u2, s_shock = _shock_state(mixture, p_fresh, rho_fresh, p2)
     s_flame = u2 + u_flame

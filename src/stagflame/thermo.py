@@ -71,10 +71,6 @@ class MixtureSpec:
         """Formation enthalpies as an array ordered (F, O, N, P)."""
         return np.array([self.dh_F, self.dh_O, self.dh_N, self.dh_P])
 
-    @property
-    def molar_masses(self):
-        return np.array([self.W_F, self.W_O, self.W_N, self.W_P])
-
 
 @dataclass
 class FieldState:
@@ -108,29 +104,6 @@ class FieldState:
     def e_s(self):
         """Sensible internal energy, via the gamma-free identity e_s = h_s - p/rho."""
         return self.h_s - self.p / self.rho
-
-    def species_matrix(self):
-        """Mass fractions stacked as rows ordered (F, O, N, P), shape (4, n)."""
-        return np.vstack([self.y_F, self.y_O, self.y_N, self.y_P])
-
-    def copy(self):
-        return FieldState(
-            grid=self.grid,
-            mixture=self.mixture,
-            dt=self.dt,
-            rho_prev=self.rho_prev.copy(),
-            rho=self.rho.copy(),
-            u=self.u.copy(),
-            p=self.p.copy(),
-            h_s=self.h_s.copy(),
-            y_F=self.y_F.copy(),
-            y_O=self.y_O.copy(),
-            y_N=self.y_N.copy(),
-            y_P=self.y_P.copy(),
-            z=self.z.copy(),
-            G=self.G.copy(),
-            flux=self.flux.copy(),
-        )
 
 
 def pressure_from_state(rho, h_s, gamma):

@@ -53,7 +53,6 @@ class FaceFluxSet:
 
     grid: object
     F: np.ndarray
-    dual: np.ndarray = None
     face_values: dict = field(default_factory=dict)
 
 
@@ -204,6 +203,22 @@ def upwind_face_values(y, F):
     return vals
 
 
+def _upwind_stencil(y, pos):
+    """Upwind, downwind and far-upstream cell values of the interior faces.
+
+    ``pos`` marks the faces whose flux runs left to right.  The far upstream
+    cell lies one cell beyond the upwind one; at a wall there is none, and
+    padding ``y`` with its end values makes it the upwind cell itself.
+    """
+    y_left = y[:-1]
+    y_right = y[1:]
+    padded = np.concatenate((y[:1], y, y[-1:]))
+    y_up = np.where(pos, y_left, y_right)
+    y_dn = np.where(pos, y_right, y_left)
+    y_m = np.where(pos, padded[:-3], padded[3:])
+    return y_up, y_dn, y_m
+
+
 def muscl_face_values(y, F, params):
     """Vectorised MUSCL face values (same result as the per-face routine)."""
     y = np.asarray(y)
@@ -212,59 +227,46 @@ def muscl_face_values(y, F, params):
     vals = np.empty(n + 1)
     vals[0] = y[0]
     vals[-1] = y[-1]
-    j = np.arange(1, n)
-    pos = F[j] >= 0.0
-    up = np.where(pos, j - 1, j)
-    dn = np.where(pos, j, j - 1)
-    y_up = y[up]
-    y_dn = y[dn]
-    tentative = 0.5 * (y[j - 1] + y[j])
-    e1 = y_up + 0.5 * params.zeta_plus * (y_dn - y_up)
-    lo1 = np.minimum(y_up, e1)
-    hi1 = np.maximum(y_up, e1)
-    m = 2 * up - dn
-    valid = (m >= 0) & (m < n)
+    pos = F[1:n] >= 0.0
+    y_up, y_dn, y_m = _upwind_stencil(y, pos)
     if params.neighbor_policy == "upstream_cells":
-        opf = np.where(pos, j - 1, j + 1)
-        inflow = np.where(pos, F[np.clip(opf, 0, n)] >= 0.0, F[np.clip(opf, 0, n)] < 0.0)
-        inflow &= (opf >= 1) & (opf <= n - 1)
-        valid &= inflow
-    y_m = np.where(valid, y[np.clip(m, 0, n - 1)], y_up)
+        # the far upstream cell counts only if it feeds the upwind cell; the
+        # wall faces carry no flux, and there y_m is the upwind value anyway
+        inflow = np.where(pos, F[:-2] >= 0.0, F[2:] < 0.0)
+        y_m = np.where(inflow, y_m, y_up)
+    tentative = 0.5 * (y[:-1] + y[1:])
+    e1 = y_up + 0.5 * params.zeta_plus * (y_dn - y_up)
     e2 = y_up + 0.5 * params.zeta_minus * (y_up - y_m)
-    lo2 = np.minimum(y_up, e2)
-    hi2 = np.maximum(y_up, e2)
-    lo = np.maximum(lo1, lo2)
-    hi = np.minimum(hi1, hi2)
-    vals[1:n] = np.clip(tentative, lo, hi)
+    lo = np.maximum(np.minimum(y_up, e1), np.minimum(y_up, e2))
+    hi = np.minimum(np.maximum(y_up, e1), np.maximum(y_up, e2))
+    vals[1:n] = np.minimum(np.maximum(tentative, lo), hi)
     return vals
 
 
 def antidiffusive_face_values(y, F, rho_next, dt, grid, params):
-    """Vectorised anti-diffusive face values."""
+    """Vectorised anti-diffusive face values (same result as the per-face
+    routine)."""
     y = np.asarray(y)
     F = np.asarray(F)
-    rho_next = np.asarray(rho_next)
     n = y.shape[0]
     vals = np.empty(n + 1)
     vals[0] = y[0]
     vals[-1] = y[-1]
-    j = np.arange(1, n)
-    pos = F[j] >= 0.0
-    up = np.where(pos, j - 1, j)
-    dn = np.where(pos, j, j - 1)
-    opf = np.where(pos, j - 1, j + 1)
-    vol = rho_next[up] * grid.cell_volumes[up]
-    nu = dt * np.abs(F[j]) / vol
-    nu_other = dt * np.abs(F[opf]) / vol
+    pos = F[1:n] >= 0.0
+    y_up, y_dn, y_m = _upwind_stencil(y, pos)
+    mass = np.asarray(rho_next) * grid.cell_volumes
+    vol = np.where(pos, mass[:-1], mass[1:])
+    abs_F = np.abs(F)
+    nu = dt * abs_F[1:n] / vol
+    # the flux through the upwind cell's other face
+    nu_other = dt * np.where(pos, abs_F[:-2], abs_F[2:]) / vol
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        zeta = np.clip((1.0 - nu_other) / nu, 0.0, params.s_max)
-    m = 2 * up - dn
-    y_m = np.where((m >= 0) & (m < n), y[np.clip(m, 0, n - 1)], y[up])
-    far = y[up] + zeta * (y[up] - y_m)
-    lo = np.minimum(far, y[up])
-    hi = np.maximum(far, y[up])
-    clipped = np.clip(y[dn], lo, hi)
-    vals[1:n] = np.where(nu > 0.0, clipped, y[up])
+        zeta = np.minimum(np.maximum((1.0 - nu_other) / nu, 0.0), params.s_max)
+    far = y_up + zeta * (y_up - y_m)
+    lo = np.minimum(far, y_up)
+    hi = np.maximum(far, y_up)
+    clipped = np.minimum(np.maximum(y_dn, lo), hi)
+    vals[1:n] = np.where(nu > 0.0, clipped, y_up)
     return vals
 
 

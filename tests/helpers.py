@@ -3,7 +3,8 @@
 import numpy as np
 
 from stagflame.grid import build_uniform_grid
-from stagflame.harness import CaseConfig, _initial_mass_solve
+from stagflame.harness import CaseConfig
+from stagflame.linalg import upwind_mass_solve
 from stagflame.thermo import FieldState, pressure_from_state, z_from_fractions
 from stagflame.transport import primal_mass_flux
 
@@ -22,7 +23,7 @@ def make_state(grid, mixture, dt, rho_prev, u, h_s, y, G):
     """
     rho_prev = np.asarray(rho_prev, dtype=float)
     u = np.asarray(u, dtype=float)
-    rho = _initial_mass_solve(grid, rho_prev, u, dt)
+    rho = upwind_mass_solve(grid, rho_prev, u, dt)
     flux = primal_mass_flux(rho, u)
     y_F, y_O, y_N, y_P = (np.asarray(v, dtype=float) for v in y)
     return FieldState(

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,30 @@ def test_bad_config_line_is_a_config_error(tmp_path, capsys):
     path.write_text("this line has no equals sign\n")
     assert main(["run", str(path)]) == EXIT_CONFIG
     assert "line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override,reason", [
+    ("cfl=nan", "cfl must be finite"),
+    ("x_right=-1", "empty domain"),
+    ("T_fresh=-1", r"T_fresh must lie in \(0.0, inf\)"),
+    ("gamma=nan", "gamma must be finite"),
+    ("molar_F=0.5", "molar fractions sum to"),
+])
+def test_bad_config_values_are_config_errors(config_file, capsys, override,
+                                             reason):
+    # each of these used to end in a traceback or an oracle error
+    assert main(["run", config_file, "--set", override]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error")
+    assert re.search(reason, err)
+
+
+def test_explicit_step_past_cfl_one_is_a_step_failure(config_file, capsys):
+    # 60 cells at dt = 2e-4 start at a material CFL of about 2
+    code = main(["run", config_file, "--set", "time_mode=explicit-limited",
+                 "--set", "dt=2e-4", "--set", "t_end=0.0026"])
+    assert code == EXIT_STEP
+    assert "material CFL" in capsys.readouterr().err
 
 
 def test_unsolvable_correction_is_a_step_failure(config_file, capsys):

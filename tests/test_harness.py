@@ -209,6 +209,16 @@ def test_one_step_keeps_gates_mass_and_energy(state, scheme, flame_speed_product
     assert abs(total_energy(new_state) - e0) <= 1e-12 * abs(e0)
 
 
+def test_explicit_mode_gates_the_material_cfl():
+    # dt stays fixed after setup; at 40 cells dt = 1.5e-4 starts the
+    # explicit chemistry step at a material CFL of 1.05
+    cfg = dict(n_cells=40, dt=1.5e-4, t_end=0.0026)
+    with pytest.raises(StepFailure, match=r"material CFL 1\.05\d* exceeds 1"):
+        run_case(CaseConfig(time_mode="explicit-limited", **cfg))
+    # implicit transport has no such bound
+    assert run_case(CaseConfig(**cfg)).n_steps == 4
+
+
 def test_advance_info_contract():
     setup = initialize_case(CaseConfig(n_cells=40))
     new_state, info = advance(setup.state, setup.chem_config, setup.solver_config)

@@ -137,6 +137,15 @@ def test_negative_flame_speed_rejected():
         solve_deflagration_riemann(mix, P_FRESH, T_FRESH, y, -1.0)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_flame_speed_is_an_oracle_error():
+    # u_flame**2 overflows a Python float; that used to escape as OverflowError
+    mix = benchmark_mixture()
+    y = mass_fractions_from_molar(mix, 2.0 / 7.0, 1.0 / 7.0, 4.0 / 7.0)
+    with pytest.raises(OracleError, match="overflow"):
+        solve_deflagration_riemann(mix, P_FRESH, T_FRESH, y, 1e300)
+
+
 # ---------------------------------------------------------------------------
 # sampling and averaging
 

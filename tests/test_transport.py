@@ -217,27 +217,37 @@ def test_antidiffusive_stays_between_upwind_and_downwind():
 @pytest.mark.parametrize("scheme", ["upwind", "muscl", "antidiffusive"])
 @pytest.mark.parametrize("policy", ["opposite_cells", "upstream_cells"])
 def test_vectorized_matches_scalar(scheme, policy):
+    # every face, walls included, must come out bit for bit as the per-face
+    # routine computes it: meshes down to 3 cells put every interior face
+    # next to a wall, and about a third of the interior faces carry no flux
     rng = np.random.default_rng(17)
-    n = 24
-    grid = build_uniform_grid(n, 0.0, 2.0)
-    params = LimiterParams(scheme=scheme, neighbor_policy=policy, s_max=1.7)
-    dt = 0.01
-    for _ in range(25):
+    for _ in range(300):
+        n = int(rng.choice([3, 4, 5, 8, 11, 24]))
+        grid = build_uniform_grid(n, 0.0, 2.0)
+        params = LimiterParams(
+            scheme=scheme, neighbor_policy=policy,
+            zeta_minus=float(rng.uniform(0.0, 2.0)),
+            zeta_plus=float(rng.uniform(0.0, 2.0)),
+            s_max=float(rng.choice([0.0, 1.7, 2.0, rng.uniform(0.0, 5.0)])),
+        )
         y = rng.uniform(-2.0, 2.0, n)
         u = np.zeros(n + 1)
         u[1:-1] = rng.uniform(-1.0, 1.0, n - 1)
+        u[1:-1][rng.random(n - 1) < 0.3] = 0.0
         rho = rng.uniform(0.5, 2.0, n)
         F = primal_mass_flux(rho, u)
+        dt = float(rng.uniform(0.005, 0.2))
         got = face_values(y, F, params, rho_next=rho, dt=dt, grid=grid)
-        assert got[0] == y[0] and got[-1] == y[-1]
+        want = [y[0]]
         for j in range(1, n):
             if scheme == "upwind":
-                want = upwind_face_value(y, F, j)
+                want.append(upwind_face_value(y, F, j))
             elif scheme == "muscl":
-                want = muscl_face_value(y, F, j, params)
+                want.append(muscl_face_value(y, F, j, params))
             else:
-                want = antidiffusive_face_value(y, F, j, rho, dt, grid, params)
-            assert got[j] == pytest.approx(want, abs=1e-14)
+                want.append(antidiffusive_face_value(y, F, j, rho, dt, grid, params))
+        want.append(y[-1])
+        assert got.tolist() == want
 
 
 def test_upwind_face_values_boundaries():
