@@ -268,11 +268,10 @@ def chemistry_step(state, dt, config):
 
     for name, y in (("G", G_next), ("y_F", yF_next), ("y_O", yO_next),
                     ("y_N", yN_next), ("y_P", yP_next)):
-        require_finite(name, y)
-        if np.min(y) < -1e-10 or np.max(y) > 1.0 + 1e-10:
-            raise StepFailure(
-                f"{name} left [0, 1] (min {np.min(y):.3e}, max {np.max(y):.3e})"
-            )
+        lo, hi = y.min(), y.max()
+        if not (lo >= -1e-10 and hi <= 1.0 + 1e-10):  # NaN fails too
+            require_finite(name, y)
+            raise StepFailure(f"{name} left [0, 1] (min {lo:.3e}, max {hi:.3e})")
 
     # heat release actually applied: Lambda / eps * eta(y^{n+1}) (1/2 - G)^+
     eta_next = yF_next / (mix.nu_F * mix.W_F) - z_plus

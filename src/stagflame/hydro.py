@@ -107,42 +107,37 @@ def scale_pressure_gradient(grad_p, rho_dual_n, rho_dual_nm1):
     return np.sqrt(np.asarray(rho_dual_n) / np.asarray(rho_dual_nm1)) * np.asarray(grad_p)
 
 
-def predict_velocity(state, dual_flux, sgp, dt):
+def predict_velocity(state, dual_flux, sgp, dt, rho_d_n, rho_d_nm1):
     """Implicit momentum prediction with the rescaled old pressure gradient.
 
     Solves, on every interior face, the dual-cell momentum balance with
     centred face velocities and the frozen gradient ``sgp``; wall velocities
-    stay zero.  Returns the full face array.
+    stay zero.  ``rho_d_n`` and ``rho_d_nm1`` are the dual densities of the
+    current and previous levels.  Returns the full face array.
     """
-    grid = state.grid
-    n = grid.n_cells
-    rho_d_n = dual_density(grid, state.rho)
-    rho_d_nm1 = dual_density(grid, state.rho_prev)
-    hdt = grid.dual_volumes / dt
-    j = np.arange(1, n)
-    diag = hdt[j] * rho_d_n[j] + 0.5 * (dual_flux[j] - dual_flux[j - 1])
-    upper = 0.5 * dual_flux[j]
-    lower = -0.5 * dual_flux[j - 1]
-    rhs = hdt[j] * rho_d_nm1[j] * state.u[j] - grid.dual_volumes[j] * sgp[j]
-    nn = n - 1
-    ab = np.zeros((3, nn))
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = lower[1:]
+    n = state.grid.n_cells
+    dv = state.grid.dual_volumes[1:-1]
+    hdt = dv / dt
+    half = 0.5 * dual_flux  # centred convection: half of each dual flux
+    ab = np.empty((3, n - 1))
+    ab[0, 0] = 0.0
+    ab[0, 1:] = half[1:-1]
+    ab[1] = hdt * rho_d_n[1:-1] + (half[1:] - half[:-1])
+    ab[2, :-1] = -half[1:-1]
+    ab[2, -1] = 0.0
+    rhs = hdt * rho_d_nm1[1:-1] * state.u[1:-1] - dv * sgp[1:-1]
     u_tilde = np.zeros(n + 1)
     u_tilde[1:n] = solve_banded((1, 1), ab, rhs)
     return u_tilde
 
 
-def kinetic_residuals(state_n, u_tilde, dt):
+def kinetic_residuals(state_n, u_tilde, dt, rho_d_nm1):
     """Kinetic energy dissipated by the prediction on each dual cell.
 
-    R_sigma = |D_sigma| rho^{n-1}_D (u_tilde - u^n)^2 / (2 dt); walls carry
-    none.
+    R_sigma = |D_sigma| rho^{n-1}_D (u_tilde - u^n)^2 / (2 dt), with
+    ``rho_d_nm1`` the previous-level dual density; walls carry none.
     """
-    grid = state_n.grid
-    rho_d_nm1 = dual_density(grid, state_n.rho_prev)
-    R = grid.dual_volumes * rho_d_nm1 / (2.0 * dt) * (u_tilde - state_n.u) ** 2
+    R = state_n.grid.dual_volumes * rho_d_nm1 / (2.0 * dt) * (u_tilde - state_n.u) ** 2
     R[0] = 0.0
     R[-1] = 0.0
     return R
@@ -220,10 +215,11 @@ class _CorrectionSystem:
     cells, so the Jacobian is tridiagonal; Newton solves it through the
     module's ``solve_banded``.  Upwind switches freeze per
     linearisation (semismooth Newton).  Once p is known, the mass balance
-    is linear in rho (``density``) and h_s = p / (kappa rho).
+    is linear in rho (``density``) and h_s = p / (kappa rho).  Everything
+    that does not depend on p is built once, in the constructor.
     """
 
-    def __init__(self, state, u_tilde, sgp, dt, source):
+    def __init__(self, state, u_tilde, sgp, dt, source, rho_d_n):
         grid = state.grid
         self.grid = grid
         self.dt = dt
@@ -231,10 +227,13 @@ class _CorrectionSystem:
         self.h = grid.cell_volumes
         self.hdt = grid.cell_volumes / dt
         self.kappa = (state.mixture.gamma - 1.0) / state.mixture.gamma
-        rho_d_n = dual_density(grid, state.rho)
-        j = np.arange(1, self.n)
-        self.a_face = u_tilde[j] + dt / rho_d_n[j] * sgp[j]
-        self.b_face = dt / (rho_d_n[j] * grid.dual_volumes[j])
+        self.inv_kappa = 1.0 / self.kappa
+        rho_d = rho_d_n[1:-1]
+        self.a_face = u_tilde[1:-1] + dt / rho_d * sgp[1:-1]
+        self.b_face = dt / (rho_d * grid.dual_volumes[1:-1])
+        self.minus_b_kappa = -self.b_face * self.inv_kappa
+        # the Jacobian's diagonal before the face terms: the storage term
+        self.jac_diag = self.hdt * (self.inv_kappa - 1.0)
         self.rho_n = state.rho
         self.p_n = state.p
         self.rhoh_n = state.rho * state.h_s
@@ -251,21 +250,24 @@ class _CorrectionSystem:
         return u
 
     def residual(self, p):
-        """Enthalpy residual at p, plus the face quantities ``jacobian`` reuses."""
+        """Enthalpy residual at p, plus the face quantities ``jacobian`` reuses.
+
+        The storage term keeps ``p / kappa - p``: the rounded constant
+        ``1 / kappa - 1`` would bias every step's energy balance.
+        """
         dp = p[:-1] - p[1:]
         u = self.a_face + self.b_face * dp  # interior faces
         pos = u >= 0.0  # the left cell is upwind
         p_up = np.where(pos, p[:-1], p[1:])
         Fh = u * p_up / self.kappa
-        r = self.hdt * (p / self.kappa - p) + self.hs_known
-        r[:-1] += Fh
-        r[1:] -= Fh
         # -(u . grad p) with upwind face pressures: the term of the upwind
         # cell vanishes identically (p_sigma = p_K there), so the whole
         # contribution u_j (p_{j-1} - p_j) lands in the downwind cell
         udp = u * dp
-        r[1:] += np.where(pos, udp, 0.0)
-        r[:-1] += np.where(pos, 0.0, udp)
+        work_right = np.where(pos, udp, 0.0)
+        r = self.hdt * (p / self.kappa - p) + self.hs_known
+        r[:-1] += Fh + (udp - work_right)
+        r[1:] += work_right - Fh
         return r, (dp, u, pos, p_up)
 
     def norm(self, r):
@@ -276,33 +278,37 @@ class _CorrectionSystem:
 
         Row 0 holds the upper diagonal (d r_i / d p_{i+1} at column i+1),
         row 1 the diagonal, row 2 the lower diagonal (d r_{i+1} / d p_i at
-        column i); both off-diagonals are indexed by interior face.
+        column i); both off-diagonals are indexed by interior face.  With
+        w = d(u dp)/d p_L - u / kappa, the face terms are
+        upper = -b p_up / kappa - [u < 0] w and
+        lower = -b p_up / kappa + [u >= 0] w, and each diagonal entry
+        follows from them: d(u dp)/d p_L - lower on the left cell and
+        -(upper + d(u dp)/d p_L) on the right one.
         """
         dp, u, pos, p_up = lin
-        neg = ~pos
-        b = self.b_face
-        # d(u p_up) / d(p_L, p_R) and d(u (p_L - p_R)) / d(p_L) = -.../d(p_R)
-        dflux_l = (b * p_up + u * pos) / self.kappa
-        dflux_r = (u * neg - b * p_up) / self.kappa
-        dwork = u + b * dp
+        dwork = u + self.b_face * dp  # d(u dp) / d p_L = -d(u dp) / d p_R
+        w = dwork - u * self.inv_kappa
+        w_pos = np.where(pos, w, 0.0)
+        m = self.minus_b_kappa * p_up
         ab = np.empty((3, self.n))
         ab[0, 0] = 0.0
-        ab[0, 1:] = dflux_r - neg * dwork
-        ab[1] = self.hdt * (1.0 / self.kappa - 1.0)
-        ab[1, :-1] += dflux_l + neg * dwork
-        ab[1, 1:] -= dflux_r + pos * dwork
-        ab[2, :-1] = pos * dwork - dflux_l
         ab[2, -1] = 0.0
+        upper = np.subtract(m, w - w_pos, out=ab[0, 1:])
+        lower = np.add(m, w_pos, out=ab[2, :-1])
+        diag = ab[1]
+        diag[:] = self.jac_diag
+        diag[:-1] += dwork - lower
+        diag[1:] -= upper + dwork
         return ab
 
-    def newton_step(self, r, lin):
-        """Newton update for the residual r at the point of ``lin``.
+    def newton_step(self, r, band):
+        """Newton update for the residual r with the Jacobian ``band``.
 
-        Returns None when the tridiagonal solve fails or is not finite.
+        ``band`` is left intact, so a later step can reuse it.  Returns
+        None when the tridiagonal solve fails or is not finite.
         """
         try:
-            delta = solve_banded((1, 1), self.jacobian(lin), -r,
-                                 overwrite_ab=True, overwrite_b=True,
+            delta = solve_banded((1, 1), band, -r, overwrite_b=True,
                                  check_finite=False)
         except np.linalg.LinAlgError:
             return None
@@ -370,22 +376,24 @@ def _tridiag(lower, diag, upper, rhs):
     return dgtsv(lower[1:], diag, upper[:-1], rhs)[3]
 
 
-def correction_solve(state, u_tilde, sgp, dt, source, cfg):
+def correction_solve(state, u_tilde, sgp, dt, source, cfg, rho_d_n):
     """Solve the correction system for (u, rho, h_s, p) at step end.
 
     Semismooth Newton on the N pressures of the reduced enthalpy balance
-    (see ``_CorrectionSystem``), starting from p^n: upwind switches freeze
-    per iteration, each step is one tridiagonal banded solve, and a line
-    step halves until p stays positive.  Once the tolerance is met, one
-    more step takes the residual down to round-off, so that the energy
-    drift does not build up over a run.  The velocity then follows from p,
+    (see ``_CorrectionSystem``; ``rho_d_n`` is the current dual density),
+    starting from p^n: upwind switches freeze per iteration, each step is
+    one tridiagonal banded solve, and a line step halves until p stays
+    positive.  Once the tolerance is met, one more step with the last
+    iteration's Jacobian takes the residual down to round-off, so that the
+    energy drift does not build up over a run; it is kept only if the
+    residual drops.  The velocity then follows from p,
     rho from one linear upwind mass solve (positive, since its matrix is an
     M-matrix) and h_s = p / (kappa rho) from the EOS.  Falls back to an
     under-relaxed segregated sweep if Newton stalls; raises StepFailure if
     neither converges.  The reported residual is the larger of the scaled
     enthalpy and mass residuals.
     """
-    sys_ = _CorrectionSystem(state, u_tilde, sgp, dt, source)
+    sys_ = _CorrectionSystem(state, u_tilde, sgp, dt, source, rho_d_n)
     p = np.array(state.p, dtype=float)
     used_fallback = False
     iterations = 0
@@ -399,17 +407,18 @@ def correction_solve(state, u_tilde, sgp, dt, source, cfg):
             break
         if it == cfg.max_iterations:
             break
-        delta = sys_.newton_step(r, lin)
+        band = sys_.jacobian(lin)
+        delta = sys_.newton_step(r, band)
         if delta is None:
             break
         alpha = 1.0
-        while alpha > 1e-6:
-            if np.min(p + alpha * delta) > 0.0:
-                break
+        trial = p + delta
+        while alpha > 1e-6 and np.min(trial) <= 0.0:
             alpha *= 0.5
-        p = p + alpha * delta
+            trial = p + alpha * delta
+        p = trial
     if converged and iterations:
-        delta = sys_.newton_step(r, lin)
+        delta = sys_.newton_step(r, band)
         iterations += 1
         if delta is not None:
             p_next = p + delta
@@ -451,10 +460,11 @@ def euler_step(state, omega_theta, dt, cfg):
     rho_d_n = dual_density(grid, state.rho)
     rho_d_nm1 = dual_density(grid, state.rho_prev)
     sgp = scale_pressure_gradient(grad_p, rho_d_n, rho_d_nm1)
-    u_tilde = predict_velocity(state, dual_flux, sgp, dt)
-    R = kinetic_residuals(state, u_tilde, dt)
+    u_tilde = predict_velocity(state, dual_flux, sgp, dt, rho_d_n, rho_d_nm1)
+    R = kinetic_residuals(state, u_tilde, dt, rho_d_nm1)
     S = compensation_source(R, grid)
-    corr = correction_solve(state, u_tilde, sgp, dt, omega_theta + S, cfg)
+    corr = correction_solve(state, u_tilde, sgp, dt, omega_theta + S, cfg,
+                            rho_d_n)
     return EulerResult(
         u=corr.u, rho=corr.rho, h_s=corr.h_s, p=corr.p, grad_p=corr.grad_p,
         flux=corr.flux, u_tilde=u_tilde, kinetic_residual=R, source=S,

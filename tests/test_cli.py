@@ -43,6 +43,8 @@ def test_bad_config_line_is_a_config_error(tmp_path, capsys):
     ("T_fresh=-1", r"T_fresh must lie in \(0.0, inf\)"),
     ("gamma=nan", "gamma must be finite"),
     ("molar_F=0.5", "molar fractions sum to"),
+    ("t_end=1e300", r"needs [\d.]+e\+304 steps .* more than 10000000"),
+    ("t_start=0", "t_start must be positive for init_mode = riemann_oracle"),
 ])
 def test_bad_config_values_are_config_errors(config_file, capsys, override,
                                              reason):

@@ -95,6 +95,10 @@ def test_uniform_init_needs_explicit_dt():
     assert setup.pattern is None
     assert np.all(setup.state.u == 0.0)
     assert np.all(setup.state.G == 1.0)
+    # only the oracle initialization needs t_start > 0
+    setup = initialize_case(CaseConfig(init_mode="uniform", n_cells=16, dt=1e-5,
+                                       t_start=0.0, t_end=1e-4))
+    assert setup.n_steps == 10
 
 
 # ---------------------------------------------------------------------------
@@ -148,13 +152,16 @@ def test_gate_violations_raise():
 
 @pytest.mark.parametrize("field", ["y_F", "G", "rho", "e_s"])
 def test_gates_reject_nan(field):
-    state = initialize_case(CaseConfig(n_cells=24)).state
-    if field == "e_s":
-        state.h_s[4] = np.nan  # e_s = h_s - p / rho is derived
-    else:
-        getattr(state, field)[4] = np.nan
-    with pytest.raises(StepFailure, match=rf"^{field} is not finite in cell 4"):
-        check_state_gates(state)
+    # NaN, inf and -inf each fail the min/max test of the field and are then
+    # named by cell
+    for value in (np.nan, np.inf, -np.inf):
+        state = initialize_case(CaseConfig(n_cells=24)).state
+        if field == "e_s":
+            state.h_s[4] = value  # e_s = h_s - p / rho is derived
+        else:
+            getattr(state, field)[4] = value
+        with pytest.raises(StepFailure, match=rf"^{field} is not finite in cell 4"):
+            check_state_gates(state)
 
 
 @st.composite

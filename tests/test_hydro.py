@@ -79,7 +79,7 @@ def test_prediction_satisfies_momentum_balance():
     rho_d_n = dual_density(grid, state.rho)
     rho_d_nm1 = dual_density(grid, state.rho_prev)
     sgp = scale_pressure_gradient(g, rho_d_n, rho_d_nm1)
-    u_t = predict_velocity(state, Fd, sgp, dt)
+    u_t = predict_velocity(state, Fd, sgp, dt, rho_d_n, rho_d_nm1)
     assert u_t[0] == 0.0 and u_t[-1] == 0.0
     # re-assemble the dual-cell balance with centred face velocities
     j = np.arange(1, grid.n_cells)
@@ -98,9 +98,9 @@ def test_kinetic_residuals_form():
     u_t = state.u + 0.1
     u_t[0] = 0.0
     u_t[-1] = 0.0
-    R = kinetic_residuals(state, u_t, state.dt)
-    assert R[0] == 0.0 and R[-1] == 0.0
     rho_d = dual_density(state.grid, state.rho_prev)
+    R = kinetic_residuals(state, u_t, state.dt, rho_d)
+    assert R[0] == 0.0 and R[-1] == 0.0
     j = 5
     want = state.grid.dual_volumes[j] * rho_d[j] / (2 * state.dt) * 0.1**2
     assert R[j] == pytest.approx(want, rel=1e-12)
@@ -148,7 +148,9 @@ def test_correction_solve_converges_on_benchmark_step():
     state = setup.state
     result = euler_step(state, np.zeros(state.grid.n_cells), state.dt,
                         CorrectionSolveConfig())
-    assert result.residual < 1e-12
+    # the closing Newton step, with the last iteration's Jacobian, takes the
+    # residual from below the 1e-12 tolerance down to round-off
+    assert result.residual < 1e-14
     assert result.iterations <= 15
     assert not result.used_fallback
     assert np.min(result.rho) > 0.0
@@ -178,18 +180,26 @@ def test_correction_solve_converges_on_benchmark_step():
         res[down] += result.u[j] * (result.p[left] - result.p[right])
     scale = np.max(np.abs(hdt * result.rho * result.h_s))
     assert np.max(np.abs(res)) < 1e-12 * scale
+    # at 40 cells the last Newton iteration stops near 8e-13, so here only
+    # the closing step brings the residual down to round-off
+    state = initialize_case(CaseConfig(n_cells=40)).state
+    result = euler_step(state, np.zeros(40), state.dt, CorrectionSolveConfig())
+    assert result.residual < 1e-14
 
 
 def _benchmark_correction_system(n_cells):
     """The correction system of the first step of the benchmark case."""
     state = initialize_case(CaseConfig(n_cells=n_cells)).state
     grid = state.grid
-    sgp = scale_pressure_gradient(pressure_gradient(state.p, grid),
-                                  dual_density(grid, state.rho),
-                                  dual_density(grid, state.rho_prev))
-    u_t = predict_velocity(state, dual_mass_flux(state.flux), sgp, state.dt)
-    source = compensation_source(kinetic_residuals(state, u_t, state.dt), grid)
-    return state, _CorrectionSystem(state, u_t, sgp, state.dt, source)
+    rho_d_n = dual_density(grid, state.rho)
+    rho_d_nm1 = dual_density(grid, state.rho_prev)
+    sgp = scale_pressure_gradient(pressure_gradient(state.p, grid), rho_d_n,
+                                  rho_d_nm1)
+    u_t = predict_velocity(state, dual_mass_flux(state.flux), sgp, state.dt,
+                           rho_d_n, rho_d_nm1)
+    source = compensation_source(
+        kinetic_residuals(state, u_t, state.dt, rho_d_nm1), grid)
+    return state, _CorrectionSystem(state, u_t, sgp, state.dt, source, rho_d_n)
 
 
 def test_correction_jacobian_matches_central_differences():
@@ -258,7 +268,8 @@ def test_correction_solve_raises_when_starved():
     cfg = CorrectionSolveConfig(nonlinear_tol=1e-14, max_iterations=1)
     with pytest.raises(StepFailure, match="stalled"):
         correction_solve(state, state.u.copy(), pressure_gradient(state.p, state.grid),
-                         state.dt, np.zeros(state.grid.n_cells), cfg)
+                         state.dt, np.zeros(state.grid.n_cells), cfg,
+                         dual_density(state.grid, state.rho))
 
 
 def test_solver_config_validation():
