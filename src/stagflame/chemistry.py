@@ -10,8 +10,10 @@ fuel fraction non-negative for any step size.
 
 Every tridiagonal system goes through ``solve_banded``, imported from
 ``stagflame.linalg`` under scipy's name and argument order: an implicit step
-makes four such solves (G, z, y_N, y_F, all sharing one transport matrix),
-an explicit step two (G with its flame term, y_F with its reaction term).
+makes four such solves (G, z, y_N, y_F, all sharing one transport matrix,
+``linalg.upwind_band`` of the step's mass fluxes, to which G adds its flame
+term and y_F its reaction term), an explicit step two (G with its flame
+term, y_F with its reaction term, on a band holding only the cell masses).
 The benchmark's span recorder counts and times the solves by wrapping this
 module's ``solve_banded`` attribute, so the name must stay.
 """
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, StepFailure, require_finite
-from .linalg import solve_banded
+from .linalg import solve_banded, upwind_band
 from .thermo import y_O_from_z
 from .transport import FaceFluxSet, face_values, upwind_face_values
 
@@ -119,45 +121,15 @@ def flame_advection_field(G, config, grid):
     return a
 
 
-def _tridiag_solve(lower, diag, upper, rhs):
-    """Solve a tridiagonal system given the three diagonals.
-
-    ``lower[i]`` multiplies x[i-1] in row i, ``upper[i]`` multiplies x[i+1].
-    A non-finite input comes out as a non-finite solution, which the bound
-    gates of ``chemistry_step`` then name.
-    """
-    n = diag.shape[0]
-    ab = np.zeros((3, n))
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = lower[1:]
-    return solve_banded((1, 1), ab, rhs, overwrite_ab=True, check_finite=False)
-
-
-def _implicit_transport_diagonals(state, F, dt):
-    """Diagonals of (h/dt) rho^n y + div(rho y u) with implicit upwind faces.
+def _implicit_transport_band(state, F, dt):
+    """Band of (h/dt) rho^n y + div(rho y u) with implicit upwind faces.
 
     The matrix depends on the step's fluxes and densities only, so one
     implicit chemistry step builds it once and shares it between G, z, y_N
     and y_F.
     """
-    grid = state.grid
-    n = grid.n_cells
-    hdt = grid.cell_volumes / dt
-    diag = hdt * state.rho
-    lower = np.zeros(n)
-    upper = np.zeros(n)
-    # right faces (face i+1 of cell i), interior only
-    FR = F[1:]
-    pos = FR >= 0.0
-    diag += np.where(pos, FR, 0.0)
-    upper += np.where(pos, 0.0, FR)
-    # left faces (face i of cell i)
-    FL = F[:-1]
-    pos = FL >= 0.0
-    lower -= np.where(pos, FL, 0.0)
-    diag -= np.where(pos, 0.0, FL)
-    return lower, diag, upper
+    hdt = state.grid.cell_volumes / dt
+    return upwind_band(hdt * state.rho, F[1:-1])
 
 
 def _explicit_face_values(state, y, F, dt, config):
@@ -171,13 +143,13 @@ def _advance_scalar(state, y, F, dt, config, transport=None,
                     reaction_rhs=None, flame=None):
     """Advance one cell scalar through the two-level balance.
 
-    Implicit mode solves a tridiagonal system whose transport part is
-    ``transport``, the step's ``_implicit_transport_diagonals`` (never
-    modified here); explicit mode divides by the per-cell mass after moving
-    the (given) limited convection to the right hand side.  Optional
-    per-cell implicit reaction terms add ``reaction_diag`` to the diagonal
-    and ``reaction_rhs`` to the right hand side; an optional ``flame``
-    advection field adds the (always implicit) flame propagation term.
+    Implicit mode solves a tridiagonal system on a copy of ``transport``,
+    the step's ``_implicit_transport_band``; explicit mode divides by the
+    per-cell mass after moving the (given) limited convection to the right
+    hand side.  Optional per-cell implicit reaction terms add
+    ``reaction_diag`` to the diagonal and ``reaction_rhs`` to the right hand
+    side; an optional ``flame`` advection field adds the (always implicit)
+    flame propagation term.
     """
     grid = state.grid
     hdt = grid.cell_volumes / dt
@@ -185,38 +157,34 @@ def _advance_scalar(state, y, F, dt, config, transport=None,
     if reaction_rhs is not None:
         rhs = rhs + reaction_rhs
     if config.time_mode == "implicit-upwind":
-        lower, diag, upper = transport
-        if flame is not None:  # the flame term below adds in place
-            lower, diag, upper = lower.copy(), diag.copy(), upper.copy()
+        ab = transport.copy()
     else:
-        n = grid.n_cells
-        lower = np.zeros(n)
-        diag = hdt * state.rho
-        upper = np.zeros(n)
+        ab = np.zeros((3, grid.n_cells))
+        ab[1] = hdt * state.rho
         Fy = F * y_face_explicit
         rhs = rhs - (Fy[1:] - Fy[:-1])
+        if flame is None and reaction_diag is None:
+            return rhs / ab[1]
     if reaction_diag is not None:
-        diag = diag + reaction_diag
+        ab[1] += reaction_diag
     if flame is not None:
         # upwind with respect to the flame advection: a_j > 0 feeds cell j
         # from cell j-1, a_j < 0 feeds cell j-1 from cell j
         a_int = flame[1:-1]
         apos = np.maximum(a_int, 0.0)
         aneg = np.maximum(-a_int, 0.0)
-        diag[1:] += apos
-        lower[1:] -= apos
-        diag[:-1] += aneg
-        upper[:-1] -= aneg
-    if flame is None and config.time_mode == "explicit-limited" and reaction_diag is None:
-        return rhs / diag
-    return _tridiag_solve(lower, diag, upper, rhs)
+        ab[1, 1:] += apos
+        ab[2, :-1] -= apos
+        ab[1, :-1] += aneg
+        ab[0, 1:] -= aneg
+    return solve_banded((1, 1), ab, rhs, overwrite_ab=True, check_finite=False)
 
 
 def advance_G(state, dt, config, transport=None):
     """Advance the burnt-zone indicator one step; returns the new G.
 
-    In implicit mode ``transport`` may pass the step's transport diagonals
-    (built here when omitted).
+    In implicit mode ``transport`` may pass the step's transport band (built
+    here when omitted).
     """
     F = state.flux
     a = flame_advection_field(state.G, config, state.grid)
@@ -225,7 +193,7 @@ def advance_G(state, dt, config, transport=None):
         return _advance_scalar(state, state.G, F, dt, config,
                                y_face_explicit=G_face, flame=a)
     if transport is None:
-        transport = _implicit_transport_diagonals(state, F, dt)
+        transport = _implicit_transport_band(state, F, dt)
     return _advance_scalar(state, state.G, F, dt, config, transport, flame=a)
 
 
@@ -242,7 +210,7 @@ def chemistry_step(state, dt, config):
     F = state.flux
     eps = config.resolve_epsilon(grid)
     explicit = config.time_mode == "explicit-limited"
-    transport = None if explicit else _implicit_transport_diagonals(state, F, dt)
+    transport = None if explicit else _implicit_transport_band(state, F, dt)
 
     G_next = advance_G(state, dt, config, transport)
 

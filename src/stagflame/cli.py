@@ -146,7 +146,7 @@ def _cmd_check(args):
     from .harness import _with_fields, initialize_case
     from .hydro import pressure_gradient
     from .oracle import rh_residuals
-    from .transport import dual_mass_flux, primal_mass_flux
+    from .transport import dual_density, dual_mass_flux, primal_mass_flux
 
     config = load_config(args.config, args.overrides)
     failures = 0
@@ -186,14 +186,10 @@ def _cmd_check(args):
         F = primal_mass_flux(rho_old, u)
         rho_new = rho_old - dt / grid.cell_volumes * (F[1:] - F[:-1])
         Fd = dual_mass_flux(F, rho_old=rho_old, rho_new=rho_new, dt=dt, grid=grid)
-        rho_d_old = np.empty(grid.n_faces)
-        rho_d_old[1:-1] = 0.5 * (rho_old[:-1] + rho_old[1:])
-        rho_d_old[0], rho_d_old[-1] = rho_old[0], rho_old[-1]
-        rho_d_new = np.empty(grid.n_faces)
-        rho_d_new[1:-1] = 0.5 * (rho_new[:-1] + rho_new[1:])
-        rho_d_new[0], rho_d_new[-1] = rho_new[0], rho_new[-1]
         full = np.concatenate(([0.0], Fd, [0.0]))
-        res = grid.dual_volumes / dt * (rho_d_new - rho_d_old) + full[1:] - full[:-1]
+        res = (grid.dual_volumes / dt
+               * (dual_density(grid, rho_new) - dual_density(grid, rho_old))
+               + full[1:] - full[:-1])
         worst = max(worst, float(np.max(np.abs(res))))
     report("dual-cell mass balance", worst < 1e-12, f"worst {worst:.2e}")
 

@@ -8,23 +8,23 @@ enthalpy and pressure.  The velocity is eliminated through the correction
 relation and the cell-local EOS p = kappa rho h_s is substituted, which
 leaves an enthalpy balance in the pressure alone: Newton runs on the N cell
 pressures with a tridiagonal Jacobian, then one linear mass solve gives the
-density and the EOS the enthalpy.  The pieces are arranged so that a
-discrete total energy - sensible plus chemical plus kinetic including a
-pressure-gradient storage term - is conserved to the nonlinear solver
-tolerance.
+density and the EOS the enthalpy.  Newton is the only nonlinear path: a
+step it cannot converge ends in a StepFailure that says why it stopped.
+The pieces are arranged so that a discrete total energy - sensible plus
+chemical plus kinetic including a pressure-gradient storage term - is
+conserved to the nonlinear solver tolerance.
 
 The prediction and every Newton step are tridiagonal solves through
 ``solve_banded``, imported from ``stagflame.linalg`` under scipy's name and
 argument order; the benchmark's span recorder counts and times them by
 wrapping this module's ``solve_banded`` attribute, so the name must stay.
-The linear mass solve (``upwind_mass_solve``) calls LAPACK directly and is
-not counted with them.
+The linear mass solve (``upwind_mass_solve``, on ``linalg.upwind_band`` of
+the face velocities) calls LAPACK directly and is not counted with them.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .errors import StepFailure
 from .linalg import solve_banded, upwind_mass_solve
@@ -42,52 +42,43 @@ class CorrectionSolveConfig:
     """Tolerances of the nonlinear correction solve.
 
     ``nonlinear_tol`` is relative (residuals are scaled by the natural size
-    of each equation).  When Newton fails to converge, a damped fixed-point
-    sweep with ``under_relaxation`` on the pressure takes over.
+    of each equation).  Newton that has not met it after ``max_iterations``
+    iterations ends the step with a StepFailure.
     """
 
     nonlinear_tol: float = 1e-12
     max_iterations: int = 100
-    under_relaxation: float = 0.8
 
     def __post_init__(self):
         if not 0.0 < self.nonlinear_tol < 1.0:
             raise ValueError("nonlinear_tol must lie in (0, 1)")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        if not 0.0 < self.under_relaxation <= 1.0:
-            raise ValueError("under_relaxation must lie in (0, 1]")
 
 
 @dataclass
 class CorrectionResult:
+    """End-of-step fields of the correction solve (velocities at faces)."""
+
     u: np.ndarray
     rho: np.ndarray
     h_s: np.ndarray
     p: np.ndarray
-    grad_p: np.ndarray
     flux: np.ndarray
     iterations: int
     residual: float
-    used_fallback: bool
+    # always False, since Newton is the only path; kept because the
+    # benchmark's span recorder still reads it
+    used_fallback = False
 
 
 @dataclass
-class EulerResult:
-    """Everything one flow step produces (velocities at faces, scalars at cells)."""
+class EulerResult(CorrectionResult):
+    """Everything one flow step produces: the corrected fields plus the
+    kinetic energy the prediction dissipated and its cell source."""
 
-    u: np.ndarray
-    rho: np.ndarray
-    h_s: np.ndarray
-    p: np.ndarray
-    grad_p: np.ndarray
-    flux: np.ndarray
-    u_tilde: np.ndarray
     kinetic_residual: np.ndarray
     source: np.ndarray
-    iterations: int
-    residual: float
-    used_fallback: bool
 
 
 def pressure_gradient(p, grid):
@@ -193,12 +184,6 @@ def total_energy(state):
     return float(e_int + e_kin)
 
 
-def _upwind_cells(u, n):
-    """Index of the upwind cell for each interior face, given face velocities."""
-    j = np.arange(1, n)
-    return np.where(u[1:n] >= 0.0, j - 1, j)
-
-
 class _CorrectionSystem:
     """The correction equations, reduced to one equation per cell in p.
 
@@ -224,7 +209,6 @@ class _CorrectionSystem:
         self.grid = grid
         self.dt = dt
         self.n = grid.n_cells
-        self.h = grid.cell_volumes
         self.hdt = grid.cell_volumes / dt
         self.kappa = (state.mixture.gamma - 1.0) / state.mixture.gamma
         self.inv_kappa = 1.0 / self.kappa
@@ -235,14 +219,13 @@ class _CorrectionSystem:
         # the Jacobian's diagonal before the face terms: the storage term
         self.jac_diag = self.hdt * (self.inv_kappa - 1.0)
         self.rho_n = state.rho
-        self.p_n = state.p
-        self.rhoh_n = state.rho * state.h_s
-        self.source = source
+        rhoh_n = state.rho * state.h_s
         # the terms of the enthalpy balance that do not depend on p
-        self.hs_known = self.hdt * (self.p_n - self.rhoh_n) - self.h * source
+        self.hs_known = (self.hdt * (state.p - rhoh_n)
+                         - grid.cell_volumes * source)
         hdt0 = float(self.hdt[0])
         self.mass_scale = hdt0 * max(float(np.max(np.abs(state.rho))), 1e-300)
-        self.hs_scale = hdt0 * max(float(np.max(np.abs(self.rhoh_n))), 1e-300)
+        self.hs_scale = hdt0 * max(float(np.max(np.abs(rhoh_n))), 1e-300)
 
     def velocity(self, p):
         u = np.zeros(self.n + 1)
@@ -305,16 +288,16 @@ class _CorrectionSystem:
         """Newton update for the residual r with the Jacobian ``band``.
 
         ``band`` is left intact, so a later step can reuse it.  Returns
-        None when the tridiagonal solve fails or is not finite.
+        ``(delta, None)``, or ``(None, why)`` when there is no usable step.
         """
         try:
             delta = solve_banded((1, 1), band, -r, overwrite_b=True,
                                  check_finite=False)
         except np.linalg.LinAlgError:
-            return None
+            return None, "singular Jacobian"
         if not np.all(np.isfinite(delta)):
-            return None
-        return delta
+            return None, "non-finite Newton step"
+        return delta, None
 
     def density(self, u):
         """rho from the mass balance with upwind fluxes at face velocities u."""
@@ -323,57 +306,6 @@ class _CorrectionSystem:
     def mass_norm(self, rho, flux):
         r = self.hdt * (rho - self.rho_n) + flux[1:] - flux[:-1]
         return float(np.max(np.abs(r))) / self.mass_scale
-
-
-def _fixed_point(sys_, p, cfg):
-    """Segregated fallback: u(p) -> mass solve -> enthalpy solve -> EOS.
-
-    Converged when the under-relaxed pressure meets the tolerance of the
-    reduced balance; returns that pressure.
-    """
-    n = sys_.n
-    p = np.array(p)
-    omega = cfg.under_relaxation
-    for it in range(10 * cfg.max_iterations):
-        u = sys_.velocity(p)
-        uin = u[1:n]
-        rho = sys_.density(u)
-        up = _upwind_cells(u, n)
-        F = np.zeros(n + 1)
-        F[1:n] = uin * rho[up]
-        # enthalpy: tridiagonal in h with rho, u, p frozen
-        diag = sys_.hdt * rho
-        lower = np.zeros(n)
-        upper = np.zeros(n)
-        FR = F[1:n]
-        diag[:-1] += np.maximum(FR, 0.0)
-        upper[:-1] += np.minimum(FR, 0.0)
-        diag[1:] -= np.minimum(FR, 0.0)
-        lower[1:] -= np.maximum(FR, 0.0)
-        dn = np.arange(1, n) + np.arange(0, n - 1) - up
-        updp = np.zeros(n)
-        np.add.at(updp, dn, uin * (p[:-1] - p[1:]))
-        rhs = (
-            sys_.hdt * sys_.rhoh_n
-            + sys_.hdt * (p - sys_.p_n)
-            - updp
-            + sys_.h * sys_.source
-        )
-        hs = _tridiag(lower, diag, upper, rhs)
-        p = p + omega * (sys_.kappa * rho * hs - p)
-        if not np.all(np.isfinite(p)):
-            break
-        if sys_.norm(sys_.residual(p)[0]) < cfg.nonlinear_tol:
-            return p, it + 1, True
-    return p, 10 * cfg.max_iterations, False
-
-
-def _tridiag(lower, diag, upper, rhs):
-    """Solve a tridiagonal system; ``lower[i]`` multiplies x[i-1] in row i,
-    ``upper[i]`` multiplies x[i+1].  Non-finite input gives non-finite
-    output rather than an exception, so a diverging sweep ends as a stall.
-    """
-    return dgtsv(lower[1:], diag, upper[:-1], rhs)[3]
 
 
 def correction_solve(state, u_tilde, sgp, dt, source, cfg, rho_d_n):
@@ -388,28 +320,40 @@ def correction_solve(state, u_tilde, sgp, dt, source, cfg, rho_d_n):
     energy drift does not build up over a run; it is kept only if the
     residual drops.  The velocity then follows from p,
     rho from one linear upwind mass solve (positive, since its matrix is an
-    M-matrix) and h_s = p / (kappa rho) from the EOS.  Falls back to an
-    under-relaxed segregated sweep if Newton stalls; raises StepFailure if
-    neither converges.  The reported residual is the larger of the scaled
-    enthalpy and mass residuals.
+    M-matrix) and h_s = p / (kappa rho) from the EOS.  Newton is the only
+    path: when it reaches ``cfg.max_iterations``, meets a singular Jacobian
+    or takes a non-finite step, the solve raises StepFailure naming the
+    reason and the iteration count.  The reported residual is the larger of
+    the scaled enthalpy and mass residuals.
     """
     sys_ = _CorrectionSystem(state, u_tilde, sgp, dt, source, rho_d_n)
     p = np.array(state.p, dtype=float)
-    used_fallback = False
-    iterations = 0
-    converged = False
+    why = "iteration cap reached"
     for it in range(cfg.max_iterations + 1):
         r, lin = sys_.residual(p)
         res = sys_.norm(r)
         if res < cfg.nonlinear_tol:
-            converged = True
-            iterations = it
-            break
+            if it:  # the closing step
+                delta, _ = sys_.newton_step(r, band)
+                it += 1
+                if delta is not None:
+                    p_next = p + delta
+                    res_next = sys_.norm(sys_.residual(p_next)[0])
+                    if res_next < res and np.min(p_next) > 0.0:
+                        p, res = p_next, res_next
+            u = sys_.velocity(p)
+            rho = sys_.density(u)
+            flux = primal_mass_flux(rho, u)
+            return CorrectionResult(
+                u=u, rho=rho, h_s=p / (sys_.kappa * rho), p=p, flux=flux,
+                iterations=it, residual=max(res, sys_.mass_norm(rho, flux)),
+            )
         if it == cfg.max_iterations:
             break
         band = sys_.jacobian(lin)
-        delta = sys_.newton_step(r, band)
-        if delta is None:
+        delta, stop = sys_.newton_step(r, band)
+        if stop:
+            why = stop
             break
         alpha = 1.0
         trial = p + delta
@@ -417,33 +361,10 @@ def correction_solve(state, u_tilde, sgp, dt, source, cfg, rho_d_n):
             alpha *= 0.5
             trial = p + alpha * delta
         p = trial
-    if converged and iterations:
-        delta = sys_.newton_step(r, band)
-        iterations += 1
-        if delta is not None:
-            p_next = p + delta
-            res_next = sys_.norm(sys_.residual(p_next)[0])
-            if res_next < res and np.min(p_next) > 0.0:
-                p, res = p_next, res_next
-    if not converged:
-        p, extra, converged = _fixed_point(sys_, p, cfg)
-        used_fallback = True
-        iterations = cfg.max_iterations + extra
-        res = sys_.norm(sys_.residual(p)[0])
-    if not converged:
-        raise StepFailure(
-            f"correction solve stalled at residual {res:.3e} "
-            f"(tolerance {cfg.nonlinear_tol:.1e})"
-        )
-    u = sys_.velocity(p)
-    rho = sys_.density(u)
-    hs = p / (sys_.kappa * rho)
-    flux = primal_mass_flux(rho, u)
-    grad_p = pressure_gradient(p, state.grid)
-    return CorrectionResult(
-        u=u, rho=rho, h_s=hs, p=p, grad_p=grad_p, flux=flux,
-        iterations=iterations, residual=max(res, sys_.mass_norm(rho, flux)),
-        used_fallback=used_fallback,
+    raise StepFailure(
+        f"correction solve stalled at residual {res:.3e} "
+        f"(tolerance {cfg.nonlinear_tol:.1e}): {why} after {it} Newton "
+        f"iterations"
     )
 
 
@@ -465,12 +386,7 @@ def euler_step(state, omega_theta, dt, cfg):
     S = compensation_source(R, grid)
     corr = correction_solve(state, u_tilde, sgp, dt, omega_theta + S, cfg,
                             rho_d_n)
-    return EulerResult(
-        u=corr.u, rho=corr.rho, h_s=corr.h_s, p=corr.p, grad_p=corr.grad_p,
-        flux=corr.flux, u_tilde=u_tilde, kinetic_residual=R, source=S,
-        iterations=corr.iterations, residual=corr.residual,
-        used_fallback=corr.used_fallback,
-    )
+    return EulerResult(**vars(corr), kinetic_residual=R, source=S)
 
 
 def internal_energy_residual(state_n, state_next, chem_face_values, S):

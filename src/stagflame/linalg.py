@@ -6,6 +6,8 @@ solve and the upwind mass balance.  ``solve_banded`` keeps the call of
 ``scipy.linalg.solve_banded`` for the (1, 1) band and goes straight to
 LAPACK ``gtsv``, the routine scipy calls for that band, without scipy's
 batch wrapper and input conversion; its results are bitwise the same.
+``upwind_band`` builds the one implicit upwind operator of the scheme, which
+the mass balance and every implicit scalar balance share.
 """
 
 import numpy as np
@@ -33,21 +35,38 @@ def solve_banded(l_and_u, ab, b, overwrite_ab=False, overwrite_b=False,
     return x
 
 
+def upwind_band(diag0, c):
+    """Band storage of y -> diag0 y + div(c y_upwind), for ``solve_banded``.
+
+    ``diag0`` holds the n cell coefficients and ``c`` the n - 1 interior
+    face coefficients (walls carry none); face j takes y from cell j - 1
+    when c_j >= 0 and from cell j otherwise.  With a positive ``diag0`` and
+    ``c`` a velocity or a mass flux this is an M-matrix, which is what keeps
+    densities positive and transported fractions in [0, 1].
+    """
+    pos = c >= 0.0
+    ab = np.empty((3, diag0.shape[0]))
+    ab[0, 0] = 0.0
+    ab[0, 1:] = np.where(pos, 0.0, c)
+    diag = ab[1]
+    diag[:] = diag0
+    diag[:-1] += np.where(pos, c, 0.0)
+    diag[1:] -= ab[0, 1:]
+    ab[2, :-1] = np.where(pos, -c, 0.0)
+    ab[2, -1] = 0.0
+    return ab
+
+
 def upwind_mass_solve(grid, rho_old, u, dt):
     """Density after one implicit upwind mass step with face velocities u.
 
     Solves |K|/dt (rho - rho_old) + F_right - F_left = 0 with the upwind
-    fluxes F_j = u_j rho_upwind (zero at the walls).  The matrix is an
-    M-matrix, so the density stays positive; ``gtsv`` is called directly,
-    so these solves are not counted with the banded solves of the step.
+    fluxes F_j = u_j rho_upwind (zero at the walls); the matrix is
+    ``upwind_band`` with the face velocities, so the density stays
+    positive.  ``gtsv`` is called directly, so these solves are not counted
+    with the banded solves of the step.
     """
     hdt = grid.cell_volumes / dt
-    uin = u[1:-1]
-    pos = uin >= 0.0
-    diag = hdt.copy()
-    diag[:-1] += np.where(pos, uin, 0.0)
-    diag[1:] -= np.where(pos, 0.0, uin)
-    upper = np.where(pos, 0.0, uin)
-    lower = np.where(pos, -uin, 0.0)
-    return dgtsv(lower, diag, upper, hdt * rho_old,
+    ab = upwind_band(hdt, u[1:-1])
+    return dgtsv(ab[2, :-1], ab[1], ab[0, 1:], hdt * rho_old,
                  overwrite_dl=1, overwrite_d=1, overwrite_du=1)[3]

@@ -306,8 +306,7 @@ def test_criterion_7_contact_preservation():
     chem = ChemStepConfig(epsilon=1e-3, flame_speed_product=0.0,
                           time_mode="implicit-upwind",
                           limiter=LimiterParams(scheme="upwind"))
-    solver = CorrectionSolveConfig(nonlinear_tol=1e-12, max_iterations=100,
-                                   under_relaxation=0.8)
+    solver = CorrectionSolveConfig(nonlinear_tol=1e-12, max_iterations=100)
     p0 = state.p.copy()
     c_scale = float(np.max(np.sqrt(
         state.mixture.gamma * state.p / state.rho)))

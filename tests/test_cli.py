@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +46,8 @@ def test_bad_config_line_is_a_config_error(tmp_path, capsys):
     ("molar_F=0.5", "molar fractions sum to"),
     ("t_end=1e300", r"needs [\d.]+e\+304 steps .* more than 10000000"),
     ("t_start=0", "t_start must be positive for init_mode = riemann_oracle"),
+    ("n_cells=1.5", "'n_cells' needs an integer"),
+    ("max_iterations=x", "'max_iterations' needs an integer"),
 ])
 def test_bad_config_values_are_config_errors(config_file, capsys, override,
                                              reason):
@@ -106,6 +109,13 @@ def test_sweep_verb(config_file, tmp_path, capsys):
     assert lines[0].startswith("scheme,n_cells,h,")
     # one header plus two meshes per scheme
     assert len(lines) == 1 + 4
+
+
+def test_check_verb_loads_the_shipped_config(capsys):
+    # every key of configs/benchmark.cfg must still be a known config key
+    path = Path(__file__).resolve().parents[1] / "configs" / "benchmark.cfg"
+    assert main(["check", str(path)]) == EXIT_OK
+    assert "all checks passed" in capsys.readouterr().out
 
 
 def test_check_verb_passes_on_benchmark(config_file, capsys):

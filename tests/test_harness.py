@@ -230,7 +230,7 @@ def test_advance_info_contract():
     setup = initialize_case(CaseConfig(n_cells=40))
     new_state, info = advance(setup.state, setup.chem_config, setup.solver_config)
     for key in ("cfl", "correction_residual", "correction_iterations",
-                "used_fallback", "kinetic_residual_total", "max_sum_y_error",
+                "kinetic_residual_total", "max_sum_y_error",
                 "chem_face_values", "compensation_source", "omega_theta"):
         assert key in info
     assert info["correction_residual"] <= setup.solver_config.nonlinear_tol

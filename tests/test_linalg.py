@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from stagflame.grid import build_uniform_grid
-from stagflame.linalg import solve_banded, upwind_mass_solve
+from stagflame.linalg import solve_banded, upwind_band, upwind_mass_solve
 from stagflame.transport import primal_mass_flux
 
 
@@ -78,3 +78,23 @@ def test_upwind_mass_solve_balances_mass():
         assert np.min(rho) > 0.0
         assert np.sum(grid.cell_volumes * rho) == pytest.approx(
             np.sum(grid.cell_volumes * rho_old), rel=1e-14)
+
+
+def test_upwind_band_is_the_upwind_operator():
+    # diag0 y + div(c y_upwind), face by face, against the band's product
+    rng = np.random.default_rng(12)
+    n = 9
+    diag0 = rng.uniform(0.5, 2.0, n)
+    c = rng.uniform(-1.0, 1.0, n - 1)
+    c[3] = 0.0
+    y = rng.uniform(-1.0, 1.0, n)
+    ab = upwind_band(diag0, c)
+    assert ab[0, 0] == 0.0 and ab[2, -1] == 0.0
+    A = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
+    flux = np.zeros(n + 1)
+    flux[1:-1] = c * np.where(c >= 0.0, y[:-1], y[1:])
+    assert np.allclose(A @ y, diag0 * y + flux[1:] - flux[:-1], rtol=0.0,
+                       atol=1e-14)
+    # an M-matrix: non-positive off-diagonals, columns summing to diag0
+    assert np.all(ab[0] <= 0.0) and np.all(ab[2] <= 0.0)
+    assert np.allclose(A.sum(axis=0), diag0, rtol=1e-14, atol=0.0)
