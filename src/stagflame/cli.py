@@ -2,18 +2,20 @@
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .errors import ConfigError, OracleError, StepFailure
 from .harness import (
     ERROR_FIELDS,
+    initialize_case,
     load_config,
-    report_csv_rows,
     run_case,
     run_sweep,
-    write_diagnostics_csv,
-    write_profile_csv,
+    write_oracle_csv,
+    write_run_csvs,
+    write_sweep_csv,
 )
 
 EXIT_OK = 0
@@ -77,11 +79,7 @@ def _cmd_run(args):
         print(f"L1 errors vs exact solution: {parts}")
     prefix = args.output_prefix or config.output_prefix
     if prefix:
-        extras = {"t_final": result.t_final, "dt_used": result.dt,
-                  "n_steps": result.n_steps}
-        write_profile_csv(f"{prefix}_profile.csv", result.state, config, extras)
-        write_diagnostics_csv(f"{prefix}_diag.csv", result.diagnostics, config,
-                              extras)
+        write_run_csvs(prefix, result)
         print(f"wrote {prefix}_profile.csv and {prefix}_diag.csv")
     return EXIT_OK
 
@@ -91,23 +89,18 @@ def _cmd_sweep(args):
     meshes = [int(v) for v in args.meshes.split(",") if v.strip()]
     schemes = [v.strip() for v in args.schemes.split(",") if v.strip()]
     reports = run_sweep(config, meshes, schemes)
-    rows = []
-    for i, (scheme, report) in enumerate(reports.items()):
+    for report in reports.values():
         print(report.to_text())
-        chunk = report_csv_rows(report)
-        rows.extend(chunk if i == 0 else chunk[1:])
     prefix = args.output_prefix or config.output_prefix
     if prefix:
         path = f"{prefix}_sweep.csv"
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(rows) + "\n")
+        write_sweep_csv(path, reports)
         print(f"wrote {path}")
     return EXIT_OK
 
 
 def _cmd_oracle(args):
-    from .harness import initialize_case
-    from .oracle import rh_residuals, sample_solution
+    from .oracle import rh_residuals
 
     config = load_config(args.config, args.overrides)
     if config.init_mode != "riemann_oracle":
@@ -128,22 +121,13 @@ def _cmd_oracle(args):
     print(f"  worst jump-relation residual: {worst:.3e}")
     if args.csv:
         t = args.time if args.time is not None else config.t_end
-        x = np.linspace(config.x_left, config.x_right, config.n_cells)
-        fields = sample_solution(pattern, x, t, config.x0)
-        names = ["x"] + sorted(fields)
-        lines = [",".join(names)]
-        for i in range(len(x)):
-            vals = [x[i]] + [fields[k][i] for k in sorted(fields)]
-            lines.append(",".join(f"{v:.17g}" for v in vals))
-        with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_oracle_csv(args.csv, pattern, config, t)
         print(f"wrote {args.csv}")
     return EXIT_OK
 
 
 def _cmd_check(args):
     from .grid import build_uniform_grid
-    from .harness import _with_fields, initialize_case
     from .hydro import pressure_gradient
     from .oracle import rh_residuals
     from .transport import dual_density, dual_mass_flux, primal_mass_flux
@@ -185,7 +169,7 @@ def _cmd_check(args):
         dt = 0.1
         F = primal_mass_flux(rho_old, u)
         rho_new = rho_old - dt / grid.cell_volumes * (F[1:] - F[:-1])
-        Fd = dual_mass_flux(F, rho_old=rho_old, rho_new=rho_new, dt=dt, grid=grid)
+        Fd = dual_mass_flux(F)
         full = np.concatenate(([0.0], Fd, [0.0]))
         res = (grid.dual_volumes / dt
                * (dual_density(grid, rho_new) - dual_density(grid, rho_old))
@@ -195,7 +179,7 @@ def _cmd_check(args):
 
     # oracle self-certification
     try:
-        setup = initialize_case(_with_fields(config, init_mode="riemann_oracle"))
+        setup = initialize_case(replace(config, init_mode="riemann_oracle"))
         res = rh_residuals(setup.pattern)
         worst = max(res.values())
         report("exact-solution jump relations", worst < 1e-10, f"worst {worst:.2e}")
@@ -203,13 +187,14 @@ def _cmd_check(args):
         report("exact-solution jump relations", False, str(exc))
         oracle_failed = True
 
-    # a short run holds the hard gates and the energy budget
+    # ten steps of the case's own dt hold the hard gates and the energy budget
     try:
-        short = _with_fields(config, t_end=config.t_start
-                             + 10 * (config.t_end - config.t_start) / 1000.0)
+        dt = initialize_case(config).dt
+        short = replace(config, cfl=None, dt=dt, t_end=config.t_start + 10 * dt)
         result = run_case(short, collect_diagnostics=False)
         report("10-step run: gates and energy",
                result.energy_drift_rel < 1e-8,
+               f"{result.n_steps} steps of dt {result.dt:.3e}, "
                f"drift {result.energy_drift_rel:.2e}")
     except StepFailure as exc:
         report("10-step run: gates and energy", False, str(exc))

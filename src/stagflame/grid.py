@@ -48,19 +48,6 @@ class StaggeredGrid:
     def n_faces(self):
         return self.n_cells + 1
 
-    def opposite_face(self, cell, face):
-        """Return the other face of ``cell``.
-
-        ``face`` must be one of the two faces of ``cell`` (indices ``cell``
-        and ``cell + 1``); anything else is an error.  Applying the map twice
-        returns the original face.
-        """
-        if face == cell:
-            return cell + 1
-        if face == cell + 1:
-            return cell
-        raise ValueError(f"face {face} does not belong to cell {cell}")
-
 
 def build_uniform_grid(n_cells, x_left=0.0, x_right=1.0):
     """Build a uniform staggered grid with ``n_cells`` cells on (x_left, x_right).

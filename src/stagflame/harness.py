@@ -2,12 +2,12 @@
 
 import math
 import time
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, fields as dc_fields, replace
 
 import numpy as np
 
 from .chemistry import ChemStepConfig, chemistry_step
-from .errors import ConfigError, StepFailure, require_finite
+from .errors import ConfigError, StepFailure, require_finite, require_fraction
 from .grid import build_uniform_grid
 from .hydro import CorrectionSolveConfig, euler_step, total_energy
 from .linalg import upwind_mass_solve
@@ -15,6 +15,8 @@ from .oracle import (
     asymptotic_composition,
     exact_cell_averages,
     exact_dual_averages,
+    fresh_density,
+    sample_solution,
     solve_deflagration_riemann,
 )
 from .thermo import (
@@ -38,6 +40,11 @@ _DIAG_COLUMNS = (
     "min_G", "max_G",
 )
 ERROR_FIELDS = ("p", "u", "rho", "y_F", "G", "T")
+_SWEEP_COLUMNS = (
+    ("scheme", "n_cells", "h", "wall_time", "asymptotic_distance")
+    + tuple(f"err_{f}" for f in ERROR_FIELDS)
+    + tuple(f"order_{f}" for f in ERROR_FIELDS)
+)
 # A case needing more fixed steps than this is a configuration error (the
 # benchmark's largest run takes 1340).
 MAX_STEPS = 10**7
@@ -147,6 +154,10 @@ class CaseConfig:
         if self.cfl is not None:
             if self.time_mode == "explicit-limited" and self.cfl > 1.0:
                 raise ConfigError("cfl must lie in (0, 1] for explicit-limited mode")
+        if self.time_mode == "implicit-upwind" and self.limiter != "upwind":
+            raise ConfigError(f"limiter = {self.limiter} needs time_mode = "
+                              f"explicit-limited: implicit mode always "
+                              f"convects with upwind faces")
         if self.epsilon is None and self.epsilon_per_h is None:
             # benchmark-calibrated default; see the convergence-study metadata
             self.epsilon_per_h = 1e-2
@@ -204,12 +215,7 @@ class CaseConfig:
             raise ConfigError(str(exc)) from None
 
     def resolved_dict(self):
-        out = {}
-        for f in dc_fields(self):
-            v = getattr(self, f.name)
-            if v is not None:
-                out[f.name] = v
-        return out
+        return {k: v for k, v in vars(self).items() if v is not None}
 
 
 def _coerce(key, raw, ftype):
@@ -265,7 +271,6 @@ def load_config(path, overrides=()):
 class CaseSetup:
     """Initialised case: the starting state plus everything derived."""
 
-    config: CaseConfig
     state: FieldState
     pattern: object
     chem_config: ChemStepConfig
@@ -323,8 +328,6 @@ def initialize_case(config):
             else pattern.flame_speed_product
         )
     else:
-        from .oracle import fresh_density
-
         n = grid.n_cells
         rho_prev = np.full(n, fresh_density(mix, config.p_fresh, config.T_fresh,
                                             y_fresh))
@@ -358,7 +361,7 @@ def initialize_case(config):
     )
     check_state_gates(state)
     return CaseSetup(
-        config=config, state=state, pattern=pattern,
+        state=state, pattern=pattern,
         chem_config=config.chem_config(flame_speed_product),
         solver_config=config.solver_config(), dt=dt, n_steps=n_steps,
         t_initial=config.t_start,
@@ -368,17 +371,12 @@ def initialize_case(config):
 def check_state_gates(state):
     """Hard per-step solution gates; raises StepFailure on violation.
 
-    Each field is tested through its minimum and maximum, in a form that NaN
-    fails (NaN compares False against any bound) and that rejects +-inf;
-    only then is the field searched for the non-finite cell to name.
-    Returns the largest deviation of the mass-fraction sum from 1.
+    Fractions go through ``require_fraction``; rho and e_s are tested the
+    same way against (0, inf).  Returns the largest deviation of the
+    mass-fraction sum from 1.
     """
     for name in ("y_F", "y_O", "y_N", "y_P", "G"):
-        v = getattr(state, name)
-        lo, hi = v.min(), v.max()
-        if not (lo >= -1e-10 and hi <= 1.0 + 1e-10):
-            require_finite(name, v)
-            raise StepFailure(f"{name} left [0, 1]: min {lo:.3e}, max {hi:.3e}")
+        require_fraction(name, getattr(state, name))
     for name, v, what in (("rho", state.rho, "density"),
                           ("e_s", state.e_s, "sensible energy")):
         lo, hi = v.min(), v.max()
@@ -422,7 +420,7 @@ def advance(state, chem_config, solver_config):
         "correction_iterations": flow.iterations,
         "kinetic_residual_total": float(np.sum(flow.kinetic_residual)),
         "max_sum_y_error": sum_y_error,
-        "chem_face_values": chem.fluxes.face_values,
+        "chem_face_values": chem.face_values,
         "compensation_source": flow.source,
         "omega_theta": chem.omega_theta,
     }
@@ -433,7 +431,6 @@ def advance(state, chem_config, solver_config):
 class RunResult:
     config: CaseConfig
     state: FieldState
-    pattern: object
     dt: float
     n_steps: int
     t_final: float
@@ -474,7 +471,7 @@ def run_case(config, collect_diagnostics=True):
     if setup.pattern is not None:
         errors = l1_error(state, setup.pattern, t, config.x0)
     return RunResult(
-        config=config, state=state, pattern=setup.pattern, dt=setup.dt,
+        config=config, state=state, dt=setup.dt,
         n_steps=setup.n_steps, t_final=t, diagnostics=rows, errors=errors,
         energy_drift_rel=drift, wall_time=wall,
     )
@@ -524,23 +521,30 @@ def burnt_zone_asymptotic_distance(state):
 
 
 def _format(v):
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
+    """Floats with 17 significant digits, so they read back bit for bit."""
     if isinstance(v, (float, np.floating)):
         return f"{float(v):.17g}"
     return str(v)
 
 
-def _header_lines(resolved, extras):
-    merged = dict(resolved)
-    merged.update(extras)
-    return [f"# {k} = {_format(merged[k])}" for k in sorted(merged)]
+def write_csv(path, columns, rows, header=None):
+    """Write one CSV file: ``# key = value`` lines for the ``header`` dict in
+    key order, the column names, then one line per row, every value written
+    by ``_format``."""
+    lines = [f"# {k} = {_format(header[k])}" for k in sorted(header or {})]
+    lines.append(",".join(columns))
+    lines.extend(",".join(_format(v) for v in row) for row in rows)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
-def write_profile_csv(path, state, config, extras=None):
-    """Write the cell profile of a state; header embeds the resolved config."""
+def write_run_csvs(prefix, result):
+    """Write ``<prefix>_profile.csv``, one row per cell of the final state,
+    and ``<prefix>_diag.csv``, one row per step.  Both headers embed the
+    resolved config and the run's t_final, dt_used and n_steps."""
+    header = {**result.config.resolved_dict(), "t_final": result.t_final,
+              "dt_used": result.dt, "n_steps": result.n_steps}
+    state = result.state
     grid = state.grid
     mix = state.mixture
     T = temperature(mix, state.e_s, state.y_F, state.y_O, state.y_N, state.y_P)
@@ -551,23 +555,20 @@ def write_profile_csv(path, state, config, extras=None):
         "y_F": state.y_F, "y_O": state.y_O, "y_N": state.y_N,
         "y_P": state.y_P, "z": state.z, "G": state.G,
     }
-    lines = _header_lines(config.resolved_dict(), extras or {})
-    lines.append(",".join(_PROFILE_COLUMNS))
-    data = np.column_stack([cols[c] for c in _PROFILE_COLUMNS])
-    for row in data:
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(f"{prefix}_profile.csv", _PROFILE_COLUMNS,
+              np.column_stack([cols[c] for c in _PROFILE_COLUMNS]), header)
+    write_csv(f"{prefix}_diag.csv", _DIAG_COLUMNS,
+              ([row[c] for c in _DIAG_COLUMNS] for row in result.diagnostics),
+              header)
 
 
-def write_diagnostics_csv(path, rows, config, extras=None):
-    """Write per-step diagnostics; header embeds the resolved config."""
-    lines = _header_lines(config.resolved_dict(), extras or {})
-    lines.append(",".join(_DIAG_COLUMNS))
-    for row in rows:
-        lines.append(",".join(_format(row[c]) for c in _DIAG_COLUMNS))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+def write_oracle_csv(path, pattern, config, t):
+    """Sample the exact solution at time t at ``n_cells`` evenly spaced points
+    spanning the domain, ends included; one column per field."""
+    x = np.linspace(config.x_left, config.x_right, config.n_cells)
+    fields = sample_solution(pattern, x, t, config.x0)
+    names = sorted(fields)
+    write_csv(path, ["x"] + names, np.column_stack([x] + [fields[k] for k in names]))
 
 
 # ---------------------------------------------------------------------------
@@ -585,8 +586,8 @@ class ConvergenceReport:
     orders: dict
     ls_order: dict
     wall_times: list
-    asymptotic_distance: list = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
+    asymptotic_distance: list
+    metadata: dict
 
     def to_text(self):
         out = [f"scheme = {self.scheme}"]
@@ -603,9 +604,8 @@ class ConvergenceReport:
         for f in ERROR_FIELDS:
             pairs = ", ".join(f"{o:.3f}" for o in self.orders[f])
             out.append(f"    {f:>4}: {pairs}  | ls {self.ls_order[f]:.3f}")
-        if self.asymptotic_distance:
-            dist = ", ".join(f"{d:.4e}" for d in self.asymptotic_distance)
-            out.append(f"  burnt-zone distance to fast-chemistry limit: {dist}")
+        dist = ", ".join(f"{d:.4e}" for d in self.asymptotic_distance)
+        out.append(f"  burnt-zone distance to fast-chemistry limit: {dist}")
         out.append("  wall times [s]: " + ", ".join(f"{w:.2f}" for w in self.wall_times))
         return "\n".join(out)
 
@@ -631,7 +631,7 @@ def convergence_study(config, meshes):
     steps_used = []
     distances = []
     for n in meshes:
-        cfg = _with_fields(config, n_cells=int(n))
+        cfg = replace(config, n_cells=int(n))
         result = run_case(cfg, collect_diagnostics=False)
         for f in ERROR_FIELDS:
             errors[f].append(result.errors[f])
@@ -665,38 +665,25 @@ def convergence_study(config, meshes):
     )
 
 
-def _with_fields(config, **changes):
-    """Copy a config with some fields replaced, re-running validation."""
-    data = {f.name: getattr(config, f.name) for f in dc_fields(config)}
-    data.update(changes)
-    keep = {k: v for k, v in data.items() if v is not None}
-    return CaseConfig(**keep)
-
-
 def run_sweep(config, meshes, schemes):
-    """Convergence study for several face schemes; returns {scheme: report}."""
-    out = {}
-    for scheme in schemes:
-        cfg = _with_fields(config, limiter=scheme)
-        out[scheme] = convergence_study(cfg, meshes)
-    return out
+    """Convergence study for several face schemes; returns {scheme: report}.
+
+    Every scheme's config is validated before the first run starts.
+    """
+    configs = {scheme: replace(config, limiter=scheme) for scheme in schemes}
+    return {scheme: convergence_study(cfg, meshes) for scheme, cfg in configs.items()}
 
 
-def report_csv_rows(report):
-    """Flatten a ConvergenceReport into CSV rows (header first)."""
-    head = ["scheme", "n_cells", "h", "wall_time", "asymptotic_distance"]
-    head += [f"err_{f}" for f in ERROR_FIELDS]
-    head += [f"order_{f}" for f in ERROR_FIELDS]
-    rows = [",".join(head)]
-    for i, n in enumerate(report.meshes):
-        vals = [report.scheme, str(n), f"{report.h[i]:.17g}",
-                f"{report.wall_times[i]:.17g}",
-                f"{report.asymptotic_distance[i]:.17g}"]
-        vals += [f"{report.errors[f][i]:.17g}" for f in ERROR_FIELDS]
-        for f in ERROR_FIELDS:
-            if i < len(report.orders[f]):
-                vals.append(f"{report.orders[f][i]:.17g}")
-            else:
-                vals.append("")
-        rows.append(",".join(vals))
-    return rows
+def write_sweep_csv(path, reports):
+    """Write one row per scheme and mesh of ``{scheme: ConvergenceReport}``;
+    a mesh without a following one has no observed orders."""
+    rows = []
+    for report in reports.values():
+        for i, n in enumerate(report.meshes):
+            rows.append(
+                [report.scheme, n, report.h[i], report.wall_times[i],
+                 report.asymptotic_distance[i]]
+                + [report.errors[f][i] for f in ERROR_FIELDS]
+                + [report.orders[f][i] if i < len(report.orders[f]) else ""
+                   for f in ERROR_FIELDS])
+    write_csv(path, _SWEEP_COLUMNS, rows)

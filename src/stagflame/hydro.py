@@ -149,17 +149,22 @@ def compensation_source(R, grid):
     return (wR[:-1] + wR[1:]) / grid.cell_volumes
 
 
-def cell_kinetic_energy(state):
-    """Cell kinetic energy: half the dual-volume-weighted face values.
+def face_kinetic_energy(state):
+    """Kinetic energy per unit volume of each dual cell.
 
-    The face kinetic energy pairs the new velocity with the previous-level
-    dual density and stores the pressure-gradient term that the correction
-    equation exchanges with it.
+    It pairs the new velocity with the previous-level dual density and
+    stores the pressure-gradient term that the correction equation
+    exchanges with it.
     """
+    rho_d_prev = dual_density(state.grid, state.rho_prev)
+    g = pressure_gradient(state.p, state.grid)
+    return 0.5 * rho_d_prev * state.u**2 + state.dt**2 * g**2 / (2.0 * rho_d_prev)
+
+
+def cell_kinetic_energy(state):
+    """Cell kinetic energy: half the dual-volume-weighted face values."""
     grid = state.grid
-    rho_d_prev = dual_density(grid, state.rho_prev)
-    g = pressure_gradient(state.p, grid)
-    ek = 0.5 * rho_d_prev * state.u**2 + state.dt**2 * g**2 / (2.0 * rho_d_prev)
+    ek = face_kinetic_energy(state)
     dv = grid.dual_volumes
     return (dv[:-1] * ek[:-1] + dv[1:] * ek[1:]) / (2.0 * grid.cell_volumes)
 
@@ -177,9 +182,7 @@ def total_energy(state):
     mix = state.mixture
     hc = chemical_enthalpy(mix, state.y_F, state.y_O, state.y_N, state.y_P)
     e_int = np.sum(grid.cell_volumes * (state.rho * state.e_s + state.rho_prev * hc))
-    rho_d_prev = dual_density(grid, state.rho_prev)
-    g = pressure_gradient(state.p, grid)
-    ek = 0.5 * rho_d_prev * state.u**2 + state.dt**2 * g**2 / (2.0 * rho_d_prev)
+    ek = face_kinetic_energy(state)
     e_kin = np.sum(grid.dual_volumes[1:-1] * ek[1:-1])
     return float(e_int + e_kin)
 

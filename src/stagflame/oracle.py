@@ -117,10 +117,8 @@ def solve_deflagration_riemann(mixture, p_fresh, T_fresh, y_fresh, u_flame):
         raise OracleError("endothermic jump: burnt gas holds more formation enthalpy")
 
     if u_flame == 0.0 or dq == 0.0:
-        if u_flame > 0.0:
-            # zero heat release: the flame is a pure composition contact
-            pass
-        elif dq > 0.0:
+        # without heat release a moving flame is a pure composition contact
+        if dq > 0.0:
             raise OracleError("static flame with heat release has no self-similar pattern")
         return _certify(WavePattern(
             mixture=mixture, p_fresh=p_fresh, rho_fresh=rho_fresh, u_fresh=0.0,

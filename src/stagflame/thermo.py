@@ -1,7 +1,7 @@
 """Thermodynamics: stiffened-free ideal gas EOS, mixture data, field state."""
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,10 +32,6 @@ class MixtureSpec:
     dh_N: float = 0.0
     dh_P: float = 0.0
     gamma: float = 1.4
-
-    # algebraic signs of the species in the reaction (fuel and oxidant are
-    # consumed, product is created, neutral inert)
-    zeta: tuple = field(default=(-1.0, -1.0, 0.0, 1.0), init=False, repr=False)
 
     def __post_init__(self):
         for name in ("nu_F", "nu_O", "nu_P", "W_F", "W_O", "W_N", "W_P"):
@@ -109,16 +105,6 @@ class FieldState:
 def pressure_from_state(rho, h_s, gamma):
     """EOS written in enthalpy form: p = ((gamma-1)/gamma) rho h_s."""
     return (gamma - 1.0) / gamma * rho * h_s
-
-
-def e_s_from_pressure(rho, p, gamma):
-    """Invert p = (gamma-1) rho e_s."""
-    return p / ((gamma - 1.0) * rho)
-
-
-def sensible_enthalpy(e_s, gamma):
-    """h_s = gamma e_s for a perfect gas."""
-    return gamma * e_s
 
 
 def gas_constant_mix(mixture, y_F, y_O, y_N, y_P):

@@ -48,6 +48,8 @@ def test_bad_config_line_is_a_config_error(tmp_path, capsys):
     ("t_start=0", "t_start must be positive for init_mode = riemann_oracle"),
     ("n_cells=1.5", "'n_cells' needs an integer"),
     ("max_iterations=x", "'max_iterations' needs an integer"),
+    ("limiter=antidiffusive",
+     "implicit mode always convects with upwind faces"),
 ])
 def test_bad_config_values_are_config_errors(config_file, capsys, override,
                                              reason):
@@ -124,3 +126,4 @@ def test_check_verb_passes_on_benchmark(config_file, capsys):
     assert "all checks passed" in out
     assert out.count("[PASS]") == 4
     assert "[FAIL]" not in out
+    assert re.search(r"10-step run: gates and energy \(10 steps of dt", out)

@@ -25,22 +25,6 @@ def test_dual_volumes_tile_the_domain():
     assert np.sum(g.cell_volumes) == pytest.approx(4.0)
 
 
-def test_opposite_face_is_an_involution():
-    g = build_uniform_grid(6)
-    for cell in range(g.n_cells):
-        for face in (cell, cell + 1):
-            other = g.opposite_face(cell, face)
-            assert other in (cell, cell + 1)
-            assert other != face
-            assert g.opposite_face(cell, other) == face
-
-
-def test_opposite_face_rejects_foreign_faces():
-    g = build_uniform_grid(6)
-    with pytest.raises(ValueError):
-        g.opposite_face(2, 5)
-
-
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_minimum_cell_count(n):
     with pytest.raises(ValueError):

@@ -14,11 +14,10 @@ from stagflame.harness import (
     l1_error,
     load_config,
     parse_config_text,
-    report_csv_rows,
     run_case,
     run_sweep,
-    write_diagnostics_csv,
-    write_profile_csv,
+    write_run_csvs,
+    write_sweep_csv,
 )
 from stagflame.hydro import CorrectionSolveConfig, total_energy
 from stagflame.transport import LimiterParams, primal_mass_flux
@@ -63,7 +62,8 @@ def test_from_dict_rejects_bad_literals():
 def test_load_config_with_overrides(tmp_path):
     path = tmp_path / "case.cfg"
     path.write_text("n_cells = 40\ncfl = 0.5\n")
-    cfg = load_config(path, overrides=("n_cells=80", "limiter=antidiffusive"))
+    cfg = load_config(path, overrides=("n_cells=80", "time_mode=explicit-limited",
+                                       "limiter=antidiffusive"))
     assert cfg.n_cells == 80
     assert cfg.cfl == 0.5
     assert cfg.limiter == "antidiffusive"
@@ -308,21 +308,17 @@ def test_runs_are_deterministic(tmp_path):
     cfg = CaseConfig(n_cells=30, t_end=0.0024)
     blobs = []
     for tag in ("a", "b"):
-        result = run_case(cfg)
-        prof = tmp_path / f"profile_{tag}.csv"
-        diag = tmp_path / f"diag_{tag}.csv"
-        write_profile_csv(prof, result.state, cfg, extras={"t_final": result.t_final})
-        write_diagnostics_csv(diag, result.diagnostics, cfg)
-        blobs.append((prof.read_bytes(), diag.read_bytes()))
+        write_run_csvs(tmp_path / tag, run_case(cfg))
+        blobs.append(((tmp_path / f"{tag}_profile.csv").read_bytes(),
+                      (tmp_path / f"{tag}_diag.csv").read_bytes()))
     assert blobs[0] == blobs[1]
 
 
 def test_profile_csv_layout(tmp_path):
     cfg = CaseConfig(n_cells=12, t_end=0.0021)
     result = run_case(cfg, collect_diagnostics=False)
-    path = tmp_path / "profile.csv"
-    write_profile_csv(path, result.state, cfg)
-    lines = path.read_text().splitlines()
+    write_run_csvs(tmp_path / "out", result)
+    lines = (tmp_path / "out_profile.csv").read_text().splitlines()
     header = [l for l in lines if l.startswith("#")]
     assert any(l.startswith("# n_cells = 12") for l in header)
     assert any(l.startswith("# limiter = upwind") for l in header)
@@ -349,7 +345,9 @@ def test_sweep_rows_and_report(tmp_path):
     assert len(up.orders["rho"]) == 1
     for key in ("gamma", "cfl", "epsilon_per_h", "dt_per_mesh"):
         assert key in up.metadata
-    rows = report_csv_rows(up)
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(path, {"upwind": up})
+    rows = path.read_text().splitlines()
     head = rows[0].split(",")
     assert head[:5] == ["scheme", "n_cells", "h", "wall_time",
                         "asymptotic_distance"]

@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from stagflame import hydro
 from stagflame.errors import StepFailure
 from stagflame.grid import build_uniform_grid
-from stagflame.harness import CaseConfig, _with_fields, advance, initialize_case
+from stagflame.harness import CaseConfig, advance, initialize_case
 from stagflame.hydro import (
     CorrectionSolveConfig,
     _CorrectionSystem,
@@ -27,7 +29,7 @@ from helpers import make_state, quiescent_state
 def short_benchmark(n_cells=60, steps=2, **kw):
     cfg = CaseConfig(n_cells=n_cells, **kw)
     setup = initialize_case(cfg)
-    return _with_fields(cfg, t_end=cfg.t_start + steps * setup.dt)
+    return replace(cfg, t_end=cfg.t_start + steps * setup.dt)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,55 @@
+"""Every function, method and class in ``src/stagflame`` has a use there.
+
+Code that only tests call belongs in ``tests/``.  The check is by name: a
+definition counts as used when a name or an attribute spelled like it is
+read anywhere in ``src/stagflame`` outside the definition itself.  Imports
+do not count, and dunder methods are skipped.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "stagflame"
+
+# No caller in src/ yet: ROADMAP item 3 (the per-cell total-energy balance)
+# gives them one.
+EXEMPT = {"hydro.cell_kinetic_energy", "hydro.internal_energy_residual"}
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _reads(node):
+    """Names and attribute names read anywhere below ``node``."""
+    out = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            out[sub.id] += 1
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            out[sub.attr] += 1
+    return out
+
+
+def unused_definitions(src=SRC):
+    """{"module.name": line} of every definition without a use."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(src.glob("*.py"))}
+    reads = sum((_reads(tree) for tree in trees.values()), Counter())
+    unused = {}
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, _DEFS):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if reads[name] == _reads(node)[name]:
+                unused[f"{module}.{name}"] = node.lineno
+    return unused
+
+
+def test_every_definition_is_used_in_src():
+    unused = unused_definitions()
+    assert {k: v for k, v in unused.items() if k not in EXEMPT} == {}
+    # an exemption whose name is gone or has found a caller must be dropped
+    assert EXEMPT <= set(unused)
