@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ConfigError, require_fraction
 from .linalg import solve_banded, upwind_band
 from .thermo import y_O_from_z
-from .transport import face_values, upwind_face_values
+from .transport import FaceStencil, face_stencil, face_values, upwind_face_values
 
 _TIME_MODES = ("implicit-upwind", "explicit-limited")
 
@@ -108,50 +108,59 @@ def flame_advection_field(G, config, grid):
     return a
 
 
-def _implicit_transport_band(state, F, dt):
-    """Band of (h/dt) rho^n y + div(rho y u) with implicit upwind faces.
+@dataclass(frozen=True)
+class _ScalarStep:
+    """What every scalar balance of one chemistry step shares.
 
-    The matrix depends on the step's fluxes and densities only, so one
-    implicit chemistry step builds it once and shares it between G, z, y_N
-    and y_F.
+    ``mass_prev`` and ``mass`` are the cell masses over the step,
+    |K| rho^{n-1} / dt and |K| rho^n / dt.  Implicit mode carries
+    ``transport``, the band of mass y + div(F y) with upwind faces (built
+    once, copied per scalar); explicit mode carries ``stencil``, the face
+    scheme's geometry for the step's fluxes.
     """
+
+    F: np.ndarray
+    mass_prev: np.ndarray
+    mass: np.ndarray
+    transport: np.ndarray = None
+    stencil: FaceStencil = None
+
+
+def _scalar_step(state, dt, config):
     hdt = state.grid.cell_volumes / dt
-    return upwind_band(hdt * state.rho, F[1:-1])
+    F = state.flux
+    mass = hdt * state.rho
+    if config.time_mode == "explicit-limited":
+        stencil = face_stencil(F, config.limiter, state.rho, dt, state.grid)
+        return _ScalarStep(F, hdt * state.rho_prev, mass, stencil=stencil)
+    return _ScalarStep(F, hdt * state.rho_prev, mass,
+                       transport=upwind_band(mass, F[1:-1]))
 
 
-def _explicit_face_values(state, y, F, dt, config):
-    return face_values(
-        y, F, config.limiter, rho_next=state.rho, dt=dt, grid=state.grid
-    )
-
-
-def _advance_scalar(state, y, F, dt, config, transport=None,
-                    y_face_explicit=None, reaction_diag=None,
+def _advance_scalar(step, y, y_face=None, reaction_diag=None,
                     reaction_rhs=None, flame=None):
     """Advance one cell scalar through the two-level balance.
 
-    Implicit mode solves a tridiagonal system on a copy of ``transport``,
-    the step's ``_implicit_transport_band``; explicit mode divides by the
-    per-cell mass after moving the (given) limited convection to the right
-    hand side.  Optional per-cell implicit reaction terms add
+    Implicit mode solves a tridiagonal system on a copy of the step's
+    transport band; explicit mode moves the convection through the given
+    faces ``y_face`` to the right hand side and, without an implicit term,
+    divides by the cell mass.  Optional per-cell implicit reaction terms add
     ``reaction_diag`` to the diagonal and ``reaction_rhs`` to the right hand
     side; an optional ``flame`` advection field adds the (always implicit)
     flame propagation term.
     """
-    grid = state.grid
-    hdt = grid.cell_volumes / dt
-    rhs = hdt * state.rho_prev * y
+    rhs = step.mass_prev * y
     if reaction_rhs is not None:
         rhs = rhs + reaction_rhs
-    if config.time_mode == "implicit-upwind":
-        ab = transport.copy()
+    if step.transport is not None:
+        ab = step.transport.copy()
     else:
-        ab = np.zeros((3, grid.n_cells))
-        ab[1] = hdt * state.rho
-        Fy = F * y_face_explicit
+        Fy = step.F * y_face
         rhs = rhs - (Fy[1:] - Fy[:-1])
         if flame is None and reaction_diag is None:
-            return rhs / ab[1]
+            return rhs / step.mass
+        ab = np.zeros((3, y.shape[0]))
+        ab[1] = step.mass
     if reaction_diag is not None:
         ab[1] += reaction_diag
     if flame is not None:
@@ -167,21 +176,17 @@ def _advance_scalar(state, y, F, dt, config, transport=None,
     return solve_banded((1, 1), ab, rhs, overwrite_ab=True, check_finite=False)
 
 
-def advance_G(state, dt, config, transport=None):
+def advance_G(state, dt, config, step=None):
     """Advance the burnt-zone indicator one step; returns the new G.
 
-    In implicit mode ``transport`` may pass the step's transport band (built
-    here when omitted).
+    ``step`` passes the chemistry step's shared ``_ScalarStep`` (built here
+    when omitted).
     """
-    F = state.flux
+    if step is None:
+        step = _scalar_step(state, dt, config)
     a = flame_advection_field(state.G, config, state.grid)
-    if config.time_mode == "explicit-limited":
-        G_face = _explicit_face_values(state, state.G, F, dt, config)
-        return _advance_scalar(state, state.G, F, dt, config,
-                               y_face_explicit=G_face, flame=a)
-    if transport is None:
-        transport = _implicit_transport_band(state, F, dt)
-    return _advance_scalar(state, state.G, F, dt, config, transport, flame=a)
+    G_face = None if step.stencil is None else face_values(state.G, step.stencil)
+    return _advance_scalar(step, state.G, G_face, flame=a)
 
 
 @np.errstate(invalid="ignore")
@@ -197,29 +202,24 @@ def chemistry_step(state, dt, config):
     """
     grid = state.grid
     mix = state.mixture
-    F = state.flux
     eps = config.resolve_epsilon(grid)
-    explicit = config.time_mode == "explicit-limited"
-    transport = None if explicit else _implicit_transport_band(state, F, dt)
+    step = _scalar_step(state, dt, config)
+    explicit = step.stencil is not None
 
-    G_next = advance_G(state, dt, config, transport)
+    G_next = advance_G(state, dt, config, step)
 
+    z_face = yN_face = yF_face = None
     if explicit:
-        z_face = _explicit_face_values(state, state.z, F, dt, config)
-        yN_face = _explicit_face_values(state, state.y_N, F, dt, config)
-        yF_face = _explicit_face_values(state, state.y_F, F, dt, config)
-    z_next = _advance_scalar(state, state.z, F, dt, config, transport,
-                             y_face_explicit=z_face if explicit else None)
-    yN_next = _advance_scalar(state, state.y_N, F, dt, config, transport,
-                              y_face_explicit=yN_face if explicit else None)
+        z_face = face_values(state.z, step.stencil)
+        yN_face = face_values(state.y_N, step.stencil)
+        yF_face = face_values(state.y_F, step.stencil)
+    z_next = _advance_scalar(step, state.z, z_face)
+    yN_next = _advance_scalar(step, state.y_N, yN_face)
 
     burn = grid.cell_volumes / eps * np.maximum(0.5 - G_next, 0.0)
     z_plus = np.maximum(z_next, 0.0)
-    r_diag = burn
-    r_rhs = burn * mix.nu_F * mix.W_F * z_plus
-    yF_next = _advance_scalar(state, state.y_F, F, dt, config, transport,
-                              y_face_explicit=yF_face if explicit else None,
-                              reaction_diag=r_diag, reaction_rhs=r_rhs)
+    yF_next = _advance_scalar(step, state.y_F, yF_face, reaction_diag=burn,
+                              reaction_rhs=burn * mix.nu_F * mix.W_F * z_plus)
 
     yO_next = y_O_from_z(mix, yF_next, z_next)
     yP_next = 1.0 - yF_next - yO_next - yN_next
@@ -236,9 +236,9 @@ def chemistry_step(state, dt, config):
     )
 
     if not explicit:
-        z_face = upwind_face_values(z_next, F)
-        yN_face = upwind_face_values(yN_next, F)
-        yF_face = upwind_face_values(yF_next, F)
+        z_face = upwind_face_values(z_next, step.F)
+        yN_face = upwind_face_values(yN_next, step.F)
+        yF_face = upwind_face_values(yF_next, step.F)
     yO_face = y_O_from_z(mix, yF_face, z_face)
     yP_face = 1.0 - yF_face - yO_face - yN_face
     return ChemResult(

@@ -8,7 +8,7 @@ take the already-computed mass fluxes, so the same machinery serves explicit
 and implicit steps.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -110,87 +110,84 @@ def upwind_face_values(y, F):
     return vals
 
 
-def _upwind_stencil(y, pos):
-    """Upwind, downwind and far-upstream cell values of the interior faces.
+@dataclass(frozen=True)
+class FaceStencil:
+    """The geometry of one step's face-value scheme, shared by every scalar.
 
-    ``pos`` marks the faces whose flux runs left to right.  The far upstream
-    cell lies one cell beyond the upwind one; at a wall there is none, and
-    padding ``y`` with its end values makes it the upwind cell itself.
+    ``cells`` stacks, for every face (walls included), the indices of the
+    upwind, downwind and far-upstream cells.  A wall face has the adjacent
+    cell in all three rows, and the far-upstream row falls back to the
+    upwind cell where there is no such cell beyond it (or, for MUSCL under
+    "upstream_cells", where it does not feed the upwind cell).  ``zeta`` is
+    the anti-diffusive slope per face, 0 at walls and on zero-flux faces.
     """
-    y_left = y[:-1]
-    y_right = y[1:]
-    padded = np.concatenate((y[:1], y, y[-1:]))
-    y_up = np.where(pos, y_left, y_right)
-    y_dn = np.where(pos, y_right, y_left)
-    y_m = np.where(pos, padded[:-3], padded[3:])
-    return y_up, y_dn, y_m
+
+    scheme: str
+    cells: np.ndarray = field(repr=False)
+    half_zeta_plus: float = 0.0
+    half_zeta_minus: float = 0.0
+    zeta: np.ndarray = field(default=None, repr=False)
 
 
-def muscl_face_values(y, F, params):
-    """MUSCL face values: the centred value clipped into two intervals at
-    the upwind value, one opened towards the downwind cell by ``zeta_plus``,
-    one away from the far upstream cell by ``zeta_minus`` (closed when that
-    cell is a wall or fails the neighbour policy).  ``tests/test_transport.py``
-    checks them face by face against a per-face reference routine."""
-    y = np.asarray(y)
+def face_stencil(F, params, rho_next, dt, grid):
+    """Build the step's ``FaceStencil`` from its mass fluxes ``F``.
+
+    ``rho_next``, ``dt`` and ``grid`` give the upwind-cell masses the
+    anti-diffusive slope is measured against; the other schemes ignore them.
+    """
     F = np.asarray(F)
-    n = y.shape[0]
-    vals = np.empty(n + 1)
-    vals[0] = y[0]
-    vals[-1] = y[-1]
+    n = F.shape[0] - 1
     pos = F[1:n] >= 0.0
-    y_up, y_dn, y_m = _upwind_stencil(y, pos)
-    if params.neighbor_policy == "upstream_cells":
-        # the far upstream cell counts only if it feeds the upwind cell; the
-        # wall faces carry no flux, and there y_m is the upwind value anyway
-        inflow = np.where(pos, F[:-2] >= 0.0, F[2:] < 0.0)
-        y_m = np.where(inflow, y_m, y_up)
-    tentative = 0.5 * (y[:-1] + y[1:])
-    e1 = y_up + 0.5 * params.zeta_plus * (y_dn - y_up)
-    e2 = y_up + 0.5 * params.zeta_minus * (y_up - y_m)
-    lo = np.maximum(np.minimum(y_up, e1), np.minimum(y_up, e2))
-    hi = np.minimum(np.maximum(y_up, e1), np.maximum(y_up, e2))
-    vals[1:n] = np.minimum(np.maximum(tentative, lo), hi)
-    return vals
-
-
-def antidiffusive_face_values(y, F, rho_next, dt, grid, params):
-    """Anti-diffusive face values: the downwind value clipped into an
-    interval at the upwind value, opened by the Courant numbers through the
-    upwind cell's two faces and capped by ``s_max``; zero flux is upwind.
-    ``tests/test_transport.py`` checks them face by face against a per-face
-    reference routine."""
-    y = np.asarray(y)
-    F = np.asarray(F)
-    n = y.shape[0]
-    vals = np.empty(n + 1)
-    vals[0] = y[0]
-    vals[-1] = y[-1]
-    pos = F[1:n] >= 0.0
-    y_up, y_dn, y_m = _upwind_stencil(y, pos)
-    mass = np.asarray(rho_next) * grid.cell_volumes
-    vol = np.where(pos, mass[:-1], mass[1:])
+    j = np.arange(1, n)
+    up = np.where(pos, j - 1, j)
+    dn = np.where(pos, j, j - 1)
+    far = np.clip(2 * up - dn, 0, n - 1)
+    if params.scheme == "muscl" and params.neighbor_policy == "upstream_cells":
+        # the far upstream cell counts only if it feeds the upwind cell
+        far = np.where(np.where(pos, F[:-2] >= 0.0, F[2:] < 0.0), far, up)
+    cells = np.empty((3, n + 1), dtype=np.intp)
+    cells[:, 0] = 0
+    cells[:, n] = n - 1
+    cells[0, 1:n] = up
+    cells[1, 1:n] = dn
+    cells[2, 1:n] = far
+    if params.scheme != "antidiffusive":
+        return FaceStencil(params.scheme, cells, 0.5 * params.zeta_plus,
+                           0.5 * params.zeta_minus)
+    vol = (np.asarray(rho_next) * grid.cell_volumes)[up]
     abs_F = np.abs(F)
     nu = dt * abs_F[1:n] / vol
     # the flux through the upwind cell's other face
     nu_other = dt * np.where(pos, abs_F[:-2], abs_F[2:]) / vol
+    zeta = np.zeros(n + 1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        zeta = np.minimum(np.maximum((1.0 - nu_other) / nu, 0.0), params.s_max)
-    far = y_up + zeta * (y_up - y_m)
-    lo = np.minimum(far, y_up)
-    hi = np.maximum(far, y_up)
-    clipped = np.minimum(np.maximum(y_dn, lo), hi)
-    vals[1:n] = np.where(nu > 0.0, clipped, y_up)
-    return vals
+        slope = np.minimum(np.maximum((1.0 - nu_other) / nu, 0.0), params.s_max)
+    zeta[1:n] = np.where(nu > 0.0, slope, 0.0)
+    return FaceStencil(params.scheme, cells, zeta=zeta)
 
 
-def face_values(y, F, params, rho_next=None, dt=None, grid=None):
-    """Dispatch to the face-value scheme selected by ``params``."""
-    if params.scheme == "upwind":
-        return upwind_face_values(y, F)
-    if params.scheme == "muscl":
-        return muscl_face_values(y, F, params)
-    if rho_next is None or dt is None or grid is None:
-        raise TypeError("antidiffusive face values need rho_next, dt and grid")
-    return antidiffusive_face_values(y, F, rho_next, dt, grid, params)
+def face_values(y, stencil):
+    """Face values of the cell scalar ``y`` under the step's ``stencil``.
 
+    Upwind takes the upwind cell.  MUSCL clips the centred value into two
+    intervals at the upwind value, one opened towards the downwind cell by
+    ``zeta_plus``, one away from the far upstream cell by ``zeta_minus``.
+    The anti-diffusive scheme clips the downwind value into the interval
+    between the upwind value and its extrapolation away from the far
+    upstream cell by ``zeta``.  At a wall every scheme gives the adjacent
+    cell.  ``tests/test_transport.py`` checks them face by face against
+    per-face reference routines.
+    """
+    y = np.asarray(y)
+    if stencil.scheme == "upwind":
+        return y[stencil.cells[0]]
+    y_up, y_dn, y_m = y[stencil.cells]
+    if stencil.scheme == "muscl":
+        e1 = y_up + stencil.half_zeta_plus * (y_dn - y_up)
+        e2 = y_up + stencil.half_zeta_minus * (y_up - y_m)
+        lo = np.maximum(np.minimum(y_up, e1), np.minimum(y_up, e2))
+        hi = np.minimum(np.maximum(y_up, e1), np.maximum(y_up, e2))
+        return np.minimum(np.maximum(0.5 * (y_up + y_dn), lo), hi)
+    far = y_up + stencil.zeta * (y_up - y_m)
+    return np.minimum(np.maximum(y_dn, np.minimum(far, y_up)),
+                      np.maximum(far, y_up))

@@ -26,6 +26,7 @@ from stagflame.oracle import asymptotic_composition, rh_residuals
 from stagflame.transport import (
     LimiterParams,
     cfl_number,
+    face_stencil,
     face_values,
     primal_mass_flux,
 )
@@ -147,8 +148,9 @@ def test_criterion_4_exact_heaviside_transport():
     for nu in (0.3, 0.5, 0.9):
         params = LimiterParams(scheme="antidiffusive", s_max=(1.0 - nu) / nu)
         y = np.where(np.arange(n) < j0, 1.0, 0.0)
+        stencil = face_stencil(F, params, ones, nu, grid)
         for k in range(1, steps + 1):
-            vals = face_values(y, F, params, rho_next=ones, dt=nu, grid=grid)
+            vals = face_values(y, stencil)
             y = y - nu * (vals[1:] - vals[:-1])
             front = j0 + k * nu
             exact = np.clip(front - np.arange(n), 0.0, 1.0)
@@ -176,7 +178,8 @@ def test_criterion_5_muscl_minmod_equivalence():
     F = rng.uniform(-1.0, 1.0, n + 1)
     params = LimiterParams(scheme="muscl", zeta_minus=1.0, zeta_plus=1.0,
                            neighbor_policy="opposite_cells")
-    vals = face_values(y, F, params)
+    vals = face_values(y, face_stencil(F, params, np.ones(n), 1.0,
+                                       build_uniform_grid(n)))
     j = np.arange(2, n - 1)  # faces whose far-upstream cell exists
     assert j.size >= 10_000
     pos = F[j] >= 0.0
@@ -219,7 +222,7 @@ def _transport_trial(rng, params, n_trials=500):
             if np.min(rho_new) > 0.0 and cfl_number(F, rho_new, dt, grid) <= 1.0:
                 break
             dt *= 0.7
-        vals = face_values(y, F, params, rho_next=rho_new, dt=dt, grid=grid)
+        vals = face_values(y, face_stencil(F, params, rho_new, dt, grid))
         y_new = (rho_old * grid.cell_volumes * y
                  - dt * np.diff(F * vals)) / (rho_new * grid.cell_volumes)
         worst = max(worst,
@@ -258,8 +261,9 @@ def test_criterion_6_discrete_maximum_principle():
 
     def worst_slopes(s_max):
         params = LimiterParams(scheme="antidiffusive", s_max=s_max)
-        va = face_values(y_left, F, params, rho_next=rho_new, dt=dt, grid=grid)
-        vb = face_values(y_right, F, params, rho_next=rho_new, dt=dt, grid=grid)
+        stencil = face_stencil(F, params, rho_new, dt, grid)
+        va = face_values(y_left, stencil)
+        vb = face_values(y_right, stencil)
         s_left = (va[2] - y_left[2]) / (y_left[2] - y_left[3])
         s_right = (vb[3] - y_right[2]) / (y_right[2] - y_right[1])
         return s_left, s_right

@@ -5,11 +5,10 @@ from hypothesis import given, strategies as st
 from stagflame.grid import build_uniform_grid
 from stagflame.transport import (
     LimiterParams,
-    antidiffusive_face_values,
     cfl_number,
     dual_mass_flux,
+    face_stencil,
     face_values,
-    muscl_face_values,
     primal_mass_flux,
     upwind_face_values,
 )
@@ -37,7 +36,7 @@ def upwind_face_value(y, F, j):
 
 
 def muscl_face_value(y, F, j, params):
-    """MUSCL face value at interior face j (see ``muscl_face_values``)."""
+    """MUSCL face value at interior face j (see ``face_values``)."""
     n = len(y)
     if F[j] >= 0.0:
         up, dn = j - 1, j
@@ -60,8 +59,7 @@ def muscl_face_value(y, F, j, params):
 
 
 def antidiffusive_face_value(y, F, j, rho_next, dt, grid, params):
-    """Anti-diffusive face value at interior face j (see
-    ``antidiffusive_face_values``)."""
+    """Anti-diffusive face value at interior face j (see ``face_values``)."""
     n = len(y)
     if F[j] >= 0.0:
         up, dn = j - 1, j
@@ -241,7 +239,7 @@ def test_antidiffusive_stays_between_upwind_and_downwind():
         u[1:-1] = rng.uniform(-1.0, 1.0, 11)
         rho = rng.uniform(0.5, 2.0, 12)
         F = primal_mass_flux(rho, u)
-        vals = antidiffusive_face_values(y, F, rho, 0.4, grid, params)
+        vals = face_values(y, face_stencil(F, params, rho, 0.4, grid))
         for j in range(1, 12):
             lo = min(y[j - 1], y[j])
             hi = max(y[j - 1], y[j])
@@ -275,7 +273,7 @@ def test_vectorized_matches_scalar(scheme, policy):
         rho = rng.uniform(0.5, 2.0, n)
         F = primal_mass_flux(rho, u)
         dt = float(rng.uniform(0.005, 0.2))
-        got = face_values(y, F, params, rho_next=rho, dt=dt, grid=grid)
+        got = face_values(y, face_stencil(F, params, rho, dt, grid))
         want = [y[0]]
         for j in range(1, n):
             if scheme == "upwind":
@@ -295,10 +293,21 @@ def test_upwind_face_values_boundaries():
     assert np.allclose(vals, [3.0, 3.0, 5.0, 5.0])
 
 
-def test_face_values_dispatcher_needs_antidiffusive_context():
+def test_stencil_geometry_at_walls_and_zero_flux():
+    # walls take the adjacent cell in every row; the anti-diffusive slope is
+    # 0 there and on every face without flux, so those faces are upwind
+    grid = build_uniform_grid(4, 0.0, 4.0)
+    F = np.array([0.0, 1.0, 0.0, -1.0, 0.0])
     params = LimiterParams(scheme="antidiffusive")
-    with pytest.raises(TypeError):
-        face_values(np.ones(3), np.zeros(4), params)
+    stencil = face_stencil(F, params, np.ones(4), 0.25, grid)
+    assert stencil.cells.tolist() == [[0, 0, 1, 3, 3],
+                                      [0, 1, 2, 2, 3],
+                                      [0, 0, 0, 3, 3]]
+    assert stencil.zeta[[0, 2, 4]].tolist() == [0.0, 0.0, 0.0]
+    assert stencil.zeta[1] == stencil.zeta[3] == 2.0  # (1 - 0) / (1/4), capped
+    # faces 1 and 3 have no far upstream cell, which closes their interval
+    y = np.array([1.0, 0.5, 0.0, 0.25])
+    assert face_values(y, stencil).tolist() == [1.0, 1.0, 0.5, 0.25, 0.25]
 
 
 def test_limiter_params_validation():
