@@ -8,14 +8,17 @@ speed; the reaction term is closed by the indicator (it only burns where
 G < 1/2) and is always treated implicitly, cell by cell, which keeps the
 fuel fraction non-negative for any step size.
 
-Every tridiagonal system goes through ``solve_banded``, imported from
-``stagflame.linalg`` under scipy's name and argument order: an implicit step
-makes four such solves (G, z, y_N, y_F, all sharing one transport matrix,
-``linalg.upwind_band`` of the step's mass fluxes, to which G adds its flame
-term and y_F its reaction term), an explicit step two (G with its flame
-term, y_F with its reaction term, on a band holding only the cell masses).
-The benchmark's span recorder counts and times the solves by wrapping this
-module's ``solve_banded`` attribute, so the name must stay.
+A step builds what its scalars share once (``_ScalarStep``): the cell
+masses at both levels and either the implicit upwind band or the explicit
+face stencil, which G, y_O, y_N and y_F apply through ``face_values``; z's
+faces follow from those of y_F and y_O.  Every tridiagonal system goes
+through ``solve_banded``, imported from ``stagflame.linalg`` under scipy's
+name and argument order: an implicit step makes four such solves (G, z, y_N,
+y_F on copies of the band, to which G adds its flame term and y_F its
+reaction term), an explicit step two (G and y_F, on a band holding only the
+cell masses and those terms).  The benchmark's span recorder counts and
+times the solves and the face values by wrapping this module's
+``solve_banded`` and ``face_values`` attributes, so the names must stay.
 """
 
 from dataclasses import dataclass, field
@@ -24,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, require_fraction
 from .linalg import solve_banded, upwind_band
-from .thermo import y_O_from_z
+from .thermo import y_O_from_z, z_from_fractions
 from .transport import FaceStencil, face_stencil, face_values, upwind_face_values
 
 _TIME_MODES = ("implicit-upwind", "explicit-limited")
@@ -110,14 +113,10 @@ def flame_advection_field(G, config, grid):
 
 @dataclass(frozen=True)
 class _ScalarStep:
-    """What every scalar balance of one chemistry step shares.
-
-    ``mass_prev`` and ``mass`` are the cell masses over the step,
-    |K| rho^{n-1} / dt and |K| rho^n / dt.  Implicit mode carries
-    ``transport``, the band of mass y + div(F y) with upwind faces (built
-    once, copied per scalar); explicit mode carries ``stencil``, the face
-    scheme's geometry for the step's fluxes.
-    """
+    """What every scalar balance of one chemistry step shares: the cell
+    masses |K| rho^{n-1} / dt and |K| rho^n / dt, and the band of
+    mass y + div(F y) with upwind faces (implicit) or the face stencil of
+    the step's fluxes (explicit)."""
 
     F: np.ndarray
     mass_prev: np.ndarray
@@ -178,10 +177,7 @@ def _advance_scalar(step, y, y_face=None, reaction_diag=None,
 
 def advance_G(state, dt, config, step=None):
     """Advance the burnt-zone indicator one step; returns the new G.
-
-    ``step`` passes the chemistry step's shared ``_ScalarStep`` (built here
-    when omitted).
-    """
+    ``step`` is the chemistry step's ``_ScalarStep`` (built when omitted)."""
     if step is None:
         step = _scalar_step(state, dt, config)
     a = flame_advection_field(state.G, config, state.grid)
@@ -210,9 +206,12 @@ def chemistry_step(state, dt, config):
 
     z_face = yN_face = yF_face = None
     if explicit:
-        z_face = face_values(state.z, step.stencil)
+        # limit y_O, not z, so that y_O keeps its maximum principle; z's
+        # faces (and balance) are the same linear combination of theirs
+        yO_face = face_values(state.y_O, step.stencil)
         yN_face = face_values(state.y_N, step.stencil)
         yF_face = face_values(state.y_F, step.stencil)
+        z_face = z_from_fractions(mix, yF_face, yO_face)
     z_next = _advance_scalar(step, state.z, z_face)
     yN_next = _advance_scalar(step, state.y_N, yN_face)
 
@@ -239,7 +238,7 @@ def chemistry_step(state, dt, config):
         z_face = upwind_face_values(z_next, step.F)
         yN_face = upwind_face_values(yN_next, step.F)
         yF_face = upwind_face_values(yF_next, step.F)
-    yO_face = y_O_from_z(mix, yF_face, z_face)
+        yO_face = y_O_from_z(mix, yF_face, z_face)
     yP_face = 1.0 - yF_face - yO_face - yN_face
     return ChemResult(
         G=G_next, z=z_next, y_F=yF_next, y_O=yO_next, y_N=yN_next,

@@ -17,6 +17,7 @@ from .harness import (
     write_run_csvs,
     write_sweep_csv,
 )
+from .transport import SCHEMES
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -46,8 +47,9 @@ def build_parser():
     _add_common(p_sweep)
     p_sweep.add_argument("--meshes", default="250,500,1000,2000",
                          help="comma-separated cell counts")
-    p_sweep.add_argument("--schemes", default="upwind,muscl,antidiffusive",
-                         help="comma-separated face schemes")
+    p_sweep.add_argument("--schemes", default=None,
+                         help="comma-separated face schemes (default: every "
+                              "scheme the time mode runs)")
     p_sweep.add_argument("--output-prefix", default=None,
                          help="write <prefix>_sweep.csv")
 
@@ -87,7 +89,11 @@ def _cmd_run(args):
 def _cmd_sweep(args):
     config = load_config(args.config, args.overrides)
     meshes = [int(v) for v in args.meshes.split(",") if v.strip()]
-    schemes = [v.strip() for v in args.schemes.split(",") if v.strip()]
+    if args.schemes is None:  # implicit transport has upwind faces only
+        explicit = config.time_mode == "explicit-limited"
+        schemes = list(SCHEMES) if explicit else ["upwind"]
+    else:
+        schemes = [v.strip() for v in args.schemes.split(",") if v.strip()]
     reports = run_sweep(config, meshes, schemes)
     for report in reports.values():
         print(report.to_text())

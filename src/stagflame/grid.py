@@ -20,10 +20,8 @@ class StaggeredGrid:
     ----------
     n_cells : int
         Number of primal cells (at least 3).
-    x_left, x_right : float
-        Domain end points.
     x_faces : ndarray, shape (n_cells + 1,)
-        Face positions, ``x_faces[0] == x_left`` and ``x_faces[-1] == x_right``.
+        Face positions; the first and last are the domain end points.
     x_centers : ndarray, shape (n_cells,)
         Cell-center positions.
     h : float
@@ -36,8 +34,6 @@ class StaggeredGrid:
     """
 
     n_cells: int
-    x_left: float
-    x_right: float
     x_faces: np.ndarray = field(repr=False)
     x_centers: np.ndarray = field(repr=False)
     h: float
@@ -77,8 +73,6 @@ def build_uniform_grid(n_cells, x_left=0.0, x_right=1.0):
     dual_volumes[-1] = 0.5 * h
     return StaggeredGrid(
         n_cells=n_cells,
-        x_left=float(x_left),
-        x_right=float(x_right),
         x_faces=x_faces,
         x_centers=x_centers,
         h=h,

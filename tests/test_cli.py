@@ -113,6 +113,19 @@ def test_sweep_verb(config_file, tmp_path, capsys):
     assert len(lines) == 1 + 4
 
 
+def test_sweep_schemes_default_to_the_time_mode(capsys):
+    # the shipped config is implicit, which only convects with upwind faces
+    path = Path(__file__).resolve().parents[1] / "configs" / "benchmark.cfg"
+    assert main(["sweep", str(path), "--meshes", "24"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert re.findall(r"scheme = (\w+)", out) == ["upwind"]
+    assert main(["sweep", str(path), "--meshes", "24",
+                 "--set", "time_mode=explicit-limited"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert re.findall(r"scheme = (\w+)", out) == ["upwind", "muscl",
+                                                   "antidiffusive"]
+
+
 def test_check_verb_loads_the_shipped_config(capsys):
     # every key of configs/benchmark.cfg must still be a known config key
     path = Path(__file__).resolve().parents[1] / "configs" / "benchmark.cfg"

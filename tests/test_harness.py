@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from stagflame.chemistry import ChemStepConfig
 from stagflame.errors import ConfigError, StepFailure
@@ -20,7 +20,7 @@ from stagflame.harness import (
     write_sweep_csv,
 )
 from stagflame.hydro import CorrectionSolveConfig, total_energy
-from stagflame.transport import LimiterParams, primal_mass_flux
+from stagflame.transport import LimiterParams, cfl_number, primal_mass_flux
 from helpers import benchmark_mixture, make_state
 
 
@@ -164,6 +164,23 @@ def test_gates_reject_nan(field):
             check_state_gates(state)
 
 
+def admissible_state(rho, p, u_interior, y_F, y_O, y_N, G, acoustic_cfl):
+    """A state on the unit interval inside every gate, with a balanced mass
+    level, stepped at the given acoustic CFL (c + |u|) dt / h."""
+    rho, p, y_F, y_O, y_N, G = (np.asarray(v, dtype=float)
+                                for v in (rho, p, y_F, y_O, y_N, G))
+    n = rho.shape[0]
+    mix = benchmark_mixture()
+    grid = build_uniform_grid(n, 0.0, 1.0)
+    u = np.zeros(n + 1)
+    u[1:-1] = u_interior
+    y = (y_F, y_O, y_N, 1.0 - y_F - y_O - y_N)
+    h_s = mix.gamma / (mix.gamma - 1.0) * p / rho
+    speed = np.max(np.sqrt(mix.gamma * p / rho)) + np.max(np.abs(u))
+    return make_state(grid, mix, acoustic_cfl * grid.h / speed, rho, u, h_s,
+                      y, G)
+
+
 @st.composite
 def admissible_states(draw):
     """A small random state inside every gate, with a balanced mass level."""
@@ -173,39 +190,61 @@ def admissible_states(draw):
         return np.array(draw(st.lists(st.floats(lo, hi), min_size=size,
                                       max_size=size)))
 
-    mix = benchmark_mixture()
-    grid = build_uniform_grid(n, 0.0, 1.0)
     rho = cells(0.3, 2.0)
     p = cells(5.0e4, 2.0e5)
-    u = np.zeros(n + 1)
-    u[1:-1] = cells(-60.0, 60.0, n - 1)
+    u = cells(-60.0, 60.0, n - 1)
     y_F = cells(0.0, 0.05)
     y_O = cells(0.0, 0.3)
     y_N = cells(0.3, 0.6)
-    y = (y_F, y_O, y_N, 1.0 - y_F - y_O - y_N)
     G = cells(0.0, 1.0)
-    h_s = mix.gamma / (mix.gamma - 1.0) * p / rho
     # acoustic CFL up to 2; the benchmark runs at about 1.2
-    speed = np.max(np.sqrt(mix.gamma * p / rho)) + np.max(np.abs(u))
-    dt = draw(st.floats(0.05, 2.0)) * grid.h / speed
-    return make_state(grid, mix, dt, rho, u, h_s, y, G)
+    return admissible_state(rho, p, u, y_F, y_O, y_N, G,
+                            draw(st.floats(0.05, 2.0)))
 
 
-@settings(max_examples=40, deadline=None)
+# Oxidant-free cells next to oxidant: y_O left [0, 1] here under MUSCL and
+# anti-diffusive faces while its faces were derived from separately limited
+# z and y_F faces.
+_OXIDANT_FREE = admissible_state(
+    rho=[1.48, 1.12, 1.01, 1.8, 1.81],
+    p=[1.44e5, 7.4e4, 8.4e4, 1.31e5, 1.18e5],
+    u_interior=[10.0, 12.0, 51.0, 33.0],
+    y_F=[0.017, 0.021, 0.034, 0.001, 0.008],
+    y_O=[0.07, 0.0, 0.0, 0.07, 0.04],
+    y_N=[0.38, 0.31, 0.48, 0.57, 0.57],
+    G=[0.35, 0.24, 0.98, 0.81, 0.25],
+    acoustic_cfl=0.28,
+)
+
+# None is implicit upwind transport; the rest are explicit face schemes
+_TRANSPORTS = [None, ("upwind", "opposite_cells")] + [
+    (scheme, policy) for scheme in ("muscl", "antidiffusive")
+    for policy in ("opposite_cells", "upstream_cells")]
+
+
+@settings(max_examples=60, deadline=None)
 @given(state=admissible_states(),
-       scheme=st.sampled_from([None, "upwind"]),
+       transport=st.sampled_from(_TRANSPORTS),
        flame_speed_product=st.floats(0.0, 50.0))
-def test_one_step_keeps_gates_mass_and_energy(state, scheme, flame_speed_product):
-    # implicit or explicit upwind transport: the monotone face schemes, for
-    # which the bounds on every fraction hold on any admissible state
-    if scheme is None:
+@example(state=_OXIDANT_FREE, transport=("muscl", "opposite_cells"),
+         flame_speed_product=10.0)
+@example(state=_OXIDANT_FREE, transport=("antidiffusive", "opposite_cells"),
+         flame_speed_product=10.0)
+def test_one_step_keeps_gates_mass_and_energy(state, transport,
+                                              flame_speed_product):
+    # every face scheme keeps every fraction in [0, 1] on any admissible
+    # state; explicit transport only within its material CFL bound of 1
+    if transport is None:
         chem = ChemStepConfig(epsilon_per_h=1e-2,
                               flame_speed_product=flame_speed_product)
     else:
+        assume(cfl_number(state.flux, state.rho, state.dt, state.grid) <= 1.0)
+        scheme, policy = transport
         chem = ChemStepConfig(epsilon_per_h=1e-2,
                               flame_speed_product=flame_speed_product,
                               time_mode="explicit-limited",
-                              limiter=LimiterParams(scheme=scheme))
+                              limiter=LimiterParams(scheme=scheme,
+                                                    neighbor_policy=policy))
     check_state_gates(state)
     new_state, _ = advance(state, chem, CorrectionSolveConfig())
     check_state_gates(new_state)
