@@ -137,27 +137,38 @@ def face_stencil(F, params, rho_next, dt, grid):
     """
     F = np.asarray(F)
     n = F.shape[0] - 1
-    j = np.arange(n + 1)
-    pos = F >= 0.0
-    up = np.clip(np.where(pos, j - 1, j), 0, n - 1)
-    dn = np.clip(np.where(pos, j, j - 1), 0, n - 1)
-    far = np.clip(2 * up - dn, 0, n - 1)
+    pos = F[1:n] >= 0.0
+    j = np.arange(1, n)
+    # rows: upwind, downwind and far-upstream cell; a wall face has its
+    # adjacent cell in all three
+    cells = np.empty((3, n + 1), dtype=np.intp)
+    cells[:, 0] = 0
+    cells[:, n] = n - 1
+    up, dn, far = cells[:, 1:n]
+    np.subtract(j, pos, out=up)  # j - 1 where F_j >= 0, else j
+    np.subtract(2 * j - 1, up, out=dn)  # the face's other cell
+    np.subtract(2 * up, dn, out=far)  # one beyond the upwind cell
+    # no cell beyond a wall: the far upstream cell is the upwind one
+    far[0] = max(far[0], 0)
+    far[-1] = min(far[-1], n - 1)
     if params.scheme == "muscl" and params.neighbor_policy == "upstream_cells":
         # the far upstream cell counts only if it feeds the upwind cell
-        inflow = np.where(pos[1:n], F[:-2] >= 0.0, F[2:] < 0.0)
-        far[1:n] = np.where(inflow, far[1:n], up[1:n])
-    cells = np.stack((up, dn, far))
+        inflow = np.where(pos, F[:-2] >= 0.0, F[2:] < 0.0)
+        np.copyto(far, up, where=~inflow)
     if params.scheme != "antidiffusive":
         return FaceStencil(params.scheme, cells, 0.5 * params.zeta_plus,
                            0.5 * params.zeta_minus)
     abs_F = np.abs(F)
     vol = (np.asarray(rho_next) * grid.cell_volumes)[up]
-    nu = dt * abs_F / vol
+    nu = dt * abs_F[1:n] / vol
     # the flux through the upwind cell's other face (cell k has faces k, k+1)
     nu_other = dt * abs_F[2 * up + 1 - j] / vol
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        zeta = np.minimum(np.maximum((1.0 - nu_other) / nu, 0.0), params.s_max)
-    return FaceStencil(params.scheme, cells, zeta=np.where(nu > 0.0, zeta, 0.0))
+    zeta = np.zeros(n + 1)
+    with np.errstate(over="ignore"):
+        np.divide(1.0 - nu_other, nu, out=zeta[1:n], where=nu > 0.0)
+    np.maximum(zeta, 0.0, out=zeta)
+    np.minimum(zeta, params.s_max, out=zeta)
+    return FaceStencil(params.scheme, cells, zeta=zeta)
 
 
 def face_values(y, stencil):
