@@ -122,10 +122,8 @@ class FaceStencil:
     slope per face, 0 at walls and on zero-flux faces.
     """
 
-    scheme: str
+    params: LimiterParams
     cells: np.ndarray = field(repr=False)
-    half_zeta_plus: float = 0.0
-    half_zeta_minus: float = 0.0
     zeta: np.ndarray = field(default=None, repr=False)
 
 
@@ -139,8 +137,6 @@ def face_stencil(F, params, rho_next, dt, grid):
     n = F.shape[0] - 1
     pos = F[1:n] >= 0.0
     j = np.arange(1, n)
-    # rows: upwind, downwind and far-upstream cell; a wall face has its
-    # adjacent cell in all three
     cells = np.empty((3, n + 1), dtype=np.intp)
     cells[:, 0] = 0
     cells[:, n] = n - 1
@@ -156,8 +152,7 @@ def face_stencil(F, params, rho_next, dt, grid):
         inflow = np.where(pos, F[:-2] >= 0.0, F[2:] < 0.0)
         np.copyto(far, up, where=~inflow)
     if params.scheme != "antidiffusive":
-        return FaceStencil(params.scheme, cells, 0.5 * params.zeta_plus,
-                           0.5 * params.zeta_minus)
+        return FaceStencil(params, cells)
     abs_F = np.abs(F)
     vol = (np.asarray(rho_next) * grid.cell_volumes)[up]
     nu = dt * abs_F[1:n] / vol
@@ -166,9 +161,7 @@ def face_stencil(F, params, rho_next, dt, grid):
     zeta = np.zeros(n + 1)
     with np.errstate(over="ignore"):
         np.divide(1.0 - nu_other, nu, out=zeta[1:n], where=nu > 0.0)
-    np.maximum(zeta, 0.0, out=zeta)
-    np.minimum(zeta, params.s_max, out=zeta)
-    return FaceStencil(params.scheme, cells, zeta=zeta)
+    return FaceStencil(params, cells, np.clip(zeta, 0.0, params.s_max, out=zeta))
 
 
 def face_values(y, stencil):
@@ -183,12 +176,13 @@ def face_values(y, stencil):
     reference routines.
     """
     y = np.asarray(y)
-    if stencil.scheme == "upwind":
+    params = stencil.params
+    if params.scheme == "upwind":
         return y[stencil.cells[0]]
     y_up, y_dn, y_m = y[stencil.cells]
-    if stencil.scheme == "muscl":
-        e1 = y_up + stencil.half_zeta_plus * (y_dn - y_up)
-        e2 = y_up + stencil.half_zeta_minus * (y_up - y_m)
+    if params.scheme == "muscl":
+        e1 = y_up + 0.5 * params.zeta_plus * (y_dn - y_up)
+        e2 = y_up + 0.5 * params.zeta_minus * (y_up - y_m)
         lo = np.maximum(np.minimum(y_up, e1), np.minimum(y_up, e2))
         hi = np.minimum(np.maximum(y_up, e1), np.maximum(y_up, e2))
         return np.minimum(np.maximum(0.5 * (y_up + y_dn), lo), hi)
