@@ -9,20 +9,31 @@ uses the classical single-shock relations (see e.g. Toro, "Riemann Solvers
 and Numerical Methods for Fluid Dynamics", ch. 4); the deflagration closes
 the pattern with the Rankine-Hugoniot relations including the chemical
 enthalpy jump.  The one scalar unknown is the shocked-gas pressure, pinned
-by requiring the burnt gas to be at rest; it is found by safeguarded
-root-finding on an expanding bracket, and the returned pattern certifies
-itself by checking every jump relation.
+by requiring the burnt gas to be at rest; it is found on an expanding
+bracket by Brent's method, and the returned pattern certifies itself by
+checking every jump relation.
+
+The root finder ``_brentq`` is a statement-for-statement port of the C loop
+behind ``scipy.optimize.brentq`` (``brentq.c``, scipy 1.17), with the one
+call's settings as module constants; the tests check that its root is
+bitwise scipy's.  Porting the one call keeps ``scipy.optimize``, which costs
+about 0.3 s to import, out of every run: scipy serves only LAPACK ``gtsv``
+through ``stagflame.linalg``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import OracleError
 from .thermo import chemical_enthalpy, gas_constant_mix, z_from_fractions
 
 _REL_TOL = 1e-10
+
+# Brent's method settings: scipy's default xtol, its smallest allowed rtol
+_XTOL = 2e-12
+_RTOL = 4 * np.finfo(float).eps
+_MAXITER = 200
 
 
 @dataclass(frozen=True)
@@ -96,6 +107,85 @@ def _shock_state(mixture, p_fresh, rho_fresh, p):
     return rho, u, s
 
 
+def _brentq(f, xa, xb):
+    """Root of ``f`` in the bracket [xa, xb] by Brent's method.
+
+    The loop of scipy's ``brentq.c``, statement for statement: the same
+    interpolation, extrapolation and bisection branches and the same
+    tolerance test in the same floating-point order.  The arithmetic runs on
+    numpy doubles with every floating-point warning off, so it rounds and
+    overflows as the C code does.  Where scipy raises, this raises
+    OracleError: a NaN value of ``f``, a bracket without a sign change, and
+    no convergence in ``_MAXITER`` iterations.
+    """
+
+    def value(x):
+        fx = np.float64(f(x))
+        if np.isnan(fx):
+            raise OracleError(f"the shocked-gas pressure balance is NaN at p = {x:.6g}")
+        return fx
+
+    with np.errstate(all="ignore"):
+        xpre, xcur = np.float64(xa), np.float64(xb)
+        xblk = fblk = spre = scur = np.float64(0.0)
+        fpre = value(xpre)
+        fcur = value(xcur)
+        if fpre == 0:
+            return float(xpre)
+        if fcur == 0:
+            return float(xcur)
+        if np.signbit(fpre) == np.signbit(fcur):
+            raise OracleError("the shocked-gas pressure bracket has no sign change")
+        for _ in range(_MAXITER):
+            if fpre != 0 and fcur != 0 and np.signbit(fpre) != np.signbit(fcur):
+                xblk = xpre
+                fblk = fpre
+                spre = scur = xcur - xpre
+            if abs(fblk) < abs(fcur):
+                xpre, xcur, xblk = xcur, xblk, xcur
+                fpre, fcur, fblk = fcur, fblk, fcur
+
+            delta = (_XTOL + _RTOL * abs(xcur)) / 2
+            sbis = (xblk - xcur) / 2
+            if fcur == 0 or abs(sbis) < delta:
+                return float(xcur)
+
+            if abs(spre) > delta and abs(fcur) < abs(fpre):
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+                # MIN(fabs(spre), 3*fabs(sbis) - delta), with C's operand order
+                a, b = abs(spre), 3 * abs(sbis) - delta
+                if 2 * abs(stry) < (a if a < b else b):
+                    # good short step
+                    spre = scur
+                    scur = stry
+                else:
+                    # bisect
+                    spre = sbis
+                    scur = sbis
+            else:
+                # bisect
+                spre = sbis
+                scur = sbis
+
+            xpre = xcur
+            fpre = fcur
+            if abs(scur) > delta:
+                xcur += scur
+            else:
+                xcur += delta if sbis > 0 else -delta
+            fcur = value(xcur)
+    raise OracleError(
+        f"the shocked-gas pressure did not converge in {_MAXITER} iterations")
+
+
 def solve_deflagration_riemann(mixture, p_fresh, T_fresh, y_fresh, u_flame):
     """Solve the ignition Riemann problem for a flame of speed ``u_flame``.
 
@@ -141,13 +231,15 @@ def solve_deflagration_riemann(mixture, p_fresh, T_fresh, y_fresh, u_flame):
     lo = p_fresh
     hi = 2.0 * p_fresh
     try:
-        for _ in range(200):
-            if phi(hi) > 0.0:
-                break
-            hi *= 2.0
-        else:
-            raise OracleError("could not bracket the shocked-gas pressure")
-        p2 = brentq(phi, lo, hi, rtol=4 * np.finfo(float).eps, maxiter=200)
+        # an overflowing balance is not finite and fails the bracket test
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(200):
+                if phi(hi) > 0.0:
+                    break
+                hi *= 2.0
+            else:
+                raise OracleError("could not bracket the shocked-gas pressure")
+            p2 = _brentq(phi, lo, hi)
     except OverflowError:
         raise OracleError("the shocked-gas pressure balance overflows") from None
 
@@ -210,8 +302,8 @@ def _certify(pattern):
         raise OracleError(f"jump relation residual {worst:.3e} exceeds {_REL_TOL:.1e}")
     if pattern.s_shock <= pattern.s_flame:
         raise OracleError(
-            f"precursor speed {pattern.s_shock!r} does not outrun "
-            f"the flame {pattern.s_flame!r}"
+            f"precursor speed {pattern.s_shock:.6g} does not outrun "
+            f"the flame {pattern.s_flame:.6g}"
         )
     return pattern
 

@@ -1,4 +1,5 @@
-"""Every function, method and class in ``src/stagflame`` has a use there.
+"""Every function, method and class in ``src/stagflame`` has a use there,
+and the package loads no more of scipy than LAPACK.
 
 Code that only tests call belongs in ``tests/``.  The check is by name: a
 definition counts as used when a name or an attribute spelled like it is
@@ -7,6 +8,8 @@ do not count, and dunder methods are skipped.
 """
 
 import ast
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -53,3 +56,23 @@ def test_every_definition_is_used_in_src():
     assert {k: v for k, v in unused.items() if k not in EXEMPT} == {}
     # an exemption whose name is gone or has found a caller must be dropped
     assert EXEMPT <= set(unused)
+
+
+# Prints the public scipy subpackages a fresh interpreter has loaded once
+# the command-line entry point is imported.
+_IMPORT_PROBE = (
+    "import sys\n"
+    "sys.path.insert(0, sys.argv[1])\n"
+    "import stagflame.cli\n"
+    "print(*sorted(name[6:] for name, module in sys.modules.items()\n"
+    "              if name.startswith('scipy.') and name.count('.') == 1\n"
+    "              and not name[6:].startswith('_') and hasattr(module, '__path__')))\n"
+)
+
+
+def test_only_scipy_linalg_is_imported():
+    # scipy serves LAPACK gtsv alone: scipy.optimize would add about 0.3 s
+    # to every cold start, so the oracle carries its own port of brentq
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(SRC.parent)],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["linalg"]

@@ -1,8 +1,15 @@
+import math
+import random
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
+from stagflame import oracle
 from stagflame.errors import OracleError
 from stagflame.grid import build_uniform_grid
+from stagflame.harness import CaseConfig
 from stagflame.oracle import (
     asymptotic_composition,
     exact_cell_averages,
@@ -144,6 +151,128 @@ def test_overflowing_flame_speed_is_an_oracle_error():
     y = mass_fractions_from_molar(mix, 2.0 / 7.0, 1.0 / 7.0, 4.0 / 7.0)
     with pytest.raises(OracleError, match="overflow"):
         solve_deflagration_riemann(mix, P_FRESH, T_FRESH, y, 1e300)
+
+
+def test_overflowing_fresh_pressure_is_an_oracle_error():
+    # the pressure balance overflows to inf, then NaN, while the bracket
+    # doubles; under warnings-as-errors that must not surface as a warning
+    mix = benchmark_mixture()
+    y = mass_fractions_from_molar(mix, 2.0 / 7.0, 1.0 / 7.0, 4.0 / 7.0)
+    with pytest.raises(OracleError, match="could not bracket"):
+        solve_deflagration_riemann(mix, 1e300, T_FRESH, y, U_FLAME)
+
+
+def test_oracle_messages_print_plain_numbers():
+    mix = CaseConfig(W_N=1e300).mixture()
+    y = mass_fractions_from_molar(mix, 2.0 / 7.0, 1.0 / 7.0, 4.0 / 7.0)
+    with pytest.raises(OracleError, match="does not outrun") as info:
+        solve_deflagration_riemann(mix, P_FRESH, T_FRESH, y, U_FLAME)
+    message = str(info.value)
+    assert "np.float64" not in message
+    assert "precursor speed 7.59265e-149 does not outrun the flame 63" in message
+
+
+# ---------------------------------------------------------------------------
+# the root finder: a port of scipy's brentq
+
+
+def scipy_root(f, a, b):
+    """The call the port replaces: scipy's brentq with the oracle's settings."""
+    return brentq(f, a, b, xtol=oracle._XTOL, rtol=oracle._RTOL,
+                  maxiter=oracle._MAXITER)
+
+
+def bitwise_run(solve, f, a, b):
+    """Hex strings of every point ``solve`` evaluates f at, then of its root."""
+    points = []
+
+    def traced(x):
+        points.append(float(x).hex())
+        return f(x)
+
+    root = solve(traced, a, b)
+    assert type(root) is float
+    return points + [root.hex()]
+
+
+def test_root_is_bitwise_scipy_over_random_oracle_problems(monkeypatch):
+    port = oracle._brentq
+    runs = []
+
+    def compare(f, a, b):
+        mine = bitwise_run(port, f, a, b)
+        runs.append((mine, bitwise_run(scipy_root, f, a, b)))
+        return float.fromhex(mine[-1])
+
+    monkeypatch.setattr(oracle, "_brentq", compare)
+    base = benchmark_mixture()
+    rng = random.Random(5)
+    for _ in range(1000):
+        u_flame = 10.0 ** rng.uniform(-3.0, 3.5)
+        p_fresh = 10.0 ** rng.uniform(2.0, 8.0)
+        T_fresh = rng.uniform(150.0, 2500.0)
+        mix = replace(base, gamma=rng.uniform(1.05, 1.9))
+        x_F = rng.uniform(0.01, 0.5)
+        x_O = rng.uniform(0.01, 0.45)
+        y = mass_fractions_from_molar(mix, x_F, x_O, 1.0 - x_F - x_O)
+        try:
+            solve_deflagration_riemann(mix, p_fresh, T_fresh, y, u_flame)
+        except OracleError:
+            pass  # a few patterns fail certification after the root solve
+    assert len(runs) == 1000
+    assert [mine for mine, _ in runs] == [want for _, want in runs]
+
+
+BRANCH_CASES = {
+    # interpolation, extrapolation and accepted short steps only
+    "cubic": (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
+    # rejected extrapolations fall back to bisection
+    "exponential": (lambda x: math.exp(x) - 1e4, 0.0, 20.0),
+    # extrapolations that overshoot 3/4 of the bracket are refused
+    "steep exponential": (lambda x: math.exp(-22.0 * (x - 0.4)) - 1.0, 0.0, 1.0),
+    # a flat triple root: both bisection branches, over 100 iterations
+    "triple root": (lambda x: (x - 1.0) ** 3, 0.0, 3.0),
+    # equal |f| on both sides: every step bisects
+    "step": (lambda x: -1.0 if x < 1.0 / 3.0 else 1.0, 0.0, 1.0),
+    # f(a) f(b) underflows to -0: the sign test must use the sign bits
+    "tiny values": (lambda x: 1e-200 * (0.3 - x), 0.0, 1.0),
+    # exact zeros at either end of the bracket are returned as they are
+    "zero at a": (lambda x: x - 1.0, 1.0, 2.0),
+    "zero at b": (lambda x: x - 1.0, 0.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BRANCH_CASES))
+def test_root_is_bitwise_scipy_on_analytic_functions(name):
+    f, a, b = BRANCH_CASES[name]
+    assert bitwise_run(oracle._brentq, f, a, b) == bitwise_run(scipy_root, f, a, b)
+
+
+def test_root_finder_refuses_nan_values():
+    f = lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5
+    with pytest.raises(ValueError, match="NaN"):
+        scipy_root(f, 0.0, 1.0)
+    with pytest.raises(OracleError, match="NaN"):
+        oracle._brentq(f, 0.0, 1.0)
+
+
+def test_root_finder_stops_at_the_iteration_cap():
+    # bisecting [0, 1e300] down to the jump at 1 takes about 1000 halvings
+    f = lambda x: -1.0 if x < 1.0 else 1.0
+    with pytest.raises(RuntimeError, match="converge"):
+        scipy_root(f, 0.0, 1e300)
+    with pytest.raises(OracleError, match="did not converge in 200 iterations"):
+        oracle._brentq(f, 0.0, 1e300)
+
+
+@pytest.mark.parametrize("value", [1.0, 1e-200])
+def test_root_finder_needs_a_sign_change(value):
+    # with 1e-200 the product f(a) f(b) underflows to 0; the sign bits agree
+    f = lambda x: value * (x * x + 1.0)
+    with pytest.raises(ValueError, match="different signs"):
+        scipy_root(f, -1.0, 1.0)
+    with pytest.raises(OracleError, match="no sign change"):
+        oracle._brentq(f, -1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
