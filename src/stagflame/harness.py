@@ -67,6 +67,9 @@ _RANGES = {
     "nonlinear_tol": (0.0, 1.0, False, False),
     "max_iterations": (1, None, True, False),
 }
+# Face-scheme keys: implicit mode reads none of them.
+_EXPLICIT_ONLY_KEYS = ("limiter", "zeta_minus", "zeta_plus", "neighbor_policy",
+                       "s_max")
 
 
 def _range_error(key, value):
@@ -154,10 +157,14 @@ class CaseConfig:
         if self.cfl is not None:
             if self.time_mode == "explicit-limited" and self.cfl > 1.0:
                 raise ConfigError("cfl must lie in (0, 1] for explicit-limited mode")
-        if self.time_mode == "implicit-upwind" and self.limiter != "upwind":
-            raise ConfigError(f"limiter = {self.limiter} needs time_mode = "
-                              f"explicit-limited: implicit mode always "
-                              f"convects with upwind faces")
+        if self.time_mode == "implicit-upwind":
+            # the face-scheme keys take effect only in explicit-limited mode
+            for f in dc_fields(self):
+                value = getattr(self, f.name)
+                if f.name in _EXPLICIT_ONLY_KEYS and value != f.default:
+                    raise ConfigError(f"{f.name} = {value} needs time_mode = "
+                                      f"explicit-limited: implicit mode always "
+                                      f"convects with upwind faces")
         if self.epsilon is None and self.epsilon_per_h is None:
             # benchmark-calibrated default; see the convergence-study metadata
             self.epsilon_per_h = 1e-2

@@ -8,10 +8,49 @@ LAPACK ``gtsv``, the routine scipy calls for that band, without scipy's
 batch wrapper and input conversion; its results are bitwise the same.
 ``upwind_band`` builds the one implicit upwind operator of the scheme, which
 the mass balance and every implicit scalar balance share.
+
+``dgtsv`` comes from scipy's f2py extension ``scipy.linalg._flapack``,
+loaded from its file under that name.  Importing it the usual way would
+first run the package init of ``scipy`` and ``scipy.linalg``, which costs a
+cold start more than numpy does, for this one function.  CPython keeps one
+copy of a single-phase extension per name and file, so ``dgtsv`` is the
+same object as ``scipy.linalg.lapack.dgtsv`` whichever is imported first.
 """
 
+import os
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import find_spec, module_from_spec, spec_from_file_location
+
 import numpy as np
-from scipy.linalg.lapack import dgtsv
+
+FLAPACK = "scipy.linalg._flapack"
+
+
+def load_flapack(scipy_dir):
+    """The extension ``scipy.linalg._flapack`` of the scipy at ``scipy_dir``.
+
+    Neither ``scipy`` nor ``scipy.linalg`` is imported.  Raises
+    ``ImportError`` when ``scipy_dir/linalg`` holds no such extension.
+    """
+    linalg_dir = os.path.join(scipy_dir, "linalg")
+    for suffix in EXTENSION_SUFFIXES:
+        path = os.path.join(linalg_dir, "_flapack" + suffix)
+        if os.path.isfile(path):
+            break
+    else:
+        raise ImportError(f"no LAPACK extension _flapack in {linalg_dir} "
+                          f"(scipy found at {scipy_dir})")
+    loader = ExtensionFileLoader(FLAPACK, path)
+    module = module_from_spec(spec_from_file_location(FLAPACK, path,
+                                                      loader=loader))
+    loader.exec_module(module)
+    return module
+
+
+_scipy = find_spec("scipy")
+if _scipy is None:
+    raise ImportError("stagflame needs scipy for LAPACK gtsv; none is installed")
+dgtsv = load_flapack(_scipy.submodule_search_locations[0]).dgtsv
 
 
 def solve_banded(l_and_u, ab, b, overwrite_ab=False, overwrite_b=False,

@@ -17,8 +17,9 @@ The root finder ``_brentq`` is a statement-for-statement port of the C loop
 behind ``scipy.optimize.brentq`` (``brentq.c``, scipy 1.17), with the one
 call's settings as module constants; the tests check that its root is
 bitwise scipy's.  Porting the one call keeps ``scipy.optimize``, which costs
-about 0.3 s to import, out of every run: scipy serves only LAPACK ``gtsv``
-through ``stagflame.linalg``.
+about 0.3 s to import, out of every run: scipy serves only LAPACK ``gtsv``,
+which ``stagflame.linalg`` loads from scipy's extension module without
+importing ``scipy`` itself.
 """
 
 from dataclasses import dataclass

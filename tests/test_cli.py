@@ -50,6 +50,10 @@ def test_bad_config_line_is_a_config_error(tmp_path, capsys):
     ("max_iterations=x", "'max_iterations' needs an integer"),
     ("limiter=antidiffusive",
      "implicit mode always convects with upwind faces"),
+    ("zeta_minus=0.5", "zeta_minus = 0.5 needs time_mode = explicit-limited"),
+    ("neighbor_policy=upstream_cells",
+     "neighbor_policy = upstream_cells needs time_mode = explicit-limited"),
+    ("s_max=1.5", "s_max = 1.5 needs time_mode = explicit-limited"),
 ])
 def test_bad_config_values_are_config_errors(config_file, capsys, override,
                                              reason):

@@ -1,9 +1,15 @@
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from stagflame.grid import build_uniform_grid
-from stagflame.linalg import solve_banded, upwind_band, upwind_mass_solve
+from stagflame.linalg import (load_flapack, solve_banded, upwind_band,
+                              upwind_mass_solve)
 from stagflame.transport import primal_mass_flux
 
 
@@ -28,6 +34,35 @@ def test_solve_banded_is_bitwise_scipy(n, dominance):
         B = rng.normal(size=(n, 3))
         want = scipy.linalg.solve_banded((1, 1), ab, B)
         assert np.array_equal(solve_banded((1, 1), ab, B), want)
+
+
+# Imports the two modules in the order given and prints whether both hold
+# the same gtsv.
+_SAME_GTSV_PROBE = (
+    "import importlib, sys\n"
+    "sys.path.insert(0, sys.argv[1])\n"
+    "for name in sys.argv[2:]:\n"
+    "    importlib.import_module(name)\n"
+    "import stagflame.linalg, scipy.linalg.lapack\n"
+    "print(stagflame.linalg.dgtsv is scipy.linalg.lapack.dgtsv)\n"
+)
+
+
+@pytest.mark.parametrize("order", [("stagflame.linalg", "scipy.linalg.lapack"),
+                                   ("scipy.linalg.lapack", "stagflame.linalg")])
+def test_dgtsv_is_scipys_whichever_loads_first(order):
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", _SAME_GTSV_PROBE, str(src),
+                           *order], capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["True"]
+
+
+def test_missing_lapack_extension_is_an_import_error(tmp_path):
+    # the message names the directory searched and the scipy it belongs to
+    want = (f"no LAPACK extension _flapack in {tmp_path / 'linalg'} "
+            f"(scipy found at {tmp_path})")
+    with pytest.raises(ImportError, match=re.escape(want)):
+        load_flapack(str(tmp_path))
 
 
 def test_solve_banded_overwrite_flags_keep_the_result():
