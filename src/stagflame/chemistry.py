@@ -103,7 +103,7 @@ def flame_advection_field(G, config, grid):
     G_hat[n] = G[-1]
     a = np.zeros(n + 1)
     grad = (G_hat[2:] - G_hat[:-2]) / (2.0 * h)
-    span = float(np.max(G) - np.min(G))
+    span = float(G.max() - G.min())
     cut = config.grad_threshold * span / h
     sign = np.sign(grad)
     sign[np.abs(grad) < cut] = 0.0

@@ -81,10 +81,13 @@ class CorrectionResult:
 @dataclass
 class EulerResult(CorrectionResult):
     """Everything one flow step produces: the corrected fields plus the
-    kinetic energy the prediction dissipated and its cell source."""
+    kinetic energy the prediction dissipated and its cell source, and the
+    dual density ``rho_d_n`` of the step's starting density, which is the
+    previous-level dual density of the new state."""
 
     kinetic_residual: np.ndarray
     source: np.ndarray
+    rho_d_n: np.ndarray
 
 
 def pressure_gradient(p, grid):
@@ -155,14 +158,16 @@ def compensation_source(R, grid):
     return (wR[:-1] + wR[1:]) / grid.cell_volumes
 
 
-def face_kinetic_energy(state):
+def face_kinetic_energy(state, rho_d_prev=None):
     """Kinetic energy per unit volume of each dual cell.
 
-    It pairs the new velocity with the previous-level dual density and
+    It pairs the new velocity with the previous-level dual density
+    ``rho_d_prev`` (built from ``state.rho_prev`` when not given) and
     stores the pressure-gradient term that the correction equation
     exchanges with it.
     """
-    rho_d_prev = dual_density(state.grid, state.rho_prev)
+    if rho_d_prev is None:
+        rho_d_prev = dual_density(state.grid, state.rho_prev)
     g = pressure_gradient(state.p, state.grid)
     return 0.5 * rho_d_prev * state.u**2 + state.dt**2 * g**2 / (2.0 * rho_d_prev)
 
@@ -175,7 +180,7 @@ def cell_kinetic_energy(state):
     return (dv[:-1] * ek[:-1] + dv[1:] * ek[1:]) / (2.0 * grid.cell_volumes)
 
 
-def total_energy(state):
+def total_energy(state, rho_d_prev=None, e_s=None):
     """Discrete total energy of a state (J per unit cross-section).
 
     Sensible and chemical internal energy over the cells (the chemical part
@@ -183,13 +188,20 @@ def total_energy(state):
     balance) plus kinetic energy over the interior dual cells, including the
     pressure-gradient storage term.  Exactly conserved by the full step up
     to the nonlinear solver tolerance.
+
+    A caller that already holds the dual density of ``state.rho_prev`` (the
+    step that made ``state`` built it as its ``rho_d_n``) or ``state.e_s``
+    passes them as ``rho_d_prev`` and ``e_s``; the result is bitwise the
+    same, since each is then computed once instead of twice.
     """
     grid = state.grid
     mix = state.mixture
+    if e_s is None:
+        e_s = state.e_s
     hc = chemical_enthalpy(mix, state.y_F, state.y_O, state.y_N, state.y_P)
-    e_int = np.sum(grid.cell_volumes * (state.rho * state.e_s + state.rho_prev * hc))
-    ek = face_kinetic_energy(state)
-    e_kin = np.sum(grid.dual_volumes[1:-1] * ek[1:-1])
+    e_int = (grid.cell_volumes * (state.rho * e_s + state.rho_prev * hc)).sum()
+    ek = face_kinetic_energy(state, rho_d_prev)
+    e_kin = (grid.dual_volumes[1:-1] * ek[1:-1]).sum()
     return float(e_int + e_kin)
 
 
@@ -233,8 +245,8 @@ class _CorrectionSystem:
         self.hs_known = (self.hdt * (state.p - rhoh_n)
                          - grid.cell_volumes * source)
         hdt0 = float(self.hdt[0])
-        self.mass_scale = hdt0 * max(float(np.max(np.abs(state.rho))), 1e-300)
-        self.hs_scale = hdt0 * max(float(np.max(np.abs(rhoh_n))), 1e-300)
+        self.mass_scale = hdt0 * max(float(np.abs(state.rho).max()), 1e-300)
+        self.hs_scale = hdt0 * max(float(np.abs(rhoh_n).max()), 1e-300)
 
     def velocity(self, p):
         u = np.zeros(self.n + 1)
@@ -263,7 +275,7 @@ class _CorrectionSystem:
         return r, (dp, u, pos, p_up)
 
     def norm(self, r):
-        return float(np.max(np.abs(r))) / self.hs_scale
+        return float(np.abs(r).max()) / self.hs_scale
 
     def jacobian(self, lin):
         """Tridiagonal Jacobian at the point of ``lin``, in band storage.
@@ -304,7 +316,7 @@ class _CorrectionSystem:
                                  check_finite=False)
         except np.linalg.LinAlgError:
             return None, "singular Jacobian"
-        if not np.all(np.isfinite(delta)):
+        if not np.isfinite(delta).all():
             return None, "non-finite Newton step"
         return delta, None
 
@@ -314,7 +326,7 @@ class _CorrectionSystem:
 
     def mass_norm(self, rho, flux):
         r = self.hdt * (rho - self.rho_n) + flux[1:] - flux[:-1]
-        return float(np.max(np.abs(r))) / self.mass_scale
+        return float(np.abs(r).max()) / self.mass_scale
 
 
 def correction_solve(state, u_tilde, sgp, dt, source, cfg, rho_d_n):
@@ -349,7 +361,7 @@ def correction_solve(state, u_tilde, sgp, dt, source, cfg, rho_d_n):
                 if delta is not None:
                     p_next = p + delta
                     res_next = sys_.norm(sys_.residual(p_next)[0])
-                    if res_next < res and np.min(p_next) > 0.0:
+                    if res_next < res and p_next.min() > 0.0:
                         p, res = p_next, res_next
             u = sys_.velocity(p)
             rho = sys_.density(u)
@@ -372,7 +384,7 @@ def correction_solve(state, u_tilde, sgp, dt, source, cfg, rho_d_n):
             break
         alpha = 1.0
         trial = p + delta
-        while alpha > 1e-6 and np.min(trial) <= 0.0:
+        while alpha > 1e-6 and trial.min() <= 0.0:
             alpha *= 0.5
             trial = p + alpha * delta
         p = trial
@@ -401,7 +413,8 @@ def euler_step(state, omega_theta, dt, cfg):
     S = compensation_source(R, grid)
     corr = correction_solve(state, u_tilde, sgp, dt, omega_theta + S, cfg,
                             rho_d_n)
-    return EulerResult(**vars(corr), kinetic_residual=R, source=S)
+    return EulerResult(**vars(corr), kinetic_residual=R, source=S,
+                       rho_d_n=rho_d_n)
 
 
 def internal_energy_residual(state_n, state_next, chem_face_values, S):

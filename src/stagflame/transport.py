@@ -92,7 +92,7 @@ def cfl_number(F, rho_next, dt, grid):
     """Material CFL number max_K dt (|F_left| + |F_right|) / (rho_K |K|)."""
     F = np.asarray(F)
     through = np.abs(F[:-1]) + np.abs(F[1:])
-    return float(np.max(dt * through / (np.asarray(rho_next) * grid.cell_volumes)))
+    return float((dt * through / (np.asarray(rho_next) * grid.cell_volumes)).max())
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,9 @@ def test_unsolvable_correction_is_a_step_failure(config_file, capsys):
     code = main(["run", config_file, "--set", "nonlinear_tol=1e-14",
                  "--set", "max_iterations=1"])
     assert code == EXIT_STEP
-    assert "step failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # the message names the step and the time it started from
+    assert err.startswith("step failure: step 1 (t = 0.002): correction solve")
 
 
 def test_oracle_verb_prints_pattern_and_samples(config_file, tmp_path, capsys):

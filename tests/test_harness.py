@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from stagflame import chemistry, harness
 from stagflame.chemistry import ChemStepConfig
-from stagflame.errors import ConfigError, StepFailure
+from stagflame.errors import ConfigError, StepFailure, require_fraction
 from stagflame.grid import build_uniform_grid
 from stagflame.harness import (
     CaseConfig,
@@ -20,7 +21,12 @@ from stagflame.harness import (
     write_sweep_csv,
 )
 from stagflame.hydro import CorrectionSolveConfig, total_energy
-from stagflame.transport import LimiterParams, cfl_number, primal_mass_flux
+from stagflame.transport import (
+    LimiterParams,
+    cfl_number,
+    dual_density,
+    primal_mass_flux,
+)
 from helpers import benchmark_mixture, make_state
 
 
@@ -265,17 +271,78 @@ def test_explicit_mode_gates_the_material_cfl():
     assert run_case(CaseConfig(**cfg)).n_steps == 4
 
 
-def test_advance_info_contract():
+def test_advance_info_contract(monkeypatch):
     setup = initialize_case(CaseConfig(n_cells=40))
+    # each fraction is gated once per step, by chemistry_step
+    gated = []
+
+    def counting(name, values):
+        gated.append(name)
+        return require_fraction(name, values)
+
+    monkeypatch.setattr(chemistry, "require_fraction", counting)
+    monkeypatch.setattr(harness, "require_fraction", counting)
     new_state, info = advance(setup.state, setup.chem_config, setup.solver_config)
+    assert gated == ["G", "y_F", "y_O", "y_N", "y_P"]
     for key in ("cfl", "correction_residual", "correction_iterations",
                 "kinetic_residual_total", "max_sum_y_error",
-                "chem_face_values", "compensation_source", "omega_theta"):
+                "chem_face_values", "compensation_source", "omega_theta",
+                "rho_d_prev", "e_s"):
         assert key in info
     assert info["correction_residual"] <= setup.solver_config.nonlinear_tol
     assert info["max_sum_y_error"] <= 1e-10
     assert new_state.dt == setup.state.dt
     assert new_state.rho_prev is setup.state.rho
+    # the audit inputs are those total_energy(new_state) builds itself
+    assert np.array_equal(info["rho_d_prev"],
+                          dual_density(new_state.grid, new_state.rho_prev))
+    assert np.array_equal(info["e_s"], new_state.e_s)
+
+
+def _corrupt_rho(flow):
+    flow.rho[2] = -1.0
+
+
+def _corrupt_e_s(flow):
+    flow.h_s[2] = 0.5 * flow.p[2] / flow.rho[2]  # e_s = h_s - p / rho < 0
+
+
+def _drift_sum(chem):
+    chem.y_N[2] += 1e-6  # inside [0, 1], so only the sum gate sees it
+
+
+@pytest.mark.parametrize("stage,corrupt,message", [
+    ("euler_step", _corrupt_rho, r"non-positive density -1\.000e\+00"),
+    ("euler_step", _corrupt_e_s, r"non-positive sensible energy -\d\.\d{3}e\+\d\d"),
+    ("chemistry_step", _drift_sum,
+     r"mass fractions sum drifted from 1 by 1\.000e-06"),
+])
+def test_advance_gates_rho_e_s_and_the_fraction_sum(monkeypatch, stage,
+                                                    corrupt, message):
+    # the flow fields and the fraction sum of the new state are gated in
+    # advance; a run names the step that failed and the time it started from
+    setup = initialize_case(CaseConfig(n_cells=24))
+    original = getattr(harness, stage)
+    calls = []
+
+    def corrupting(*args):
+        result = original(*args)
+        calls.append(1)
+        if len(calls) == 3:
+            corrupt(result)
+        return result
+
+    monkeypatch.setattr(harness, stage, corrupting)
+    state = setup.state
+    for _ in range(2):
+        state, _ = advance(state, setup.chem_config, setup.solver_config)
+    with pytest.raises(StepFailure, match=rf"^{message}$"):
+        advance(state, setup.chem_config, setup.solver_config)
+    calls.clear()
+    t_from = setup.t_initial + 2 * setup.dt
+    with pytest.raises(StepFailure,
+                       match=rf"^step 3 \(t = {t_from:.9g}\): {message}$"):
+        run_case(CaseConfig(n_cells=24))
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +361,48 @@ def test_run_case_small_benchmark():
     assert last["used_fallback"] == 0
     assert last["max_sum_y_error"] <= 1e-10
     assert -1e-10 <= last["min_G"] and last["max_G"] <= 1.0 + 1e-10
+
+
+def test_run_without_diagnostics_audits_start_and_end(monkeypatch):
+    # only the last drift is kept, so only e0 and the final state are audited
+    cfg = CaseConfig(n_cells=40, t_end=0.0024)
+    audits = []
+
+    def counting(*args):
+        audits.append(args[0])
+        return total_energy(*args)
+
+    monkeypatch.setattr(harness, "total_energy", counting)
+    off = run_case(cfg, collect_diagnostics=False)
+    assert len(audits) == 2
+    assert off.diagnostics == []
+    on = run_case(cfg)
+    assert len(audits) == 3 + on.n_steps
+    assert off.energy_drift_rel == on.energy_drift_rel
+    assert off.energy_drift_rel == on.diagnostics[-1]["energy_drift_rel"]
+    assert off.errors == on.errors
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(t_end=0.0021),  # the implicit-250 benchmark case, six steps of it
+    dict(n_cells=200, t_end=0.0021, time_mode="explicit-limited",
+         limiter="antidiffusive"),
+])
+def test_audited_energy_equals_a_fresh_total_energy(monkeypatch, overrides):
+    # the audit reuses the step's dual density and e_s; recomputed from the
+    # state alone, every step's energy must come out bit for bit the same
+    states = []
+
+    def recording(*args):
+        new_state, info = advance(*args)
+        states.append(new_state)
+        return new_state, info
+
+    monkeypatch.setattr(harness, "advance", recording)
+    result = run_case(CaseConfig(**overrides))
+    assert len(states) == len(result.diagnostics) == result.n_steps >= 5
+    for state, row in zip(states, result.diagnostics):
+        assert row["energy_total"] == total_energy(state)
 
 
 def test_l1_error_decreases_with_mesh():
