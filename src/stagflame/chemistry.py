@@ -19,9 +19,15 @@ reaction term), an explicit step two (G and y_F, on a band holding only the
 cell masses and those terms).  The benchmark's span recorder counts and
 times the solves and the face values by wrapping this module's
 ``solve_banded`` and ``face_values`` attributes, so the names must stay.
+
+The face values each species balance convected are reported for the energy
+audit alone (``ChemResult.face_values``).  An explicit step has them from its
+transport; an implicit step's upwind faces follow from the new fractions
+and are built only when read.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -72,9 +78,10 @@ class ChemStepConfig:
 
 @dataclass
 class ChemResult:
-    """Output of one chemistry step: new scalars, the heat release actually
-    applied, and the face values each species balance convected with the
-    step's mass fluxes (needed to audit the total-energy budget)."""
+    """Output of one chemistry step: new scalars and the heat release
+    actually applied.  ``flux`` holds the mass fluxes the species were
+    convected with, and ``explicit_faces`` the z, y_F, y_O and y_N faces an
+    explicit step convected (None in implicit mode)."""
 
     G: np.ndarray
     z: np.ndarray
@@ -83,7 +90,25 @@ class ChemResult:
     y_N: np.ndarray
     y_P: np.ndarray
     omega_theta: np.ndarray
-    face_values: dict
+    flux: np.ndarray
+    mixture: object
+    explicit_faces: dict = None
+
+    @cached_property
+    def face_values(self):
+        """The face values of z, y_F, y_O, y_N and y_P that each species
+        balance convected with ``flux`` (needed to audit the total-energy
+        budget), built on first read.  Implicit faces are the upwind values
+        of the new z, y_N and y_F, with y_O's derived from them; the closure
+        y_P's follow from the others in either mode."""
+        faces = self.explicit_faces
+        if faces is None:
+            z = upwind_face_values(self.z, self.flux)
+            y_N = upwind_face_values(self.y_N, self.flux)
+            y_F = upwind_face_values(self.y_F, self.flux)
+            faces = {"z": z, "y_F": y_F,
+                     "y_O": y_O_from_z(self.mixture, y_F, z), "y_N": y_N}
+        return {**faces, "y_P": 1.0 - faces["y_F"] - faces["y_O"] - faces["y_N"]}
 
 
 def flame_advection_field(G, config, grid):
@@ -215,7 +240,8 @@ def chemistry_step(state, dt, config):
     z_next = _advance_scalar(step, state.z, z_face)
     yN_next = _advance_scalar(step, state.y_N, yN_face)
 
-    burn = grid.cell_volumes / eps * np.maximum(0.5 - G_next, 0.0)
+    burning = np.maximum(0.5 - G_next, 0.0)
+    burn = grid.cell_volumes / eps * burning
     z_plus = np.maximum(z_next, 0.0)
     yF_next = _advance_scalar(step, state.y_F, yF_face, reaction_diag=burn,
                               reaction_rhs=burn * mix.nu_F * mix.W_F * z_plus)
@@ -229,20 +255,14 @@ def chemistry_step(state, dt, config):
 
     # heat release actually applied: Lambda / eps * eta(y^{n+1}) (1/2 - G)^+
     eta_next = yF_next / (mix.nu_F * mix.W_F) - z_plus
-    omega_theta = (
-        mix.reaction_heat_coefficient / eps
-        * eta_next * np.maximum(0.5 - G_next, 0.0)
-    )
+    omega_theta = mix.reaction_heat_coefficient / eps * eta_next * burning
 
-    if not explicit:
-        z_face = upwind_face_values(z_next, step.F)
-        yN_face = upwind_face_values(yN_next, step.F)
-        yF_face = upwind_face_values(yF_next, step.F)
-        yO_face = y_O_from_z(mix, yF_face, z_face)
-    yP_face = 1.0 - yF_face - yO_face - yN_face
+    explicit_faces = None
+    if explicit:
+        explicit_faces = {"z": z_face, "y_F": yF_face, "y_O": yO_face,
+                         "y_N": yN_face}
     return ChemResult(
         G=G_next, z=z_next, y_F=yF_next, y_O=yO_next, y_N=yN_next,
-        y_P=yP_next, omega_theta=omega_theta,
-        face_values={"z": z_face, "y_F": yF_face, "y_O": yO_face,
-                     "y_N": yN_face, "y_P": yP_face},
+        y_P=yP_next, omega_theta=omega_theta, flux=step.F, mixture=mix,
+        explicit_faces=explicit_faces,
     )

@@ -402,24 +402,38 @@ def check_state_gates(state, e_s=None, fractions=True):
     return err
 
 
-def advance(state, chem_config, solver_config):
+def advance(state, chem_config, solver_config, carry=None):
     """One full step: chemistry then flow; returns (new_state, info dict).
 
     In explicit-limited mode the step first checks the material CFL of the
     state's fluxes and density, the one its chemistry step runs at: the
     discrete maximum principle of the limited schemes needs it at most 1,
     and ``dt`` stays fixed after setup.
+
+    ``carry`` is the info dict of the step that made ``state``: the step
+    takes the arrays of the state's level from it (the dual density of
+    ``state.rho_prev``, the pressure gradient of ``state.p`` and the
+    material CFL) instead of rebuilding them.  Without it they are built
+    from the state, with the same bits.  The info dict hands over the same
+    quantities of the new state (``rho_d_prev``, ``grad_p``, ``cfl``) and
+    its ``e_s``; ``info["chemistry"]`` is the chemistry step's
+    ``ChemResult``, whose face values are built when read.
     """
     dt = state.dt
+    rho_d_prev = grad_p = cfl = None
+    if carry is not None:
+        rho_d_prev, grad_p, cfl = carry["rho_d_prev"], carry["grad_p"], carry["cfl"]
     if chem_config.time_mode == "explicit-limited":
-        cfl = cfl_number(state.flux, state.rho, dt, state.grid)
+        if cfl is None:
+            cfl = cfl_number(state.flux, state.rho, dt, state.grid)
         if not cfl <= 1.0:
             raise StepFailure(
                 f"material CFL {cfl:.4f} exceeds 1 in explicit-limited mode "
                 f"(dt {dt:.6e}); the limited face values need CFL <= 1"
             )
     chem = chemistry_step(state, dt, chem_config)
-    flow = euler_step(state, chem.omega_theta, dt, solver_config)
+    flow = euler_step(state, chem.omega_theta, dt, solver_config, rho_d_prev,
+                      grad_p)
     new_state = FieldState(
         grid=state.grid, mixture=state.mixture, dt=dt,
         rho_prev=state.rho, rho=flow.rho, u=flow.u, p=flow.p, h_s=flow.h_s,
@@ -435,12 +449,13 @@ def advance(state, chem_config, solver_config):
         "correction_iterations": flow.iterations,
         "kinetic_residual_total": float(flow.kinetic_residual.sum()),
         "max_sum_y_error": sum_y_error,
-        "chem_face_values": chem.face_values,
+        "chemistry": chem,
         "compensation_source": flow.source,
-        "omega_theta": chem.omega_theta,
-        # what total_energy(new_state) would rebuild: the dual density of
-        # new_state.rho_prev, and e_s
+        # what total_energy(new_state) and the next step would rebuild: the
+        # dual density of new_state.rho_prev, the pressure gradient of
+        # new_state.p, and e_s
         "rho_d_prev": flow.rho_d_n,
+        "grad_p": flow.grad_p,
         "e_s": e_s,
     }
     return new_state, info
@@ -463,7 +478,8 @@ def run_case(config, collect_diagnostics=True):
     """Run a case from t_start to t_end with the fixed step chosen at setup.
 
     The total energy is audited after every step when diagnostics are
-    collected, otherwise only after the last one, the only drift kept.  A
+    collected, otherwise only after the last one, the only drift kept.
+    Each step hands its info dict to the next one as ``carry``.  A
     StepFailure is raised again with the step index and the time the step
     started from in front of its message.
     """
@@ -471,16 +487,19 @@ def run_case(config, collect_diagnostics=True):
     state = setup.state
     e0 = total_energy(state)
     rows = []
+    info = None
     started = time.perf_counter()
     for step in range(1, setup.n_steps + 1):
         try:
-            state, info = advance(state, setup.chem_config, setup.solver_config)
+            state, info = advance(state, setup.chem_config,
+                                  setup.solver_config, info)
         except StepFailure as exc:
             t_from = setup.t_initial + (step - 1) * setup.dt
             raise StepFailure(f"step {step} (t = {t_from:.9g}): {exc}") from exc
         t = setup.t_initial + step * setup.dt
         if collect_diagnostics or step == setup.n_steps:
-            e_now = total_energy(state, info["rho_d_prev"], info["e_s"])
+            e_now = total_energy(state, info["rho_d_prev"], info["e_s"],
+                                 info["grad_p"])
             drift = abs(e_now - e0) / abs(e0)
         if collect_diagnostics:
             rows.append({

@@ -14,6 +14,13 @@ The pieces are arranged so that a discrete total energy - sensible plus
 chemical plus kinetic including a pressure-gradient storage term - is
 conserved to the nonlinear solver tolerance.
 
+Each time level's dual density and pressure gradient are built once: a flow
+step returns the dual density of its starting density (``rho_d_n``, the
+previous-level dual density of the new state) and the gradient of its new
+pressure (``grad_p``), and the energy audit of the new state and the next
+step take them from there instead of rebuilding them.  Every function that
+accepts them builds them itself when they are not given.
+
 The prediction and every Newton step are tridiagonal solves through
 ``solve_banded``, imported from ``stagflame.linalg`` under scipy's name and
 argument order; the benchmark's span recorder counts and times them by
@@ -81,13 +88,15 @@ class CorrectionResult:
 @dataclass
 class EulerResult(CorrectionResult):
     """Everything one flow step produces: the corrected fields plus the
-    kinetic energy the prediction dissipated and its cell source, and the
-    dual density ``rho_d_n`` of the step's starting density, which is the
-    previous-level dual density of the new state."""
+    kinetic energy the prediction dissipated and its cell source, the dual
+    density ``rho_d_n`` of the step's starting density, which is the
+    previous-level dual density of the new state, and ``grad_p``, the
+    pressure gradient of the new pressure ``p``."""
 
     kinetic_residual: np.ndarray
     source: np.ndarray
     rho_d_n: np.ndarray
+    grad_p: np.ndarray
 
 
 def pressure_gradient(p, grid):
@@ -112,8 +121,11 @@ def predict_velocity(state, dual_flux, sgp, dt, rho_d_n, rho_d_nm1):
 
     Solves, on every interior face, the dual-cell momentum balance with
     centred face velocities and the frozen gradient ``sgp``; wall velocities
-    stay zero.  ``rho_d_n`` and ``rho_d_nm1`` are the dual densities of the
-    current and previous levels.  Returns the full face array.
+    stay zero, and the wall entries of ``state.u`` are never read.
+    ``rho_d_n`` and ``rho_d_nm1`` are the dual densities of the current and
+    previous levels.  Returns the full face array.  The band and the right
+    hand side are not scanned for NaN or inf: a non-finite input ends the
+    step in the correction solve's finiteness test.
     """
     n = state.grid.n_cells
     dv = state.grid.dual_volumes[1:-1]
@@ -127,7 +139,8 @@ def predict_velocity(state, dual_flux, sgp, dt, rho_d_n, rho_d_nm1):
     ab[2, -1] = 0.0
     rhs = hdt * rho_d_nm1[1:-1] * state.u[1:-1] - dv * sgp[1:-1]
     u_tilde = np.zeros(n + 1)
-    u_tilde[1:n] = solve_banded((1, 1), ab, rhs)
+    u_tilde[1:n] = solve_banded((1, 1), ab, rhs, overwrite_ab=True,
+                                check_finite=False)
     return u_tilde
 
 
@@ -158,18 +171,21 @@ def compensation_source(R, grid):
     return (wR[:-1] + wR[1:]) / grid.cell_volumes
 
 
-def face_kinetic_energy(state, rho_d_prev=None):
+def face_kinetic_energy(state, rho_d_prev=None, grad_p=None):
     """Kinetic energy per unit volume of each dual cell.
 
     It pairs the new velocity with the previous-level dual density
     ``rho_d_prev`` (built from ``state.rho_prev`` when not given) and
     stores the pressure-gradient term that the correction equation
-    exchanges with it.
+    exchanges with it; ``grad_p`` is the gradient of ``state.p``, built
+    when not given.
     """
     if rho_d_prev is None:
         rho_d_prev = dual_density(state.grid, state.rho_prev)
-    g = pressure_gradient(state.p, state.grid)
-    return 0.5 * rho_d_prev * state.u**2 + state.dt**2 * g**2 / (2.0 * rho_d_prev)
+    if grad_p is None:
+        grad_p = pressure_gradient(state.p, state.grid)
+    return (0.5 * rho_d_prev * state.u**2
+            + state.dt**2 * grad_p**2 / (2.0 * rho_d_prev))
 
 
 def cell_kinetic_energy(state):
@@ -180,7 +196,7 @@ def cell_kinetic_energy(state):
     return (dv[:-1] * ek[:-1] + dv[1:] * ek[1:]) / (2.0 * grid.cell_volumes)
 
 
-def total_energy(state, rho_d_prev=None, e_s=None):
+def total_energy(state, rho_d_prev=None, e_s=None, grad_p=None):
     """Discrete total energy of a state (J per unit cross-section).
 
     Sensible and chemical internal energy over the cells (the chemical part
@@ -190,9 +206,10 @@ def total_energy(state, rho_d_prev=None, e_s=None):
     to the nonlinear solver tolerance.
 
     A caller that already holds the dual density of ``state.rho_prev`` (the
-    step that made ``state`` built it as its ``rho_d_n``) or ``state.e_s``
-    passes them as ``rho_d_prev`` and ``e_s``; the result is bitwise the
-    same, since each is then computed once instead of twice.
+    step that made ``state`` built it as its ``rho_d_n``), ``state.e_s`` or
+    the pressure gradient of ``state.p`` (that step's ``grad_p``) passes
+    them as ``rho_d_prev``, ``e_s`` and ``grad_p``; the result is bitwise
+    the same, since each is then computed once instead of twice.
     """
     grid = state.grid
     mix = state.mixture
@@ -200,7 +217,7 @@ def total_energy(state, rho_d_prev=None, e_s=None):
         e_s = state.e_s
     hc = chemical_enthalpy(mix, state.y_F, state.y_O, state.y_N, state.y_P)
     e_int = (grid.cell_volumes * (state.rho * e_s + state.rho_prev * hc)).sum()
-    ek = face_kinetic_energy(state, rho_d_prev)
+    ek = face_kinetic_energy(state, rho_d_prev, grad_p)
     e_kin = (grid.dual_volumes[1:-1] * ek[1:-1]).sum()
     return float(e_int + e_kin)
 
@@ -260,7 +277,8 @@ class _CorrectionSystem:
         ``1 / kappa - 1`` would bias every step's energy balance.
         """
         dp = p[:-1] - p[1:]
-        u = self.a_face + self.b_face * dp  # interior faces
+        b_dp = self.b_face * dp
+        u = self.a_face + b_dp  # interior faces
         pos = u >= 0.0  # the left cell is upwind
         p_up = np.where(pos, p[:-1], p[1:])
         Fh = u * p_up / self.kappa
@@ -272,7 +290,7 @@ class _CorrectionSystem:
         r = self.hdt * (p / self.kappa - p) + self.hs_known
         r[:-1] += Fh + (udp - work_right)
         r[1:] += work_right - Fh
-        return r, (dp, u, pos, p_up)
+        return r, (b_dp, u, pos, p_up)
 
     def norm(self, r):
         return float(np.abs(r).max()) / self.hs_scale
@@ -289,8 +307,8 @@ class _CorrectionSystem:
         follows from them: d(u dp)/d p_L - lower on the left cell and
         -(upper + d(u dp)/d p_L) on the right one.
         """
-        dp, u, pos, p_up = lin
-        dwork = u + self.b_face * dp  # d(u dp) / d p_L = -d(u dp) / d p_R
+        b_dp, u, pos, p_up = lin
+        dwork = u + b_dp  # d(u dp) / d p_L = -d(u dp) / d p_R
         w = dwork - u * self.inv_kappa
         w_pos = np.where(pos, w, 0.0)
         m = self.minus_b_kappa * p_up
@@ -395,18 +413,26 @@ def correction_solve(state, u_tilde, sgp, dt, source, cfg, rho_d_n):
     )
 
 
-def euler_step(state, omega_theta, dt, cfg):
+@np.errstate(invalid="ignore")
+def euler_step(state, omega_theta, dt, cfg, rho_d_nm1=None, grad_p=None):
     """One full flow step from an accepted state (chemistry already done).
 
     Returns the corrected fields plus the prediction by-products needed for
-    the energy audit.
+    the energy audit.  ``rho_d_nm1`` (the dual density of
+    ``state.rho_prev``) and ``grad_p`` (the pressure gradient of
+    ``state.p``) are what the step that made ``state`` returned as its
+    ``rho_d_n`` and ``grad_p``; each is built when not given.  A non-finite
+    u or p turns into NaN on the way (inf - inf) without a warning, and the
+    correction solve's finiteness test ends the step.
     """
     grid = state.grid
     F_n = state.flux
     dual_flux = dual_mass_flux(F_n)
-    grad_p = pressure_gradient(state.p, grid)
+    if grad_p is None:
+        grad_p = pressure_gradient(state.p, grid)
     rho_d_n = dual_density(grid, state.rho)
-    rho_d_nm1 = dual_density(grid, state.rho_prev)
+    if rho_d_nm1 is None:
+        rho_d_nm1 = dual_density(grid, state.rho_prev)
     sgp = scale_pressure_gradient(grad_p, rho_d_n, rho_d_nm1)
     u_tilde = predict_velocity(state, dual_flux, sgp, dt, rho_d_n, rho_d_nm1)
     R = kinetic_residuals(state, u_tilde, dt, rho_d_nm1)
@@ -414,7 +440,7 @@ def euler_step(state, omega_theta, dt, cfg):
     corr = correction_solve(state, u_tilde, sgp, dt, omega_theta + S, cfg,
                             rho_d_n)
     return EulerResult(**vars(corr), kinetic_residual=R, source=S,
-                       rho_d_n=rho_d_n)
+                       rho_d_n=rho_d_n, grad_p=pressure_gradient(corr.p, grid))
 
 
 def internal_energy_residual(state_n, state_next, chem_face_values, S):

@@ -10,6 +10,7 @@ from stagflame.chemistry import (
 from stagflame.errors import ConfigError, StepFailure
 from stagflame.grid import build_uniform_grid
 from stagflame.thermo import y_O_from_z
+from stagflame.transport import upwind_face_values
 from helpers import benchmark_mixture, make_state
 
 NU_F_W_F = 2.0 * 2.016e-3
@@ -261,10 +262,15 @@ def test_face_values_reported_for_energy_audit():
     res = chemistry_step(state, state.dt, cfg)
     faces = res.face_values
     assert set(faces) == {"z", "y_F", "y_O", "y_N", "y_P"}
+    assert res.face_values is faces  # built once, on first read
     mix = state.mixture
-    # closure species get faces derived from the transported ones
-    assert np.allclose(faces["y_O"],
-                       y_O_from_z(mix, faces["y_F"], faces["z"]), atol=1e-15)
-    assert np.allclose(faces["y_P"],
-                       1.0 - faces["y_F"] - faces["y_O"] - faces["y_N"],
-                       atol=1e-15)
+    # implicit faces, built on read: upwind values of the new fractions
+    # under the step's mass fluxes; the closure species get faces derived
+    # from the transported ones
+    for name in ("z", "y_N", "y_F"):
+        assert np.array_equal(faces[name],
+                              upwind_face_values(getattr(res, name), state.flux))
+    assert np.array_equal(faces["y_O"],
+                          y_O_from_z(mix, faces["y_F"], faces["z"]))
+    assert np.array_equal(faces["y_P"],
+                          1.0 - faces["y_F"] - faces["y_O"] - faces["y_N"])

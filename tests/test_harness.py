@@ -20,7 +20,12 @@ from stagflame.harness import (
     write_run_csvs,
     write_sweep_csv,
 )
-from stagflame.hydro import CorrectionSolveConfig, total_energy
+from stagflame import hydro
+from stagflame.hydro import (
+    CorrectionSolveConfig,
+    pressure_gradient,
+    total_energy,
+)
 from stagflame.transport import (
     LimiterParams,
     cfl_number,
@@ -285,9 +290,8 @@ def test_advance_info_contract(monkeypatch):
     new_state, info = advance(setup.state, setup.chem_config, setup.solver_config)
     assert gated == ["G", "y_F", "y_O", "y_N", "y_P"]
     for key in ("cfl", "correction_residual", "correction_iterations",
-                "kinetic_residual_total", "max_sum_y_error",
-                "chem_face_values", "compensation_source", "omega_theta",
-                "rho_d_prev", "e_s"):
+                "kinetic_residual_total", "max_sum_y_error", "chemistry",
+                "compensation_source", "rho_d_prev", "grad_p", "e_s"):
         assert key in info
     assert info["correction_residual"] <= setup.solver_config.nonlinear_tol
     assert info["max_sum_y_error"] <= 1e-10
@@ -297,6 +301,8 @@ def test_advance_info_contract(monkeypatch):
     assert np.array_equal(info["rho_d_prev"],
                           dual_density(new_state.grid, new_state.rho_prev))
     assert np.array_equal(info["e_s"], new_state.e_s)
+    assert np.array_equal(info["grad_p"],
+                          pressure_gradient(new_state.p, new_state.grid))
 
 
 def _corrupt_rho(flow):
@@ -383,11 +389,14 @@ def test_run_without_diagnostics_audits_start_and_end(monkeypatch):
     assert off.errors == on.errors
 
 
-@pytest.mark.parametrize("overrides", [
+_SIX_STEP_CASES = [
     dict(t_end=0.0021),  # the implicit-250 benchmark case, six steps of it
     dict(n_cells=200, t_end=0.0021, time_mode="explicit-limited",
          limiter="antidiffusive"),
-])
+]
+
+
+@pytest.mark.parametrize("overrides", _SIX_STEP_CASES)
 def test_audited_energy_equals_a_fresh_total_energy(monkeypatch, overrides):
     # the audit reuses the step's dual density and e_s; recomputed from the
     # state alone, every step's energy must come out bit for bit the same
@@ -403,6 +412,108 @@ def test_audited_energy_equals_a_fresh_total_energy(monkeypatch, overrides):
     assert len(states) == len(result.diagnostics) == result.n_steps >= 5
     for state, row in zip(states, result.diagnostics):
         assert row["energy_total"] == total_energy(state)
+
+
+_FIELDS = ("rho_prev", "rho", "u", "p", "h_s", "flux", "y_F", "y_O", "y_N",
+           "y_P", "z", "G")
+
+
+@pytest.mark.parametrize("overrides", _SIX_STEP_CASES)
+def test_carried_arrays_equal_fresh_ones(monkeypatch, overrides):
+    # each step takes the arrays of its starting level from the step before;
+    # built from the state alone, they must come out bit for bit the same,
+    # and so must the step taken without them
+    carried = []
+
+    def recording(*args):
+        state, chem_config, solver_config, carry = args
+        carried.append((state, carry))
+        new_state, info = advance(*args)
+        fresh_state, _ = advance(state, chem_config, solver_config)
+        for name in _FIELDS:
+            assert (getattr(fresh_state, name).tobytes()
+                    == getattr(new_state, name).tobytes()), name
+        return new_state, info
+
+    monkeypatch.setattr(harness, "advance", recording)
+    result = run_case(CaseConfig(**overrides))
+    assert len(carried) == result.n_steps >= 5
+    assert carried[0][1] is None
+    for state, carry in carried[1:]:
+        grid = state.grid
+        assert np.array_equal(carry["rho_d_prev"],
+                              dual_density(grid, state.rho_prev))
+        assert np.array_equal(carry["grad_p"], pressure_gradient(state.p, grid))
+        assert carry["cfl"] == cfl_number(state.flux, state.rho, state.dt, grid)
+
+
+@pytest.mark.parametrize("time_mode", ["implicit-upwind", "explicit-limited"])
+@pytest.mark.parametrize("collect_diagnostics", [True, False])
+def test_each_step_builds_each_level_array_once(monkeypatch, time_mode,
+                                                collect_diagnostics):
+    # per step, the step and its energy audit build the dual density, the
+    # pressure gradient and the CFL of one level each; the implicit audit
+    # faces are built only when read
+    events = []
+    last = {}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            events.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((hydro, "dual_density"), (hydro, "pressure_gradient"),
+                         (harness, "cfl_number"),
+                         (chemistry, "upwind_face_values")):
+        counting(module, name)
+
+    def stepping(*args):
+        events.append("step")
+        new_state, last["info"] = advance(*args)
+        return new_state, last["info"]
+
+    monkeypatch.setattr(harness, "advance", stepping)
+    result = run_case(CaseConfig(n_cells=40, t_end=0.0024,
+                                 time_mode=time_mode), collect_diagnostics)
+    assert result.n_steps >= 4
+    # each step with its audit, from the second one on
+    steps = " ".join(events).split("step")[2:]
+    assert len(steps) == result.n_steps - 1
+    for step in steps:
+        assert sorted(step.split()) == ["cfl_number", "dual_density",
+                                        "pressure_gradient"]
+    events.clear()
+    faces = last["info"]["chemistry"].face_values
+    assert set(faces) == {"z", "y_F", "y_O", "y_N", "y_P"}
+    want = 3 if time_mode == "implicit-upwind" else 0
+    assert events == ["upwind_face_values"] * want
+
+
+@pytest.mark.parametrize("field,cell", [("u", 7), ("p", 7), ("p", 0)])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_velocity_or_pressure_fails_the_step(field, cell, value):
+    # the prediction does not scan its inputs; a non-finite face velocity or
+    # cell pressure ends in the correction solve's finiteness test, without
+    # a numpy warning on the way
+    setup = initialize_case(CaseConfig(n_cells=40))
+    getattr(setup.state, field)[cell] = value
+    with pytest.raises(StepFailure, match="non-finite Newton step"):
+        advance(setup.state, setup.chem_config, setup.solver_config)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_wall_velocity_does_not_enter_the_step(value):
+    # the prediction keeps the wall velocities at zero whatever state.u holds
+    setup = initialize_case(CaseConfig(n_cells=40))
+    want, _ = advance(setup.state, setup.chem_config, setup.solver_config)
+    setup.state.u[[0, -1]] = value
+    got, _ = advance(setup.state, setup.chem_config, setup.solver_config)
+    for name in _FIELDS:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 def test_l1_error_decreases_with_mesh():

@@ -330,7 +330,7 @@ def test_internal_energy_balance_of_one_step():
     # the heat release cancels between the sensible and chemical parts, so
     # the only source left in the combined balance is the compensation term
     res = internal_energy_residual(state, new_state,
-                                   info["chem_face_values"],
+                                   info["chemistry"].face_values,
                                    info["compensation_source"])
     scale = np.max(np.abs(new_state.rho * new_state.e_s)) / state.dt
     assert np.max(np.abs(res)) < 1e-10 * scale

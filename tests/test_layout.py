@@ -1,6 +1,7 @@
 """Every function, method and class in ``src/stagflame`` has a use there,
-the package loads no more of scipy than its LAPACK extension, and the
-per-step code calls reductions as ndarray methods.
+the package loads no more of scipy than its LAPACK extension, the
+per-step code calls reductions as ndarray methods, and no banded solve
+scans its inputs for NaN and inf.
 
 Code that only tests call belongs in ``tests/``.  The check is by name: a
 definition counts as used when a name or an attribute spelled like it is
@@ -133,3 +134,45 @@ def test_reduction_guard_sees_calls_and_missing_functions(tmp_path):
     assert wrapped_reduction_calls(tmp_path) == [
         "hydro:4 np.max", "harness.check_state_gates missing",
         "harness:4 np.any"]
+
+
+# A solve that scans its inputs for NaN and inf costs a pass over the band
+# and the right hand side (about 3.5 us on 250 cells) and turns a non-finite
+# state into a ValueError instead of a StepFailure.  Every solve skips the
+# scan: a non-finite solution is still caught by Newton's finiteness test
+# and by the gates on the new state.
+def scanned_solves(src=SRC):
+    """["module:line"] of every solve_banded call in ``src`` that does not
+    pass ``check_finite=False``."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(
+                func, "id", None)
+            if name != "solve_banded":
+                continue
+            if not any(kw.arg == "check_finite"
+                       and isinstance(kw.value, ast.Constant)
+                       and kw.value.value is False for kw in node.keywords):
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_every_banded_solve_skips_the_finiteness_scan():
+    assert scanned_solves() == []
+
+
+def test_scan_guard_sees_solves_without_the_flag(tmp_path):
+    (tmp_path / "hydro.py").write_text(
+        "from .linalg import solve_banded\n\n"
+        "def a(ab, b):\n    return solve_banded((1, 1), ab, b)\n\n"
+        "def b(ab, b):\n"
+        "    return solve_banded((1, 1), ab, b, check_finite=False)\n")
+    (tmp_path / "chemistry.py").write_text(
+        "from . import linalg\n\n"
+        "def c(ab, b):\n"
+        "    return linalg.solve_banded((1, 1), ab, b, check_finite=True)\n")
+    assert scanned_solves(tmp_path) == ["chemistry:4", "hydro:4"]
