@@ -37,6 +37,9 @@ from .thermo import y_O_from_z, z_from_fractions
 from .transport import FaceStencil, face_stencil, face_values, upwind_face_values
 
 _TIME_MODES = ("implicit-upwind", "explicit-limited")
+# The flame advection is off on faces where the indicator gradient is below
+# this fraction of the indicator range per cell: round-off, not a front.
+_GRAD_THRESHOLD = 1e-12
 
 
 @dataclass(frozen=True)
@@ -56,7 +59,6 @@ class ChemStepConfig:
     flame_speed_product: float = 0.0
     time_mode: str = "implicit-upwind"
     limiter: object = field(default=None)
-    grad_threshold: float = 1e-12
 
     def __post_init__(self):
         if self.time_mode not in _TIME_MODES:
@@ -115,7 +117,7 @@ def flame_advection_field(G, config, grid):
     """Per-face flame advection velocity rho_u u_f * sign(grad G).
 
     The gradient at a face is a centred difference of face-interpolated
-    indicator values; where it is flat (below ``grad_threshold`` times the
+    indicator values; where it is flat (below ``_GRAD_THRESHOLD`` times the
     indicator range per cell) the advection field is switched off, and it is
     always zero at the walls.
     """
@@ -129,7 +131,7 @@ def flame_advection_field(G, config, grid):
     a = np.zeros(n + 1)
     grad = (G_hat[2:] - G_hat[:-2]) / (2.0 * h)
     span = float(G.max() - G.min())
-    cut = config.grad_threshold * span / h
+    cut = _GRAD_THRESHOLD * span / h
     sign = np.sign(grad)
     sign[np.abs(grad) < cut] = 0.0
     a[1:n] = config.flame_speed_product * sign

@@ -9,13 +9,12 @@ import numpy as np
 from .chemistry import ChemStepConfig, chemistry_step
 from .errors import ConfigError, StepFailure, require_finite, require_fraction
 from .grid import build_uniform_grid
-from .hydro import CorrectionSolveConfig, euler_step, total_energy
+from .hydro import euler_step, total_energy
 from .linalg import upwind_mass_solve
 from .oracle import (
     asymptotic_composition,
     exact_cell_averages,
     exact_dual_averages,
-    fresh_density,
     sample_solution,
     solve_deflagration_riemann,
 )
@@ -25,7 +24,6 @@ from .thermo import (
     mass_fractions_from_molar,
     pressure_from_state,
     temperature,
-    z_from_fractions,
 )
 from .transport import LimiterParams, cfl_number, primal_mass_flux
 
@@ -51,21 +49,17 @@ MAX_STEPS = 10**7
 
 # Admissible ranges of the numeric config keys: (low, high, low included,
 # high included), None for an unbounded end.  Every numeric key, listed or
-# not, must also be finite.
-_POSITIVE = (0.0, None, False, False)
-_NON_NEGATIVE = (0.0, None, True, False)
+# not, must also be finite.  t_start is positive because the self-similar
+# solution the run starts from needs t > 0.
 _RANGES = {
     "n_cells": (3, None, True, False),
     "gamma": (1.0, None, False, False),
     **dict.fromkeys(("nu_F", "nu_O", "nu_P", "W_F", "W_O", "W_N", "W_P",
-                     "p_fresh", "T_fresh", "cfl", "dt", "epsilon",
-                     "epsilon_per_h"), _POSITIVE),
+                     "p_fresh", "T_fresh", "t_start", "cfl", "dt", "epsilon",
+                     "epsilon_per_h"), (0.0, None, False, False)),
     **dict.fromkeys(("molar_F", "molar_O", "molar_N"), (0.0, 1.0, True, True)),
     **dict.fromkeys(("zeta_minus", "zeta_plus"), (0.0, 2.0, True, True)),
-    **dict.fromkeys(("s_max", "grad_threshold", "flame_speed_product"),
-                    _NON_NEGATIVE),
-    "nonlinear_tol": (0.0, 1.0, False, False),
-    "max_iterations": (1, None, True, False),
+    "s_max": (0.0, None, True, False),
 }
 # Face-scheme keys: implicit mode reads none of them.
 _EXPLICIT_ONLY_KEYS = ("limiter", "zeta_minus", "zeta_plus", "neighbor_policy",
@@ -126,12 +120,6 @@ class CaseConfig:
     zeta_plus: float = 1.0
     neighbor_policy: str = "opposite_cells"
     s_max: float = 2.0
-    grad_threshold: float = 1e-12
-    nonlinear_tol: float = 1e-12
-    max_iterations: int = 100
-    init_mode: str = "riemann_oracle"
-    flame_speed_product: float = None
-    output_prefix: str = None
 
     def __post_init__(self):
         for f in dc_fields(self):
@@ -146,10 +134,6 @@ class CaseConfig:
                               f"must exceed x_left {self.x_left!r}")
         if not self.t_end > self.t_start:
             raise ConfigError("t_end must exceed t_start")
-        if self.init_mode == "riemann_oracle" and not self.t_start > 0.0:
-            raise ConfigError(f"t_start must be positive for init_mode = "
-                              f"riemann_oracle (the self-similar solution "
-                              f"needs t > 0), got {self.t_start!r}")
         if self.cfl is not None and self.dt is not None:
             raise ConfigError("set at most one of cfl, dt")
         if self.cfl is None and self.dt is None:
@@ -168,8 +152,6 @@ class CaseConfig:
         if self.epsilon is None and self.epsilon_per_h is None:
             # benchmark-calibrated default; see the convergence-study metadata
             self.epsilon_per_h = 1e-2
-        if self.init_mode not in ("riemann_oracle", "uniform"):
-            raise ConfigError(f"unknown init_mode {self.init_mode!r}")
 
     @classmethod
     def from_dict(cls, data):
@@ -209,17 +191,8 @@ class CaseConfig:
         return ChemStepConfig(
             epsilon=self.epsilon, epsilon_per_h=self.epsilon_per_h,
             flame_speed_product=flame_speed_product, time_mode=self.time_mode,
-            limiter=self.limiter_params(), grad_threshold=self.grad_threshold,
+            limiter=self.limiter_params(),
         )
-
-    def solver_config(self):
-        try:
-            return CorrectionSolveConfig(
-                nonlinear_tol=self.nonlinear_tol,
-                max_iterations=self.max_iterations,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
 
     def resolved_dict(self):
         return {k: v for k, v in vars(self).items() if v is not None}
@@ -281,7 +254,6 @@ class CaseSetup:
     state: FieldState
     pattern: object
     chem_config: ChemStepConfig
-    solver_config: CorrectionSolveConfig
     dt: float
     n_steps: int
     t_initial: float
@@ -303,11 +275,12 @@ def initialize_case(config):
     """Build the starting state of a case.
 
     Cell scalars start from exact cell averages of the oracle solution at
-    ``t_start`` (or from the uniform fresh state), the velocity from exact
-    dual-cell averages; the starting density is produced by one implicit
-    upwind mass step so that the state enters the loop with a balanced
-    (rho_prev, rho, flux, dt) quadruple, which the conservation properties
-    of the scheme assume.
+    ``t_start``, the velocity from exact dual-cell averages; the starting
+    density is produced by one implicit upwind mass step so that the state
+    enters the loop with a balanced (rho_prev, rho, flux, dt) quadruple,
+    which the conservation properties of the scheme assume.  The flame
+    indicator moves at the oracle's mass-burning rate, so the run's flame is
+    the one its L1 errors are measured against.
     """
     grid = build_uniform_grid(config.n_cells, config.x_left, config.x_right)
     mix = config.mixture()
@@ -316,38 +289,17 @@ def initialize_case(config):
                                             config.molar_N)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    pattern = None
-    if config.init_mode == "riemann_oracle":
-        pattern = solve_deflagration_riemann(
-            mix, config.p_fresh, config.T_fresh, y_fresh, config.u_flame
-        )
-        cells = exact_cell_averages(pattern, grid, config.t_start, config.x0)
-        duals = exact_dual_averages(pattern, grid, config.t_start, config.x0)
-        u0 = np.asarray(duals["u"])
-        u0[0] = 0.0
-        u0[-1] = 0.0
-        rho_prev = cells["rho"]
-        h_s0 = cells["h_s"]
-        scalars = {k: cells[k] for k in ("y_F", "y_O", "y_N", "y_P", "z", "G")}
-        flame_speed_product = (
-            config.flame_speed_product
-            if config.flame_speed_product is not None
-            else pattern.flame_speed_product
-        )
-    else:
-        n = grid.n_cells
-        rho_prev = np.full(n, fresh_density(mix, config.p_fresh, config.T_fresh,
-                                            y_fresh))
-        e_s = config.p_fresh / ((mix.gamma - 1.0) * rho_prev)
-        h_s0 = mix.gamma * e_s
-        u0 = np.zeros(grid.n_faces)
-        z0 = z_from_fractions(mix, y_fresh[0], y_fresh[1])
-        scalars = {
-            "y_F": np.full(n, y_fresh[0]), "y_O": np.full(n, y_fresh[1]),
-            "y_N": np.full(n, y_fresh[2]), "y_P": np.full(n, y_fresh[3]),
-            "z": np.full(n, z0), "G": np.ones(n),
-        }
-        flame_speed_product = config.flame_speed_product or 0.0
+    pattern = solve_deflagration_riemann(
+        mix, config.p_fresh, config.T_fresh, y_fresh, config.u_flame
+    )
+    cells = exact_cell_averages(pattern, grid, config.t_start, config.x0)
+    duals = exact_dual_averages(pattern, grid, config.t_start, config.x0)
+    u0 = np.asarray(duals["u"])
+    u0[0] = 0.0
+    u0[-1] = 0.0
+    rho_prev = cells["rho"]
+    h_s0 = cells["h_s"]
+    scalars = {k: cells[k] for k in ("y_F", "y_O", "y_N", "y_P", "z", "G")}
 
     dt_raw = _derive_dt(config, grid, rho_prev, u0)
     span = config.t_end - config.t_start
@@ -369,8 +321,8 @@ def initialize_case(config):
     check_state_gates(state)
     return CaseSetup(
         state=state, pattern=pattern,
-        chem_config=config.chem_config(flame_speed_product),
-        solver_config=config.solver_config(), dt=dt, n_steps=n_steps,
+        chem_config=config.chem_config(pattern.flame_speed_product),
+        dt=dt, n_steps=n_steps,
         t_initial=config.t_start,
     )
 
@@ -402,7 +354,7 @@ def check_state_gates(state, e_s=None, fractions=True):
     return err
 
 
-def advance(state, chem_config, solver_config, carry=None):
+def advance(state, chem_config, carry=None):
     """One full step: chemistry then flow; returns (new_state, info dict).
 
     In explicit-limited mode the step first checks the material CFL of the
@@ -432,8 +384,7 @@ def advance(state, chem_config, solver_config, carry=None):
                 f"(dt {dt:.6e}); the limited face values need CFL <= 1"
             )
     chem = chemistry_step(state, dt, chem_config)
-    flow = euler_step(state, chem.omega_theta, dt, solver_config, rho_d_prev,
-                      grad_p)
+    flow = euler_step(state, chem.omega_theta, dt, rho_d_prev, grad_p)
     new_state = FieldState(
         grid=state.grid, mixture=state.mixture, dt=dt,
         rho_prev=state.rho, rho=flow.rho, u=flow.u, p=flow.p, h_s=flow.h_s,
@@ -491,8 +442,7 @@ def run_case(config, collect_diagnostics=True):
     started = time.perf_counter()
     for step in range(1, setup.n_steps + 1):
         try:
-            state, info = advance(state, setup.chem_config,
-                                  setup.solver_config, info)
+            state, info = advance(state, setup.chem_config, info)
         except StepFailure as exc:
             t_from = setup.t_initial + (step - 1) * setup.dt
             raise StepFailure(f"step {step} (t = {t_from:.9g}): {exc}") from exc
@@ -514,9 +464,7 @@ def run_case(config, collect_diagnostics=True):
                 "min_G": float(state.G.min()), "max_G": float(state.G.max()),
             })
     wall = time.perf_counter() - started
-    errors = None
-    if setup.pattern is not None:
-        errors = l1_error(state, setup.pattern, t, config.x0)
+    errors = l1_error(state, setup.pattern, t, config.x0)
     return RunResult(
         config=config, state=state, dt=setup.dt,
         n_steps=setup.n_steps, t_final=t, diagnostics=rows, errors=errors,
@@ -664,8 +612,6 @@ def convergence_study(config, meshes):
     ``epsilon_per_h`` ties the reaction time scale to the cell size, so the
     study refines space and time together.
     """
-    if config.init_mode != "riemann_oracle":
-        raise ConfigError("a convergence study needs init_mode = riemann_oracle")
     if config.epsilon is not None:
         raise ConfigError("a convergence study needs epsilon_per_h, not epsilon")
     if config.dt is not None:

@@ -12,7 +12,8 @@ density and the EOS the enthalpy.  Newton is the only nonlinear path: a
 step it cannot converge ends in a StepFailure that says why it stopped.
 The pieces are arranged so that a discrete total energy - sensible plus
 chemical plus kinetic including a pressure-gradient storage term - is
-conserved to the nonlinear solver tolerance.
+conserved to the nonlinear solver tolerance.  That tolerance and Newton's
+iteration cap are module constants; no run has needed other values.
 
 Each time level's dual density and pressure gradient are built once: a flow
 step returns the dual density of its starting density (``rho_d_n``, the
@@ -43,30 +44,17 @@ from .transport import (
     upwind_face_values,
 )
 
+# Newton meets the correction solve when the scaled residual (each equation
+# divided by its natural size) drops below _NONLINEAR_TOL; a solve that has
+# not after _MAX_ITERATIONS iterations ends the step with a StepFailure.
+_NONLINEAR_TOL = 1e-12
+_MAX_ITERATIONS = 100
 # Newton stagnates when the residual has not gone 10% below its minimum for
 # 12 iterations: in 1200 random one-step states no converging solve went over
-# 9 without such a drop, and each stalled one stopped within 19, not at 100.
+# 9 without such a drop, and each stalled one stopped within 19, so the
+# iteration cap never binds.
 _STAGNATION_DROP = 0.9
 _STAGNATION_ITERATIONS = 12
-
-
-@dataclass(frozen=True)
-class CorrectionSolveConfig:
-    """Tolerances of the nonlinear correction solve.
-
-    ``nonlinear_tol`` is relative (residuals are scaled by the natural size
-    of each equation).  Newton that has not met it after ``max_iterations``
-    iterations ends the step with a StepFailure.
-    """
-
-    nonlinear_tol: float = 1e-12
-    max_iterations: int = 100
-
-    def __post_init__(self):
-        if not 0.0 < self.nonlinear_tol < 1.0:
-            raise ValueError("nonlinear_tol must lie in (0, 1)")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
 
 
 @dataclass
@@ -347,7 +335,7 @@ class _CorrectionSystem:
         return float(np.abs(r).max()) / self.mass_scale
 
 
-def correction_solve(state, u_tilde, sgp, dt, source, cfg, rho_d_n):
+def correction_solve(state, u_tilde, sgp, dt, source, rho_d_n):
     """Solve the correction system for (u, rho, h_s, p) at step end.
 
     Semismooth Newton on the N pressures of the reduced enthalpy balance
@@ -360,7 +348,7 @@ def correction_solve(state, u_tilde, sgp, dt, source, cfg, rho_d_n):
     residual drops.  The velocity then follows from p,
     rho from one linear upwind mass solve (positive, since its matrix is an
     M-matrix) and h_s = p / (kappa rho) from the EOS.  Newton is the only
-    path: when it reaches ``cfg.max_iterations``, stagnates, meets a
+    path: when it reaches ``_MAX_ITERATIONS``, stagnates, meets a
     singular Jacobian or takes a non-finite step, the solve raises
     StepFailure naming the reason and the iteration count.  The reported
     residual is the larger of the scaled enthalpy and mass residuals.
@@ -369,10 +357,10 @@ def correction_solve(state, u_tilde, sgp, dt, source, cfg, rho_d_n):
     p = np.array(state.p, dtype=float)
     why = "iteration cap reached"
     best, best_it = np.inf, 0
-    for it in range(cfg.max_iterations + 1):
+    for it in range(_MAX_ITERATIONS + 1):
         r, lin = sys_.residual(p)
         res = sys_.norm(r)
-        if res < cfg.nonlinear_tol:
+        if res < _NONLINEAR_TOL:
             if it:  # the closing step
                 delta, _ = sys_.newton_step(r, band)
                 it += 1
@@ -388,7 +376,7 @@ def correction_solve(state, u_tilde, sgp, dt, source, cfg, rho_d_n):
                 u=u, rho=rho, h_s=p / (sys_.kappa * rho), p=p, flux=flux,
                 iterations=it, residual=max(res, sys_.mass_norm(rho, flux)),
             )
-        if it == cfg.max_iterations:
+        if it == _MAX_ITERATIONS:
             break
         if res < _STAGNATION_DROP * best:
             best, best_it = res, it
@@ -408,13 +396,13 @@ def correction_solve(state, u_tilde, sgp, dt, source, cfg, rho_d_n):
         p = trial
     raise StepFailure(
         f"correction solve stalled at residual {res:.3e} "
-        f"(tolerance {cfg.nonlinear_tol:.1e}): {why} after {it} Newton "
+        f"(tolerance {_NONLINEAR_TOL:.1e}): {why} after {it} Newton "
         f"iterations"
     )
 
 
 @np.errstate(invalid="ignore")
-def euler_step(state, omega_theta, dt, cfg, rho_d_nm1=None, grad_p=None):
+def euler_step(state, omega_theta, dt, rho_d_nm1=None, grad_p=None):
     """One full flow step from an accepted state (chemistry already done).
 
     Returns the corrected fields plus the prediction by-products needed for
@@ -437,8 +425,7 @@ def euler_step(state, omega_theta, dt, cfg, rho_d_nm1=None, grad_p=None):
     u_tilde = predict_velocity(state, dual_flux, sgp, dt, rho_d_n, rho_d_nm1)
     R = kinetic_residuals(state, u_tilde, dt, rho_d_nm1)
     S = compensation_source(R, grid)
-    corr = correction_solve(state, u_tilde, sgp, dt, omega_theta + S, cfg,
-                            rho_d_n)
+    corr = correction_solve(state, u_tilde, sgp, dt, omega_theta + S, rho_d_n)
     return EulerResult(**vars(corr), kinetic_residual=R, source=S,
                        rho_d_n=rho_d_n, grad_p=pressure_gradient(corr.p, grid))
 

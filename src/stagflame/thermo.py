@@ -134,22 +134,18 @@ def y_O_from_z(mixture, y_F, z):
     return mixture.nu_O * mixture.W_O * (y_F / (mixture.nu_F * mixture.W_F) - z)
 
 
-def mass_fractions_from_molar(mixture, x_F, x_O, x_N, x_P=0.0):
-    """Convert molar fractions to mass fractions; the input must sum to 1."""
-    total = x_F + x_O + x_N + x_P
+def mass_fractions_from_molar(mixture, x_F, x_O, x_N):
+    """Convert the molar fractions of a product-free gas to mass fractions
+    (y_F, y_O, y_N, y_P = 0); the input must sum to 1."""
+    total = x_F + x_O + x_N
     if abs(total - 1.0) > 1e-12:
         raise ValueError(f"molar fractions sum to {total!r}, expected 1")
-    w = (
-        x_F * mixture.W_F
-        + x_O * mixture.W_O
-        + x_N * mixture.W_N
-        + x_P * mixture.W_P
-    )
+    w = x_F * mixture.W_F + x_O * mixture.W_O + x_N * mixture.W_N
     return (
         x_F * mixture.W_F / w,
         x_O * mixture.W_O / w,
         x_N * mixture.W_N / w,
-        x_P * mixture.W_P / w,
+        0.0,
     )
 
 

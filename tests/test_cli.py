@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stagflame import hydro
 from stagflame.cli import EXIT_CONFIG, EXIT_OK, EXIT_ORACLE, EXIT_STEP, main
 
 
@@ -45,9 +46,8 @@ def test_bad_config_line_is_a_config_error(tmp_path, capsys):
     ("gamma=nan", "gamma must be finite"),
     ("molar_F=0.5", "molar fractions sum to"),
     ("t_end=1e300", r"needs [\d.]+e\+304 steps .* more than 10000000"),
-    ("t_start=0", "t_start must be positive for init_mode = riemann_oracle"),
+    ("t_start=0", r"t_start must lie in \(0.0, inf\)"),
     ("n_cells=1.5", "'n_cells' needs an integer"),
-    ("max_iterations=x", "'max_iterations' needs an integer"),
     ("limiter=antidiffusive",
      "implicit mode always convects with upwind faces"),
     ("zeta_minus=0.5", "zeta_minus = 0.5 needs time_mode = explicit-limited"),
@@ -64,6 +64,18 @@ def test_bad_config_values_are_config_errors(config_file, capsys, override,
     assert re.search(reason, err)
 
 
+@pytest.mark.parametrize("override", [
+    "init_mode=uniform", "nonlinear_tol=1e-14", "max_iterations=1",
+    "grad_threshold=0", "flame_speed_product=50", "output_prefix=out",
+])
+def test_removed_keys_are_config_errors(config_file, capsys, override):
+    # the Newton tolerance and cap and the front cutoff are constants, the
+    # flame speed is the oracle's, the run starts from the oracle's state,
+    # and the output prefix is the --output-prefix flag
+    assert main(["run", config_file, "--set", override]) == EXIT_CONFIG
+    assert "unknown config key" in capsys.readouterr().err
+
+
 def test_explicit_step_past_cfl_one_is_a_step_failure(config_file, capsys):
     # 60 cells at dt = 2e-4 start at a material CFL of about 2
     code = main(["run", config_file, "--set", "time_mode=explicit-limited",
@@ -72,9 +84,11 @@ def test_explicit_step_past_cfl_one_is_a_step_failure(config_file, capsys):
     assert "material CFL" in capsys.readouterr().err
 
 
-def test_unsolvable_correction_is_a_step_failure(config_file, capsys):
-    code = main(["run", config_file, "--set", "nonlinear_tol=1e-14",
-                 "--set", "max_iterations=1"])
+def test_unsolvable_correction_is_a_step_failure(config_file, capsys,
+                                                 monkeypatch):
+    monkeypatch.setattr(hydro, "_NONLINEAR_TOL", 1e-14)
+    monkeypatch.setattr(hydro, "_MAX_ITERATIONS", 1)
+    code = main(["run", config_file])
     assert code == EXIT_STEP
     err = capsys.readouterr().err
     # the message names the step and the time it started from
@@ -117,6 +131,19 @@ def test_sweep_verb(config_file, tmp_path, capsys):
     assert lines[0].startswith("scheme,n_cells,h,")
     # one header plus two meshes per scheme
     assert len(lines) == 1 + 4
+
+
+@pytest.mark.parametrize("option,text", [
+    ("--meshes", "abc"), ("--meshes", "1.5"), ("--meshes", ""),
+    ("--schemes", ""), ("--schemes", ","),
+])
+def test_sweep_list_options_are_config_errors(config_file, capsys, option,
+                                              text):
+    # a list that does not parse, or names nothing, runs no study
+    assert main(["sweep", config_file, option, text]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {option} needs")
+    assert err.rstrip().endswith(f"got {text!r}")
 
 
 def test_sweep_schemes_default_to_the_time_mode(capsys):

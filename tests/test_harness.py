@@ -1,3 +1,7 @@
+import dataclasses
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -21,11 +25,7 @@ from stagflame.harness import (
     write_sweep_csv,
 )
 from stagflame import hydro
-from stagflame.hydro import (
-    CorrectionSolveConfig,
-    pressure_gradient,
-    total_energy,
-)
+from stagflame.hydro import pressure_gradient, total_energy
 from stagflame.transport import (
     LimiterParams,
     cfl_number,
@@ -33,6 +33,8 @@ from stagflame.transport import (
     primal_mass_flux,
 )
 from helpers import benchmark_mixture, make_state
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +86,20 @@ def test_load_config_with_overrides(tmp_path):
         load_config(tmp_path / "missing.cfg")
 
 
+def test_config_docs_name_every_key():
+    # the README's key table names exactly the CaseConfig fields, and the
+    # shipped config sets all of them but the alternatives dt and epsilon
+    keys = {f.name for f in dataclasses.fields(CaseConfig)}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    documented = [name for line in section.splitlines() if line.startswith("| `")
+                  for name in re.findall(r"`(\w+)`", line.split("|")[1])]
+    assert sorted(documented) == sorted(keys)
+    shipped = parse_config_text(
+        (ROOT / "configs" / "benchmark.cfg").read_text(encoding="utf-8"))
+    assert set(shipped) == keys - {"dt", "epsilon"}
+
+
 def test_config_validation():
     with pytest.raises(ConfigError, match="at most one"):
         CaseConfig(cfl=0.5, dt=1e-5)
@@ -99,17 +115,19 @@ def test_config_validation():
     assert CaseConfig().epsilon_per_h == 1e-2
 
 
+# A flame that neither moves nor releases heat: the exact solution is the
+# fresh gas at rest, and the burnt zone (x < x0 = 0) lies outside the domain.
+_STATIC_FLAME = dict(u_flame=0.0, dh_P=0.0)
+
+
 def test_uniform_init_needs_explicit_dt():
+    # a gas at rest carries no flux to derive a CFL step from
     with pytest.raises(ConfigError, match="zero initial flux"):
-        initialize_case(CaseConfig(init_mode="uniform", n_cells=16))
-    setup = initialize_case(CaseConfig(init_mode="uniform", n_cells=16, dt=1e-5))
-    assert setup.pattern is None
+        initialize_case(CaseConfig(n_cells=16, **_STATIC_FLAME))
+    setup = initialize_case(CaseConfig(n_cells=16, dt=1e-5, **_STATIC_FLAME))
     assert np.all(setup.state.u == 0.0)
     assert np.all(setup.state.G == 1.0)
-    # only the oracle initialization needs t_start > 0
-    setup = initialize_case(CaseConfig(init_mode="uniform", n_cells=16, dt=1e-5,
-                                       t_start=0.0, t_end=1e-4))
-    assert setup.n_steps == 10
+    assert np.all(setup.state.y_P == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +275,7 @@ def test_one_step_keeps_gates_mass_and_energy(state, transport,
                               limiter=LimiterParams(scheme=scheme,
                                                     neighbor_policy=policy))
     check_state_gates(state)
-    new_state, _ = advance(state, chem, CorrectionSolveConfig())
+    new_state, _ = advance(state, chem)
     check_state_gates(new_state)
     vol = state.grid.cell_volumes
     mass = np.sum(vol * state.rho)
@@ -287,13 +305,13 @@ def test_advance_info_contract(monkeypatch):
 
     monkeypatch.setattr(chemistry, "require_fraction", counting)
     monkeypatch.setattr(harness, "require_fraction", counting)
-    new_state, info = advance(setup.state, setup.chem_config, setup.solver_config)
+    new_state, info = advance(setup.state, setup.chem_config)
     assert gated == ["G", "y_F", "y_O", "y_N", "y_P"]
     for key in ("cfl", "correction_residual", "correction_iterations",
                 "kinetic_residual_total", "max_sum_y_error", "chemistry",
                 "compensation_source", "rho_d_prev", "grad_p", "e_s"):
         assert key in info
-    assert info["correction_residual"] <= setup.solver_config.nonlinear_tol
+    assert info["correction_residual"] <= hydro._NONLINEAR_TOL
     assert info["max_sum_y_error"] <= 1e-10
     assert new_state.dt == setup.state.dt
     assert new_state.rho_prev is setup.state.rho
@@ -341,9 +359,9 @@ def test_advance_gates_rho_e_s_and_the_fraction_sum(monkeypatch, stage,
     monkeypatch.setattr(harness, stage, corrupting)
     state = setup.state
     for _ in range(2):
-        state, _ = advance(state, setup.chem_config, setup.solver_config)
+        state, _ = advance(state, setup.chem_config)
     with pytest.raises(StepFailure, match=rf"^{message}$"):
-        advance(state, setup.chem_config, setup.solver_config)
+        advance(state, setup.chem_config)
     calls.clear()
     t_from = setup.t_initial + 2 * setup.dt
     with pytest.raises(StepFailure,
@@ -426,10 +444,10 @@ def test_carried_arrays_equal_fresh_ones(monkeypatch, overrides):
     carried = []
 
     def recording(*args):
-        state, chem_config, solver_config, carry = args
+        state, chem_config, carry = args
         carried.append((state, carry))
         new_state, info = advance(*args)
-        fresh_state, _ = advance(state, chem_config, solver_config)
+        fresh_state, _ = advance(state, chem_config)
         for name in _FIELDS:
             assert (getattr(fresh_state, name).tobytes()
                     == getattr(new_state, name).tobytes()), name
@@ -502,16 +520,16 @@ def test_non_finite_velocity_or_pressure_fails_the_step(field, cell, value):
     setup = initialize_case(CaseConfig(n_cells=40))
     getattr(setup.state, field)[cell] = value
     with pytest.raises(StepFailure, match="non-finite Newton step"):
-        advance(setup.state, setup.chem_config, setup.solver_config)
+        advance(setup.state, setup.chem_config)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_wall_velocity_does_not_enter_the_step(value):
     # the prediction keeps the wall velocities at zero whatever state.u holds
     setup = initialize_case(CaseConfig(n_cells=40))
-    want, _ = advance(setup.state, setup.chem_config, setup.solver_config)
+    want, _ = advance(setup.state, setup.chem_config)
     setup.state.u[[0, -1]] = value
-    got, _ = advance(setup.state, setup.chem_config, setup.solver_config)
+    got, _ = advance(setup.state, setup.chem_config)
     for name in _FIELDS:
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
@@ -548,7 +566,7 @@ def test_l1_error_zero_for_exact_state():
 
 
 def test_burnt_zone_distance():
-    setup = initialize_case(CaseConfig(init_mode="uniform", n_cells=20, dt=1e-5))
+    setup = initialize_case(CaseConfig(n_cells=20, dt=1e-5, **_STATIC_FLAME))
     state = setup.state
     # everything fresh: the burnt zone is empty
     assert burnt_zone_asymptotic_distance(state) == 0.0

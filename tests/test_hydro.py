@@ -8,7 +8,6 @@ from stagflame.errors import StepFailure
 from stagflame.grid import build_uniform_grid
 from stagflame.harness import CaseConfig, advance, initialize_case
 from stagflame.hydro import (
-    CorrectionSolveConfig,
     _CorrectionSystem,
     cell_kinetic_energy,
     compensation_source,
@@ -149,8 +148,7 @@ def test_cell_kinetic_energy_uniform_interior():
 def test_correction_solve_converges_on_benchmark_step():
     setup = initialize_case(CaseConfig(n_cells=120))
     state = setup.state
-    result = euler_step(state, np.zeros(state.grid.n_cells), state.dt,
-                        CorrectionSolveConfig())
+    result = euler_step(state, np.zeros(state.grid.n_cells), state.dt)
     # the closing Newton step, with the last iteration's Jacobian, takes the
     # residual from below the 1e-12 tolerance down to round-off
     assert result.residual < 1e-14
@@ -185,7 +183,7 @@ def test_correction_solve_converges_on_benchmark_step():
     # at 40 cells the last Newton iteration stops near 8e-13, so here only
     # the closing step brings the residual down to round-off
     state = initialize_case(CaseConfig(n_cells=40)).state
-    result = euler_step(state, np.zeros(40), state.dt, CorrectionSolveConfig())
+    result = euler_step(state, np.zeros(40), state.dt)
     assert result.residual < 1e-14
 
 
@@ -242,7 +240,7 @@ def test_correction_solve_converges_at_large_acoustic_cfl():
     h_s = mix.gamma / (mix.gamma - 1.0) * 1.0e5 / rho
     y = (np.zeros(n), np.zeros(n), np.full(n, 0.6), np.full(n, 0.4))
     state = make_state(grid, mix, 0.1, rho, np.zeros(n + 1), h_s, y, np.ones(n))
-    result = euler_step(state, np.zeros(n), state.dt, CorrectionSolveConfig())
+    result = euler_step(state, np.zeros(n), state.dt)
     assert result.residual < 1e-12
     assert np.max(np.abs(result.u)) < 1e-9
     assert np.allclose(result.p, state.p, rtol=1e-12)
@@ -261,16 +259,17 @@ def test_diverging_correction_solve_is_a_step_failure():
     state = make_state(grid, mix, 0.125, np.ones(n), u, h_s, y, np.zeros(n))
     with pytest.raises(StepFailure, match="stalled at residual .*: stagnated "
                                           "after 15 Newton iterations"):
-        euler_step(state, np.zeros(n), state.dt, CorrectionSolveConfig())
+        euler_step(state, np.zeros(n), state.dt)
 
 
-def test_correction_solve_raises_when_starved():
+def test_correction_solve_raises_when_starved(monkeypatch):
     setup = initialize_case(CaseConfig(n_cells=40))
     state = setup.state
-    cfg = CorrectionSolveConfig(nonlinear_tol=1e-14, max_iterations=1)
+    monkeypatch.setattr(hydro, "_NONLINEAR_TOL", 1e-14)
+    monkeypatch.setattr(hydro, "_MAX_ITERATIONS", 1)
     with pytest.raises(StepFailure, match="iteration cap reached after 1 Newton"):
         correction_solve(state, state.u.copy(), pressure_gradient(state.p, state.grid),
-                         state.dt, np.zeros(state.grid.n_cells), cfg,
+                         state.dt, np.zeros(state.grid.n_cells),
                          dual_density(state.grid, state.rho))
 
 
@@ -294,14 +293,7 @@ def test_correction_solve_names_why_newton_stopped(monkeypatch, broken, why):
     with pytest.raises(StepFailure, match=f": {why} after 0 Newton iterations"):
         correction_solve(state, state.u.copy(), pressure_gradient(state.p, state.grid),
                          state.dt, np.zeros(state.grid.n_cells),
-                         CorrectionSolveConfig(), dual_density(state.grid, state.rho))
-
-
-def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        CorrectionSolveConfig(nonlinear_tol=0.0)
-    with pytest.raises(ValueError):
-        CorrectionSolveConfig(max_iterations=0)
+                         dual_density(state.grid, state.rho))
 
 
 def test_total_energy_of_resting_state_is_internal_only():
@@ -319,14 +311,14 @@ def test_total_energy_conserved_over_steps():
     state = setup.state
     e0 = total_energy(state)
     for _ in range(setup.n_steps):
-        state, _ = advance(state, setup.chem_config, setup.solver_config)
+        state, _ = advance(state, setup.chem_config)
     assert abs(total_energy(state) - e0) < 1e-11 * abs(e0)
 
 
 def test_internal_energy_balance_of_one_step():
     setup = initialize_case(CaseConfig(n_cells=100))
     state = setup.state
-    new_state, info = advance(state, setup.chem_config, setup.solver_config)
+    new_state, info = advance(state, setup.chem_config)
     # the heat release cancels between the sensible and chemical parts, so
     # the only source left in the combined balance is the compensation term
     res = internal_energy_residual(state, new_state,
@@ -339,8 +331,7 @@ def test_internal_energy_balance_of_one_step():
 def test_euler_step_source_accounts_for_prediction_loss():
     setup = initialize_case(CaseConfig(n_cells=50))
     state = setup.state
-    result = euler_step(state, np.zeros(state.grid.n_cells), state.dt,
-                        CorrectionSolveConfig())
+    result = euler_step(state, np.zeros(state.grid.n_cells), state.dt)
     total_R = np.sum(result.kinetic_residual)
     total_S = np.sum(state.grid.cell_volumes * result.source)
     assert total_S == pytest.approx(total_R, rel=1e-12, abs=1e-300)

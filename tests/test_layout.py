@@ -1,12 +1,17 @@
 """Every function, method and class in ``src/stagflame`` has a use there,
-the package loads no more of scipy than its LAPACK extension, the
+every defaulted parameter is passed by some call, every dataclass field is
+read, the package loads no more of scipy than its LAPACK extension, the
 per-step code calls reductions as ndarray methods, and no banded solve
 scans its inputs for NaN and inf.
 
-Code that only tests call belongs in ``tests/``.  The check is by name: a
+Code that only tests call belongs in ``tests/``.  The checks go by name: a
 definition counts as used when a name or an attribute spelled like it is
-read anywhere in ``src/stagflame`` outside the definition itself.  Imports
-do not count, and dunder methods are skipped.
+read anywhere in ``src/stagflame`` outside the definition itself (imports
+do not count, and dunder methods are skipped); a parameter counts as passed
+when a call of a function of that name in ``src/``, ``tests/`` or
+``perfbench/`` passes it by keyword or by position; a field counts as read
+when ``src/stagflame`` loads an attribute of that name or spells it as a
+string, which is how ``getattr`` loops name fields.
 """
 
 import ast
@@ -15,7 +20,9 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "stagflame"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "stagflame"
+CALLERS = (ROOT / "src", ROOT / "tests", ROOT / "perfbench")
 
 # No caller in src/ yet: ROADMAP item 3 (the per-cell total-energy balance)
 # gives them one.
@@ -58,6 +65,133 @@ def test_every_definition_is_used_in_src():
     assert {k: v for k, v in unused.items() if k not in EXEMPT} == {}
     # an exemption whose name is gone or has found a caller must be dropped
     assert EXEMPT <= set(unused)
+
+
+def _functions(tree):
+    """(def node, True for a method) of every function in ``tree``."""
+    methods = {id(item) for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) for item in cls.body}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            static = any(getattr(d, "id", None) == "staticmethod"
+                         for d in node.decorator_list)
+            yield node, id(node) in methods and not static
+
+
+def unpassed_parameters(src=SRC, callers=CALLERS):
+    """{"module.function(param)": line} of every parameter with a default,
+    of a function or method in ``src``, that no call in ``callers`` passes:
+    by keyword, by position, or through ``*args`` or ``**kwargs``."""
+    calls = {}
+    for root in callers:
+        for path in sorted(Path(root).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = (func.attr if isinstance(func, ast.Attribute)
+                            else getattr(func, "id", None))
+                    calls.setdefault(name, []).append(node)
+    unpassed = {}
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func, method in _functions(tree):
+            if func.name.startswith("__"):
+                continue
+            args = func.args
+            positional = args.posonlyargs + args.args
+            defaulted = [(i, a) for i, a in enumerate(positional)
+                         if i >= len(positional) - len(args.defaults)]
+            defaulted += [(None, a) for a, d in zip(args.kwonlyargs,
+                                                    args.kw_defaults)
+                          if d is not None]
+            for index, arg in defaulted:
+                if not any(_passes(call, index, arg.arg, method)
+                           for call in calls.get(func.name, ())):
+                    unpassed[f"{path.stem}.{func.name}({arg.arg})"] = arg.lineno
+    return unpassed
+
+
+def _passes(call, index, name, method):
+    """Whether ``call`` passes parameter ``name``, at positional ``index``
+    (None when keyword-only); a method call's arguments skip ``self``."""
+    if any(kw.arg in (None, name) for kw in call.keywords):
+        return True
+    if index is None:
+        return False
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return len(call.args) > index - method
+
+
+def test_every_defaulted_parameter_is_passed():
+    assert unpassed_parameters() == {}
+
+
+def unread_fields(src=SRC):
+    """{"module.Class.field": line} of every annotated field of a dataclass
+    in ``src`` that nothing in ``src`` reads."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(src.glob("*.py"))}
+    reads = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                reads.add(node.value)
+    unread = {}
+    for module, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not (isinstance(cls, ast.ClassDef)
+                    and any(_is_dataclass(d) for d in cls.decorator_list)):
+                continue
+            for item in cls.body:
+                if (isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name)
+                        and item.target.id not in reads):
+                    unread[f"{module}.{cls.name}.{item.target.id}"] = item.lineno
+    return unread
+
+
+def _is_dataclass(decorator):
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    return getattr(decorator, "id", getattr(decorator, "attr", None)) == "dataclass"
+
+
+def test_every_dataclass_field_is_read_in_src():
+    assert unread_fields() == {}
+
+
+def test_parameter_and_field_guards_see_dead_code(tmp_path):
+    src = tmp_path / "src"
+    tests = tmp_path / "tests"
+    src.mkdir()
+    tests.mkdir()
+    (src / "mod.py").write_text(
+        "from dataclasses import dataclass\n\n"
+        "@dataclass(frozen=True)\n"
+        "class Box:\n"
+        "    kept: int = 0\n"
+        "    named: int = 0\n"
+        "    dead: int = 0\n\n"
+        "    def scaled(self, k=1, *, shift=0):\n"
+        "        return self.kept * k + getattr(self, 'named') + shift\n\n"
+        "def f(a, b=1, c=2, *, e=4, g=5):\n"
+        "    return a + b + c + e + g\n\n"
+        "def h(x=0, y=0):\n    return x + y\n\n"
+        "def k(x=0, *, y=0):\n    return x + y\n\n"
+        "def run(box, xs, opts):\n"
+        "    return f(1, e=0) + box.scaled(2) + h(*xs) + k(**opts)\n")
+    (tests / "test_mod.py").write_text(
+        "def test_f():\n    assert f(0, 0) == 9\n")
+    # h and k take every argument through *xs and **opts; a call from the
+    # tests counts like one from src
+    assert unpassed_parameters(src, (src,)) == {
+        "mod.scaled(shift)": 9, "mod.f(b)": 12, "mod.f(c)": 12, "mod.f(g)": 12}
+    assert unpassed_parameters(src, (src, tests)) == {
+        "mod.scaled(shift)": 9, "mod.f(c)": 12, "mod.f(g)": 12}
+    assert unread_fields(src) == {"mod.Box.dead": 7}
 
 
 # Prints every scipy module a fresh interpreter has loaded once the
