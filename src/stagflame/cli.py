@@ -67,6 +67,7 @@ def build_parser():
 
 def _cmd_run(args):
     config = load_config(args.config, args.overrides)
+    config.check_limiter_keys([config.limiter])
     result = run_case(config)
     print(f"ran {result.n_steps} steps of {result.dt:.6e} s "
           f"to t = {result.t_final:.6f} s on {config.n_cells} cells")
@@ -143,9 +144,13 @@ def _cmd_oracle(args):
 
 def _cmd_check(args):
     from .grid import build_uniform_grid
-    from .hydro import pressure_gradient
     from .oracle import rh_residuals
-    from .transport import dual_density, dual_mass_flux, primal_mass_flux
+    from .transport import (
+        dual_density,
+        dual_mass_flux,
+        pressure_gradient,
+        primal_mass_flux,
+    )
 
     config = load_config(args.config, args.overrides)
     failures = 0

@@ -25,7 +25,7 @@ from .thermo import (
     pressure_from_state,
     temperature,
 )
-from .transport import LimiterParams, cfl_number, primal_mass_flux
+from .transport import LimiterParams, primal_mass_flux
 
 _PROFILE_COLUMNS = (
     "x_center", "rho", "p", "u_face_interp", "T", "e_s", "h_s",
@@ -55,15 +55,20 @@ _RANGES = {
     "n_cells": (3, None, True, False),
     "gamma": (1.0, None, False, False),
     **dict.fromkeys(("nu_F", "nu_O", "nu_P", "W_F", "W_O", "W_N", "W_P",
-                     "p_fresh", "T_fresh", "t_start", "cfl", "dt", "epsilon",
+                     "p_fresh", "T_fresh", "t_start", "cfl", "dt",
                      "epsilon_per_h"), (0.0, None, False, False)),
     **dict.fromkeys(("molar_F", "molar_O", "molar_N"), (0.0, 1.0, True, True)),
     **dict.fromkeys(("zeta_minus", "zeta_plus"), (0.0, 2.0, True, True)),
     "s_max": (0.0, None, True, False),
 }
-# Face-scheme keys: implicit mode reads none of them.
-_EXPLICIT_ONLY_KEYS = ("limiter", "zeta_minus", "zeta_plus", "neighbor_policy",
-                       "s_max")
+# The limiter keys each face scheme reads.  Implicit mode reads none of
+# them, and not the limiter either: it always convects with upwind faces.
+_SCHEME_KEYS = {
+    "upwind": (),
+    "muscl": ("zeta_minus", "zeta_plus", "neighbor_policy"),
+    "antidiffusive": ("s_max",),
+}
+_LIMITER_KEYS = sum(_SCHEME_KEYS.values(), ())
 
 
 def _range_error(key, value):
@@ -112,8 +117,7 @@ class CaseConfig:
     t_end: float = 0.005
     cfl: float = None
     dt: float = None
-    epsilon: float = None
-    epsilon_per_h: float = None
+    epsilon_per_h: float = 1e-2
     time_mode: str = "implicit-upwind"
     limiter: str = "upwind"
     zeta_minus: float = 1.0
@@ -143,15 +147,26 @@ class CaseConfig:
                 raise ConfigError("cfl must lie in (0, 1] for explicit-limited mode")
         if self.time_mode == "implicit-upwind":
             # the face-scheme keys take effect only in explicit-limited mode
-            for f in dc_fields(self):
-                value = getattr(self, f.name)
-                if f.name in _EXPLICIT_ONLY_KEYS and value != f.default:
-                    raise ConfigError(f"{f.name} = {value} needs time_mode = "
-                                      f"explicit-limited: implicit mode always "
-                                      f"convects with upwind faces")
-        if self.epsilon is None and self.epsilon_per_h is None:
-            # benchmark-calibrated default; see the convergence-study metadata
-            self.epsilon_per_h = 1e-2
+            for name, value in self.off_default(("limiter",) + _LIMITER_KEYS):
+                raise ConfigError(f"{name} = {value} needs time_mode = "
+                                  f"explicit-limited: implicit mode always "
+                                  f"convects with upwind faces")
+
+    def off_default(self, names):
+        """(name, value) of each key of ``names`` set off its default."""
+        return [(f.name, getattr(self, f.name)) for f in dc_fields(self)
+                if f.name in names and getattr(self, f.name) != f.default]
+
+    def check_limiter_keys(self, schemes):
+        """Raise ConfigError for a limiter key set off its default that none
+        of the face ``schemes`` reads: it would change nothing."""
+        read = {key for scheme in schemes
+                for key in _SCHEME_KEYS.get(scheme, ())}
+        for name, value in self.off_default(set(_LIMITER_KEYS) - read):
+            readers = [s for s, keys in _SCHEME_KEYS.items() if name in keys]
+            raise ConfigError(f"{name} = {value} has no effect: only "
+                              f"{', '.join(readers)} reads it, not "
+                              f"{', '.join(schemes)}")
 
     @classmethod
     def from_dict(cls, data):
@@ -189,7 +204,7 @@ class CaseConfig:
 
     def chem_config(self, flame_speed_product):
         return ChemStepConfig(
-            epsilon=self.epsilon, epsilon_per_h=self.epsilon_per_h,
+            epsilon_per_h=self.epsilon_per_h,
             flame_speed_product=flame_speed_product, time_mode=self.time_mode,
             limiter=self.limiter_params(),
         )
@@ -327,23 +342,20 @@ def initialize_case(config):
     )
 
 
-def check_state_gates(state, e_s=None, fractions=True):
+def check_state_gates(state, fractions=True):
     """Hard per-step solution gates; raises StepFailure on violation.
 
     Fractions go through ``require_fraction``; rho and e_s are tested the
     same way against (0, inf).  Returns the largest deviation of the
-    mass-fraction sum from 1.  ``e_s`` is ``state.e_s`` when a caller has
-    it already.  ``fractions=False`` leaves out the [0, 1] gates of y_F,
-    y_O, y_N, y_P and G, for a state whose fractions ``chemistry_step``
-    has just gated; the sum is tested either way.
+    mass-fraction sum from 1.  ``fractions=False`` leaves out the [0, 1]
+    gates of y_F, y_O, y_N, y_P and G, for a state whose fractions
+    ``chemistry_step`` has just gated; the sum is tested either way.
     """
     if fractions:
         for name in ("y_F", "y_O", "y_N", "y_P", "G"):
             require_fraction(name, getattr(state, name))
-    if e_s is None:
-        e_s = state.e_s
     for name, v, what in (("rho", state.rho, "density"),
-                          ("e_s", e_s, "sensible energy")):
+                          ("e_s", state.e_s, "sensible energy")):
         lo, hi = v.min(), v.max()
         if not (lo > 0.0 and hi < np.inf):
             require_finite(name, v)
@@ -354,60 +366,41 @@ def check_state_gates(state, e_s=None, fractions=True):
     return err
 
 
-def advance(state, chem_config, carry=None):
+def advance(state, chem_config):
     """One full step: chemistry then flow; returns (new_state, info dict).
 
     In explicit-limited mode the step first checks the material CFL of the
     state's fluxes and density, the one its chemistry step runs at: the
     discrete maximum principle of the limited schemes needs it at most 1,
-    and ``dt`` stays fixed after setup.
-
-    ``carry`` is the info dict of the step that made ``state``: the step
-    takes the arrays of the state's level from it (the dual density of
-    ``state.rho_prev``, the pressure gradient of ``state.p`` and the
-    material CFL) instead of rebuilding them.  Without it they are built
-    from the state, with the same bits.  The info dict hands over the same
-    quantities of the new state (``rho_d_prev``, ``grad_p``, ``cfl``) and
-    its ``e_s``; ``info["chemistry"]`` is the chemistry step's
-    ``ChemResult``, whose face values are built when read.
+    and ``dt`` stays fixed after setup.  The new state takes the starting
+    state's dual density as its previous-level one.  ``info["chemistry"]``
+    is the chemistry step's ``ChemResult``, whose face values are built
+    when read.
     """
     dt = state.dt
-    rho_d_prev = grad_p = cfl = None
-    if carry is not None:
-        rho_d_prev, grad_p, cfl = carry["rho_d_prev"], carry["grad_p"], carry["cfl"]
-    if chem_config.time_mode == "explicit-limited":
-        if cfl is None:
-            cfl = cfl_number(state.flux, state.rho, dt, state.grid)
-        if not cfl <= 1.0:
-            raise StepFailure(
-                f"material CFL {cfl:.4f} exceeds 1 in explicit-limited mode "
-                f"(dt {dt:.6e}); the limited face values need CFL <= 1"
-            )
+    if chem_config.time_mode == "explicit-limited" and not state.cfl <= 1.0:
+        raise StepFailure(
+            f"material CFL {state.cfl:.4f} exceeds 1 in explicit-limited mode "
+            f"(dt {dt:.6e}); the limited face values need CFL <= 1"
+        )
     chem = chemistry_step(state, dt, chem_config)
-    flow = euler_step(state, chem.omega_theta, dt, rho_d_prev, grad_p)
+    flow = euler_step(state, chem.omega_theta, dt)
     new_state = FieldState(
         grid=state.grid, mixture=state.mixture, dt=dt,
         rho_prev=state.rho, rho=flow.rho, u=flow.u, p=flow.p, h_s=flow.h_s,
         y_F=chem.y_F, y_O=chem.y_O, y_N=chem.y_N, y_P=chem.y_P,
-        z=chem.z, G=chem.G, flux=flow.flux,
+        z=chem.z, G=chem.G, flux=flow.flux, prev_rho_d=state.rho_d,
     )
     # chemistry_step has gated every fraction of the new state
-    e_s = new_state.e_s
-    sum_y_error = check_state_gates(new_state, e_s, fractions=False)
+    sum_y_error = check_state_gates(new_state, fractions=False)
     info = {
-        "cfl": cfl_number(flow.flux, flow.rho, dt, state.grid),
+        "cfl": new_state.cfl,
         "correction_residual": flow.residual,
         "correction_iterations": flow.iterations,
         "kinetic_residual_total": float(flow.kinetic_residual.sum()),
         "max_sum_y_error": sum_y_error,
         "chemistry": chem,
         "compensation_source": flow.source,
-        # what total_energy(new_state) and the next step would rebuild: the
-        # dual density of new_state.rho_prev, the pressure gradient of
-        # new_state.p, and e_s
-        "rho_d_prev": flow.rho_d_n,
-        "grad_p": flow.grad_p,
-        "e_s": e_s,
     }
     return new_state, info
 
@@ -429,8 +422,7 @@ def run_case(config, collect_diagnostics=True):
     """Run a case from t_start to t_end with the fixed step chosen at setup.
 
     The total energy is audited after every step when diagnostics are
-    collected, otherwise only after the last one, the only drift kept.
-    Each step hands its info dict to the next one as ``carry``.  A
+    collected, otherwise only after the last one, the only drift kept.  A
     StepFailure is raised again with the step index and the time the step
     started from in front of its message.
     """
@@ -438,18 +430,16 @@ def run_case(config, collect_diagnostics=True):
     state = setup.state
     e0 = total_energy(state)
     rows = []
-    info = None
     started = time.perf_counter()
     for step in range(1, setup.n_steps + 1):
         try:
-            state, info = advance(state, setup.chem_config, info)
+            state, info = advance(state, setup.chem_config)
         except StepFailure as exc:
             t_from = setup.t_initial + (step - 1) * setup.dt
             raise StepFailure(f"step {step} (t = {t_from:.9g}): {exc}") from exc
         t = setup.t_initial + step * setup.dt
         if collect_diagnostics or step == setup.n_steps:
-            e_now = total_energy(state, info["rho_d_prev"], info["e_s"],
-                                 info["grad_p"])
+            e_now = total_energy(state)
             drift = abs(e_now - e0) / abs(e0)
         if collect_diagnostics:
             rows.append({
@@ -612,8 +602,6 @@ def convergence_study(config, meshes):
     ``epsilon_per_h`` ties the reaction time scale to the cell size, so the
     study refines space and time together.
     """
-    if config.epsilon is not None:
-        raise ConfigError("a convergence study needs epsilon_per_h, not epsilon")
     if config.dt is not None:
         raise ConfigError("a convergence study needs a cfl target, not a fixed dt")
     errors = {f: [] for f in ERROR_FIELDS}
@@ -663,9 +651,11 @@ def convergence_study(config, meshes):
 def run_sweep(config, meshes, schemes):
     """Convergence study for several face schemes; returns {scheme: report}.
 
-    Every scheme's config is validated before the first run starts.
+    Every scheme's config is validated before the first run starts, and a
+    limiter key that none of the schemes reads is a ConfigError.
     """
     configs = {scheme: replace(config, limiter=scheme) for scheme in schemes}
+    config.check_limiter_keys(schemes)
     return {scheme: convergence_study(cfg, meshes) for scheme, cfg in configs.items()}
 
 

@@ -15,12 +15,9 @@ chemical plus kinetic including a pressure-gradient storage term - is
 conserved to the nonlinear solver tolerance.  That tolerance and Newton's
 iteration cap are module constants; no run has needed other values.
 
-Each time level's dual density and pressure gradient are built once: a flow
-step returns the dual density of its starting density (``rho_d_n``, the
-previous-level dual density of the new state) and the gradient of its new
-pressure (``grad_p``), and the energy audit of the new state and the next
-step take them from there instead of rebuilding them.  Every function that
-accepts them builds them itself when they are not given.
+A flow step and the energy audit read the arrays of a time level - its
+dual densities, pressure gradient and e_s - from the level itself
+(``FieldState``), which builds each of them once.
 
 The prediction and every Newton step are tridiagonal solves through
 ``solve_banded``, imported from ``stagflame.linalg`` under scipy's name and
@@ -37,12 +34,7 @@ import numpy as np
 from .errors import StepFailure
 from .linalg import solve_banded, upwind_mass_solve
 from .thermo import chemical_enthalpy
-from .transport import (
-    dual_density,
-    dual_mass_flux,
-    primal_mass_flux,
-    upwind_face_values,
-)
+from .transport import dual_mass_flux, primal_mass_flux, upwind_face_values
 
 # Newton meets the correction solve when the scaled residual (each equation
 # divided by its natural size) drops below _NONLINEAR_TOL; a solve that has
@@ -76,23 +68,10 @@ class CorrectionResult:
 @dataclass
 class EulerResult(CorrectionResult):
     """Everything one flow step produces: the corrected fields plus the
-    kinetic energy the prediction dissipated and its cell source, the dual
-    density ``rho_d_n`` of the step's starting density, which is the
-    previous-level dual density of the new state, and ``grad_p``, the
-    pressure gradient of the new pressure ``p``."""
+    kinetic energy the prediction dissipated and its cell source."""
 
     kinetic_residual: np.ndarray
     source: np.ndarray
-    rho_d_n: np.ndarray
-    grad_p: np.ndarray
-
-
-def pressure_gradient(p, grid):
-    """Face pressure gradient (p_K - p_L)/|D_sigma|; zero at the walls."""
-    p = np.asarray(p)
-    g = np.zeros(grid.n_faces)
-    g[1:-1] = (p[1:] - p[:-1]) / grid.dual_volumes[1:-1]
-    return g
 
 
 def scale_pressure_gradient(grad_p, rho_dual_n, rho_dual_nm1):
@@ -136,7 +115,7 @@ def kinetic_residuals(state_n, u_tilde, dt, rho_d_nm1):
     """Kinetic energy dissipated by the prediction on each dual cell.
 
     R_sigma = |D_sigma| rho^{n-1}_D (u_tilde - u^n)^2 / (2 dt), with
-    ``rho_d_nm1`` the previous-level dual density; walls carry none.
+    ``rho_d_nm1`` the previous-level dual density; walls have none.
     """
     R = state_n.grid.dual_volumes * rho_d_nm1 / (2.0 * dt) * (u_tilde - state_n.u) ** 2
     R[0] = 0.0
@@ -159,21 +138,16 @@ def compensation_source(R, grid):
     return (wR[:-1] + wR[1:]) / grid.cell_volumes
 
 
-def face_kinetic_energy(state, rho_d_prev=None, grad_p=None):
+def face_kinetic_energy(state):
     """Kinetic energy per unit volume of each dual cell.
 
-    It pairs the new velocity with the previous-level dual density
-    ``rho_d_prev`` (built from ``state.rho_prev`` when not given) and
+    It pairs the new velocity with the previous-level dual density and
     stores the pressure-gradient term that the correction equation
-    exchanges with it; ``grad_p`` is the gradient of ``state.p``, built
-    when not given.
+    exchanges with it.
     """
-    if rho_d_prev is None:
-        rho_d_prev = dual_density(state.grid, state.rho_prev)
-    if grad_p is None:
-        grad_p = pressure_gradient(state.p, state.grid)
+    rho_d_prev = state.rho_d_prev
     return (0.5 * rho_d_prev * state.u**2
-            + state.dt**2 * grad_p**2 / (2.0 * rho_d_prev))
+            + state.dt**2 * state.grad_p**2 / (2.0 * rho_d_prev))
 
 
 def cell_kinetic_energy(state):
@@ -184,7 +158,7 @@ def cell_kinetic_energy(state):
     return (dv[:-1] * ek[:-1] + dv[1:] * ek[1:]) / (2.0 * grid.cell_volumes)
 
 
-def total_energy(state, rho_d_prev=None, e_s=None, grad_p=None):
+def total_energy(state):
     """Discrete total energy of a state (J per unit cross-section).
 
     Sensible and chemical internal energy over the cells (the chemical part
@@ -192,20 +166,13 @@ def total_energy(state, rho_d_prev=None, e_s=None, grad_p=None):
     balance) plus kinetic energy over the interior dual cells, including the
     pressure-gradient storage term.  Exactly conserved by the full step up
     to the nonlinear solver tolerance.
-
-    A caller that already holds the dual density of ``state.rho_prev`` (the
-    step that made ``state`` built it as its ``rho_d_n``), ``state.e_s`` or
-    the pressure gradient of ``state.p`` (that step's ``grad_p``) passes
-    them as ``rho_d_prev``, ``e_s`` and ``grad_p``; the result is bitwise
-    the same, since each is then computed once instead of twice.
     """
     grid = state.grid
     mix = state.mixture
-    if e_s is None:
-        e_s = state.e_s
     hc = chemical_enthalpy(mix, state.y_F, state.y_O, state.y_N, state.y_P)
-    e_int = (grid.cell_volumes * (state.rho * e_s + state.rho_prev * hc)).sum()
-    ek = face_kinetic_energy(state, rho_d_prev, grad_p)
+    e_int = (grid.cell_volumes * (state.rho * state.e_s
+                                  + state.rho_prev * hc)).sum()
+    ek = face_kinetic_energy(state)
     e_kin = (grid.dual_volumes[1:-1] * ek[1:-1]).sum()
     return float(e_int + e_kin)
 
@@ -402,32 +369,25 @@ def correction_solve(state, u_tilde, sgp, dt, source, rho_d_n):
 
 
 @np.errstate(invalid="ignore")
-def euler_step(state, omega_theta, dt, rho_d_nm1=None, grad_p=None):
+def euler_step(state, omega_theta, dt):
     """One full flow step from an accepted state (chemistry already done).
 
     Returns the corrected fields plus the prediction by-products needed for
-    the energy audit.  ``rho_d_nm1`` (the dual density of
-    ``state.rho_prev``) and ``grad_p`` (the pressure gradient of
-    ``state.p``) are what the step that made ``state`` returned as its
-    ``rho_d_n`` and ``grad_p``; each is built when not given.  A non-finite
-    u or p turns into NaN on the way (inf - inf) without a warning, and the
-    correction solve's finiteness test ends the step.
+    the energy audit.  The dual densities and the pressure gradient are the
+    state's own.  A non-finite u or p turns into NaN on the way (inf - inf)
+    without a warning, and the correction solve's finiteness test ends the
+    step.
     """
     grid = state.grid
-    F_n = state.flux
-    dual_flux = dual_mass_flux(F_n)
-    if grad_p is None:
-        grad_p = pressure_gradient(state.p, grid)
-    rho_d_n = dual_density(grid, state.rho)
-    if rho_d_nm1 is None:
-        rho_d_nm1 = dual_density(grid, state.rho_prev)
-    sgp = scale_pressure_gradient(grad_p, rho_d_n, rho_d_nm1)
+    dual_flux = dual_mass_flux(state.flux)
+    rho_d_n = state.rho_d
+    rho_d_nm1 = state.rho_d_prev
+    sgp = scale_pressure_gradient(state.grad_p, rho_d_n, rho_d_nm1)
     u_tilde = predict_velocity(state, dual_flux, sgp, dt, rho_d_n, rho_d_nm1)
     R = kinetic_residuals(state, u_tilde, dt, rho_d_nm1)
     S = compensation_source(R, grid)
     corr = correction_solve(state, u_tilde, sgp, dt, omega_theta + S, rho_d_n)
-    return EulerResult(**vars(corr), kinetic_residual=R, source=S,
-                       rho_d_n=rho_d_n, grad_p=pressure_gradient(corr.p, grid))
+    return EulerResult(**vars(corr), kinetic_residual=R, source=S)
 
 
 def internal_energy_residual(state_n, state_next, chem_face_values, S):

@@ -78,7 +78,7 @@ def upwind_band(diag0, c):
     """Band storage of y -> diag0 y + div(c y_upwind), for ``solve_banded``.
 
     ``diag0`` holds the n cell coefficients and ``c`` the n - 1 interior
-    face coefficients (walls carry none); face j takes y from cell j - 1
+    face coefficients (walls have none); face j takes y from cell j - 1
     when c_j >= 0 and from cell j otherwise.  With a positive ``diag0`` and
     ``c`` a velocity or a mass flux this is an M-matrix, which is what keeps
     densities positive and transported fractions in [0, 1].

@@ -1,9 +1,12 @@
-"""Thermodynamics: stiffened-free ideal gas EOS, mixture data, field state."""
+"""Thermodynamics: stiffened-free ideal gas EOS, mixture data, and the field
+state of one time level with the arrays its readers share."""
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
+
+from .transport import cfl_number, dual_density, pressure_gradient
 
 R_UNIVERSAL = 8.31446261815324  # J/(mol K)
 
@@ -70,7 +73,8 @@ class MixtureSpec:
 
 @dataclass
 class FieldState:
-    """All discrete unknowns of one accepted time level.
+    """All discrete unknowns of one accepted time level, and the arrays every
+    reader of the level needs, built once by the constructor.
 
     Cell arrays have shape (n_cells,), the velocity and flux arrays shape
     (n_cells + 1,).  ``rho_prev`` is the density of the *previous* level; the
@@ -78,6 +82,17 @@ class FieldState:
     ``flux`` holds the per-face mass fluxes of the last accepted step, which
     satisfy the discrete mass balance between ``rho_prev`` and ``rho`` with
     the fixed step ``dt``.
+
+    Built from those: the dual densities ``rho_d`` of ``rho`` and
+    ``rho_d_prev`` of ``rho_prev``, the face pressure gradient ``grad_p``,
+    the sensible energy ``e_s = h_s - p / rho`` and the material CFL
+    ``cfl`` of ``flux``.  A step passes its starting level's ``rho_d`` as
+    ``prev_rho_d``, which is the new level's ``rho_d_prev``; without it, as
+    in ``dataclasses.replace``, that is built too.  No array of a level is
+    written after construction: a changed level is a new one, made with
+    ``dataclasses.replace``.  The constructor raises no numpy warning, not
+    even for a state the gates reject (rho <= 0, a non-finite p), so that
+    the gates name the field and the cell.
     """
 
     grid: object
@@ -95,11 +110,23 @@ class FieldState:
     z: np.ndarray
     G: np.ndarray
     flux: np.ndarray
+    prev_rho_d: InitVar[np.ndarray] = None
+    rho_d: np.ndarray = field(init=False, repr=False)
+    rho_d_prev: np.ndarray = field(init=False, repr=False)
+    grad_p: np.ndarray = field(init=False, repr=False)
+    e_s: np.ndarray = field(init=False, repr=False)
+    cfl: float = field(init=False, repr=False)
 
-    @property
-    def e_s(self):
-        """Sensible internal energy, via the gamma-free identity e_s = h_s - p/rho."""
-        return self.h_s - self.p / self.rho
+    @np.errstate(all="ignore")
+    def __post_init__(self, prev_rho_d):
+        grid = self.grid
+        self.rho_d = dual_density(grid, self.rho)
+        self.rho_d_prev = (dual_density(grid, self.rho_prev)
+                           if prev_rho_d is None else prev_rho_d)
+        self.grad_p = pressure_gradient(self.p, grid)
+        # the gamma-free identity
+        self.e_s = self.h_s - self.p / self.rho
+        self.cfl = cfl_number(self.flux, self.rho, self.dt, grid)
 
 
 def pressure_from_state(rho, h_s, gamma):

@@ -1,4 +1,6 @@
-"""Face interpolation and mass-flux machinery on the staggered grid.
+"""Face interpolation and mass-flux machinery on the staggered grid, and the
+arrays a time level builds from its fields: dual density, pressure gradient,
+material CFL.
 
 Three face-value schemes are provided for scalar convection: plain upwind, a
 MUSCL limiter that clips a centred tentative value into two admissibility
@@ -51,7 +53,7 @@ class LimiterParams:
 def primal_mass_flux(rho, u):
     """Upwind mass fluxes through the faces, F_j = u_j * rho_upwind.
 
-    The boundary faces carry zero flux (impermeable walls); interior faces
+    The boundary faces have zero flux (impermeable walls); interior faces
     take the density of the cell the flow comes from, with the left cell
     winning ties at exactly zero velocity.
     """
@@ -86,6 +88,14 @@ def dual_density(grid, rho):
     out[0] = rho[0]
     out[-1] = rho[-1]
     return out
+
+
+def pressure_gradient(p, grid):
+    """Face pressure gradient (p_K - p_L)/|D_sigma|; zero at the walls."""
+    p = np.asarray(p)
+    g = np.zeros(grid.n_faces)
+    g[1:-1] = (p[1:] - p[:-1]) / grid.dual_volumes[1:-1]
+    return g
 
 
 def cfl_number(F, rho_next, dt, grid):

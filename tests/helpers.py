@@ -1,5 +1,7 @@
 """Shared builders for the test suite."""
 
+from dataclasses import replace
+
 import numpy as np
 
 from stagflame.grid import build_uniform_grid
@@ -60,5 +62,4 @@ def quiescent_state(n=16, rho_left=1.2, rho_right=0.4, p0=1.0e5, dt=1.0e-4,
     y_P = 1.0 - y_F - y_O - y_N
     state = make_state(grid, mix, dt, rho, u, h_s, (y_F, y_O, y_N, y_P),
                        np.ones(n))
-    state.p = np.full(n, p0)
-    return state
+    return replace(state, p=np.full(n, p0))

@@ -21,13 +21,14 @@ from stagflame.harness import (
     run_case,
     run_sweep,
 )
-from stagflame.hydro import _NONLINEAR_TOL, pressure_gradient
+from stagflame.hydro import _NONLINEAR_TOL
 from stagflame.oracle import asymptotic_composition, rh_residuals
 from stagflame.transport import (
     LimiterParams,
     cfl_number,
     face_stencil,
     face_values,
+    pressure_gradient,
     primal_mass_flux,
 )
 from helpers import quiescent_state

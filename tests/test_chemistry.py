@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -122,7 +124,7 @@ def test_indicator_front_moves_at_flame_speed():
     cfg = inert_config(flame_speed_product=1.0)
     steps = 100
     for _ in range(steps):
-        state.G = advance_G(state, dt, cfg)
+        state = replace(state, G=advance_G(state, dt, cfg))
     assert np.min(state.G) > -1e-12 and np.max(state.G) < 1.0 + 1e-12
     crossing = float(np.interp(0.5, state.G[::-1], grid.x_centers[::-1]))
     expected = x0 - 1.0 * steps * dt
@@ -133,7 +135,7 @@ def test_flame_term_is_implicit_in_both_time_modes():
     from stagflame.transport import LimiterParams
 
     state = resting_state(n=40, G=1.0)
-    state.G = np.where(state.grid.x_centers < 0.5, 0.0, 1.0)
+    state = replace(state, G=np.where(state.grid.x_centers < 0.5, 0.0, 1.0))
     imp = inert_config(flame_speed_product=0.8)
     exp = inert_config(flame_speed_product=0.8, time_mode="explicit-limited",
                        limiter=LimiterParams(scheme="muscl"))
@@ -158,11 +160,13 @@ def test_uniform_composition_is_preserved(mode, scheme):
     from stagflame.transport import LimiterParams
 
     state = advected_state()
+    n = state.grid.n_cells
     y = (0.02, 0.2, 0.5, 0.28)
-    for name, v in zip(("y_F", "y_O", "y_N", "y_P"), y):
-        setattr(state, name, np.full(state.grid.n_cells, v))
-    state.z = np.full(state.grid.n_cells, y[0] / NU_F_W_F - y[1] / NU_O_W_O)
-    state.G = np.ones(state.grid.n_cells)  # reaction off
+    state = replace(
+        state, **{name: np.full(n, v)
+                  for name, v in zip(("y_F", "y_O", "y_N", "y_P"), y)},
+        z=np.full(n, y[0] / NU_F_W_F - y[1] / NU_O_W_O),
+        G=np.ones(n))  # reaction off
     limiter = LimiterParams(scheme=scheme) if scheme else None
     cfg = ChemStepConfig(epsilon=1e-3, time_mode=mode, limiter=limiter)
     res = chemistry_step(state, state.dt, cfg)
@@ -233,8 +237,9 @@ def test_rich_mixture_burns_down_to_excess_fuel():
 
 def test_gates_raise_on_inadmissible_fractions():
     state = resting_state()
-    state.y_F = state.y_F.copy()
-    state.y_F[3] = -1e-8  # beyond the -1e-10 gate
+    y_F = state.y_F.copy()
+    y_F[3] = -1e-8  # beyond the -1e-10 gate
+    state = replace(state, y_F=y_F)
     with pytest.raises(StepFailure):
         chemistry_step(state, state.dt, ChemStepConfig(epsilon=1.0))
 
@@ -250,8 +255,9 @@ def test_gates_raise_on_nan_fractions(mode, field):
                          limiter=LimiterParams(scheme="upwind"))
     for value in (np.nan, np.inf, -np.inf):
         state = advected_state()
-        setattr(state, field, getattr(state, field).copy())
-        getattr(state, field)[3] = value
+        bad = getattr(state, field).copy()
+        bad[3] = value
+        state = replace(state, **{field: bad})
         with pytest.raises(StepFailure, match=rf"^{field} is not finite in cell"):
             chemistry_step(state, state.dt, cfg)
 

@@ -67,13 +67,61 @@ def test_bad_config_values_are_config_errors(config_file, capsys, override,
 @pytest.mark.parametrize("override", [
     "init_mode=uniform", "nonlinear_tol=1e-14", "max_iterations=1",
     "grad_threshold=0", "flame_speed_product=50", "output_prefix=out",
+    "epsilon=1e-4",
 ])
 def test_removed_keys_are_config_errors(config_file, capsys, override):
     # the Newton tolerance and cap and the front cutoff are constants, the
     # flame speed is the oracle's, the run starts from the oracle's state,
-    # and the output prefix is the --output-prefix flag
+    # the output prefix is the --output-prefix flag, and the chemical time
+    # shrinks with the mesh (epsilon_per_h)
     assert main(["run", config_file, "--set", override]) == EXIT_CONFIG
     assert "unknown config key" in capsys.readouterr().err
+
+
+_EXPLICIT = ("--set", "time_mode=explicit-limited")
+
+
+@pytest.mark.parametrize("limiter,override,readers", [
+    ("antidiffusive", "zeta_minus=0.3", "muscl"),
+    ("antidiffusive", "zeta_plus=1.7", "muscl"),
+    ("antidiffusive", "neighbor_policy=upstream_cells", "muscl"),
+    ("muscl", "s_max=0.5", "antidiffusive"),
+    ("upwind", "zeta_minus=0.3", "muscl"),
+    ("upwind", "s_max=0.5", "antidiffusive"),
+])
+def test_limiter_keys_the_scheme_ignores_are_config_errors(
+        config_file, capsys, limiter, override, readers):
+    # explicit runs with such a key came out bitwise equal to the defaults
+    code = main(["run", config_file, *_EXPLICIT, "--set", f"limiter={limiter}",
+                 "--set", override])
+    assert code == EXIT_CONFIG
+    key, value = override.split("=")
+    assert capsys.readouterr().err == (
+        f"configuration error: {key} = {value} has no effect: only "
+        f"{readers} reads it, not {limiter}\n")
+
+
+@pytest.mark.parametrize("schemes,override,code", [
+    ("antidiffusive", "zeta_minus=0.3", EXIT_CONFIG),
+    ("upwind,muscl", "s_max=0.5", EXIT_CONFIG),
+    (None, "zeta_minus=0.3", EXIT_OK),  # muscl reads it
+])
+def test_sweep_rejects_limiter_keys_none_of_its_schemes_reads(
+        config_file, capsys, schemes, override, code):
+    argv = ["sweep", config_file, *_EXPLICIT, "--set", override,
+            "--meshes", "20,40"]
+    if schemes is not None:
+        argv += ["--schemes", schemes]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if code == EXIT_OK:
+        assert re.findall(r"scheme = (\w+)", captured.out) == [
+            "upwind", "muscl", "antidiffusive"]
+    else:
+        key = override.split("=")[0]
+        assert re.search(rf"^configuration error: {key} = .* has no effect: "
+                         rf"only \w+ reads it, not {schemes.replace(',', ', ')}$",
+                         captured.err)
 
 
 def test_explicit_step_past_cfl_one_is_a_step_failure(config_file, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from stagflame import chemistry, harness
+from stagflame import chemistry, harness, thermo
 from stagflame.chemistry import ChemStepConfig
 from stagflame.errors import ConfigError, StepFailure, require_fraction
 from stagflame.grid import build_uniform_grid
@@ -25,11 +25,13 @@ from stagflame.harness import (
     write_sweep_csv,
 )
 from stagflame import hydro
-from stagflame.hydro import pressure_gradient, total_energy
+from stagflame.hydro import total_energy
+from stagflame.thermo import FieldState
 from stagflame.transport import (
     LimiterParams,
     cfl_number,
     dual_density,
+    pressure_gradient,
     primal_mass_flux,
 )
 from helpers import benchmark_mixture, make_state
@@ -88,7 +90,7 @@ def test_load_config_with_overrides(tmp_path):
 
 def test_config_docs_name_every_key():
     # the README's key table names exactly the CaseConfig fields, and the
-    # shipped config sets all of them but the alternatives dt and epsilon
+    # shipped config sets all of them but dt, the alternative to cfl
     keys = {f.name for f in dataclasses.fields(CaseConfig)}
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
@@ -97,7 +99,7 @@ def test_config_docs_name_every_key():
     assert sorted(documented) == sorted(keys)
     shipped = parse_config_text(
         (ROOT / "configs" / "benchmark.cfg").read_text(encoding="utf-8"))
-    assert set(shipped) == keys - {"dt", "epsilon"}
+    assert set(shipped) == keys - {"dt"}
 
 
 def test_config_validation():
@@ -153,44 +155,63 @@ def test_initialize_case_benchmark_structure():
         setup.pattern.flame_speed_product)
 
 
+def _with_cell(state, **cells):
+    """A copy of ``state`` with ``field=(cell, value)`` set in each field;
+    ``dataclasses.replace`` builds the level's arrays from the new fields."""
+    changes = {}
+    for name, (cell, value) in cells.items():
+        changes[name] = getattr(state, name).copy()
+        changes[name][cell] = value
+    return dataclasses.replace(state, **changes)
+
+
 def test_gate_violations_raise():
-    setup = initialize_case(CaseConfig(n_cells=24))
-    state = setup.state
+    state = initialize_case(CaseConfig(n_cells=24)).state
 
-    bad = state.y_F.copy()
-    bad[3] += 1e-6
-    state.y_F = bad
+    bad = _with_cell(state, y_F=(3, state.y_F[3] + 1e-6))
     with pytest.raises(StepFailure, match="sum"):
-        check_state_gates(state)
-    state = initialize_case(CaseConfig(n_cells=24)).state
-    state.y_F[5] = -1e-6  # negative, with the sum repaired through y_P
-    state.y_P[5] = 1.0 - state.y_F[5] - state.y_O[5] - state.y_N[5]
+        check_state_gates(bad)
+    # negative, with the sum repaired through y_P
+    y_F = -1e-6
+    bad = _with_cell(state, y_F=(5, y_F),
+                     y_P=(5, 1.0 - y_F - state.y_O[5] - state.y_N[5]))
     with pytest.raises(StepFailure, match="y_F"):
-        check_state_gates(state)
+        check_state_gates(bad)
 
-    state = initialize_case(CaseConfig(n_cells=24)).state
-    state.rho[0] = -1.0
     with pytest.raises(StepFailure, match="density"):
-        check_state_gates(state)
+        check_state_gates(_with_cell(state, rho=(0, -1.0)))
 
-    state = initialize_case(CaseConfig(n_cells=24)).state
-    state.h_s[0] = 0.5 * state.p[0] / state.rho[0]  # below p / rho
+    # below p / rho
+    bad = _with_cell(state, h_s=(0, 0.5 * state.p[0] / state.rho[0]))
     with pytest.raises(StepFailure, match="sensible"):
-        check_state_gates(state)
+        check_state_gates(bad)
 
 
 @pytest.mark.parametrize("field", ["y_F", "G", "rho", "e_s"])
 def test_gates_reject_nan(field):
     # NaN, inf and -inf each fail the min/max test of the field and are then
     # named by cell
+    state = initialize_case(CaseConfig(n_cells=24)).state
     for value in (np.nan, np.inf, -np.inf):
-        state = initialize_case(CaseConfig(n_cells=24)).state
-        if field == "e_s":
-            state.h_s[4] = value  # e_s = h_s - p / rho is derived
-        else:
-            getattr(state, field)[4] = value
+        # the level derives e_s = h_s - p / rho
+        changed = "h_s" if field == "e_s" else field
+        bad = _with_cell(state, **{changed: (4, value)})
         with pytest.raises(StepFailure, match=rf"^{field} is not finite in cell 4"):
-            check_state_gates(state)
+            check_state_gates(bad)
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("rho", 0.0, r"^non-positive density 0\.000e\+00$"),
+    ("p", np.nan, r"^e_s is not finite in cell 3"),
+    ("p", np.inf, r"^e_s is not finite in cell 3"),
+    ("p", -np.inf, r"^e_s is not finite in cell 3"),
+])
+def test_rejected_levels_build_without_warnings(field, value, message):
+    # under the suite's warnings-as-errors, a numpy warning while the level
+    # builds its arrays would end the test before the gate names the cell
+    state = initialize_case(CaseConfig(n_cells=24)).state
+    with pytest.raises(StepFailure, match=message):
+        check_state_gates(_with_cell(state, **{field: (3, value)}))
 
 
 def admissible_state(rho, p, u_interior, y_F, y_O, y_N, G, acoustic_cfl):
@@ -307,20 +328,17 @@ def test_advance_info_contract(monkeypatch):
     monkeypatch.setattr(harness, "require_fraction", counting)
     new_state, info = advance(setup.state, setup.chem_config)
     assert gated == ["G", "y_F", "y_O", "y_N", "y_P"]
-    for key in ("cfl", "correction_residual", "correction_iterations",
-                "kinetic_residual_total", "max_sum_y_error", "chemistry",
-                "compensation_source", "rho_d_prev", "grad_p", "e_s"):
-        assert key in info
+    assert set(info) == {"cfl", "correction_residual", "correction_iterations",
+                         "kinetic_residual_total", "max_sum_y_error",
+                         "chemistry", "compensation_source"}
     assert info["correction_residual"] <= hydro._NONLINEAR_TOL
     assert info["max_sum_y_error"] <= 1e-10
+    assert info["cfl"] == new_state.cfl
     assert new_state.dt == setup.state.dt
+    # the starting level's density and its dual density are the new
+    # level's previous-level ones
     assert new_state.rho_prev is setup.state.rho
-    # the audit inputs are those total_energy(new_state) builds itself
-    assert np.array_equal(info["rho_d_prev"],
-                          dual_density(new_state.grid, new_state.rho_prev))
-    assert np.array_equal(info["e_s"], new_state.e_s)
-    assert np.array_equal(info["grad_p"],
-                          pressure_gradient(new_state.p, new_state.grid))
+    assert new_state.rho_d_prev is setup.state.rho_d
 
 
 def _corrupt_rho(flow):
@@ -416,8 +434,8 @@ _SIX_STEP_CASES = [
 
 @pytest.mark.parametrize("overrides", _SIX_STEP_CASES)
 def test_audited_energy_equals_a_fresh_total_energy(monkeypatch, overrides):
-    # the audit reuses the step's dual density and e_s; recomputed from the
-    # state alone, every step's energy must come out bit for bit the same
+    # the audit reads the level's arrays; from a level rebuilt from its
+    # fields alone, every step's energy must come out bit for bit the same
     states = []
 
     def recording(*args):
@@ -429,25 +447,38 @@ def test_audited_energy_equals_a_fresh_total_energy(monkeypatch, overrides):
     result = run_case(CaseConfig(**overrides))
     assert len(states) == len(result.diagnostics) == result.n_steps >= 5
     for state, row in zip(states, result.diagnostics):
-        assert row["energy_total"] == total_energy(state)
+        assert row["energy_total"] == total_energy(dataclasses.replace(state))
 
 
 _FIELDS = ("rho_prev", "rho", "u", "p", "h_s", "flux", "y_F", "y_O", "y_N",
            "y_P", "z", "G")
 
 
-@pytest.mark.parametrize("overrides", _SIX_STEP_CASES)
-def test_carried_arrays_equal_fresh_ones(monkeypatch, overrides):
-    # each step takes the arrays of its starting level from the step before;
-    # built from the state alone, they must come out bit for bit the same,
-    # and so must the step taken without them
-    carried = []
+def _level_arrays_equal_fresh_ones(state):
+    grid = state.grid
+    fresh = {
+        "rho_d": dual_density(grid, state.rho),
+        "rho_d_prev": dual_density(grid, state.rho_prev),
+        "grad_p": pressure_gradient(state.p, grid),
+        "e_s": state.h_s - state.p / state.rho,
+    }
+    for name, want in fresh.items():
+        assert getattr(state, name).tobytes() == want.tobytes(), name
+    assert state.cfl == cfl_number(state.flux, state.rho, state.dt, grid)
 
-    def recording(*args):
-        state, chem_config, carry = args
-        carried.append((state, carry))
-        new_state, info = advance(*args)
-        fresh_state, _ = advance(state, chem_config)
+
+@pytest.mark.parametrize("overrides", _SIX_STEP_CASES)
+def test_level_arrays_equal_fresh_ones(monkeypatch, overrides):
+    # each level builds its arrays once and takes its previous-level dual
+    # density from the level before; built from the fields alone, they must
+    # come out bit for bit the same, and so must the step from the level
+    # rebuilt by dataclasses.replace
+    levels = []
+
+    def recording(state, chem_config):
+        levels.append(state)
+        new_state, info = advance(state, chem_config)
+        fresh_state, _ = advance(dataclasses.replace(state), chem_config)
         for name in _FIELDS:
             assert (getattr(fresh_state, name).tobytes()
                     == getattr(new_state, name).tobytes()), name
@@ -455,23 +486,63 @@ def test_carried_arrays_equal_fresh_ones(monkeypatch, overrides):
 
     monkeypatch.setattr(harness, "advance", recording)
     result = run_case(CaseConfig(**overrides))
-    assert len(carried) == result.n_steps >= 5
-    assert carried[0][1] is None
-    for state, carry in carried[1:]:
-        grid = state.grid
-        assert np.array_equal(carry["rho_d_prev"],
-                              dual_density(grid, state.rho_prev))
-        assert np.array_equal(carry["grad_p"], pressure_gradient(state.p, grid))
-        assert carry["cfl"] == cfl_number(state.flux, state.rho, state.dt, grid)
+    levels.append(result.state)
+    assert len(levels) == result.n_steps + 1 >= 6
+    for state in levels:
+        _level_arrays_equal_fresh_ones(state)
+    for before, after in zip(levels, levels[1:]):
+        assert after.rho_d_prev is before.rho_d
+
+
+@pytest.mark.parametrize("overrides", _SIX_STEP_CASES)
+def test_no_step_writes_into_a_level(monkeypatch, overrides):
+    # a level's arrays are never written after construction: with every
+    # array of every level read-only, a run must go through and come out
+    # bit for bit the same
+    want = run_case(CaseConfig(**overrides))
+    built = []
+
+    def read_only(*args, **kwargs):
+        state = FieldState(*args, **kwargs)
+        for value in vars(state).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        built.append(state)
+        return state
+
+    monkeypatch.setattr(harness, "FieldState", read_only)
+    got = run_case(CaseConfig(**overrides))
+    assert len(built) == got.n_steps + 1
+    assert not got.state.rho_d.flags.writeable
+    for name in _FIELDS:
+        assert (getattr(got.state, name).tobytes()
+                == getattr(want.state, name).tobytes()), name
+    assert got.diagnostics == want.diagnostics
+    assert got.errors == want.errors
+
+
+@pytest.mark.parametrize("name", ["p", "h_s", "rho_prev"])
+def test_replace_rebuilds_the_level_arrays(name):
+    # a level made by a step, whose previous-level dual density was handed
+    # over; replacing a field rebuilds every array from the new fields
+    setup = initialize_case(CaseConfig(n_cells=40))
+    state, _ = advance(setup.state, setup.chem_config)
+    values = getattr(state, name).copy()
+    values[:20] *= 1.25
+    changed = dataclasses.replace(state, **{name: values})
+    _level_arrays_equal_fresh_ones(changed)
+    derived = {"p": "grad_p", "h_s": "e_s", "rho_prev": "rho_d_prev"}[name]
+    assert not np.array_equal(getattr(changed, derived), getattr(state, derived))
 
 
 @pytest.mark.parametrize("time_mode", ["implicit-upwind", "explicit-limited"])
 @pytest.mark.parametrize("collect_diagnostics", [True, False])
 def test_each_step_builds_each_level_array_once(monkeypatch, time_mode,
                                                 collect_diagnostics):
-    # per step, the step and its energy audit build the dual density, the
-    # pressure gradient and the CFL of one level each; the implicit audit
-    # faces are built only when read
+    # each step builds the dual density, the pressure gradient and the CFL
+    # of its new level once, and its energy audit builds none; the starting
+    # level builds its previous-level dual density too, and the implicit
+    # audit faces are built only when read
     events = []
     last = {}
 
@@ -484,8 +555,8 @@ def test_each_step_builds_each_level_array_once(monkeypatch, time_mode,
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for module, name in ((hydro, "dual_density"), (hydro, "pressure_gradient"),
-                         (harness, "cfl_number"),
+    for module, name in ((thermo, "dual_density"), (thermo, "pressure_gradient"),
+                         (thermo, "cfl_number"),
                          (chemistry, "upwind_face_values")):
         counting(module, name)
 
@@ -498,9 +569,10 @@ def test_each_step_builds_each_level_array_once(monkeypatch, time_mode,
     result = run_case(CaseConfig(n_cells=40, t_end=0.0024,
                                  time_mode=time_mode), collect_diagnostics)
     assert result.n_steps >= 4
-    # each step with its audit, from the second one on
-    steps = " ".join(events).split("step")[2:]
-    assert len(steps) == result.n_steps - 1
+    start, *steps = " ".join(events).split("step")
+    assert sorted(start.split()) == ["cfl_number", "dual_density",
+                                     "dual_density", "pressure_gradient"]
+    assert len(steps) == result.n_steps
     for step in steps:
         assert sorted(step.split()) == ["cfl_number", "dual_density",
                                         "pressure_gradient"]
@@ -518,9 +590,9 @@ def test_non_finite_velocity_or_pressure_fails_the_step(field, cell, value):
     # cell pressure ends in the correction solve's finiteness test, without
     # a numpy warning on the way
     setup = initialize_case(CaseConfig(n_cells=40))
-    getattr(setup.state, field)[cell] = value
+    state = _with_cell(setup.state, **{field: (cell, value)})
     with pytest.raises(StepFailure, match="non-finite Newton step"):
-        advance(setup.state, setup.chem_config)
+        advance(state, setup.chem_config)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -528,8 +600,9 @@ def test_wall_velocity_does_not_enter_the_step(value):
     # the prediction keeps the wall velocities at zero whatever state.u holds
     setup = initialize_case(CaseConfig(n_cells=40))
     want, _ = advance(setup.state, setup.chem_config)
-    setup.state.u[[0, -1]] = value
-    got, _ = advance(setup.state, setup.chem_config)
+    u = setup.state.u.copy()
+    u[[0, -1]] = value
+    got, _ = advance(dataclasses.replace(setup.state, u=u), setup.chem_config)
     for name in _FIELDS:
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
@@ -544,17 +617,15 @@ def test_l1_error_decreases_with_mesh():
 def test_l1_error_zero_for_exact_state():
     setup = initialize_case(CaseConfig(n_cells=30))
     state = setup.state
-    # overwrite with the exact averages the initialiser sampled from
+    # replace with the exact averages the initialiser sampled from
     from stagflame.oracle import exact_cell_averages, exact_dual_averages
     cells = exact_cell_averages(setup.pattern, state.grid, 0.002, 0.0)
     duals = exact_dual_averages(setup.pattern, state.grid, 0.002, 0.0)
-    state.rho = cells["rho"]
-    state.p = cells["p"]
-    state.u = np.asarray(duals["u"])
-    state.y_F = cells["y_F"]
-    state.G = cells["G"]
-    state.h_s = state.mixture.gamma * cells["p"] / (
-        (state.mixture.gamma - 1.0) * cells["rho"])
+    gamma = state.mixture.gamma
+    state = dataclasses.replace(
+        state, rho=cells["rho"], p=cells["p"], u=np.asarray(duals["u"]),
+        y_F=cells["y_F"], G=cells["G"],
+        h_s=gamma * cells["p"] / ((gamma - 1.0) * cells["rho"]))
     errs = l1_error(state, setup.pattern, 0.002)
     assert errs["rho"] == 0.0
     assert errs["u"] == 0.0
@@ -572,7 +643,7 @@ def test_burnt_zone_distance():
     assert burnt_zone_asymptotic_distance(state) == 0.0
     # mark everything burnt while leaving the fresh composition in place:
     # the unburnt fuel and oxidiser and the missing product each count
-    state.G = np.zeros_like(state.G)
+    state = dataclasses.replace(state, G=np.zeros_like(state.G))
     want = 2.0 * (state.y_F[0] + state.y_O[0]) * (4.5 - 0.0)
     assert burnt_zone_asymptotic_distance(state) == pytest.approx(want, rel=1e-12)
 

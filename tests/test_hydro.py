@@ -16,12 +16,16 @@ from stagflame.hydro import (
     internal_energy_residual,
     kinetic_residuals,
     predict_velocity,
-    pressure_gradient,
     scale_pressure_gradient,
     total_energy,
 )
 from stagflame.thermo import chemical_enthalpy
-from stagflame.transport import dual_density, dual_mass_flux, primal_mass_flux
+from stagflame.transport import (
+    dual_density,
+    dual_mass_flux,
+    pressure_gradient,
+    primal_mass_flux,
+)
 from helpers import make_state, quiescent_state
 
 
@@ -126,8 +130,9 @@ def test_compensation_source_splits_residuals():
 
 def test_cell_kinetic_energy_uniform_interior():
     state = quiescent_state(n=12, rho_left=0.9, rho_right=0.9)
-    state.u = state.u.copy()
-    state.u[1:-1] = 3.0
+    u = state.u.copy()
+    u[1:-1] = 3.0
+    state = replace(state, u=u)
     ke = cell_kinetic_energy(state)
     # away from the walls every face carries rho/2 u^2 and uniform pressure
     inner = slice(1, -1)

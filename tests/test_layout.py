@@ -11,7 +11,8 @@ do not count, and dunder methods are skipped); a parameter counts as passed
 when a call of a function of that name in ``src/``, ``tests/`` or
 ``perfbench/`` passes it by keyword or by position; a field counts as read
 when ``src/stagflame`` loads an attribute of that name or spells it as a
-string, which is how ``getattr`` loops name fields.
+string, which is how ``getattr`` loops name fields; an ``InitVar`` is a
+constructor argument, not a stored field, and is not checked.
 """
 
 import ast
@@ -129,7 +130,8 @@ def test_every_defaulted_parameter_is_passed():
 
 def unread_fields(src=SRC):
     """{"module.Class.field": line} of every annotated field of a dataclass
-    in ``src`` that nothing in ``src`` reads."""
+    in ``src`` that nothing in ``src`` reads; ``InitVar`` arguments are left
+    out, since ``__post_init__`` takes them as parameters."""
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(src.glob("*.py"))}
     reads = set()
@@ -148,9 +150,16 @@ def unread_fields(src=SRC):
             for item in cls.body:
                 if (isinstance(item, ast.AnnAssign)
                         and isinstance(item.target, ast.Name)
+                        and not _is_init_var(item.annotation)
                         and item.target.id not in reads):
                     unread[f"{module}.{cls.name}.{item.target.id}"] = item.lineno
     return unread
+
+
+def _is_init_var(annotation):
+    if isinstance(annotation, ast.Subscript):
+        annotation = annotation.value
+    return getattr(annotation, "id", getattr(annotation, "attr", None)) == "InitVar"
 
 
 def _is_dataclass(decorator):
@@ -192,6 +201,25 @@ def test_parameter_and_field_guards_see_dead_code(tmp_path):
     assert unpassed_parameters(src, (src, tests)) == {
         "mod.scaled(shift)": 9, "mod.f(c)": 12, "mod.f(g)": 12}
     assert unread_fields(src) == {"mod.Box.dead": 7}
+
+
+def test_field_guard_skips_init_vars_only(tmp_path):
+    # ``given`` reaches the class as a constructor argument alone; ``dead``
+    # is stored but never read
+    (tmp_path / "mod.py").write_text(
+        "from dataclasses import InitVar, dataclass, field\n\n"
+        "@dataclass\n"
+        "class Level:\n"
+        "    x: int = 0\n"
+        "    given: InitVar[int] = None\n"
+        "    twice: int = field(init=False)\n"
+        "    dead: int = field(init=False)\n\n"
+        "    def __post_init__(self, given):\n"
+        "        self.twice = 2 * self.x if given is None else given\n"
+        "        self.dead = 0\n\n"
+        "    def scaled(self):\n"
+        "        return self.twice\n")
+    assert unread_fields(tmp_path) == {"mod.Level.dead": 8}
 
 
 # Prints every scipy module a fresh interpreter has loaded once the
