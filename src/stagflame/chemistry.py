@@ -36,7 +36,7 @@ from .linalg import solve_banded, upwind_band
 from .thermo import y_O_from_z, z_from_fractions
 from .transport import FaceStencil, face_stencil, face_values, upwind_face_values
 
-_TIME_MODES = ("implicit-upwind", "explicit-limited")
+TIME_MODES = ("implicit-upwind", "explicit-limited")
 # The flame advection is off on faces where the indicator gradient is below
 # this fraction of the indicator range per cell: round-off, not a front.
 _GRAD_THRESHOLD = 1e-12
@@ -46,36 +46,25 @@ _GRAD_THRESHOLD = 1e-12
 class ChemStepConfig:
     """Parameters of the chemistry step.
 
-    Exactly one of ``epsilon`` (a fixed relaxation time) or ``epsilon_per_h``
-    (relaxation time proportional to the cell size) must be set.
+    ``epsilon`` is the relaxation time of the reaction (positive).
     ``flame_speed_product`` is the constant rho_u * u_f appearing in the
     flame propagation term.  ``time_mode`` selects implicit upwind transport
     (unconditionally stable) or explicit transport with a limiter for the
     convective face values; the flame term stays implicit either way.
     """
 
-    epsilon: float = None
-    epsilon_per_h: float = None
+    epsilon: float
     flame_speed_product: float = 0.0
     time_mode: str = "implicit-upwind"
     limiter: object = field(default=None)
 
     def __post_init__(self):
-        if self.time_mode not in _TIME_MODES:
+        if self.time_mode not in TIME_MODES:
             raise ConfigError(f"unknown time_mode {self.time_mode!r}")
-        if (self.epsilon is None) == (self.epsilon_per_h is None):
-            raise ConfigError("set exactly one of epsilon, epsilon_per_h")
-        for name in ("epsilon", "epsilon_per_h"):
-            v = getattr(self, name)
-            if v is not None and not v > 0.0:
-                raise ConfigError(f"{name} must be positive")
+        if not self.epsilon > 0.0:
+            raise ConfigError("epsilon must be positive")
         if self.flame_speed_product < 0.0:
             raise ConfigError("flame_speed_product must be non-negative")
-
-    def resolve_epsilon(self, grid):
-        if self.epsilon is not None:
-            return self.epsilon
-        return self.epsilon_per_h * grid.h
 
 
 @dataclass
@@ -199,7 +188,7 @@ def _advance_scalar(step, y, y_face=None, reaction_diag=None,
         ab[2, :-1] -= apos
         ab[1, :-1] += aneg
         ab[0, 1:] -= aneg
-    return solve_banded((1, 1), ab, rhs, overwrite_ab=True, check_finite=False)
+    return solve_banded((1, 1), ab, rhs, overwrite_ab=True)
 
 
 def advance_G(state, dt, config, step=None):
@@ -225,7 +214,7 @@ def chemistry_step(state, dt, config):
     """
     grid = state.grid
     mix = state.mixture
-    eps = config.resolve_epsilon(grid)
+    eps = config.epsilon
     step = _scalar_step(state, dt, config)
     explicit = step.stencil is not None
 

@@ -67,7 +67,6 @@ def build_parser():
 
 def _cmd_run(args):
     config = load_config(args.config, args.overrides)
-    config.check_limiter_keys([config.limiter])
     result = run_case(config)
     print(f"ran {result.n_steps} steps of {result.dt:.6e} s "
           f"to t = {result.t_final:.6f} s on {config.n_cells} cells")

@@ -6,7 +6,7 @@ from dataclasses import dataclass, fields as dc_fields, replace
 
 import numpy as np
 
-from .chemistry import ChemStepConfig, chemistry_step
+from .chemistry import TIME_MODES, ChemStepConfig, chemistry_step
 from .errors import ConfigError, StepFailure, require_finite, require_fraction
 from .grid import build_uniform_grid
 from .hydro import euler_step, total_energy
@@ -25,7 +25,7 @@ from .thermo import (
     pressure_from_state,
     temperature,
 )
-from .transport import LimiterParams, primal_mass_flux
+from .transport import SCHEMES, LimiterParams, primal_mass_flux
 
 _PROFILE_COLUMNS = (
     "x_center", "rho", "p", "u_face_interp", "T", "e_s", "h_s",
@@ -48,32 +48,25 @@ _SWEEP_COLUMNS = (
 MAX_STEPS = 10**7
 
 # Admissible ranges of the numeric config keys: (low, high, low included,
-# high included), None for an unbounded end.  Every numeric key, listed or
+# high included), None for an unbounded end.  Every float key, listed or
 # not, must also be finite.  t_start is positive because the self-similar
-# solution the run starts from needs t > 0.
+# solution the run starts from needs t > 0.  The cap on n_cells is 500
+# times the largest mesh any study runs.
 _RANGES = {
-    "n_cells": (3, None, True, False),
+    "n_cells": (3, 10**6, True, True),
     "gamma": (1.0, None, False, False),
     **dict.fromkeys(("nu_F", "nu_O", "nu_P", "W_F", "W_O", "W_N", "W_P",
                      "p_fresh", "T_fresh", "t_start", "cfl", "dt",
                      "epsilon_per_h"), (0.0, None, False, False)),
     **dict.fromkeys(("molar_F", "molar_O", "molar_N"), (0.0, 1.0, True, True)),
-    **dict.fromkeys(("zeta_minus", "zeta_plus"), (0.0, 2.0, True, True)),
-    "s_max": (0.0, None, True, False),
+    "u_flame": (0.0, None, True, False),
 }
-# The limiter keys each face scheme reads.  Implicit mode reads none of
-# them, and not the limiter either: it always convects with upwind faces.
-_SCHEME_KEYS = {
-    "upwind": (),
-    "muscl": ("zeta_minus", "zeta_plus", "neighbor_policy"),
-    "antidiffusive": ("s_max",),
-}
-_LIMITER_KEYS = sum(_SCHEME_KEYS.values(), ())
+_CHOICES = {"time_mode": TIME_MODES, "limiter": SCHEMES}
 
 
 def _range_error(key, value):
     """Why ``value`` is not admissible for ``key``; None when it is."""
-    if not math.isfinite(value):
+    if not isinstance(value, int) and not math.isfinite(value):
         return f"{key} must be finite, got {value!r}"
     if key not in _RANGES:
         return None
@@ -120,19 +113,18 @@ class CaseConfig:
     epsilon_per_h: float = 1e-2
     time_mode: str = "implicit-upwind"
     limiter: str = "upwind"
-    zeta_minus: float = 1.0
-    zeta_plus: float = 1.0
-    neighbor_policy: str = "opposite_cells"
-    s_max: float = 2.0
 
     def __post_init__(self):
         for f in dc_fields(self):
             value = getattr(self, f.name)
-            if value is None or isinstance(value, str):
-                continue
-            error = _range_error(f.name, value)
-            if error:
-                raise ConfigError(error)
+            if f.name in _CHOICES:
+                if value not in _CHOICES[f.name]:
+                    raise ConfigError(f"unknown {f.name} {value!r}, expected "
+                                      f"one of {', '.join(_CHOICES[f.name])}")
+            elif value is not None:
+                error = _range_error(f.name, value)
+                if error:
+                    raise ConfigError(error)
         if not self.x_right > self.x_left:
             raise ConfigError(f"empty domain: x_right {self.x_right!r} "
                               f"must exceed x_left {self.x_left!r}")
@@ -145,28 +137,10 @@ class CaseConfig:
         if self.cfl is not None:
             if self.time_mode == "explicit-limited" and self.cfl > 1.0:
                 raise ConfigError("cfl must lie in (0, 1] for explicit-limited mode")
-        if self.time_mode == "implicit-upwind":
-            # the face-scheme keys take effect only in explicit-limited mode
-            for name, value in self.off_default(("limiter",) + _LIMITER_KEYS):
-                raise ConfigError(f"{name} = {value} needs time_mode = "
-                                  f"explicit-limited: implicit mode always "
-                                  f"convects with upwind faces")
-
-    def off_default(self, names):
-        """(name, value) of each key of ``names`` set off its default."""
-        return [(f.name, getattr(self, f.name)) for f in dc_fields(self)
-                if f.name in names and getattr(self, f.name) != f.default]
-
-    def check_limiter_keys(self, schemes):
-        """Raise ConfigError for a limiter key set off its default that none
-        of the face ``schemes`` reads: it would change nothing."""
-        read = {key for scheme in schemes
-                for key in _SCHEME_KEYS.get(scheme, ())}
-        for name, value in self.off_default(set(_LIMITER_KEYS) - read):
-            readers = [s for s, keys in _SCHEME_KEYS.items() if name in keys]
-            raise ConfigError(f"{name} = {value} has no effect: only "
-                              f"{', '.join(readers)} reads it, not "
-                              f"{', '.join(schemes)}")
+        if self.time_mode == "implicit-upwind" and self.limiter != "upwind":
+            raise ConfigError(f"limiter = {self.limiter} needs time_mode = "
+                              f"explicit-limited: implicit mode always "
+                              f"convects with upwind faces")
 
     @classmethod
     def from_dict(cls, data):
@@ -176,10 +150,7 @@ class CaseConfig:
             if key not in known:
                 raise ConfigError(f"unknown config key {key!r}")
             kwargs[key] = _coerce(key, raw, known[key].type)
-        try:
-            return cls(**kwargs)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from None
+        return cls(**kwargs)
 
     def mixture(self):
         try:
@@ -192,21 +163,13 @@ class CaseConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
-    def limiter_params(self):
-        try:
-            return LimiterParams(
-                scheme=self.limiter, zeta_minus=self.zeta_minus,
-                zeta_plus=self.zeta_plus, neighbor_policy=self.neighbor_policy,
-                s_max=self.s_max,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-
-    def chem_config(self, flame_speed_product):
+    def chem_config(self, flame_speed_product, h):
+        """The chemistry step's parameters on a mesh of cell size ``h``: the
+        chemical time is ``epsilon_per_h * h``."""
         return ChemStepConfig(
-            epsilon_per_h=self.epsilon_per_h,
+            epsilon=self.epsilon_per_h * h,
             flame_speed_product=flame_speed_product, time_mode=self.time_mode,
-            limiter=self.limiter_params(),
+            limiter=LimiterParams(scheme=self.limiter),
         )
 
     def resolved_dict(self):
@@ -225,7 +188,7 @@ def _coerce(key, raw, ftype):
         return str(raw)
     try:
         return float(raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"config key {key!r} needs a number, got {raw!r}") from None
 
 
@@ -336,7 +299,7 @@ def initialize_case(config):
     check_state_gates(state)
     return CaseSetup(
         state=state, pattern=pattern,
-        chem_config=config.chem_config(pattern.flame_speed_product),
+        chem_config=config.chem_config(pattern.flame_speed_product, grid.h),
         dt=dt, n_steps=n_steps,
         t_initial=config.t_start,
     )
@@ -651,11 +614,9 @@ def convergence_study(config, meshes):
 def run_sweep(config, meshes, schemes):
     """Convergence study for several face schemes; returns {scheme: report}.
 
-    Every scheme's config is validated before the first run starts, and a
-    limiter key that none of the schemes reads is a ConfigError.
+    Every scheme's config is validated before the first run starts.
     """
     configs = {scheme: replace(config, limiter=scheme) for scheme in schemes}
-    config.check_limiter_keys(schemes)
     return {scheme: convergence_study(cfg, meshes) for scheme, cfg in configs.items()}
 
 

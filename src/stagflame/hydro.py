@@ -106,8 +106,7 @@ def predict_velocity(state, dual_flux, sgp, dt, rho_d_n, rho_d_nm1):
     ab[2, -1] = 0.0
     rhs = hdt * rho_d_nm1[1:-1] * state.u[1:-1] - dv * sgp[1:-1]
     u_tilde = np.zeros(n + 1)
-    u_tilde[1:n] = solve_banded((1, 1), ab, rhs, overwrite_ab=True,
-                                check_finite=False)
+    u_tilde[1:n] = solve_banded((1, 1), ab, rhs, overwrite_ab=True)
     return u_tilde
 
 
@@ -285,8 +284,7 @@ class _CorrectionSystem:
         ``(delta, None)``, or ``(None, why)`` when there is no usable step.
         """
         try:
-            delta = solve_banded((1, 1), band, -r, overwrite_b=True,
-                                 check_finite=False)
+            delta = solve_banded((1, 1), band, -r, overwrite_b=True)
         except np.linalg.LinAlgError:
             return None, "singular Jacobian"
         if not np.isfinite(delta).all():

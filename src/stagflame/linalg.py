@@ -53,20 +53,18 @@ if _scipy is None:
 dgtsv = load_flapack(_scipy.submodule_search_locations[0]).dgtsv
 
 
-def solve_banded(l_and_u, ab, b, overwrite_ab=False, overwrite_b=False,
-                 check_finite=True):
+def solve_banded(l_and_u, ab, b, overwrite_ab=False, overwrite_b=False):
     """Solve the tridiagonal system in (1, 1) band storage ``ab``.
 
     ``ab[0, 1:]`` is the upper diagonal, ``ab[1]`` the diagonal and
     ``ab[2, :-1]`` the lower diagonal, as for ``scipy.linalg.solve_banded``,
-    whose arguments and errors this mirrors: ``LinAlgError`` for a singular
-    matrix, ``ValueError`` for non-finite input when ``check_finite`` is set
-    and for any band other than (1, 1).
+    whose argument order and errors this mirrors: ``LinAlgError`` for a
+    singular matrix, ``ValueError`` for any band other than (1, 1).  The
+    input is never scanned for NaN and inf: a non-finite input gives a
+    non-finite solution.
     """
     if tuple(l_and_u) != (1, 1):
         raise ValueError(f"only the (1, 1) band is supported, got {l_and_u!r}")
-    if check_finite and not (np.isfinite(ab).all() and np.isfinite(b).all()):
-        raise ValueError("array must not contain infs or NaNs")
     x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b, overwrite_ab,
                     overwrite_ab, overwrite_ab, overwrite_b)[3:]
     if info > 0:

@@ -11,6 +11,7 @@ from stagflame.chemistry import (
 )
 from stagflame.errors import ConfigError, StepFailure
 from stagflame.grid import build_uniform_grid
+from stagflame.harness import CaseConfig
 from stagflame.thermo import y_O_from_z
 from stagflame.transport import upwind_face_values
 from helpers import benchmark_mixture, make_state
@@ -53,20 +54,17 @@ def advected_state(n=32, dt=2e-3, seed=1, time_sign=1.0):
 # configuration
 
 
-def test_exactly_one_epsilon_required():
-    with pytest.raises(ConfigError):
-        ChemStepConfig()
-    with pytest.raises(ConfigError):
-        ChemStepConfig(epsilon=1.0, epsilon_per_h=1.0)
-    with pytest.raises(ConfigError):
-        ChemStepConfig(epsilon=-1.0)
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan")])
+def test_epsilon_must_be_positive(epsilon):
+    with pytest.raises(ConfigError, match="epsilon must be positive"):
+        ChemStepConfig(epsilon=epsilon)
+    assert ChemStepConfig(epsilon=3.0).epsilon == 3.0
 
 
 def test_epsilon_per_h_resolution():
     grid = build_uniform_grid(10, 0.0, 2.0)
-    cfg = ChemStepConfig(epsilon_per_h=0.5)
-    assert cfg.resolve_epsilon(grid) == pytest.approx(0.1)
-    assert ChemStepConfig(epsilon=3.0).resolve_epsilon(grid) == 3.0
+    cfg = CaseConfig(epsilon_per_h=0.5).chem_config(1.0, grid.h)
+    assert cfg.epsilon == pytest.approx(0.1)
 
 
 def test_unknown_time_mode_rejected():

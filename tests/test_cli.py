@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stagflame import hydro
+from stagflame import harness, hydro
 from stagflame.cli import EXIT_CONFIG, EXIT_OK, EXIT_ORACLE, EXIT_STEP, main
 
 
@@ -48,12 +48,13 @@ def test_bad_config_line_is_a_config_error(tmp_path, capsys):
     ("t_end=1e300", r"needs [\d.]+e\+304 steps .* more than 10000000"),
     ("t_start=0", r"t_start must lie in \(0.0, inf\)"),
     ("n_cells=1.5", "'n_cells' needs an integer"),
+    # an integer too large for a float, and the cap: neither builds a grid
+    pytest.param("n_cells=" + "9" * 400, r"n_cells must lie in \[3, 1000000\]",
+                 id="n_cells=9x400"),
+    ("n_cells=1000001", r"n_cells must lie in \[3, 1000000\]"),
+    ("u_flame=-1", r"u_flame must lie in \[0.0, inf\)"),
     ("limiter=antidiffusive",
      "implicit mode always convects with upwind faces"),
-    ("zeta_minus=0.5", "zeta_minus = 0.5 needs time_mode = explicit-limited"),
-    ("neighbor_policy=upstream_cells",
-     "neighbor_policy = upstream_cells needs time_mode = explicit-limited"),
-    ("s_max=1.5", "s_max = 1.5 needs time_mode = explicit-limited"),
 ])
 def test_bad_config_values_are_config_errors(config_file, capsys, override,
                                              reason):
@@ -67,13 +68,15 @@ def test_bad_config_values_are_config_errors(config_file, capsys, override,
 @pytest.mark.parametrize("override", [
     "init_mode=uniform", "nonlinear_tol=1e-14", "max_iterations=1",
     "grad_threshold=0", "flame_speed_product=50", "output_prefix=out",
-    "epsilon=1e-4",
+    "epsilon=1e-4", "zeta_minus=1.0", "zeta_plus=1.0",
+    "neighbor_policy=opposite_cells", "s_max=2.0",
 ])
 def test_removed_keys_are_config_errors(config_file, capsys, override):
     # the Newton tolerance and cap and the front cutoff are constants, the
     # flame speed is the oracle's, the run starts from the oracle's state,
-    # the output prefix is the --output-prefix flag, and the chemical time
-    # shrinks with the mesh (epsilon_per_h)
+    # the output prefix is the --output-prefix flag, the chemical time
+    # shrinks with the mesh (epsilon_per_h), and the face schemes keep their
+    # default tuning, so even a default value is unknown
     assert main(["run", config_file, "--set", override]) == EXIT_CONFIG
     assert "unknown config key" in capsys.readouterr().err
 
@@ -81,47 +84,21 @@ def test_removed_keys_are_config_errors(config_file, capsys, override):
 _EXPLICIT = ("--set", "time_mode=explicit-limited")
 
 
-@pytest.mark.parametrize("limiter,override,readers", [
-    ("antidiffusive", "zeta_minus=0.3", "muscl"),
-    ("antidiffusive", "zeta_plus=1.7", "muscl"),
-    ("antidiffusive", "neighbor_policy=upstream_cells", "muscl"),
-    ("muscl", "s_max=0.5", "antidiffusive"),
-    ("upwind", "zeta_minus=0.3", "muscl"),
-    ("upwind", "s_max=0.5", "antidiffusive"),
+@pytest.mark.parametrize("argv,stage", [
+    (["run", "--set", "time_mode=bogus"], "solve_deflagration_riemann"),
+    (["sweep", *_EXPLICIT, "--meshes", "1000", "--schemes", "upwind,bogus"],
+     "run_case"),
 ])
-def test_limiter_keys_the_scheme_ignores_are_config_errors(
-        config_file, capsys, limiter, override, readers):
-    # explicit runs with such a key came out bitwise equal to the defaults
-    code = main(["run", config_file, *_EXPLICIT, "--set", f"limiter={limiter}",
-                 "--set", override])
-    assert code == EXIT_CONFIG
-    key, value = override.split("=")
-    assert capsys.readouterr().err == (
-        f"configuration error: {key} = {value} has no effect: only "
-        f"{readers} reads it, not {limiter}\n")
-
-
-@pytest.mark.parametrize("schemes,override,code", [
-    ("antidiffusive", "zeta_minus=0.3", EXIT_CONFIG),
-    ("upwind,muscl", "s_max=0.5", EXIT_CONFIG),
-    (None, "zeta_minus=0.3", EXIT_OK),  # muscl reads it
-])
-def test_sweep_rejects_limiter_keys_none_of_its_schemes_reads(
-        config_file, capsys, schemes, override, code):
-    argv = ["sweep", config_file, *_EXPLICIT, "--set", override,
-            "--meshes", "20,40"]
-    if schemes is not None:
-        argv += ["--schemes", schemes]
-    assert main(argv) == code
-    captured = capsys.readouterr()
-    if code == EXIT_OK:
-        assert re.findall(r"scheme = (\w+)", captured.out) == [
-            "upwind", "muscl", "antidiffusive"]
-    else:
-        key = override.split("=")[0]
-        assert re.search(rf"^configuration error: {key} = .* has no effect: "
-                         rf"only \w+ reads it, not {schemes.replace(',', ', ')}$",
-                         captured.err)
+def test_unknown_choice_stops_before_any_work(config_file, capsys,
+                                              monkeypatch, argv, stage):
+    # the config rejects the name when it is built, before the oracle solve
+    # of a run and before the first study of a sweep
+    calls = []
+    monkeypatch.setattr(harness, stage, lambda *a, **k: calls.append(a))
+    assert main([argv[0], config_file, *argv[1:]]) == EXIT_CONFIG
+    assert calls == []
+    assert re.search(r"^configuration error: unknown (time_mode|limiter) "
+                     r"'bogus', expected one of ", capsys.readouterr().err)
 
 
 def test_explicit_step_past_cfl_one_is_a_step_failure(config_file, capsys):

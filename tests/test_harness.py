@@ -72,6 +72,9 @@ def test_from_dict_rejects_bad_literals():
         CaseConfig.from_dict({"n_cells": "sixty"})
     with pytest.raises(ConfigError, match="number"):
         CaseConfig.from_dict({"gamma": "fast"})
+    # an integer too large for a float
+    with pytest.raises(ConfigError, match="number"):
+        CaseConfig.from_dict({"gamma": 10**400})
 
 
 def test_load_config_with_overrides(tmp_path):
@@ -117,6 +120,16 @@ def test_config_validation():
     assert CaseConfig().epsilon_per_h == 1e-2
 
 
+def test_choice_keys_are_checked_when_the_config_is_built():
+    with pytest.raises(ConfigError, match="unknown time_mode 'bogus'"):
+        CaseConfig(time_mode="bogus")
+    explicit = CaseConfig(time_mode="explicit-limited")
+    with pytest.raises(ConfigError, match="unknown limiter 'bogus', expected "
+                                          "one of upwind, muscl, antidiffusive"):
+        dataclasses.replace(explicit, limiter="bogus")
+    assert dataclasses.replace(explicit, limiter="muscl").limiter == "muscl"
+
+
 # A flame that neither moves nor releases heat: the exact solution is the
 # fresh gas at rest, and the burnt zone (x < x0 = 0) lies outside the domain.
 _STATIC_FLAME = dict(u_flame=0.0, dh_P=0.0)
@@ -153,6 +166,8 @@ def test_initialize_case_benchmark_structure():
     # flame-speed product defaults to the oracle value
     assert setup.chem_config.flame_speed_product == pytest.approx(
         setup.pattern.flame_speed_product)
+    # the chemical time is epsilon_per_h times the cell size
+    assert setup.chem_config.epsilon == 1e-2 * state.grid.h
 
 
 def _with_cell(state, **cells):
@@ -285,12 +300,12 @@ def test_one_step_keeps_gates_mass_and_energy(state, transport,
     # every face scheme keeps every fraction in [0, 1] on any admissible
     # state; explicit transport only within its material CFL bound of 1
     if transport is None:
-        chem = ChemStepConfig(epsilon_per_h=1e-2,
+        chem = ChemStepConfig(epsilon=1e-2 * state.grid.h,
                               flame_speed_product=flame_speed_product)
     else:
         assume(cfl_number(state.flux, state.rho, state.dt, state.grid) <= 1.0)
         scheme, policy = transport
-        chem = ChemStepConfig(epsilon_per_h=1e-2,
+        chem = ChemStepConfig(epsilon=1e-2 * state.grid.h,
                               flame_speed_product=flame_speed_product,
                               time_mode="explicit-limited",
                               limiter=LimiterParams(scheme=scheme,

@@ -1,8 +1,8 @@
 """Every function, method and class in ``src/stagflame`` has a use there,
 every defaulted parameter is passed by some call, every dataclass field is
-read, the package loads no more of scipy than its LAPACK extension, the
-per-step code calls reductions as ndarray methods, and no banded solve
-scans its inputs for NaN and inf.
+read, no parameter takes the same literal from every call in
+``src/stagflame``, the package loads no more of scipy than its LAPACK
+extension, and the per-step code calls reductions as ndarray methods.
 
 Code that only tests call belongs in ``tests/``.  The checks go by name: a
 definition counts as used when a name or an attribute spelled like it is
@@ -79,12 +79,10 @@ def _functions(tree):
             yield node, id(node) in methods and not static
 
 
-def unpassed_parameters(src=SRC, callers=CALLERS):
-    """{"module.function(param)": line} of every parameter with a default,
-    of a function or method in ``src``, that no call in ``callers`` passes:
-    by keyword, by position, or through ``*args`` or ``**kwargs``."""
+def _calls(roots):
+    """{name: [call nodes]} of every call in ``roots``, by called name."""
     calls = {}
-    for root in callers:
+    for root in roots:
         for path in sorted(Path(root).rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
                 if isinstance(node, ast.Call):
@@ -92,6 +90,14 @@ def unpassed_parameters(src=SRC, callers=CALLERS):
                     name = (func.attr if isinstance(func, ast.Attribute)
                             else getattr(func, "id", None))
                     calls.setdefault(name, []).append(node)
+    return calls
+
+
+def unpassed_parameters(src=SRC, callers=CALLERS):
+    """{"module.function(param)": line} of every parameter with a default,
+    of a function or method in ``src``, that no call in ``callers`` passes:
+    by keyword, by position, or through ``*args`` or ``**kwargs``."""
+    calls = _calls(callers)
     unpassed = {}
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -298,43 +304,89 @@ def test_reduction_guard_sees_calls_and_missing_functions(tmp_path):
         "harness:4 np.any"]
 
 
-# A solve that scans its inputs for NaN and inf costs a pass over the band
-# and the right hand side (about 3.5 us on 250 cells) and turns a non-finite
-# state into a ValueError instead of a StepFailure.  Every solve skips the
-# scan: a non-finite solution is still caught by Newton's finiteness test
-# and by the gates on the new state.
-def scanned_solves(src=SRC):
-    """["module:line"] of every solve_banded call in ``src`` that does not
-    pass ``check_finite=False``."""
-    found = []
+# A parameter that every call in src/ passes, each time as the same literal,
+# is a constant spelled at each call site.  Calls from tests do not count: a
+# test of a knob does not justify the knob.  Exempt, with the reason:
+SAME_VALUE_EXEMPT = {
+    # scipy's argument order: the benchmark reads the band as args[1]
+    "linalg.solve_banded(l_and_u)",
+}
+
+
+def _passed_literal(call, index, name, method):
+    """``ast.dump`` of the literal ``call`` passes as parameter ``name`` (at
+    positional ``index``, None when keyword-only); None when the call does
+    not pass it, passes it through ``*args`` or ``**kwargs``, or passes
+    something other than a literal."""
+    node = next((kw.value for kw in call.keywords if kw.arg == name), None)
+    if node is None and index is not None:
+        position = index - method
+        head = call.args[:position + 1]
+        if (len(call.args) > position
+                and not any(isinstance(a, ast.Starred) for a in head)):
+            node = call.args[position]
+    if node is None:
+        return None
+    try:
+        ast.literal_eval(node)
+    except ValueError:
+        return None
+    return ast.dump(node)
+
+
+def same_value_parameters(src=SRC):
+    """{"module.function(param)": line} of every parameter of a function or
+    method in ``src`` that at least one call in ``src`` passes and every
+    call in ``src`` passes as the same literal."""
+    calls = _calls((src,))
+    found = {}
     for path in sorted(src.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if not isinstance(node, ast.Call):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func, method in _functions(tree):
+            sites = calls.get(func.name, ())
+            if func.name.startswith("__") or not sites:
                 continue
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(
-                func, "id", None)
-            if name != "solve_banded":
-                continue
-            if not any(kw.arg == "check_finite"
-                       and isinstance(kw.value, ast.Constant)
-                       and kw.value.value is False for kw in node.keywords):
-                found.append(f"{path.stem}:{node.lineno}")
+            args = func.args
+            params = list(enumerate(args.posonlyargs + args.args))[method:]
+            params += [(None, a) for a in args.kwonlyargs]
+            for index, arg in params:
+                values = {_passed_literal(call, index, arg.arg, method)
+                          for call in sites}
+                if len(values) == 1 and None not in values:
+                    found[f"{path.stem}.{func.name}({arg.arg})"] = arg.lineno
     return found
 
 
-def test_every_banded_solve_skips_the_finiteness_scan():
-    assert scanned_solves() == []
+def test_no_parameter_takes_one_literal_from_every_caller():
+    found = same_value_parameters()
+    assert {k: v for k, v in found.items() if k not in SAME_VALUE_EXEMPT} == {}
+    # an exemption whose parameter is gone or now varies must be dropped
+    assert SAME_VALUE_EXEMPT <= set(found)
 
 
-def test_scan_guard_sees_solves_without_the_flag(tmp_path):
-    (tmp_path / "hydro.py").write_text(
-        "from .linalg import solve_banded\n\n"
-        "def a(ab, b):\n    return solve_banded((1, 1), ab, b)\n\n"
-        "def b(ab, b):\n"
-        "    return solve_banded((1, 1), ab, b, check_finite=False)\n")
-    (tmp_path / "chemistry.py").write_text(
-        "from . import linalg\n\n"
-        "def c(ab, b):\n"
-        "    return linalg.solve_banded((1, 1), ab, b, check_finite=True)\n")
-    assert scanned_solves(tmp_path) == ["chemistry:4", "hydro:4"]
+def test_same_value_guard_sees_constant_parameters(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def solve(band, ab, b, scan=True, tol=1e-9):\n"
+        "    return ab\n\n"
+        "def wrap(x, *, mode='a'):\n"
+        "    return x\n\n"
+        "def pack(x, *, mode='a'):\n"
+        "    return x\n\n"
+        "def spread(a, b=0):\n"
+        "    return a + b\n\n"
+        "class Box:\n"
+        "    def scaled(self, k, shift=0):\n"
+        "        return k + shift\n\n"
+        "def run(ab, b, box, opts, n):\n"
+        "    solve((1, 1), ab, b, False)\n"
+        "    solve((1, 1), ab, b, scan=False, tol=n)\n"
+        "    wrap(ab, mode='a') + wrap(b, mode='a')\n"
+        "    pack(ab, mode='a') + pack(b, **opts)\n"
+        "    spread(1, 2) + spread(*opts)\n"
+        "    return box.scaled(2, shift=n) + box.scaled(2)\n")
+    # by position or keyword alike; a name, a call that leaves the parameter
+    # out or one that may pass it through *opts or **opts breaks the rule,
+    # and self is no parameter a call passes; run has no call at all
+    assert same_value_parameters(tmp_path) == {
+        "mod.solve(band)": 1, "mod.solve(scan)": 1, "mod.wrap(mode)": 4,
+        "mod.scaled(k)": 14}
