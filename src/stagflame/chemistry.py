@@ -20,6 +20,13 @@ cell masses and those terms).  The benchmark's span recorder counts and
 times the solves and the face values by wrapping this module's
 ``solve_banded`` and ``face_values`` attributes, so the names must stay.
 
+The step's kernels work in place: a call may overwrite the temporaries it
+made itself (``out=``, augmented assignment), keeping the operations of
+the formula its comment gives in their order, so that results stay bitwise
+those of the plain expression.  Nothing writes into an array of a level,
+of the step's ``_ScalarStep`` or ``FaceStencil`` (every scalar shares
+them) or of a ``ChemResult``.
+
 The face values each species balance convected are reported for the energy
 audit alone (``ChemResult.face_values``).  An explicit step has them from its
 transport; an implicit step's upwind faces follow from the new fractions
@@ -114,16 +121,19 @@ def flame_advection_field(G, config, grid):
     n = G.shape[0]
     h = grid.h
     G_hat = np.empty(n + 1)
-    G_hat[1:n] = 0.5 * (G[:-1] + G[1:])
+    inner = np.add(G[:-1], G[1:], out=G_hat[1:n])
+    inner *= 0.5  # (G_L + G_R) / 2
     G_hat[0] = G[0]
     G_hat[n] = G[-1]
     a = np.zeros(n + 1)
-    grad = (G_hat[2:] - G_hat[:-2]) / (2.0 * h)
+    grad = np.subtract(G_hat[2:], G_hat[:-2])
+    grad /= 2.0 * h  # centred difference of the face values
     span = float(G.max() - G.min())
     cut = _GRAD_THRESHOLD * span / h
-    sign = np.sign(grad)
-    sign[np.abs(grad) < cut] = 0.0
-    a[1:n] = config.flame_speed_product * sign
+    # a = rho_u u_f sign(grad G), 0 where |grad G| < cut
+    sign = np.sign(grad, out=a[1:n])
+    sign[np.abs(grad, out=grad) < cut] = 0.0
+    sign *= config.flame_speed_product
     return a
 
 
@@ -166,14 +176,15 @@ def _advance_scalar(step, y, y_face=None, reaction_diag=None,
     """
     rhs = step.mass_prev * y
     if reaction_rhs is not None:
-        rhs = rhs + reaction_rhs
+        rhs += reaction_rhs
     if step.transport is not None:
         ab = step.transport.copy()
     else:
         Fy = step.F * y_face
-        rhs = rhs - (Fy[1:] - Fy[:-1])
+        rhs -= Fy[1:] - Fy[:-1]
         if flame is None and reaction_diag is None:
-            return rhs / step.mass
+            rhs /= step.mass
+            return rhs
         ab = np.zeros((3, y.shape[0]))
         ab[1] = step.mass
     if reaction_diag is not None:
@@ -183,7 +194,8 @@ def _advance_scalar(step, y, y_face=None, reaction_diag=None,
         # from cell j-1, a_j < 0 feeds cell j-1 from cell j
         a_int = flame[1:-1]
         apos = np.maximum(a_int, 0.0)
-        aneg = np.maximum(-a_int, 0.0)
+        aneg = np.negative(a_int)
+        np.maximum(aneg, 0.0, out=aneg)
         ab[1, 1:] += apos
         ab[2, :-1] -= apos
         ab[1, :-1] += aneg
@@ -231,22 +243,32 @@ def chemistry_step(state, dt, config):
     z_next = _advance_scalar(step, state.z, z_face)
     yN_next = _advance_scalar(step, state.y_N, yN_face)
 
-    burning = np.maximum(0.5 - G_next, 0.0)
-    burn = grid.cell_volumes / eps * burning
+    burning = np.subtract(0.5, G_next)
+    np.maximum(burning, 0.0, out=burning)  # (1/2 - G)^+
+    burn = grid.cell_volumes / eps
+    burn *= burning
     z_plus = np.maximum(z_next, 0.0)
+    # burn nu_F W_F z^+
+    reaction_rhs = burn * mix.nu_F
+    reaction_rhs *= mix.W_F
+    reaction_rhs *= z_plus
     yF_next = _advance_scalar(step, state.y_F, yF_face, reaction_diag=burn,
-                              reaction_rhs=burn * mix.nu_F * mix.W_F * z_plus)
+                              reaction_rhs=reaction_rhs)
 
     yO_next = y_O_from_z(mix, yF_next, z_next)
-    yP_next = 1.0 - yF_next - yO_next - yN_next
+    yP_next = np.subtract(1.0, yF_next)
+    yP_next -= yO_next
+    yP_next -= yN_next  # 1 - y_F - y_O - y_N
 
     for name, y in (("G", G_next), ("y_F", yF_next), ("y_O", yO_next),
                     ("y_N", yN_next), ("y_P", yP_next)):
         require_fraction(name, y)
 
     # heat release actually applied: Lambda / eps * eta(y^{n+1}) (1/2 - G)^+
-    eta_next = yF_next / (mix.nu_F * mix.W_F) - z_plus
-    omega_theta = mix.reaction_heat_coefficient / eps * eta_next * burning
+    omega_theta = yF_next / (mix.nu_F * mix.W_F)
+    omega_theta -= z_plus  # eta(y^{n+1})
+    omega_theta *= mix.reaction_heat_coefficient / eps
+    omega_theta *= burning
 
     explicit_faces = None
     if explicit:

@@ -1,6 +1,7 @@
 """Case setup, time loop, error measurement and convergence studies."""
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, fields as dc_fields, replace
 
@@ -180,10 +181,14 @@ def _coerce(key, raw, ftype):
     if isinstance(raw, str):
         raw = raw.strip()
     if ftype is int:
-        try:
-            return int(raw)
-        except (TypeError, ValueError):
-            raise ConfigError(f"config key {key!r} needs an integer, got {raw!r}") from None
+        # a string must spell an integer, and a number must be one: a float
+        # or a bool is refused rather than truncated
+        if isinstance(raw, (str, numbers.Integral)) and not isinstance(raw, bool):
+            try:
+                return int(raw)
+            except ValueError:
+                pass
+        raise ConfigError(f"config key {key!r} needs an integer, got {raw!r}")
     if ftype is str:
         return str(raw)
     try:

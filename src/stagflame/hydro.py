@@ -19,6 +19,14 @@ A flow step and the energy audit read the arrays of a time level - its
 dual densities, pressure gradient and e_s - from the level itself
 (``FieldState``), which builds each of them once.
 
+The step's kernels work in place: a call may overwrite the temporaries it
+made itself (``out=``, augmented assignment), and ``newton_step`` the
+residual it is handed, keeping the operations of the formula its comment
+gives in their order, so that results stay bitwise those of the plain
+expression.  Nothing writes into an array of a level or into one that a
+``CorrectionResult`` holds.  The one buffer an object keeps is the
+correction solve's Jacobian band, allocated once per solve.
+
 The prediction and every Newton step are tridiagonal solves through
 ``solve_banded``, imported from ``stagflame.linalg`` under scipy's name and
 argument order; the benchmark's span recorder counts and times them by
@@ -101,12 +109,18 @@ def predict_velocity(state, dual_flux, sgp, dt, rho_d_n, rho_d_nm1):
     ab = np.empty((3, n - 1))
     ab[0, 0] = 0.0
     ab[0, 1:] = half[1:-1]
-    ab[1] = hdt * rho_d_n[1:-1] + (half[1:] - half[:-1])
-    ab[2, :-1] = -half[1:-1]
+    # diagonal: hdt rho^n_D + (half_right - half_left)
+    diag = np.subtract(half[1:], half[:-1], out=ab[1])
+    diag += hdt * rho_d_n[1:-1]
+    np.negative(half[1:-1], out=ab[2, :-1])
     ab[2, -1] = 0.0
-    rhs = hdt * rho_d_nm1[1:-1] * state.u[1:-1] - dv * sgp[1:-1]
+    # rhs = hdt rho^{n-1}_D u^n - |D| sgp
+    rhs = hdt * rho_d_nm1[1:-1]
+    rhs *= state.u[1:-1]
+    rhs -= np.multiply(dv, sgp[1:-1], out=hdt)
     u_tilde = np.zeros(n + 1)
-    u_tilde[1:n] = solve_banded((1, 1), ab, rhs, overwrite_ab=True)
+    u_tilde[1:n] = solve_banded((1, 1), ab, rhs, overwrite_ab=True,
+                                overwrite_b=True)
     return u_tilde
 
 
@@ -116,7 +130,10 @@ def kinetic_residuals(state_n, u_tilde, dt, rho_d_nm1):
     R_sigma = |D_sigma| rho^{n-1}_D (u_tilde - u^n)^2 / (2 dt), with
     ``rho_d_nm1`` the previous-level dual density; walls have none.
     """
-    R = state_n.grid.dual_volumes * rho_d_nm1 / (2.0 * dt) * (u_tilde - state_n.u) ** 2
+    R = state_n.grid.dual_volumes * rho_d_nm1
+    R /= 2.0 * dt
+    du = np.subtract(u_tilde, state_n.u)
+    R *= np.square(du, out=du)
     R[0] = 0.0
     R[-1] = 0.0
     return R
@@ -145,8 +162,14 @@ def face_kinetic_energy(state):
     exchanges with it.
     """
     rho_d_prev = state.rho_d_prev
-    return (0.5 * rho_d_prev * state.u**2
-            + state.dt**2 * state.grad_p**2 / (2.0 * rho_d_prev))
+    # 0.5 rho_D u^2 + dt^2 grad_p^2 / (2 rho_D)
+    ek = 0.5 * rho_d_prev
+    ek *= np.square(state.u)
+    store = np.square(state.grad_p)
+    store *= state.dt**2
+    store /= 2.0 * rho_d_prev
+    ek += store
+    return ek
 
 
 def cell_kinetic_energy(state):
@@ -169,10 +192,14 @@ def total_energy(state):
     grid = state.grid
     mix = state.mixture
     hc = chemical_enthalpy(mix, state.y_F, state.y_O, state.y_N, state.y_P)
-    e_int = (grid.cell_volumes * (state.rho * state.e_s
-                                  + state.rho_prev * hc)).sum()
-    ek = face_kinetic_energy(state)
-    e_kin = (grid.dual_volumes[1:-1] * ek[1:-1]).sum()
+    # sum |K| (rho e_s + rho^{n-1} hc)
+    hc *= state.rho_prev
+    hc += state.rho * state.e_s
+    hc *= grid.cell_volumes
+    e_int = hc.sum()
+    ek = face_kinetic_energy(state)[1:-1]
+    ek *= grid.dual_volumes[1:-1]
+    e_kin = ek.sum()
     return float(e_int + e_kin)
 
 
@@ -205,45 +232,71 @@ class _CorrectionSystem:
         self.kappa = (state.mixture.gamma - 1.0) / state.mixture.gamma
         self.inv_kappa = 1.0 / self.kappa
         rho_d = rho_d_n[1:-1]
-        self.a_face = u_tilde[1:-1] + dt / rho_d * sgp[1:-1]
-        self.b_face = dt / (rho_d * grid.dual_volumes[1:-1])
-        self.minus_b_kappa = -self.b_face * self.inv_kappa
+        # a = u_tilde + dt / rho_D sgp
+        self.a_face = dt / rho_d
+        self.a_face *= sgp[1:-1]
+        self.a_face += u_tilde[1:-1]
+        # b = dt / (rho_D |D|)
+        b_face = rho_d * grid.dual_volumes[1:-1]
+        self.b_face = np.divide(dt, b_face, out=b_face)
+        self.minus_b_kappa = np.negative(self.b_face)
+        self.minus_b_kappa *= self.inv_kappa
         # the Jacobian's diagonal before the face terms: the storage term
         self.jac_diag = self.hdt * (self.inv_kappa - 1.0)
+        # the one buffer of the solve: ``jacobian`` fills it, and the
+        # closing step reuses the last Jacobian from it
+        self.band = np.empty((3, self.n))
+        self.band[0, 0] = 0.0
+        self.band[2, -1] = 0.0
         self.rho_n = state.rho
         rhoh_n = state.rho * state.h_s
-        # the terms of the enthalpy balance that do not depend on p
-        self.hs_known = (self.hdt * (state.p - rhoh_n)
-                         - grid.cell_volumes * source)
+        # the terms of the enthalpy balance that do not depend on p:
+        # hdt (p^n - (rho h_s)^n) - |K| S
+        self.hs_known = np.subtract(state.p, rhoh_n)
+        self.hs_known *= self.hdt
+        self.hs_known -= grid.cell_volumes * source
         hdt0 = float(self.hdt[0])
         self.mass_scale = hdt0 * max(float(np.abs(state.rho).max()), 1e-300)
         self.hs_scale = hdt0 * max(float(np.abs(rhoh_n).max()), 1e-300)
 
     def velocity(self, p):
         u = np.zeros(self.n + 1)
-        u[1:-1] = self.a_face + self.b_face * (p[:-1] - p[1:])
+        # interior faces: a + b (p_L - p_R)
+        inner = np.subtract(p[:-1], p[1:], out=u[1:-1])
+        inner *= self.b_face
+        inner += self.a_face
         return u
 
     def residual(self, p):
         """Enthalpy residual at p, plus the face quantities ``jacobian`` reuses.
 
         The storage term keeps ``p / kappa - p``: the rounded constant
-        ``1 / kappa - 1`` would bias every step's energy balance.
+        ``1 / kappa - 1`` would bias every step's energy balance.  Each call
+        returns arrays of its own.
         """
         dp = p[:-1] - p[1:]
         b_dp = self.b_face * dp
         u = self.a_face + b_dp  # interior faces
         pos = u >= 0.0  # the left cell is upwind
         p_up = np.where(pos, p[:-1], p[1:])
-        Fh = u * p_up / self.kappa
+        Fh = u * p_up
+        Fh /= self.kappa  # u p_up / kappa
         # -(u . grad p) with upwind face pressures: the term of the upwind
         # cell vanishes identically (p_sigma = p_K there), so the whole
         # contribution u_j (p_{j-1} - p_j) lands in the downwind cell
-        udp = u * dp
+        udp = np.multiply(u, dp, out=dp)
         work_right = np.where(pos, udp, 0.0)
-        r = self.hdt * (p / self.kappa - p) + self.hs_known
-        r[:-1] += Fh + (udp - work_right)
-        r[1:] += work_right - Fh
+        # r = hdt (p / kappa - p) + hs_known
+        r = p / self.kappa
+        r -= p
+        r *= self.hdt
+        r += self.hs_known
+        # left cell: Fh + (udp - work_right); right cell: work_right - Fh
+        udp -= work_right
+        udp += Fh
+        r[:-1] += udp
+        work_right -= Fh
+        r[1:] += work_right
         return r, (b_dp, u, pos, p_up)
 
     def norm(self, r):
@@ -259,32 +312,35 @@ class _CorrectionSystem:
         upper = -b p_up / kappa - [u < 0] w and
         lower = -b p_up / kappa + [u >= 0] w, and each diagonal entry
         follows from them: d(u dp)/d p_L - lower on the left cell and
-        -(upper + d(u dp)/d p_L) on the right one.
+        -(upper + d(u dp)/d p_L) on the right one.  The band is the
+        system's own (``band``), filled anew by each call and returned.
         """
         b_dp, u, pos, p_up = lin
+        ab = self.band
+        upper, diag, lower = ab[0, 1:], ab[1], ab[2, :-1]
         dwork = u + b_dp  # d(u dp) / d p_L = -d(u dp) / d p_R
-        w = dwork - u * self.inv_kappa
+        w = np.multiply(u, self.inv_kappa)
+        np.subtract(dwork, w, out=w)  # w = dwork - u / kappa
         w_pos = np.where(pos, w, 0.0)
-        m = self.minus_b_kappa * p_up
-        ab = np.empty((3, self.n))
-        ab[0, 0] = 0.0
-        ab[2, -1] = 0.0
-        upper = np.subtract(m, w - w_pos, out=ab[0, 1:])
-        lower = np.add(m, w_pos, out=ab[2, :-1])
-        diag = ab[1]
-        diag[:] = self.jac_diag
-        diag[:-1] += dwork - lower
-        diag[1:] -= upper + dwork
+        m = np.multiply(self.minus_b_kappa, p_up, out=lower)
+        w -= w_pos
+        np.subtract(m, w, out=upper)  # upper = m - (w - w_pos)
+        lower += w_pos  # lower = m + w_pos
+        np.copyto(diag, self.jac_diag)
+        np.add(diag[:-1], np.subtract(dwork, lower, out=w), out=diag[:-1])
+        np.subtract(diag[1:], np.add(upper, dwork, out=w), out=diag[1:])
         return ab
 
-    def newton_step(self, r, band):
-        """Newton update for the residual r with the Jacobian ``band``.
+    def newton_step(self, r):
+        """Newton update for the residual r with the Jacobian in ``band``.
 
-        ``band`` is left intact, so a later step can reuse it.  Returns
-        ``(delta, None)``, or ``(None, why)`` when there is no usable step.
+        ``r`` is overwritten (the step is solved in its place); ``band`` is
+        left intact, so a later step can reuse it.  Returns ``(delta,
+        None)``, or ``(None, why)`` when there is no usable step.
         """
         try:
-            delta = solve_banded((1, 1), band, -r, overwrite_b=True)
+            delta = solve_banded((1, 1), self.band, np.negative(r, out=r),
+                                 overwrite_b=True)
         except np.linalg.LinAlgError:
             return None, "singular Jacobian"
         if not np.isfinite(delta).all():
@@ -296,8 +352,12 @@ class _CorrectionSystem:
         return upwind_mass_solve(self.grid, self.rho_n, u, self.dt)
 
     def mass_norm(self, rho, flux):
-        r = self.hdt * (rho - self.rho_n) + flux[1:] - flux[:-1]
-        return float(np.abs(r).max()) / self.mass_scale
+        # hdt (rho - rho^n) + F_right - F_left
+        r = rho - self.rho_n
+        r *= self.hdt
+        r += flux[1:]
+        r -= flux[:-1]
+        return float(np.abs(r, out=r).max()) / self.mass_scale
 
 
 def correction_solve(state, u_tilde, sgp, dt, source, rho_d_n):
@@ -320,6 +380,7 @@ def correction_solve(state, u_tilde, sgp, dt, source, rho_d_n):
     """
     sys_ = _CorrectionSystem(state, u_tilde, sgp, dt, source, rho_d_n)
     p = np.array(state.p, dtype=float)
+    spare = np.empty_like(p)  # the line step's trial, swapped with p
     why = "iteration cap reached"
     best, best_it = np.inf, 0
     for it in range(_MAX_ITERATIONS + 1):
@@ -327,18 +388,20 @@ def correction_solve(state, u_tilde, sgp, dt, source, rho_d_n):
         res = sys_.norm(r)
         if res < _NONLINEAR_TOL:
             if it:  # the closing step
-                delta, _ = sys_.newton_step(r, band)
+                delta, _ = sys_.newton_step(r)
                 it += 1
                 if delta is not None:
-                    p_next = p + delta
+                    p_next = np.add(p, delta, out=delta)
                     res_next = sys_.norm(sys_.residual(p_next)[0])
                     if res_next < res and p_next.min() > 0.0:
                         p, res = p_next, res_next
             u = sys_.velocity(p)
             rho = sys_.density(u)
             flux = primal_mass_flux(rho, u)
+            h_s = rho * sys_.kappa
+            np.divide(p, h_s, out=h_s)  # h_s = p / (kappa rho)
             return CorrectionResult(
-                u=u, rho=rho, h_s=p / (sys_.kappa * rho), p=p, flux=flux,
+                u=u, rho=rho, h_s=h_s, p=p, flux=flux,
                 iterations=it, residual=max(res, sys_.mass_norm(rho, flux)),
             )
         if it == _MAX_ITERATIONS:
@@ -348,17 +411,18 @@ def correction_solve(state, u_tilde, sgp, dt, source, rho_d_n):
         elif it - best_it >= _STAGNATION_ITERATIONS:
             why = "stagnated"
             break
-        band = sys_.jacobian(lin)
-        delta, stop = sys_.newton_step(r, band)
+        sys_.jacobian(lin)
+        delta, stop = sys_.newton_step(r)
         if stop:
             why = stop
             break
         alpha = 1.0
-        trial = p + delta
+        trial = np.add(p, delta, out=spare)
         while alpha > 1e-6 and trial.min() <= 0.0:
             alpha *= 0.5
-            trial = p + alpha * delta
-        p = trial
+            np.multiply(alpha, delta, out=trial)
+            trial += p  # p + alpha delta
+        p, spare = trial, p
     raise StepFailure(
         f"correction solve stalled at residual {res:.3e} "
         f"(tolerance {_NONLINEAR_TOL:.1e}): {why} after {it} Newton "

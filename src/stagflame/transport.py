@@ -9,6 +9,9 @@ to the downwind cell value as the admissibility interval allows.  A scheme
 comes in two parts: ``face_stencil`` builds, once per step from the mass
 fluxes, what does not depend on the scalar (upwind, downwind and far-upstream
 cells, the anti-diffusive slope), and ``face_values`` applies it to a scalar.
+Both work in their own temporaries (``out=``, augmented assignment) and
+never write into their arguments; a ``FaceStencil`` is shared by every
+scalar of a step and is not written after it is built.
 """
 
 from dataclasses import dataclass, field
@@ -16,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 SCHEMES = ("upwind", "muscl", "antidiffusive")
-_NEIGHBOR_POLICIES = ("opposite_cells", "upstream_cells")
 
 
 @dataclass(frozen=True)
@@ -24,17 +26,14 @@ class LimiterParams:
     """Parameters of the face-value scheme.
 
     ``zeta_minus`` and ``zeta_plus`` (both in [0, 2]) open the two MUSCL
-    admissibility intervals; ``neighbor_policy`` selects how the far upstream
-    cell is found ("opposite_cells" mirrors through the upwind cell,
-    "upstream_cells" additionally requires actual inflow through the upwind
-    cell's other face).  ``s_max`` caps the anti-diffusion slope; 0 degrades
-    to upwind.
+    admissibility intervals, the second one towards the far upstream cell:
+    the upwind cell's other neighbour, mirrored through it from the downwind
+    cell.  ``s_max`` caps the anti-diffusion slope; 0 degrades to upwind.
     """
 
     scheme: str = "upwind"
     zeta_minus: float = 1.0
     zeta_plus: float = 1.0
-    neighbor_policy: str = "opposite_cells"
     s_max: float = 2.0
 
     def __post_init__(self):
@@ -44,8 +43,6 @@ class LimiterParams:
             raise ValueError("zeta_minus must lie in [0, 2]")
         if not 0.0 <= self.zeta_plus <= 2.0:
             raise ValueError("zeta_plus must lie in [0, 2]")
-        if self.neighbor_policy not in _NEIGHBOR_POLICIES:
-            raise ValueError(f"unknown neighbor policy {self.neighbor_policy!r}")
         if self.s_max < 0.0:
             raise ValueError("s_max must be non-negative")
 
@@ -62,7 +59,7 @@ def primal_mass_flux(rho, u):
     n = rho.shape[0]
     F = np.zeros(n + 1)
     uj = u[1:n]
-    F[1:n] = uj * np.where(uj >= 0.0, rho[:-1], rho[1:])
+    np.multiply(uj, np.where(uj >= 0.0, rho[:-1], rho[1:]), out=F[1:n])
     return F
 
 
@@ -100,9 +97,12 @@ def pressure_gradient(p, grid):
 
 def cfl_number(F, rho_next, dt, grid):
     """Material CFL number max_K dt (|F_left| + |F_right|) / (rho_K |K|)."""
-    F = np.asarray(F)
-    through = np.abs(F[:-1]) + np.abs(F[1:])
-    return float((dt * through / (np.asarray(rho_next) * grid.cell_volumes)).max())
+    abs_F = np.abs(F)
+    # dt (|F_left| + |F_right|) / (rho |K|)
+    through = abs_F[:-1] + abs_F[1:]
+    through *= dt
+    through /= np.multiply(rho_next, grid.cell_volumes)
+    return float(through.max())
 
 
 # ---------------------------------------------------------------------------
@@ -127,9 +127,8 @@ class FaceStencil:
 
     ``cells`` stacks the upwind, downwind and far-upstream cell of every
     face; a wall face has its adjacent cell in all three rows, and the far
-    upstream cell is the upwind one where none lies beyond it (or, for MUSCL
-    under "upstream_cells", none feeds it).  ``zeta`` is the anti-diffusive
-    slope per face, 0 at walls and on zero-flux faces.
+    upstream cell is the upwind one where none lies beyond it.  ``zeta`` is
+    the anti-diffusive slope per face, 0 at walls and on zero-flux faces.
     """
 
     params: LimiterParams
@@ -146,31 +145,35 @@ def face_stencil(F, params, rho_next, dt, grid):
     F = np.asarray(F)
     n = F.shape[0] - 1
     pos = F[1:n] >= 0.0
-    j = np.arange(1, n)
     cells = np.empty((3, n + 1), dtype=np.intp)
     cells[:, 0] = 0
     cells[:, n] = n - 1
     up, dn, far = cells[:, 1:n]
-    np.subtract(j, pos, out=up)  # j - 1 where F_j >= 0, else j
-    np.subtract(2 * j - 1, up, out=dn)  # the face's other cell
-    np.subtract(2 * up, dn, out=far)  # one beyond the upwind cell
+    np.subtract(np.arange(1, n), pos, out=up)  # j - 1 where F_j >= 0, else j
+    # the face's other cell: up + dn = 2 j - 1
+    np.subtract(np.arange(1, 2 * n - 2, 2), up, out=dn)
+    np.subtract(up, dn, out=far)
+    far += up  # 2 up - dn: one beyond the upwind cell
     # no cell beyond a wall: the far upstream cell is the upwind one
     far[0] = max(far[0], 0)
     far[-1] = min(far[-1], n - 1)
-    if params.scheme == "muscl" and params.neighbor_policy == "upstream_cells":
-        # the far upstream cell counts only if it feeds the upwind cell
-        inflow = np.where(pos, F[:-2] >= 0.0, F[2:] < 0.0)
-        np.copyto(far, up, where=~inflow)
     if params.scheme != "antidiffusive":
         return FaceStencil(params, cells)
     abs_F = np.abs(F)
-    vol = (np.asarray(rho_next) * grid.cell_volumes)[up]
-    nu = dt * abs_F[1:n] / vol
-    # the flux through the upwind cell's other face (cell k has faces k, k+1)
-    nu_other = dt * abs_F[2 * up + 1 - j] / vol
+    vol = np.multiply(rho_next, grid.cell_volumes)[up]
+    # nu = dt |F_j| / vol
+    nu = dt * abs_F[1:n]
+    nu /= vol
+    # the flux through the upwind cell's other face (cell k has faces k, k+1):
+    # face j - 1 where F_j >= 0, else face j + 1
+    nu_other = np.where(pos, abs_F[:-2], abs_F[2:])
+    nu_other *= dt
+    nu_other /= vol
     zeta = np.zeros(n + 1)
     with np.errstate(over="ignore"):
-        np.divide(1.0 - nu_other, nu, out=zeta[1:n], where=nu > 0.0)
+        # zeta = (1 - nu_other) / nu where nu > 0
+        np.divide(np.subtract(1.0, nu_other, out=nu_other), nu,
+                  out=zeta[1:n], where=nu > 0.0)
     return FaceStencil(params, cells, np.clip(zeta, 0.0, params.s_max, out=zeta))
 
 
@@ -182,8 +185,8 @@ def face_values(y, stencil):
     downwind cell and by ``zeta_minus`` away from the far upstream one; the
     anti-diffusive scheme clips the downwind value between the upwind value
     and its extrapolation by ``zeta`` away from the far upstream cell.
-    ``tests/test_transport.py`` checks every face against per-face
-    reference routines.
+    Each call returns a new array.  ``tests/test_transport.py`` checks every
+    face against per-face reference routines.
     """
     y = np.asarray(y)
     params = stencil.params
@@ -191,11 +194,31 @@ def face_values(y, stencil):
         return y[stencil.cells[0]]
     y_up, y_dn, y_m = y[stencil.cells]
     if params.scheme == "muscl":
-        e1 = y_up + 0.5 * params.zeta_plus * (y_dn - y_up)
-        e2 = y_up + 0.5 * params.zeta_minus * (y_up - y_m)
-        lo = np.maximum(np.minimum(y_up, e1), np.minimum(y_up, e2))
-        hi = np.minimum(np.maximum(y_up, e1), np.maximum(y_up, e2))
-        return np.minimum(np.maximum(0.5 * (y_up + y_dn), lo), hi)
-    far = y_up + stencil.zeta * (y_up - y_m)
-    return np.minimum(np.maximum(y_dn, np.minimum(far, y_up)),
-                      np.maximum(far, y_up))
+        # e1 = y_up + zeta_plus / 2 (y_dn - y_up)
+        e1 = y_dn - y_up
+        e1 *= 0.5 * params.zeta_plus
+        e1 += y_up
+        # e2 = y_up + zeta_minus / 2 (y_up - y_m)
+        e2 = np.subtract(y_up, y_m, out=y_m)
+        e2 *= 0.5 * params.zeta_minus
+        e2 += y_up
+        # lo = max(min(y_up, e1), min(y_up, e2))
+        lo = np.minimum(y_up, e1)
+        lo2 = np.minimum(y_up, e2)
+        np.maximum(lo, lo2, out=lo)
+        # hi = min(max(y_up, e1), max(y_up, e2))
+        hi = np.minimum(np.maximum(y_up, e1, out=e1),
+                        np.maximum(y_up, e2, out=e2), out=e1)
+        # face = min(max((y_up + y_dn) / 2, lo), hi)
+        centred = np.add(y_up, y_dn, out=lo2)
+        centred *= 0.5
+        np.maximum(centred, lo, out=centred)
+        return np.minimum(centred, hi, out=centred)
+    # far = y_up + zeta (y_up - y_m); face = min(max(y_dn, min(far, y_up)),
+    # max(far, y_up))
+    far = np.subtract(y_up, y_m, out=y_m)
+    far *= stencil.zeta
+    far += y_up
+    lo = np.minimum(far, y_up)
+    np.maximum(y_dn, lo, out=lo)
+    return np.minimum(lo, np.maximum(far, y_up, out=far), out=lo)

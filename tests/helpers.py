@@ -3,6 +3,7 @@
 from dataclasses import replace
 
 import numpy as np
+from hypothesis import strategies as st
 
 from stagflame.grid import build_uniform_grid
 from stagflame.harness import CaseConfig
@@ -63,3 +64,41 @@ def quiescent_state(n=16, rho_left=1.2, rho_right=0.4, p0=1.0e5, dt=1.0e-4,
     state = make_state(grid, mix, dt, rho, u, h_s, (y_F, y_O, y_N, y_P),
                        np.ones(n))
     return replace(state, p=np.full(n, p0))
+
+
+def admissible_state(rho, p, u_interior, y_F, y_O, y_N, G, acoustic_cfl):
+    """A state on the unit interval inside every gate, with a balanced mass
+    level, stepped at the given acoustic CFL (c + |u|) dt / h."""
+    rho, p, y_F, y_O, y_N, G = (np.asarray(v, dtype=float)
+                                for v in (rho, p, y_F, y_O, y_N, G))
+    n = rho.shape[0]
+    mix = benchmark_mixture()
+    grid = build_uniform_grid(n, 0.0, 1.0)
+    u = np.zeros(n + 1)
+    u[1:-1] = u_interior
+    y = (y_F, y_O, y_N, 1.0 - y_F - y_O - y_N)
+    h_s = mix.gamma / (mix.gamma - 1.0) * p / rho
+    speed = np.max(np.sqrt(mix.gamma * p / rho)) + np.max(np.abs(u))
+    return make_state(grid, mix, acoustic_cfl * grid.h / speed, rho, u, h_s,
+                      y, G)
+
+
+@st.composite
+def admissible_states(draw):
+    """A small random state inside every gate, with a balanced mass level."""
+    n = draw(st.integers(min_value=4, max_value=12))
+
+    def cells(lo, hi, size=n):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=size,
+                                      max_size=size)))
+
+    rho = cells(0.3, 2.0)
+    p = cells(5.0e4, 2.0e5)
+    u = cells(-60.0, 60.0, n - 1)
+    y_F = cells(0.0, 0.05)
+    y_O = cells(0.0, 0.3)
+    y_N = cells(0.3, 0.6)
+    G = cells(0.0, 1.0)
+    # acoustic CFL up to 2; the benchmark runs at about 1.2
+    return admissible_state(rho, p, u, y_F, y_O, y_N, G,
+                            draw(st.floats(0.05, 2.0)))

@@ -177,8 +177,7 @@ def test_criterion_5_muscl_minmod_equivalence():
     n = 10040
     y = rng.uniform(-1.0, 1.0, n)
     F = rng.uniform(-1.0, 1.0, n + 1)
-    params = LimiterParams(scheme="muscl", zeta_minus=1.0, zeta_plus=1.0,
-                           neighbor_policy="opposite_cells")
+    params = LimiterParams(scheme="muscl", zeta_minus=1.0, zeta_plus=1.0)
     vals = face_values(y, face_stencil(F, params, np.ones(n), 1.0,
                                        build_uniform_grid(n)))
     j = np.arange(2, n - 1)  # faces whose far-upstream cell exists

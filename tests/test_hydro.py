@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stagflame import hydro
 from stagflame.errors import StepFailure
@@ -26,7 +27,7 @@ from stagflame.transport import (
     pressure_gradient,
     primal_mass_flux,
 )
-from helpers import make_state, quiescent_state
+from helpers import admissible_states, make_state, quiescent_state
 
 
 def short_benchmark(n_cells=60, steps=2, **kw):
@@ -192,9 +193,9 @@ def test_correction_solve_converges_on_benchmark_step():
     assert result.residual < 1e-14
 
 
-def _benchmark_correction_system(n_cells):
-    """The correction system of the first step of the benchmark case."""
-    state = initialize_case(CaseConfig(n_cells=n_cells)).state
+def _correction_system(state):
+    """The correction system of the first step from ``state``, with the
+    inputs it was built from."""
     grid = state.grid
     rho_d_n = dual_density(grid, state.rho)
     rho_d_nm1 = dual_density(grid, state.rho_prev)
@@ -204,7 +205,105 @@ def _benchmark_correction_system(n_cells):
                            rho_d_n, rho_d_nm1)
     source = compensation_source(
         kinetic_residuals(state, u_t, state.dt, rho_d_nm1), grid)
-    return state, _CorrectionSystem(state, u_t, sgp, state.dt, source, rho_d_n)
+    system = _CorrectionSystem(state, u_t, sgp, state.dt, source, rho_d_n)
+    return system, (u_t, sgp, source, rho_d_n)
+
+
+def _benchmark_correction_system(n_cells):
+    """The correction system of the first step of the benchmark case."""
+    state = initialize_case(CaseConfig(n_cells=n_cells)).state
+    return state, _correction_system(state)[0]
+
+
+# plain out-of-place references of the correction system's in-place kernels,
+# one expression per quantity; the kernels must match them bit for bit
+# (test_in_place_correction_kernels_match_references)
+
+
+def reference_face_coefficients(state, u_t, sgp, dt, source, rho_d_n):
+    """(a_face, b_face, hs_known) of ``_CorrectionSystem``."""
+    grid = state.grid
+    rho_d = rho_d_n[1:-1]
+    a_face = u_t[1:-1] + dt / rho_d * sgp[1:-1]
+    b_face = dt / (rho_d * grid.dual_volumes[1:-1])
+    hdt = grid.cell_volumes / dt
+    hs_known = (hdt * (state.p - state.rho * state.h_s)
+                - grid.cell_volumes * source)
+    return a_face, b_face, hs_known
+
+
+def reference_residual(system, p):
+    dp = p[:-1] - p[1:]
+    b_dp = system.b_face * dp
+    u = system.a_face + b_dp
+    pos = u >= 0.0
+    p_up = np.where(pos, p[:-1], p[1:])
+    Fh = u * p_up / system.kappa
+    udp = u * dp
+    work_right = np.where(pos, udp, 0.0)
+    r = system.hdt * (p / system.kappa - p) + system.hs_known
+    r[:-1] += Fh + (udp - work_right)
+    r[1:] += work_right - Fh
+    return r, (b_dp, u, pos, p_up)
+
+
+def reference_jacobian(system, lin):
+    b_dp, u, pos, p_up = lin
+    dwork = u + b_dp
+    w = dwork - u * system.inv_kappa
+    w_pos = np.where(pos, w, 0.0)
+    m = -system.b_face * system.inv_kappa * p_up
+    ab = np.zeros((3, system.n))
+    ab[0, 1:] = m - (w - w_pos)
+    ab[2, :-1] = m + w_pos
+    ab[1] = system.jac_diag
+    ab[1, :-1] += dwork - ab[2, :-1]
+    ab[1, 1:] -= ab[0, 1:] + dwork
+    return ab
+
+
+def _same_bits(got, want):
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+@settings(max_examples=60, deadline=None)
+@given(state=admissible_states(), seed=st.integers(0, 2**32 - 1),
+       spread=st.sampled_from([0.0, 1e-6, 1e-2, 0.3]))
+def test_in_place_correction_kernels_match_references(state, seed, spread):
+    system, inputs = _correction_system(state)
+    for got, want in zip((system.a_face, system.b_face, system.hs_known),
+                         reference_face_coefficients(state, *inputs[:2],
+                                                     state.dt, *inputs[2:])):
+        assert _same_bits(got, want)
+    n = state.grid.n_cells
+    rng = np.random.default_rng(seed)
+    p = state.p * (1.0 + spread * rng.uniform(-1.0, 1.0, n))
+    p_before = p.copy()
+    r, lin = system.residual(p)
+    r_ref, lin_ref = reference_residual(system, p)
+    assert _same_bits(p, p_before)  # the point is only read
+    assert _same_bits(r, r_ref)
+    for got, want in zip(lin, lin_ref):
+        assert _same_bits(got, want)
+    ab = system.jacobian(lin)
+    assert ab is system.band
+    assert _same_bits(ab, reference_jacobian(system, lin_ref))
+    # the Newton step overwrites r only: the band stays for the closing step
+    band = ab.copy()
+    lin_bytes = [a.tobytes() for a in lin]
+    system.newton_step(r)
+    assert _same_bits(system.band, band)
+    assert [a.tobytes() for a in lin] == lin_bytes
+    # a second residual returns arrays of its own, so that a caller holding
+    # the first (as the central-difference Jacobian test does) compares two
+    # points, not one buffer with itself
+    r2, lin2 = system.residual(p_before * 1.001)
+    owned = [system.band, system.a_face, system.b_face, system.hs_known,
+             system.hdt, system.minus_b_kappa, system.jac_diag]
+    for first, second in zip((r, *lin), (r2, *lin2)):
+        assert not np.shares_memory(first, second)
+        assert not any(np.shares_memory(second, a) for a in owned)
 
 
 def test_correction_jacobian_matches_central_differences():
