@@ -151,12 +151,13 @@ class _ScalarStep:
     stencil: FaceStencil = None
 
 
-def _scalar_step(state, dt, config):
-    hdt = state.grid.cell_volumes / dt
+def _scalar_step(state, config):
+    hdt = state.grid.cell_volumes / state.dt
     F = state.flux
     mass = hdt * state.rho
     if config.time_mode == "explicit-limited":
-        stencil = face_stencil(F, config.limiter, state.rho, dt, state.grid)
+        stencil = face_stencil(F, config.limiter, state.rho, state.dt,
+                               state.grid)
         return _ScalarStep(F, hdt * state.rho_prev, mass, stencil=stencil)
     return _ScalarStep(F, hdt * state.rho_prev, mass,
                        transport=upwind_band(mass, F[1:-1]))
@@ -203,19 +204,21 @@ def _advance_scalar(step, y, y_face=None, reaction_diag=None,
     return solve_banded((1, 1), ab, rhs, overwrite_ab=True)
 
 
-def advance_G(state, dt, config, step=None):
-    """Advance the burnt-zone indicator one step; returns the new G.
-    ``step`` is the chemistry step's ``_ScalarStep`` (built when omitted)."""
+def advance_G(state, config, step=None):
+    """Advance the burnt-zone indicator one step of the level's ``dt``;
+    returns the new G.  ``step`` is the chemistry step's ``_ScalarStep``
+    (built when omitted)."""
     if step is None:
-        step = _scalar_step(state, dt, config)
+        step = _scalar_step(state, config)
     a = flame_advection_field(state.G, config, state.grid)
     G_face = None if step.stencil is None else face_values(state.G, step.stencil)
     return _advance_scalar(step, state.G, G_face, flame=a)
 
 
 @np.errstate(invalid="ignore")
-def chemistry_step(state, dt, config):
-    """Run the full chemistry stage of one time step.
+def chemistry_step(state, config):
+    """Run the full chemistry stage of one time step of the level's ``dt``,
+    the step that built its (rho_prev, rho, flux).
 
     Order: indicator, reaction invariant, neutral, fuel (with implicit
     reaction), then the oxidant and product closures.  Face values of the
@@ -227,10 +230,10 @@ def chemistry_step(state, dt, config):
     grid = state.grid
     mix = state.mixture
     eps = config.epsilon
-    step = _scalar_step(state, dt, config)
+    step = _scalar_step(state, config)
     explicit = step.stencil is not None
 
-    G_next = advance_G(state, dt, config, step)
+    G_next = advance_G(state, config, step)
 
     z_face = yN_face = yF_face = None
     if explicit:

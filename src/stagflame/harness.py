@@ -237,9 +237,7 @@ class CaseSetup:
     state: FieldState
     pattern: object
     chem_config: ChemStepConfig
-    dt: float
     n_steps: int
-    t_initial: float
 
 
 def _derive_dt(config, grid, rho_est, u):
@@ -254,14 +252,32 @@ def _derive_dt(config, grid, rho_est, u):
     return config.cfl * float(limit)
 
 
+def balanced_level(grid, mixture, dt, rho_prev, u, h_s, y_F, y_O, y_N, y_P, z,
+                   G):
+    """A time level whose (rho_prev, rho, flux, dt) close the discrete mass
+    balance |K|/dt (rho - rho_prev) + F_right - F_left = 0.
+
+    The density comes from one implicit upwind mass step from ``rho_prev``
+    with the face velocities ``u``, the fluxes are the upwind fluxes of that
+    density and p follows from the EOS, so the two-level identities the
+    scheme relies on hold from the first step.
+    """
+    rho = upwind_mass_solve(grid, rho_prev, u, dt)
+    flux = primal_mass_flux(rho, u)
+    p = pressure_from_state(rho, h_s, mixture.gamma)
+    return FieldState(
+        grid=grid, mixture=mixture, dt=dt, rho_prev=rho_prev, rho=rho, u=u,
+        p=p, h_s=h_s, y_F=y_F, y_O=y_O, y_N=y_N, y_P=y_P, z=z, G=G, flux=flux,
+    )
+
+
 def initialize_case(config):
     """Build the starting state of a case.
 
     Cell scalars start from exact cell averages of the oracle solution at
-    ``t_start``, the velocity from exact dual-cell averages; the starting
-    density is produced by one implicit upwind mass step so that the state
-    enters the loop with a balanced (rho_prev, rho, flux, dt) quadruple,
-    which the conservation properties of the scheme assume.  The flame
+    ``t_start``, the velocity from exact dual-cell averages; the oracle's
+    cell densities are the previous level of a ``balanced_level``, which the
+    conservation properties of the scheme assume.  The flame
     indicator moves at the oracle's mass-burning rate, so the run's flame is
     the one its L1 errors are measured against.
     """
@@ -281,8 +297,8 @@ def initialize_case(config):
     u0[0] = 0.0
     u0[-1] = 0.0
     rho_prev = cells["rho"]
-    h_s0 = cells["h_s"]
-    scalars = {k: cells[k] for k in ("y_F", "y_O", "y_N", "y_P", "z", "G")}
+    scalars = {k: cells[k]
+               for k in ("h_s", "y_F", "y_O", "y_N", "y_P", "z", "G")}
 
     dt_raw = _derive_dt(config, grid, rho_prev, u0)
     span = config.t_end - config.t_start
@@ -292,21 +308,12 @@ def initialize_case(config):
                           f"to cover [{config.t_start!r}, {config.t_end!r}], "
                           f"more than {MAX_STEPS}")
     n_steps = max(1, int(steps))
-    dt = span / n_steps
 
-    rho0 = upwind_mass_solve(grid, rho_prev, u0, dt)
-    flux0 = primal_mass_flux(rho0, u0)
-    p0 = pressure_from_state(rho0, h_s0, mix.gamma)
-    state = FieldState(
-        grid=grid, mixture=mix, dt=dt, rho_prev=rho_prev, rho=rho0, u=u0,
-        p=p0, h_s=h_s0, flux=flux0, **scalars,
-    )
+    state = balanced_level(grid, mix, span / n_steps, rho_prev, u0, **scalars)
     check_state_gates(state)
     return CaseSetup(
-        state=state, pattern=pattern,
+        state=state, pattern=pattern, n_steps=n_steps,
         chem_config=config.chem_config(pattern.flame_speed_product, grid.h),
-        dt=dt, n_steps=n_steps,
-        t_initial=config.t_start,
     )
 
 
@@ -351,7 +358,7 @@ def advance(state, chem_config):
             f"material CFL {state.cfl:.4f} exceeds 1 in explicit-limited mode "
             f"(dt {dt:.6e}); the limited face values need CFL <= 1"
         )
-    chem = chemistry_step(state, dt, chem_config)
+    chem = chemistry_step(state, chem_config)
     flow = euler_step(state, chem.omega_theta, dt)
     new_state = FieldState(
         grid=state.grid, mixture=state.mixture, dt=dt,
@@ -377,7 +384,6 @@ def advance(state, chem_config):
 class RunResult:
     config: CaseConfig
     state: FieldState
-    dt: float
     n_steps: int
     t_final: float
     diagnostics: list
@@ -396,6 +402,7 @@ def run_case(config, collect_diagnostics=True):
     """
     setup = initialize_case(config)
     state = setup.state
+    dt = state.dt
     e0 = total_energy(state)
     rows = []
     started = time.perf_counter()
@@ -403,15 +410,15 @@ def run_case(config, collect_diagnostics=True):
         try:
             state, info = advance(state, setup.chem_config)
         except StepFailure as exc:
-            t_from = setup.t_initial + (step - 1) * setup.dt
+            t_from = config.t_start + (step - 1) * dt
             raise StepFailure(f"step {step} (t = {t_from:.9g}): {exc}") from exc
-        t = setup.t_initial + step * setup.dt
+        t = config.t_start + step * dt
         if collect_diagnostics or step == setup.n_steps:
             e_now = total_energy(state)
             drift = abs(e_now - e0) / abs(e0)
         if collect_diagnostics:
             rows.append({
-                "step": step, "t": t, "dt": setup.dt, "cfl": info["cfl"],
+                "step": step, "t": t, "dt": dt, "cfl": info["cfl"],
                 "mass_total": float((state.grid.cell_volumes * state.rho).sum()),
                 "energy_total": e_now, "energy_drift_rel": drift,
                 "correction_residual": info["correction_residual"],
@@ -424,9 +431,8 @@ def run_case(config, collect_diagnostics=True):
     wall = time.perf_counter() - started
     errors = l1_error(state, setup.pattern, t, config.x0)
     return RunResult(
-        config=config, state=state, dt=setup.dt,
-        n_steps=setup.n_steps, t_final=t, diagnostics=rows, errors=errors,
-        energy_drift_rel=drift, wall_time=wall,
+        config=config, state=state, n_steps=setup.n_steps, t_final=t,
+        diagnostics=rows, errors=errors, energy_drift_rel=drift, wall_time=wall,
     )
 
 
@@ -496,7 +502,7 @@ def write_run_csvs(prefix, result):
     and ``<prefix>_diag.csv``, one row per step.  Both headers embed the
     resolved config and the run's t_final, dt_used and n_steps."""
     header = {**result.config.resolved_dict(), "t_final": result.t_final,
-              "dt_used": result.dt, "n_steps": result.n_steps}
+              "dt_used": result.state.dt, "n_steps": result.n_steps}
     state = result.state
     grid = state.grid
     mix = state.mixture
@@ -584,11 +590,11 @@ def convergence_study(config, meshes):
         result = run_case(cfg, collect_diagnostics=False)
         for f in ERROR_FIELDS:
             errors[f].append(result.errors[f])
-        h = (cfg.x_right - cfg.x_left) / n
+        h = result.state.grid.h
         h_list.append(h)
         walls.append(result.wall_time)
         eps_used.append(config.epsilon_per_h * h)
-        dt_used.append(result.dt)
+        dt_used.append(result.state.dt)
         steps_used.append(result.n_steps)
         distances.append(burnt_zone_asymptotic_distance(result.state))
     orders = {}

@@ -6,10 +6,8 @@ import numpy as np
 from hypothesis import strategies as st
 
 from stagflame.grid import build_uniform_grid
-from stagflame.harness import CaseConfig
-from stagflame.linalg import upwind_mass_solve
-from stagflame.thermo import FieldState, pressure_from_state, z_from_fractions
-from stagflame.transport import primal_mass_flux
+from stagflame.harness import CaseConfig, balanced_level
+from stagflame.thermo import z_from_fractions
 
 
 def benchmark_mixture():
@@ -17,35 +15,14 @@ def benchmark_mixture():
 
 
 def make_state(grid, mixture, dt, rho_prev, u, h_s, y, G):
-    """Build a FieldState whose (rho_prev, rho, flux, dt) are balanced.
-
-    The density is produced by one implicit upwind mass step from
-    ``rho_prev`` with the face velocities ``u``, exactly like case
-    initialization does, so the two-level identities the solver relies on
-    hold from the start.
-    """
-    rho_prev = np.asarray(rho_prev, dtype=float)
-    u = np.asarray(u, dtype=float)
-    rho = upwind_mass_solve(grid, rho_prev, u, dt)
-    flux = primal_mass_flux(rho, u)
+    """A ``balanced_level`` from array-likes, with z built from the fuel
+    and oxidant fractions of ``y = (y_F, y_O, y_N, y_P)``."""
     y_F, y_O, y_N, y_P = (np.asarray(v, dtype=float) for v in y)
-    return FieldState(
-        grid=grid,
-        mixture=mixture,
-        dt=dt,
-        rho_prev=rho_prev,
-        rho=rho,
-        u=u,
-        p=pressure_from_state(rho, np.asarray(h_s, dtype=float), mixture.gamma),
-        h_s=np.asarray(h_s, dtype=float),
-        y_F=y_F,
-        y_O=y_O,
-        y_N=y_N,
-        y_P=y_P,
-        z=z_from_fractions(mixture, y_F, y_O),
-        G=np.asarray(G, dtype=float),
-        flux=flux,
-    )
+    return balanced_level(
+        grid, mixture, dt, np.asarray(rho_prev, dtype=float),
+        np.asarray(u, dtype=float), np.asarray(h_s, dtype=float),
+        y_F, y_O, y_N, y_P, z_from_fractions(mixture, y_F, y_O),
+        np.asarray(G, dtype=float))
 
 
 def quiescent_state(n=16, rho_left=1.2, rho_right=0.4, p0=1.0e5, dt=1.0e-4,

@@ -122,7 +122,7 @@ def test_indicator_front_moves_at_flame_speed():
     cfg = inert_config(flame_speed_product=1.0)
     steps = 100
     for _ in range(steps):
-        state = replace(state, G=advance_G(state, dt, cfg))
+        state = replace(state, G=advance_G(state, cfg))
     assert np.min(state.G) > -1e-12 and np.max(state.G) < 1.0 + 1e-12
     crossing = float(np.interp(0.5, state.G[::-1], grid.x_centers[::-1]))
     expected = x0 - 1.0 * steps * dt
@@ -137,8 +137,8 @@ def test_flame_term_is_implicit_in_both_time_modes():
     imp = inert_config(flame_speed_product=0.8)
     exp = inert_config(flame_speed_product=0.8, time_mode="explicit-limited",
                        limiter=LimiterParams(scheme="muscl"))
-    G_imp = advance_G(state, state.dt, imp)
-    G_exp = advance_G(state, state.dt, exp)
+    G_imp = advance_G(state, imp)
+    G_exp = advance_G(state, exp)
     # no mass flux here, so the two modes share the implicit flame solve
     assert np.allclose(G_imp, G_exp, atol=1e-14)
     assert not np.allclose(G_imp, state.G)
@@ -167,7 +167,7 @@ def test_uniform_composition_is_preserved(mode, scheme):
         G=np.ones(n))  # reaction off
     limiter = LimiterParams(scheme=scheme) if scheme else None
     cfg = ChemStepConfig(epsilon=1e-3, time_mode=mode, limiter=limiter)
-    res = chemistry_step(state, state.dt, cfg)
+    res = chemistry_step(state, cfg)
     for name, v in zip(("y_F", "y_O", "y_N", "y_P"), y):
         assert np.max(np.abs(getattr(res, name) - v)) < 1e-13
     assert np.max(np.abs(res.G - 1.0)) < 1e-13
@@ -176,7 +176,7 @@ def test_uniform_composition_is_preserved(mode, scheme):
 def test_fractions_sum_to_one_and_stay_admissible():
     state = advected_state(seed=7)
     cfg = ChemStepConfig(epsilon=5e-3, flame_speed_product=0.5)
-    res = chemistry_step(state, state.dt, cfg)
+    res = chemistry_step(state, cfg)
     total = res.y_F + res.y_O + res.y_N + res.y_P
     assert np.max(np.abs(total - 1.0)) < 1e-12
     for name in ("y_F", "y_O", "y_N", "y_P", "G"):
@@ -193,7 +193,7 @@ def test_implicit_fuel_decay_closed_form():
     dt = 1e-3
     state = resting_state(G=0.0, y=(0.01, 0.3, 0.5, 0.19), dt=dt)
     cfg = ChemStepConfig(epsilon=eps)
-    res = chemistry_step(state, dt, cfg)
+    res = chemistry_step(state, cfg)
     want = 0.01 / (1.0 + 0.5 * dt / eps)
     assert np.allclose(res.y_F, want, rtol=1e-13)
     # oxidant follows stoichiometrically, neutral untouched
@@ -208,7 +208,7 @@ def test_heat_release_matches_composition_change():
     dt = 5e-4
     state = resting_state(n=12, G=0.2, y=(0.02, 0.2, 0.5, 0.28), dt=dt)
     cfg = ChemStepConfig(epsilon=1e-3)
-    res = chemistry_step(state, dt, cfg)
+    res = chemistry_step(state, cfg)
     mix = state.mixture
     dh = mix.formation_enthalpies
     source = (
@@ -226,7 +226,7 @@ def test_rich_mixture_burns_down_to_excess_fuel():
     dt = 1.0
     state = resting_state(n=8, G=0.0, y=(0.05, 0.1, 0.5, 0.35), dt=dt)
     cfg = ChemStepConfig(epsilon=1e-6)
-    res = chemistry_step(state, dt, cfg)
+    res = chemistry_step(state, cfg)
     z = 0.05 / NU_F_W_F - 0.1 / NU_O_W_O
     assert z > 0.0
     assert np.allclose(res.y_F, NU_F_W_F * z, rtol=1e-5)
@@ -239,7 +239,7 @@ def test_gates_raise_on_inadmissible_fractions():
     y_F[3] = -1e-8  # beyond the -1e-10 gate
     state = replace(state, y_F=y_F)
     with pytest.raises(StepFailure):
-        chemistry_step(state, state.dt, ChemStepConfig(epsilon=1.0))
+        chemistry_step(state, ChemStepConfig(epsilon=1.0))
 
 
 @pytest.mark.parametrize("mode,field", [
@@ -257,13 +257,13 @@ def test_gates_raise_on_nan_fractions(mode, field):
         bad[3] = value
         state = replace(state, **{field: bad})
         with pytest.raises(StepFailure, match=rf"^{field} is not finite in cell"):
-            chemistry_step(state, state.dt, cfg)
+            chemistry_step(state, cfg)
 
 
 def test_face_values_reported_for_energy_audit():
     state = advected_state(seed=3)
     cfg = ChemStepConfig(epsilon=1e-3)
-    res = chemistry_step(state, state.dt, cfg)
+    res = chemistry_step(state, cfg)
     faces = res.face_values
     assert set(faces) == {"z", "y_F", "y_O", "y_N", "y_P"}
     assert res.face_values is faces  # built once, on first read

@@ -6,6 +6,7 @@ import pytest
 
 from stagflame import harness, hydro
 from stagflame.cli import EXIT_CONFIG, EXIT_OK, EXIT_ORACLE, EXIT_STEP, main
+from stagflame.errors import StepFailure
 
 
 @pytest.fixture
@@ -193,8 +194,39 @@ def test_check_verb_loads_the_shipped_config(capsys):
 
 def test_check_verb_passes_on_benchmark(config_file, capsys):
     assert main(["check", config_file]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert "all checks passed" in out
-    assert out.count("[PASS]") == 4
-    assert "[FAIL]" not in out
-    assert re.search(r"10-step run: gates and energy \(10 steps of dt", out)
+    out = capsys.readouterr().out.splitlines()
+    assert out == [
+        "exact solution certified; the starting level on 60 cells passes "
+        "every gate",
+        out[1],
+        "all checks passed",
+    ]
+    assert re.fullmatch(r"10-step run: 10 steps of dt \S+ hold every gate, "
+                        r"energy drift \S+", out[1])
+
+
+def test_check_verb_static_flame_is_an_oracle_error(config_file, capsys):
+    assert main(["check", config_file, "--set", "u_flame=0"]) == EXIT_ORACLE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("oracle error: ")
+    assert "static flame with heat release" in captured.err
+    assert captured.out == ""
+
+
+def test_check_verb_unknown_key_is_a_config_error(config_file, capsys):
+    assert main(["check", config_file, "--set", "bogus=1"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "configuration error: unknown config key 'bogus'\n")
+
+
+def test_check_verb_step_failure_exits_3(config_file, capsys, monkeypatch):
+    def failing(state, chem_config):
+        raise StepFailure("injected")
+
+    monkeypatch.setattr(harness, "advance", failing)
+    assert main(["check", config_file]) == EXIT_STEP
+    captured = capsys.readouterr()
+    # the oracle and the starting level passed; the run's first step failed
+    assert "all checks passed" not in captured.out
+    assert captured.err == (
+        "step failure: step 1 (t = 0.002): injected\n")

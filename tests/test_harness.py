@@ -25,7 +25,7 @@ from stagflame.harness import (
 )
 from stagflame import hydro
 from stagflame.hydro import total_energy
-from stagflame.thermo import FieldState
+from stagflame.thermo import FieldState, pressure_from_state
 from stagflame.transport import (
     LimiterParams,
     cfl_number,
@@ -166,11 +166,13 @@ def test_uniform_init_needs_explicit_dt():
 
 
 def test_initialize_case_benchmark_structure():
-    setup = initialize_case(CaseConfig())
+    config = CaseConfig()
+    setup = initialize_case(config)
     state = setup.state
     # the step count divides the time span exactly
     assert setup.n_steps == 168
-    assert setup.t_initial + setup.n_steps * setup.dt == pytest.approx(0.005, abs=1e-18)
+    assert (config.t_start + setup.n_steps * state.dt
+            == pytest.approx(0.005, abs=1e-18))
     assert state.u[0] == 0.0 and state.u[-1] == 0.0
     assert state.grid.n_cells == 250
     # the starting density satisfies the mass balance against rho_prev
@@ -184,6 +186,20 @@ def test_initialize_case_benchmark_structure():
         setup.pattern.flame_speed_product)
     # the chemical time is epsilon_per_h times the cell size
     assert setup.chem_config.epsilon == 1e-2 * state.grid.h
+
+
+@settings(max_examples=60, deadline=None)
+@given(state=admissible_states())
+def test_balanced_levels_close_the_mass_balance(state):
+    # every level balanced_level builds, not only the benchmark's start,
+    # closes |K|/dt (rho - rho_prev) + F_right - F_left = 0 to round-off
+    # and carries the EOS pressure of its density
+    mass = state.grid.cell_volumes / state.dt
+    res = mass * (state.rho - state.rho_prev) + np.diff(state.flux)
+    scale = (mass * state.rho).max() + np.abs(state.flux).max()
+    assert np.abs(res).max() <= 1e-14 * scale
+    assert np.array_equal(state.p, pressure_from_state(
+        state.rho, state.h_s, state.mixture.gamma))
 
 
 def _with_cell(state, **cells):
@@ -351,7 +367,8 @@ def test_advance_gates_rho_e_s_and_the_fraction_sum(monkeypatch, stage,
                                                     corrupt, message):
     # the flow fields and the fraction sum of the new state are gated in
     # advance; a run names the step that failed and the time it started from
-    setup = initialize_case(CaseConfig(n_cells=24))
+    config = CaseConfig(n_cells=24)
+    setup = initialize_case(config)
     original = getattr(harness, stage)
     calls = []
 
@@ -369,10 +386,10 @@ def test_advance_gates_rho_e_s_and_the_fraction_sum(monkeypatch, stage,
     with pytest.raises(StepFailure, match=rf"^{message}$"):
         advance(state, setup.chem_config)
     calls.clear()
-    t_from = setup.t_initial + 2 * setup.dt
+    t_from = config.t_start + 2 * setup.state.dt
     with pytest.raises(StepFailure,
                        match=rf"^step 3 \(t = {t_from:.9g}\): {message}$"):
-        run_case(CaseConfig(n_cells=24))
+        run_case(config)
 
 
 # ---------------------------------------------------------------------------

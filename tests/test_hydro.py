@@ -33,7 +33,7 @@ from helpers import admissible_states, make_state, quiescent_state
 def short_benchmark(n_cells=60, steps=2, **kw):
     cfg = CaseConfig(n_cells=n_cells, **kw)
     setup = initialize_case(cfg)
-    return replace(cfg, t_end=cfg.t_start + steps * setup.dt)
+    return replace(cfg, t_end=cfg.t_start + steps * setup.state.dt)
 
 
 # ---------------------------------------------------------------------------

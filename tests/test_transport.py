@@ -6,6 +6,7 @@ from stagflame.grid import build_uniform_grid
 from stagflame.transport import (
     LimiterParams,
     cfl_number,
+    dual_density,
     dual_mass_flux,
     face_stencil,
     face_values,
@@ -111,12 +112,12 @@ def test_dual_flux_inherits_primal_balance():
         rho_new = rho_old - dt / grid.cell_volumes * (F[1:] - F[:-1])
         Fd = dual_mass_flux(F)
         # every dual cell balances with the volume-weighted dual density
-        rho_d_old = np.concatenate(([rho_old[0]],
-                                    0.5 * (rho_old[:-1] + rho_old[1:]),
-                                    [rho_old[-1]]))
-        rho_d_new = np.concatenate(([rho_new[0]],
-                                    0.5 * (rho_new[:-1] + rho_new[1:]),
-                                    [rho_new[-1]]))
+        rho_d_old = dual_density(grid, rho_old)
+        rho_d_new = dual_density(grid, rho_new)
+        for rho, rho_d in ((rho_old, rho_d_old), (rho_new, rho_d_new)):
+            by_hand = np.concatenate(([rho[0]], 0.5 * (rho[:-1] + rho[1:]),
+                                      [rho[-1]]))
+            assert np.array_equal(rho_d, by_hand)
         edge = np.concatenate(([0.0], Fd, [0.0]))
         res = grid.dual_volumes / dt * (rho_d_new - rho_d_old) + edge[1:] - edge[:-1]
         assert np.max(np.abs(res)) < 1e-12 * max(1.0, np.max(np.abs(F)) / dt)
