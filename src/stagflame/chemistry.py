@@ -11,14 +11,20 @@ fuel fraction non-negative for any step size.
 A step builds what its scalars share once (``_ScalarStep``): the cell
 masses at both levels and either the implicit upwind band or the explicit
 face stencil, which G, y_O, y_N and y_F apply through ``face_values``; z's
-faces follow from those of y_F and y_O.  Every tridiagonal system goes
+faces follow from those of y_F and y_O.  Every implicit system goes
 through ``solve_banded``, imported from ``stagflame.linalg`` under scipy's
 name and argument order: an implicit step makes four such solves (G, z, y_N,
-y_F on copies of the band, to which G adds its flame term and y_F its
-reaction term), an explicit step two (G and y_F, on a band holding only the
-cell masses and those terms).  The benchmark's span recorder counts and
-times the solves and the face values by wrapping this module's
-``solve_banded`` and ``face_values`` attributes, so the names must stay.
+y_F on copies of the (1, 1) band, to which G adds its flame term and y_F its
+reaction term), an explicit step two, on a band holding only the cell
+masses and those terms.  y_F's reaction term is cell-local, so its band is
+the (0, 0) diagonal; G's flame term couples two cells only across a face
+where the flame field is nonzero, so G's (1, 1) band spans the cells from
+the first to the last such face (the flame brush), every other row is
+``rhs / mass``, and with no such face the system is the (0, 0) diagonal.
+Each row keeps its operations, so the results are bitwise those of ``gtsv``
+on the full band.  The benchmark's span recorder counts and times the
+solves and the face values by wrapping this module's ``solve_banded`` and
+``face_values`` attributes, so the names must stay.
 
 The step's kernels work in place: a call may overwrite the temporaries it
 made itself (``out=``, augmented assignment), keeping the operations of
@@ -163,6 +169,20 @@ def _scalar_step(state, config):
                        transport=upwind_band(mass, F[1:-1]))
 
 
+def _add_flame(ab, a):
+    """Add the flame propagation term across the interior faces ``a`` of
+    the cells of band ``ab`` (len(a) = n - 1), upwind with respect to the
+    flame advection: a_j > 0 feeds cell j from cell j-1, a_j < 0 feeds cell
+    j-1 from cell j."""
+    apos = np.maximum(a, 0.0)
+    aneg = np.negative(a)
+    np.maximum(aneg, 0.0, out=aneg)
+    ab[1, 1:] += apos
+    ab[2, :-1] -= apos
+    ab[1, :-1] += aneg
+    ab[0, 1:] -= aneg
+
+
 def _advance_scalar(step, y, y_face=None, reaction_diag=None,
                     reaction_rhs=None, flame=None):
     """Advance one cell scalar through the two-level balance.
@@ -174,34 +194,45 @@ def _advance_scalar(step, y, y_face=None, reaction_diag=None,
     ``reaction_diag`` to the diagonal and ``reaction_rhs`` to the right hand
     side; an optional ``flame`` advection field adds the (always implicit)
     flame propagation term.
+
+    An explicit system is solved on the narrowest band that holds it: the
+    diagonal, or the (1, 1) band over the cells from the first to the last
+    face with a nonzero flame term, every other row divided by its
+    diagonal.  Every row keeps its operations, so the result is bitwise
+    that of ``gtsv`` on the full band.
     """
     rhs = step.mass_prev * y
     if reaction_rhs is not None:
         rhs += reaction_rhs
     if step.transport is not None:
         ab = step.transport.copy()
-    else:
-        Fy = step.F * y_face
-        rhs -= Fy[1:] - Fy[:-1]
-        if flame is None and reaction_diag is None:
-            rhs /= step.mass
-            return rhs
-        ab = np.zeros((3, y.shape[0]))
-        ab[1] = step.mass
+        if reaction_diag is not None:
+            ab[1] += reaction_diag
+        if flame is not None:
+            _add_flame(ab, flame[1:-1])
+        return solve_banded((1, 1), ab, rhs, overwrite_ab=True)
+    Fy = step.F * y_face
+    rhs -= Fy[1:] - Fy[:-1]
+    diag = step.mass
     if reaction_diag is not None:
-        ab[1] += reaction_diag
-    if flame is not None:
-        # upwind with respect to the flame advection: a_j > 0 feeds cell j
-        # from cell j-1, a_j < 0 feeds cell j-1 from cell j
-        a_int = flame[1:-1]
-        apos = np.maximum(a_int, 0.0)
-        aneg = np.negative(a_int)
-        np.maximum(aneg, 0.0, out=aneg)
-        ab[1, 1:] += apos
-        ab[2, :-1] -= apos
-        ab[1, :-1] += aneg
-        ab[0, 1:] -= aneg
-    return solve_banded((1, 1), ab, rhs, overwrite_ab=True)
+        diag = diag + reaction_diag
+    elif flame is None:
+        rhs /= diag
+        return rhs
+    fronts = () if flame is None else flame.nonzero()[0]
+    if len(fronts) == 0:
+        return solve_banded((0, 0), diag[np.newaxis], rhs, overwrite_b=True)
+    # cells first..last - 1 hold every face with a nonzero flame term
+    first = fronts[0] - 1
+    last = fronts[-1] + 1
+    ab = np.zeros((3, last - first))
+    ab[1] = diag[first:last]
+    _add_flame(ab, flame[first + 1:last])
+    rhs[first:last] = solve_banded((1, 1), ab, rhs[first:last],
+                                   overwrite_ab=True, overwrite_b=True)
+    rhs[:first] /= diag[:first]
+    rhs[last:] /= diag[last:]
+    return rhs
 
 
 def advance_G(state, config, step=None):

@@ -31,6 +31,12 @@ class StaggeredGrid:
     dual_volumes : ndarray, shape (n_cells + 1,)
         Dual volumes: ``h`` at interior faces, ``h / 2`` at the two boundary
         faces.  They sum to the same total as the primal volumes.
+    cells_right, cells_left : ndarray of int, shape (3, n_cells + 1)
+        The upwind, downwind and far-upstream cell of every face for flow
+        to the right and to the left; the face-value stencil of a step picks
+        one column of either per face.  A wall face holds its adjacent cell
+        in all three rows, and the far upstream cell is the upwind one where
+        none lies beyond it.
     """
 
     n_cells: int
@@ -39,6 +45,8 @@ class StaggeredGrid:
     h: float
     cell_volumes: np.ndarray = field(repr=False)
     dual_volumes: np.ndarray = field(repr=False)
+    cells_right: np.ndarray = field(repr=False)
+    cells_left: np.ndarray = field(repr=False)
 
     @property
     def n_faces(self):
@@ -71,6 +79,14 @@ def build_uniform_grid(n_cells, x_left=0.0, x_right=1.0):
     dual_volumes = np.full(n_cells + 1, h)
     dual_volumes[0] = 0.5 * h
     dual_volumes[-1] = 0.5 * h
+    # face j: upwind, downwind and far-upstream cell, kept inside the mesh
+    faces = np.arange(n_cells + 1)
+    cells_right = np.stack([faces - 1, faces, faces - 2])
+    cells_left = np.stack([faces, faces - 1, faces + 1])
+    for cells in (cells_right, cells_left):
+        np.clip(cells, 0, n_cells - 1, out=cells)
+        cells[:, 0] = 0
+        cells[:, -1] = n_cells - 1
     return StaggeredGrid(
         n_cells=n_cells,
         x_faces=x_faces,
@@ -78,4 +94,6 @@ def build_uniform_grid(n_cells, x_left=0.0, x_right=1.0):
         h=h,
         cell_volumes=cell_volumes,
         dual_volumes=dual_volumes,
+        cells_right=cells_right,
+        cells_left=cells_left,
     )

@@ -5,7 +5,10 @@ a cell scalar, the momentum prediction, the Newton step of the correction
 solve and the upwind mass balance.  ``solve_banded`` keeps the call of
 ``scipy.linalg.solve_banded`` for the (1, 1) band and goes straight to
 LAPACK ``gtsv``, the routine scipy calls for that band, without scipy's
-batch wrapper and input conversion; its results are bitwise the same.
+batch wrapper and input conversion; its results are bitwise the same.  It
+also takes the (0, 0) band, a diagonal, which it solves with one division:
+an explicit chemistry step's fuel balance and, away from the flame front,
+its indicator balance couple no two cells.
 ``upwind_band`` builds the one implicit upwind operator of the scheme, which
 the mass balance and every implicit scalar balance share.
 
@@ -54,17 +57,29 @@ dgtsv = load_flapack(_scipy.submodule_search_locations[0]).dgtsv
 
 
 def solve_banded(l_and_u, ab, b, overwrite_ab=False, overwrite_b=False):
-    """Solve the tridiagonal system in (1, 1) band storage ``ab``.
+    """Solve the tridiagonal or diagonal system in band storage ``ab``.
 
-    ``ab[0, 1:]`` is the upper diagonal, ``ab[1]`` the diagonal and
-    ``ab[2, :-1]`` the lower diagonal, as for ``scipy.linalg.solve_banded``,
-    whose argument order and errors this mirrors: ``LinAlgError`` for a
-    singular matrix, ``ValueError`` for any band other than (1, 1).  The
-    input is never scanned for NaN and inf: a non-finite input gives a
-    non-finite solution.
+    For the (1, 1) band, ``ab[0, 1:]`` is the upper diagonal, ``ab[1]`` the
+    diagonal and ``ab[2, :-1]`` the lower diagonal; for the (0, 0) band
+    ``ab`` has shape (1, n) and holds the diagonal alone.  This is the
+    storage of ``scipy.linalg.solve_banded``, whose argument order and
+    errors this mirrors: ``LinAlgError`` for a singular matrix (for the
+    diagonal, a zero entry), ``ValueError`` for any other band.  The input
+    is never scanned for NaN and inf: a non-finite input gives a non-finite
+    solution.  The diagonal solve is ``b / ab[0]``, bitwise what ``gtsv``
+    gives for that diagonal with zero off-diagonals; it never writes
+    ``ab`` and writes ``b`` only under ``overwrite_b``.
     """
-    if tuple(l_and_u) != (1, 1):
-        raise ValueError(f"only the (1, 1) band is supported, got {l_and_u!r}")
+    band = tuple(l_and_u)
+    if band == (0, 0):
+        diag = ab[0]
+        if not diag.all():
+            raise np.linalg.LinAlgError("singular matrix")
+        # b.T: one right hand side per column of a 2-D b, as in scipy
+        return np.divide(b.T, diag, out=b.T if overwrite_b else None).T
+    if band != (1, 1):
+        raise ValueError(
+            f"only the (1, 1) and (0, 0) bands are supported, got {l_and_u!r}")
     x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b, overwrite_ab,
                     overwrite_ab, overwrite_ab, overwrite_b)[3:]
     if info > 0:

@@ -139,34 +139,25 @@ class FaceStencil:
 def face_stencil(F, params, rho_next, dt, grid):
     """Build the step's ``FaceStencil`` from its mass fluxes ``F``.
 
-    ``rho_next``, ``dt`` and ``grid`` give the upwind-cell masses the
-    anti-diffusive slope is measured against; the other schemes ignore them.
+    Each face takes its column of ``grid.cells_right`` where F >= 0 and of
+    ``grid.cells_left`` elsewhere.  ``rho_next``, ``dt`` and the grid's cell
+    volumes give the upwind-cell masses the anti-diffusive slope is
+    measured against; the other schemes ignore them.
     """
     F = np.asarray(F)
     n = F.shape[0] - 1
-    pos = F[1:n] >= 0.0
-    cells = np.empty((3, n + 1), dtype=np.intp)
-    cells[:, 0] = 0
-    cells[:, n] = n - 1
-    up, dn, far = cells[:, 1:n]
-    np.subtract(np.arange(1, n), pos, out=up)  # j - 1 where F_j >= 0, else j
-    # the face's other cell: up + dn = 2 j - 1
-    np.subtract(np.arange(1, 2 * n - 2, 2), up, out=dn)
-    np.subtract(up, dn, out=far)
-    far += up  # 2 up - dn: one beyond the upwind cell
-    # no cell beyond a wall: the far upstream cell is the upwind one
-    far[0] = max(far[0], 0)
-    far[-1] = min(far[-1], n - 1)
+    pos = F >= 0.0
+    cells = np.where(pos, grid.cells_right, grid.cells_left)
     if params.scheme != "antidiffusive":
         return FaceStencil(params, cells)
     abs_F = np.abs(F)
-    vol = np.multiply(rho_next, grid.cell_volumes)[up]
+    vol = np.multiply(rho_next, grid.cell_volumes)[cells[0, 1:n]]
     # nu = dt |F_j| / vol
     nu = dt * abs_F[1:n]
     nu /= vol
     # the flux through the upwind cell's other face (cell k has faces k, k+1):
     # face j - 1 where F_j >= 0, else face j + 1
-    nu_other = np.where(pos, abs_F[:-2], abs_F[2:])
+    nu_other = np.where(pos[1:n], abs_F[:-2], abs_F[2:])
     nu_other *= dt
     nu_other /= vol
     zeta = np.zeros(n + 1)
@@ -174,7 +165,10 @@ def face_stencil(F, params, rho_next, dt, grid):
         # zeta = (1 - nu_other) / nu where nu > 0
         np.divide(np.subtract(1.0, nu_other, out=nu_other), nu,
                   out=zeta[1:n], where=nu > 0.0)
-    return FaceStencil(params, cells, np.clip(zeta, 0.0, params.s_max, out=zeta))
+    # zeta clipped to [0, s_max]
+    np.maximum(zeta, 0.0, out=zeta)
+    return FaceStencil(params, cells,
+                       np.minimum(zeta, params.s_max, out=zeta))
 
 
 def face_values(y, stencil):

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from stagflame.chemistry import (
     ChemStepConfig,
@@ -13,7 +15,8 @@ from stagflame.errors import ConfigError, StepFailure
 from stagflame.grid import build_uniform_grid
 from stagflame.harness import CaseConfig
 from stagflame.thermo import y_O_from_z
-from stagflame.transport import upwind_face_values
+from stagflame.transport import (LimiterParams, face_stencil, face_values,
+                                 upwind_face_values)
 from helpers import benchmark_mixture, make_state
 
 NU_F_W_F = 2.0 * 2.016e-3
@@ -130,8 +133,6 @@ def test_indicator_front_moves_at_flame_speed():
 
 
 def test_flame_term_is_implicit_in_both_time_modes():
-    from stagflame.transport import LimiterParams
-
     state = resting_state(n=40, G=1.0)
     state = replace(state, G=np.where(state.grid.x_centers < 0.5, 0.0, 1.0))
     imp = inert_config(flame_speed_product=0.8)
@@ -142,6 +143,111 @@ def test_flame_term_is_implicit_in_both_time_modes():
     # no mass flux here, so the two modes share the implicit flame solve
     assert np.allclose(G_imp, G_exp, atol=1e-14)
     assert not np.allclose(G_imp, state.G)
+
+
+def full_band_explicit_solve(mass_prev, mass, F, y, y_face,
+                             reaction_diag=None, reaction_rhs=None,
+                             flame=None):
+    """An explicit G or y_F update as a zero-filled (3, n) band through
+    ``gtsv`` over every row, whatever its implicit terms couple."""
+    rhs = mass_prev * y
+    if reaction_rhs is not None:
+        rhs += reaction_rhs
+    Fy = F * y_face
+    rhs -= Fy[1:] - Fy[:-1]
+    ab = np.zeros((3, y.shape[0]))
+    ab[1] = mass
+    if reaction_diag is not None:
+        ab[1] += reaction_diag
+    if flame is not None:
+        a_int = flame[1:-1]
+        apos = np.maximum(a_int, 0.0)
+        aneg = np.negative(a_int)
+        np.maximum(aneg, 0.0, out=aneg)
+        ab[1, 1:] += apos
+        ab[2, :-1] -= apos
+        ab[1, :-1] += aneg
+        ab[0, 1:] -= aneg
+    return scipy.linalg.solve_banded((1, 1), ab, rhs)
+
+
+@st.composite
+def explicit_front_cases(draw):
+    """A state and explicit config whose indicator G holds no front, one in
+    the middle, one at the first or last interior face, or two apart."""
+    n = draw(st.integers(min_value=4, max_value=24))
+    kind = draw(st.sampled_from(["none", "middle", "first", "last", "two"]))
+
+    def cells(lo, hi, size=n):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=size,
+                                      max_size=size)))
+
+    lo, hi = draw(st.floats(0.0, 0.4)), draw(st.floats(0.6, 1.0))
+    faces = np.arange(n)  # cell k lies right of face k
+    if kind == "none":
+        G = np.full(n, draw(st.floats(0.0, 1.0)))
+    elif kind == "two":
+        j1 = draw(st.integers(1, n - 3))
+        j2 = draw(st.integers(j1 + 2, n - 1))
+        G = np.where((faces >= j1) & (faces < j2), hi, lo)
+    else:
+        j = {"first": 1, "last": n - 1}.get(kind) or draw(
+            st.integers(2, n - 2))
+        G = np.where(faces >= j, hi, lo)
+    if draw(st.booleans()):
+        G = G[::-1].copy()
+    mix = benchmark_mixture()
+    grid = build_uniform_grid(n, 0.0, 1.0)
+    u = np.zeros(n + 1)
+    u[1:-1] = cells(-0.4, 0.4, n - 1)
+    u[1:-1][cells(0.0, 1.0, n - 1) < 0.2] = 0.0
+    y_F = cells(0.0, 0.05)
+    y_O = cells(0.1, 0.3)
+    y_N = cells(0.3, 0.5)
+    state = make_state(grid, mix, 2e-3, cells(0.8, 1.2), u,
+                       np.full(n, 3.0e5), (y_F, y_O, y_N, 1.0 - y_F - y_O - y_N),
+                       G)
+    # a flame CFL a dt / (h rho) from 0.001 to 50: past 1, gtsv swaps rows
+    cfg = ChemStepConfig(
+        epsilon=draw(st.sampled_from([1e-3, 1.0])),
+        flame_speed_product=draw(st.floats(0.02, 1000.0)),
+        time_mode="explicit-limited",
+        limiter=LimiterParams(scheme=draw(st.sampled_from(
+            ["upwind", "muscl", "antidiffusive"]))))
+    return state, cfg
+
+
+def bits(x):
+    return x.view(np.int64).tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(explicit_front_cases())
+def test_explicit_solves_are_bitwise_the_full_band(case):
+    # G's band spans only the flame brush and y_F's is a diagonal; both must
+    # give bit for bit what gtsv gives on the full (3, n) band
+    state, cfg = case
+    grid, mix, dt = state.grid, state.mixture, state.dt
+    res = chemistry_step(state, cfg)
+    hdt = grid.cell_volumes / dt
+    mass_prev = hdt * state.rho_prev
+    mass = hdt * state.rho
+    stencil = face_stencil(state.flux, cfg.limiter, state.rho, dt, grid)
+    a = flame_advection_field(state.G, cfg, grid)
+    G_next = full_band_explicit_solve(
+        mass_prev, mass, state.flux, state.G, face_values(state.G, stencil),
+        flame=a)
+    assert bits(res.G) == bits(G_next)
+    burn = grid.cell_volumes / cfg.epsilon
+    burn *= np.maximum(np.subtract(0.5, G_next), 0.0)
+    reaction_rhs = burn * mix.nu_F
+    reaction_rhs *= mix.W_F
+    reaction_rhs *= np.maximum(res.z, 0.0)
+    y_F_next = full_band_explicit_solve(
+        mass_prev, mass, state.flux, state.y_F,
+        face_values(state.y_F, stencil), reaction_diag=burn,
+        reaction_rhs=reaction_rhs)
+    assert bits(res.y_F) == bits(y_F_next)
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +261,6 @@ def test_flame_term_is_implicit_in_both_time_modes():
     ("explicit-limited", "antidiffusive"),
 ])
 def test_uniform_composition_is_preserved(mode, scheme):
-    from stagflame.transport import LimiterParams
-
     state = advected_state()
     n = state.grid.n_cells
     y = (0.02, 0.2, 0.5, 0.28)
@@ -247,8 +351,6 @@ def test_gates_raise_on_inadmissible_fractions():
     ("explicit-limited", "y_N"),
 ])
 def test_gates_raise_on_nan_fractions(mode, field):
-    from stagflame.transport import LimiterParams
-
     cfg = ChemStepConfig(epsilon=1.0, time_mode=mode,
                          limiter=LimiterParams(scheme="upwind"))
     for value in (np.nan, np.inf, -np.inf):

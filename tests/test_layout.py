@@ -306,11 +306,7 @@ def test_reduction_guard_sees_calls_and_missing_functions(tmp_path):
 
 # A parameter that every call in src/ passes, each time as the same literal,
 # is a constant spelled at each call site.  Calls from tests do not count: a
-# test of a knob does not justify the knob.  Exempt, with the reason:
-SAME_VALUE_EXEMPT = {
-    # scipy's argument order: the benchmark reads the band as args[1]
-    "linalg.solve_banded(l_and_u)",
-}
+# test of a knob does not justify the knob.
 
 
 def _passed_literal(call, index, name, method):
@@ -358,10 +354,7 @@ def same_value_parameters(src=SRC):
 
 
 def test_no_parameter_takes_one_literal_from_every_caller():
-    found = same_value_parameters()
-    assert {k: v for k, v in found.items() if k not in SAME_VALUE_EXEMPT} == {}
-    # an exemption whose parameter is gone or now varies must be dropped
-    assert SAME_VALUE_EXEMPT <= set(found)
+    assert same_value_parameters() == {}
 
 
 def test_same_value_guard_sees_constant_parameters(tmp_path):

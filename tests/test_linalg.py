@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 
 from stagflame.grid import build_uniform_grid
 from stagflame.linalg import (load_flapack, solve_banded, upwind_band,
@@ -84,8 +85,43 @@ def test_solve_banded_raises_on_singular_matrix():
 
 
 def test_solve_banded_only_takes_the_tridiagonal_band():
-    with pytest.raises(ValueError, match=r"\(1, 1\)"):
-        solve_banded((2, 2), np.ones((5, 6)), np.ones(6))
+    # (1, 1) or its diagonal (0, 0)
+    for band, rows in (((2, 2), 5), ((1, 0), 2), ((0, 1), 2)):
+        with pytest.raises(ValueError, match=r"\(1, 1\) and \(0, 0\)"):
+            solve_banded(band, np.ones((rows, 6)), np.ones(6))
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 2000])
+def test_diagonal_solve_is_bitwise_gtsv(n):
+    # the diagonal held as a (1, 1) band with zero off-diagonals: gtsv
+    # eliminates with zero multipliers, so it must give b / d bit for bit
+    rng = np.random.default_rng(n + 7)
+    for _ in range(20):
+        diag = rng.uniform(1e-3, 1e3, n) * rng.choice([1.0, 1e-8, 1e8], n)
+        ab = np.zeros((3, n))
+        ab[1] = diag
+        for b in (rng.normal(size=n), rng.normal(size=(n, 3))):
+            want = scipy.linalg.lapack.dgtsv(ab[2, :-1], ab[1], ab[0, 1:],
+                                             b)[3]
+            got = solve_banded((0, 0), diag[np.newaxis], b)
+            assert got.shape == b.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_diagonal_solve_raises_on_a_zero_entry():
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        solve_banded((0, 0), np.array([[2.0, 0.0, 1.0]]), np.ones(3))
+
+
+def test_diagonal_solve_overwrites_only_b_and_only_when_asked():
+    diag = np.array([[2.0, 4.0, 8.0]])
+    b = np.array([1.0, 2.0, 3.0])
+    x = solve_banded((0, 0), diag, b)
+    assert b.tolist() == [1.0, 2.0, 3.0] and not np.shares_memory(x, b)
+    x = solve_banded((0, 0), diag, b, overwrite_ab=True, overwrite_b=True)
+    assert np.shares_memory(x, b)
+    assert b.tolist() == x.tolist() == [0.5, 0.5, 0.375]
+    assert diag.tolist() == [[2.0, 4.0, 8.0]]
 
 
 def test_solve_banded_passes_nan_through():

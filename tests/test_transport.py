@@ -295,6 +295,62 @@ def test_stencil_geometry_at_walls_and_zero_flux():
     assert face_values(y, stencil).tolist() == [1.0, 1.0, 0.5, 0.25, 0.25]
 
 
+def index_built_stencil(F, params, rho_next, dt, grid):
+    """``(cells, zeta)`` built with index arithmetic on the face numbers and
+    ``np.clip``, the construction the grid's two templates replace."""
+    n = F.shape[0] - 1
+    pos = F[1:n] >= 0.0
+    cells = np.empty((3, n + 1), dtype=np.intp)
+    cells[:, 0] = 0
+    cells[:, n] = n - 1
+    up, dn, far = cells[:, 1:n]
+    np.subtract(np.arange(1, n), pos, out=up)
+    np.subtract(np.arange(1, 2 * n - 2, 2), up, out=dn)
+    np.subtract(up, dn, out=far)
+    far += up
+    far[0] = max(far[0], 0)
+    far[-1] = min(far[-1], n - 1)
+    abs_F = np.abs(F)
+    vol = np.multiply(rho_next, grid.cell_volumes)[up]
+    nu = dt * abs_F[1:n]
+    nu /= vol
+    nu_other = np.where(pos, abs_F[:-2], abs_F[2:])
+    nu_other *= dt
+    nu_other /= vol
+    zeta = np.zeros(n + 1)
+    with np.errstate(over="ignore"):
+        np.divide(np.subtract(1.0, nu_other, out=nu_other), nu,
+                  out=zeta[1:n], where=nu > 0.0)
+    return cells, np.clip(zeta, 0.0, params.s_max, out=zeta)
+
+
+@pytest.mark.parametrize("left_wall_flow", [1.0, -1.0])
+@pytest.mark.parametrize("right_wall_flow", [1.0, -1.0])
+def test_stencil_matches_index_arithmetic(left_wall_flow, right_wall_flow):
+    # zero-flux faces inside the domain and either flow direction on the
+    # faces next to each wall: the cells and zeta must come out bit for bit
+    rng = np.random.default_rng(23)
+    for _ in range(100):
+        n = int(rng.choice([3, 4, 6, 13, 40]))
+        grid = build_uniform_grid(n, 0.0, 2.0)
+        F = np.zeros(n + 1)
+        F[1:-1] = rng.uniform(-1.0, 1.0, n - 1)
+        F[1:-1][rng.random(n - 1) < 0.3] = 0.0
+        F[1] = left_wall_flow * rng.uniform(0.1, 1.0)
+        F[n - 1] = right_wall_flow * rng.uniform(0.1, 1.0)
+        rho = rng.uniform(0.5, 2.0, n)
+        dt = float(rng.uniform(0.005, 2.0))
+        params = LimiterParams(scheme="antidiffusive",
+                               s_max=float(rng.choice([0.0, 1.3, 2.0, 50.0])))
+        cells, zeta = index_built_stencil(F, params, rho, dt, grid)
+        stencil = face_stencil(F, params, rho, dt, grid)
+        assert stencil.cells.tolist() == cells.tolist()
+        assert stencil.zeta.view(np.int64).tolist() == zeta.view(np.int64).tolist()
+        for scheme in ("upwind", "muscl"):
+            other = face_stencil(F, LimiterParams(scheme=scheme), rho, dt, grid)
+            assert other.cells.tolist() == cells.tolist()
+
+
 def test_limiter_params_validation():
     with pytest.raises(ValueError):
         LimiterParams(scheme="parabolic")
