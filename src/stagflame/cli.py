@@ -117,6 +117,8 @@ def _cmd_sweep(args):
 def _cmd_oracle(args):
     from .oracle import rh_residuals
 
+    if args.time is not None and not args.time > 0.0:
+        raise ConfigError(f"--time must be positive, got {args.time!r}")
     config = load_config(args.config, args.overrides)
     setup = initialize_case(config)
     pattern = setup.pattern

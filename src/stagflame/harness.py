@@ -348,36 +348,28 @@ def advance(state, chem_config):
     state's fluxes and density, the one its chemistry step runs at: the
     discrete maximum principle of the limited schemes needs it at most 1,
     and ``dt`` stays fixed after setup.  The new state takes the starting
-    state's dual density as its previous-level one.  ``info["chemistry"]``
-    is the chemistry step's ``ChemResult``, whose face values are built
-    when read.
+    state's dual density as its previous-level one.  ``info`` holds the
+    stage results, the ``ChemResult`` (whose face values are built when
+    read) as "chemistry" and the ``FlowResult`` as "flow", and the new
+    state's "max_sum_y_error".
     """
-    dt = state.dt
     if chem_config.time_mode == "explicit-limited" and not state.cfl <= 1.0:
         raise StepFailure(
             f"material CFL {state.cfl:.4f} exceeds 1 in explicit-limited mode "
-            f"(dt {dt:.6e}); the limited face values need CFL <= 1"
+            f"(dt {state.dt:.6e}); the limited face values need CFL <= 1"
         )
     chem = chemistry_step(state, chem_config)
-    flow = euler_step(state, chem.omega_theta, dt)
+    flow = euler_step(state, chem.omega_theta)
     new_state = FieldState(
-        grid=state.grid, mixture=state.mixture, dt=dt,
+        grid=state.grid, mixture=state.mixture, dt=state.dt,
         rho_prev=state.rho, rho=flow.rho, u=flow.u, p=flow.p, h_s=flow.h_s,
         y_F=chem.y_F, y_O=chem.y_O, y_N=chem.y_N, y_P=chem.y_P,
         z=chem.z, G=chem.G, flux=flow.flux, prev_rho_d=state.rho_d,
     )
     # chemistry_step has gated every fraction of the new state
     sum_y_error = check_state_gates(new_state, fractions=False)
-    info = {
-        "cfl": new_state.cfl,
-        "correction_residual": flow.residual,
-        "correction_iterations": flow.iterations,
-        "kinetic_residual_total": float(flow.kinetic_residual.sum()),
-        "max_sum_y_error": sum_y_error,
-        "chemistry": chem,
-        "compensation_source": flow.source,
-    }
-    return new_state, info
+    return new_state, {"chemistry": chem, "flow": flow,
+                       "max_sum_y_error": sum_y_error}
 
 
 @dataclass
@@ -417,14 +409,15 @@ def run_case(config, collect_diagnostics=True):
             e_now = total_energy(state)
             drift = abs(e_now - e0) / abs(e0)
         if collect_diagnostics:
+            flow = info["flow"]
             rows.append({
-                "step": step, "t": t, "dt": dt, "cfl": info["cfl"],
+                "step": step, "t": t, "dt": dt, "cfl": state.cfl,
                 "mass_total": float((state.grid.cell_volumes * state.rho).sum()),
                 "energy_total": e_now, "energy_drift_rel": drift,
-                "correction_residual": info["correction_residual"],
-                "correction_iterations": info["correction_iterations"],
+                "correction_residual": flow.residual,
+                "correction_iterations": flow.iterations,
                 "used_fallback": 0,  # kept column: Newton has no fallback
-                "kinetic_residual_total": info["kinetic_residual_total"],
+                "kinetic_residual_total": float(flow.kinetic_residual.sum()),
                 "max_sum_y_error": info["max_sum_y_error"],
                 "min_G": float(state.G.min()), "max_G": float(state.G.max()),
             })
@@ -489,12 +482,15 @@ def _format(v):
 def write_csv(path, columns, rows, header=None):
     """Write one CSV file: ``# key = value`` lines for the ``header`` dict in
     key order, the column names, then one line per row, every value written
-    by ``_format``."""
+    by ``_format``.  A file that cannot be written is a ConfigError."""
     lines = [f"# {k} = {_format(header[k])}" for k in sorted(header or {})]
     lines.append(",".join(columns))
     lines.extend(",".join(_format(v) for v in row) for row in rows)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
 def write_run_csvs(prefix, result):

@@ -15,16 +15,16 @@ chemical plus kinetic including a pressure-gradient storage term - is
 conserved to the nonlinear solver tolerance.  That tolerance and Newton's
 iteration cap are module constants; no run has needed other values.
 
-A flow step and the energy audit read the arrays of a time level - its
-dual densities, pressure gradient and e_s - from the level itself
-(``FieldState``), which builds each of them once.
+A flow step and the energy audit read what they need of a time level -
+its step size, mass fluxes, dual densities, pressure gradient and e_s -
+from the level itself (``FieldState``), which builds each of them once.
 
 The step's kernels work in place: a call may overwrite the temporaries it
 made itself (``out=``, augmented assignment), and ``newton_step`` the
 residual it is handed, keeping the operations of the formula its comment
 gives in their order, so that results stay bitwise those of the plain
 expression.  Nothing writes into an array of a level or into one that a
-``CorrectionResult`` holds.  The one buffer an object keeps is the
+``FlowResult`` holds.  The one buffer an object keeps is the
 correction solve's Jacobian band, allocated once per solve.
 
 The prediction and every Newton step are tridiagonal solves through
@@ -32,7 +32,8 @@ The prediction and every Newton step are tridiagonal solves through
 argument order; the benchmark's span recorder counts and times them by
 wrapping this module's ``solve_banded`` attribute, so the name must stay.
 The linear mass solve (``upwind_mass_solve``, on ``linalg.upwind_band`` of
-the face velocities) calls LAPACK directly and is not counted with them.
+the face velocities) goes through ``linalg``'s own ``solve_banded``, not
+this module's, and is not counted with them.
 """
 
 from dataclasses import dataclass
@@ -58,8 +59,10 @@ _STAGNATION_ITERATIONS = 12
 
 
 @dataclass
-class CorrectionResult:
-    """End-of-step fields of the correction solve (velocities at faces)."""
+class FlowResult:
+    """Everything one flow step produces: the end-of-step fields of the
+    correction solve (velocities at faces), its Newton record, and the
+    kinetic energy the prediction dissipated with its cell source."""
 
     u: np.ndarray
     rho: np.ndarray
@@ -68,18 +71,11 @@ class CorrectionResult:
     flux: np.ndarray
     iterations: int
     residual: float
+    kinetic_residual: np.ndarray
+    source: np.ndarray
     # always False, since Newton is the only path; kept because the
     # benchmark's span recorder still reads it
     used_fallback = False
-
-
-@dataclass
-class EulerResult(CorrectionResult):
-    """Everything one flow step produces: the corrected fields plus the
-    kinetic energy the prediction dissipated and its cell source."""
-
-    kinetic_residual: np.ndarray
-    source: np.ndarray
 
 
 def scale_pressure_gradient(grad_p, rho_dual_n, rho_dual_nm1):
@@ -91,31 +87,30 @@ def scale_pressure_gradient(grad_p, rho_dual_n, rho_dual_nm1):
     return np.sqrt(np.asarray(rho_dual_n) / np.asarray(rho_dual_nm1)) * np.asarray(grad_p)
 
 
-def predict_velocity(state, dual_flux, sgp, dt, rho_d_n, rho_d_nm1):
+def predict_velocity(state, sgp):
     """Implicit momentum prediction with the rescaled old pressure gradient.
 
     Solves, on every interior face, the dual-cell momentum balance with
-    centred face velocities and the frozen gradient ``sgp``; wall velocities
-    stay zero, and the wall entries of ``state.u`` are never read.
-    ``rho_d_n`` and ``rho_d_nm1`` are the dual densities of the current and
-    previous levels.  Returns the full face array.  The band and the right
-    hand side are not scanned for NaN or inf: a non-finite input ends the
-    step in the correction solve's finiteness test.
+    centred face velocities, the dual fluxes of ``state.flux`` and the
+    frozen gradient ``sgp``; wall velocities stay zero, and the wall entries
+    of ``state.u`` are never read.  Returns the full face array.  The band
+    and the right hand side are not scanned for NaN or inf: a non-finite
+    input ends the step in the correction solve's finiteness test.
     """
     n = state.grid.n_cells
     dv = state.grid.dual_volumes[1:-1]
-    hdt = dv / dt
-    half = 0.5 * dual_flux  # centred convection: half of each dual flux
+    hdt = dv / state.dt
+    half = 0.5 * dual_mass_flux(state.flux)  # centred convection
     ab = np.empty((3, n - 1))
     ab[0, 0] = 0.0
     ab[0, 1:] = half[1:-1]
     # diagonal: hdt rho^n_D + (half_right - half_left)
     diag = np.subtract(half[1:], half[:-1], out=ab[1])
-    diag += hdt * rho_d_n[1:-1]
+    diag += hdt * state.rho_d[1:-1]
     np.negative(half[1:-1], out=ab[2, :-1])
     ab[2, -1] = 0.0
     # rhs = hdt rho^{n-1}_D u^n - |D| sgp
-    rhs = hdt * rho_d_nm1[1:-1]
+    rhs = hdt * state.rho_d_prev[1:-1]
     rhs *= state.u[1:-1]
     rhs -= np.multiply(dv, sgp[1:-1], out=hdt)
     u_tilde = np.zeros(n + 1)
@@ -124,15 +119,15 @@ def predict_velocity(state, dual_flux, sgp, dt, rho_d_n, rho_d_nm1):
     return u_tilde
 
 
-def kinetic_residuals(state_n, u_tilde, dt, rho_d_nm1):
+def kinetic_residuals(state, u_tilde):
     """Kinetic energy dissipated by the prediction on each dual cell.
 
     R_sigma = |D_sigma| rho^{n-1}_D (u_tilde - u^n)^2 / (2 dt), with
-    ``rho_d_nm1`` the previous-level dual density; walls have none.
+    rho^{n-1}_D the level's previous dual density; walls have none.
     """
-    R = state_n.grid.dual_volumes * rho_d_nm1
-    R /= 2.0 * dt
-    du = np.subtract(u_tilde, state_n.u)
+    R = state.grid.dual_volumes * state.rho_d_prev
+    R /= 2.0 * state.dt
+    du = np.subtract(u_tilde, state.u)
     R *= np.square(du, out=du)
     R[0] = 0.0
     R[-1] = 0.0
@@ -146,7 +141,6 @@ def compensation_source(R, grid):
     boundary face residual goes entirely to its one cell.  The total is
     preserved: sum |K| S_K = sum R_sigma.
     """
-    n = grid.n_cells
     w = np.full(grid.n_faces, 0.5)
     w[0] = 1.0
     w[-1] = 1.0
@@ -220,18 +214,19 @@ class _CorrectionSystem:
     module's ``solve_banded``.  Upwind switches freeze per
     linearisation (semismooth Newton).  Once p is known, the mass balance
     is linear in rho (``density``) and h_s = p / (kappa rho).  Everything
-    that does not depend on p is built once, in the constructor.
+    that does not depend on p is built once, in the constructor.  S is the
+    heat release plus the prediction's compensation source.
     """
 
-    def __init__(self, state, u_tilde, sgp, dt, source, rho_d_n):
+    def __init__(self, state, u_tilde, sgp, source):
         grid = state.grid
-        self.grid = grid
-        self.dt = dt
+        dt = state.dt
+        self.state = state
         self.n = grid.n_cells
         self.hdt = grid.cell_volumes / dt
         self.kappa = (state.mixture.gamma - 1.0) / state.mixture.gamma
         self.inv_kappa = 1.0 / self.kappa
-        rho_d = rho_d_n[1:-1]
+        rho_d = state.rho_d[1:-1]
         # a = u_tilde + dt / rho_D sgp
         self.a_face = dt / rho_d
         self.a_face *= sgp[1:-1]
@@ -248,7 +243,6 @@ class _CorrectionSystem:
         self.band = np.empty((3, self.n))
         self.band[0, 0] = 0.0
         self.band[2, -1] = 0.0
-        self.rho_n = state.rho
         rhoh_n = state.rho * state.h_s
         # the terms of the enthalpy balance that do not depend on p:
         # hdt (p^n - (rho h_s)^n) - |K| S
@@ -349,36 +343,40 @@ class _CorrectionSystem:
 
     def density(self, u):
         """rho from the mass balance with upwind fluxes at face velocities u."""
-        return upwind_mass_solve(self.grid, self.rho_n, u, self.dt)
+        state = self.state
+        return upwind_mass_solve(state.grid, state.rho, u, state.dt)
 
     def mass_norm(self, rho, flux):
         # hdt (rho - rho^n) + F_right - F_left
-        r = rho - self.rho_n
+        r = rho - self.state.rho
         r *= self.hdt
         r += flux[1:]
         r -= flux[:-1]
         return float(np.abs(r, out=r).max()) / self.mass_scale
 
 
-def correction_solve(state, u_tilde, sgp, dt, source, rho_d_n):
+def correction_solve(state, u_tilde, sgp, omega_theta, R):
     """Solve the correction system for (u, rho, h_s, p) at step end.
 
+    The enthalpy balance's source is the heat release ``omega_theta`` plus
+    the ``compensation_source`` of the prediction's kinetic residuals ``R``;
+    the ``FlowResult`` holds both R and that compensation source.
     Semismooth Newton on the N pressures of the reduced enthalpy balance
-    (see ``_CorrectionSystem``; ``rho_d_n`` is the current dual density),
-    starting from p^n: upwind switches freeze per iteration, each step is
-    one tridiagonal banded solve, and a line step halves until p stays
-    positive.  Once the tolerance is met, one more step with the last
-    iteration's Jacobian takes the residual down to round-off, so that the
-    energy drift does not build up over a run; it is kept only if the
-    residual drops.  The velocity then follows from p,
-    rho from one linear upwind mass solve (positive, since its matrix is an
+    (see ``_CorrectionSystem``), starting from p^n: upwind switches freeze
+    per iteration, each step is one tridiagonal banded solve, and a line
+    step halves until p stays positive.  Once the tolerance is met, one more
+    step with the last iteration's Jacobian takes the residual down to
+    round-off, so that the energy drift does not build up over a run; it is
+    kept only if the residual drops.  The velocity then follows from p, rho
+    from one linear upwind mass solve (positive, since its matrix is an
     M-matrix) and h_s = p / (kappa rho) from the EOS.  Newton is the only
-    path: when it reaches ``_MAX_ITERATIONS``, stagnates, meets a
-    singular Jacobian or takes a non-finite step, the solve raises
-    StepFailure naming the reason and the iteration count.  The reported
-    residual is the larger of the scaled enthalpy and mass residuals.
+    path: when it reaches ``_MAX_ITERATIONS``, stagnates, meets a singular
+    Jacobian or takes a non-finite step, the solve raises StepFailure naming
+    the reason and the iteration count.  The reported residual is the larger
+    of the scaled enthalpy and mass residuals.
     """
-    sys_ = _CorrectionSystem(state, u_tilde, sgp, dt, source, rho_d_n)
+    S = compensation_source(R, state.grid)
+    sys_ = _CorrectionSystem(state, u_tilde, sgp, omega_theta + S)
     p = np.array(state.p, dtype=float)
     spare = np.empty_like(p)  # the line step's trial, swapped with p
     why = "iteration cap reached"
@@ -400,9 +398,10 @@ def correction_solve(state, u_tilde, sgp, dt, source, rho_d_n):
             flux = primal_mass_flux(rho, u)
             h_s = rho * sys_.kappa
             np.divide(p, h_s, out=h_s)  # h_s = p / (kappa rho)
-            return CorrectionResult(
+            return FlowResult(
                 u=u, rho=rho, h_s=h_s, p=p, flux=flux,
                 iterations=it, residual=max(res, sys_.mass_norm(rho, flux)),
+                kinetic_residual=R, source=S,
             )
         if it == _MAX_ITERATIONS:
             break
@@ -431,35 +430,31 @@ def correction_solve(state, u_tilde, sgp, dt, source, rho_d_n):
 
 
 @np.errstate(invalid="ignore")
-def euler_step(state, omega_theta, dt):
+def euler_step(state, omega_theta):
     """One full flow step from an accepted state (chemistry already done).
 
-    Returns the corrected fields plus the prediction by-products needed for
-    the energy audit.  The dual densities and the pressure gradient are the
-    state's own.  A non-finite u or p turns into NaN on the way (inf - inf)
-    without a warning, and the correction solve's finiteness test ends the
-    step.
+    Returns the ``FlowResult``: the corrected fields plus the prediction
+    by-products needed for the energy audit.  The step size, fluxes, dual
+    densities and pressure gradient are the state's own.  A non-finite u or
+    p turns into NaN on the way (inf - inf) without a warning, and the
+    correction solve's finiteness test ends the step.
     """
-    grid = state.grid
-    dual_flux = dual_mass_flux(state.flux)
-    rho_d_n = state.rho_d
-    rho_d_nm1 = state.rho_d_prev
-    sgp = scale_pressure_gradient(state.grad_p, rho_d_n, rho_d_nm1)
-    u_tilde = predict_velocity(state, dual_flux, sgp, dt, rho_d_n, rho_d_nm1)
-    R = kinetic_residuals(state, u_tilde, dt, rho_d_nm1)
-    S = compensation_source(R, grid)
-    corr = correction_solve(state, u_tilde, sgp, dt, omega_theta + S, rho_d_n)
-    return EulerResult(**vars(corr), kinetic_residual=R, source=S)
+    sgp = scale_pressure_gradient(state.grad_p, state.rho_d, state.rho_d_prev)
+    u_tilde = predict_velocity(state, sgp)
+    R = kinetic_residuals(state, u_tilde)
+    return correction_solve(state, u_tilde, sgp, omega_theta, R)
 
 
-def internal_energy_residual(state_n, state_next, chem_face_values, S):
+def internal_energy_residual(state_n, state_next, chem, flow):
     """Residual of the implied internal-energy balance of one accepted step.
 
+    ``chem`` and ``flow`` are the step's stage results (``advance``'s info).
     The sensible part inherits the correction-solve residual; the chemical
-    part cancels against the applied heat release exactly, provided the face
-    values are the ones the chemistry step actually convected.  Returns the
-    per-cell residual of the balance (per unit volume and time).
+    part cancels against the heat release exactly, since the face values
+    are the ones the chemistry step convected.  Returns the per-cell
+    residual of the balance (per unit volume and time).
     """
+    chem_face_values = chem.face_values
     grid = state_next.grid
     mix = state_next.mixture
     dt = state_next.dt
@@ -483,4 +478,4 @@ def internal_energy_residual(state_n, state_next, chem_face_values, S):
     div = (sens_flux[1:] - sens_flux[:-1] + chem_flux[1:] - chem_flux[:-1])
     div /= grid.cell_volumes
     p_div_u = state_next.p * (state_next.u[1:] - state_next.u[:-1]) / grid.cell_volumes
-    return (rho_e_next - rho_e_n) / dt + div + p_div_u - S
+    return (rho_e_next - rho_e_n) / dt + div + p_div_u - flow.source

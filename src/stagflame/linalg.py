@@ -115,10 +115,11 @@ def upwind_mass_solve(grid, rho_old, u, dt):
     Solves |K|/dt (rho - rho_old) + F_right - F_left = 0 with the upwind
     fluxes F_j = u_j rho_upwind (zero at the walls); the matrix is
     ``upwind_band`` with the face velocities, so the density stays
-    positive.  ``gtsv`` is called directly, so these solves are not counted
-    with the banded solves of the step.
+    positive.  It calls this module's ``solve_banded``, not the
+    ``solve_banded`` attribute of ``hydro`` or ``chemistry``, so the solves
+    counted there do not include it.
     """
     hdt = grid.cell_volumes / dt
     ab = upwind_band(hdt, u[1:-1])
-    return dgtsv(ab[2, :-1], ab[1], ab[0, 1:], hdt * rho_old,
-                 overwrite_dl=1, overwrite_d=1, overwrite_du=1)[3]
+    return solve_banded((1, 1), ab, hdt * rho_old, overwrite_ab=True,
+                        overwrite_b=True)

@@ -137,6 +137,40 @@ def test_oracle_verb_prints_pattern_and_samples(config_file, tmp_path, capsys):
     assert np.all(np.isfinite(data))
 
 
+@pytest.mark.parametrize("time", ["-1", "0", "nan"])
+def test_oracle_time_must_be_positive(config_file, tmp_path, capsys,
+                                      monkeypatch, time):
+    # a bad sampling time is a bad command line, refused before the oracle
+    # solve
+    calls = []
+    monkeypatch.setattr(harness, "solve_deflagration_riemann",
+                        lambda *a, **k: calls.append(a))
+    code = main(["oracle", config_file, "--csv", str(tmp_path / "x.csv"),
+                 "--time", time])
+    assert code == EXIT_CONFIG
+    assert calls == []
+    assert capsys.readouterr().err.startswith(
+        "configuration error: --time must be positive, got ")
+
+
+@pytest.mark.parametrize("argv,path", [
+    pytest.param(["run", "--output-prefix", "{}/p"], "{}/p_profile.csv",
+                 id="run"),
+    pytest.param(["sweep", "--meshes", "24", "--output-prefix", "{}/p"],
+                 "{}/p_sweep.csv", id="sweep"),
+    pytest.param(["oracle", "--csv", "{}/x.csv"], "{}/x.csv", id="oracle"),
+])
+def test_unwritable_output_is_a_config_error(config_file, tmp_path, capsys,
+                                             argv, path):
+    # the output directory does not exist: no traceback, exit 2
+    missing = tmp_path / "missing"
+    argv = [argv[0], config_file] + [a.format(missing) for a in argv[1:]]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        f"configuration error: cannot write {path.format(missing)}: ")
+    assert not missing.exists()
+
+
 def test_static_flame_with_heat_release_is_an_oracle_error(config_file, capsys):
     code = main(["oracle", config_file, "--set", "u_flame=0"])
     assert code == EXIT_ORACLE

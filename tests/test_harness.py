@@ -332,12 +332,13 @@ def test_advance_info_contract(monkeypatch):
     monkeypatch.setattr(harness, "require_fraction", counting)
     new_state, info = advance(setup.state, setup.chem_config)
     assert gated == ["G", "y_F", "y_O", "y_N", "y_P"]
-    assert set(info) == {"cfl", "correction_residual", "correction_iterations",
-                         "kinetic_residual_total", "max_sum_y_error",
-                         "chemistry", "compensation_source"}
-    assert info["correction_residual"] <= hydro._NONLINEAR_TOL
+    assert set(info) == {"chemistry", "flow", "max_sum_y_error"}
+    flow = info["flow"]
+    assert isinstance(flow, hydro.FlowResult)
+    assert flow.residual <= hydro._NONLINEAR_TOL
     assert info["max_sum_y_error"] <= 1e-10
-    assert info["cfl"] == new_state.cfl
+    # the new level is built from the flow result's arrays, not copies
+    assert new_state.rho is flow.rho and new_state.flux is flow.flux
     assert new_state.dt == setup.state.dt
     # the starting level's density and its dual density are the new
     # level's previous-level ones

@@ -82,11 +82,10 @@ def test_prediction_satisfies_momentum_balance():
     grid = state.grid
     F = state.flux
     Fd = dual_mass_flux(F)
-    g = pressure_gradient(state.p, grid)
-    rho_d_n = dual_density(grid, state.rho)
-    rho_d_nm1 = dual_density(grid, state.rho_prev)
-    sgp = scale_pressure_gradient(g, rho_d_n, rho_d_nm1)
-    u_t = predict_velocity(state, Fd, sgp, dt, rho_d_n, rho_d_nm1)
+    rho_d_n = state.rho_d
+    rho_d_nm1 = state.rho_d_prev
+    sgp = scale_pressure_gradient(state.grad_p, rho_d_n, rho_d_nm1)
+    u_t = predict_velocity(state, sgp)
     assert u_t[0] == 0.0 and u_t[-1] == 0.0
     # re-assemble the dual-cell balance with centred face velocities
     j = np.arange(1, grid.n_cells)
@@ -105,8 +104,8 @@ def test_kinetic_residuals_form():
     u_t = state.u + 0.1
     u_t[0] = 0.0
     u_t[-1] = 0.0
-    rho_d = dual_density(state.grid, state.rho_prev)
-    R = kinetic_residuals(state, u_t, state.dt, rho_d)
+    rho_d = state.rho_d_prev
+    R = kinetic_residuals(state, u_t)
     assert R[0] == 0.0 and R[-1] == 0.0
     j = 5
     want = state.grid.dual_volumes[j] * rho_d[j] / (2 * state.dt) * 0.1**2
@@ -154,7 +153,7 @@ def test_cell_kinetic_energy_uniform_interior():
 def test_correction_solve_converges_on_benchmark_step():
     setup = initialize_case(CaseConfig(n_cells=120))
     state = setup.state
-    result = euler_step(state, np.zeros(state.grid.n_cells), state.dt)
+    result = euler_step(state, np.zeros(state.grid.n_cells))
     # the closing Newton step, with the last iteration's Jacobian, takes the
     # residual from below the 1e-12 tolerance down to round-off
     assert result.residual < 1e-14
@@ -189,24 +188,18 @@ def test_correction_solve_converges_on_benchmark_step():
     # at 40 cells the last Newton iteration stops near 8e-13, so here only
     # the closing step brings the residual down to round-off
     state = initialize_case(CaseConfig(n_cells=40)).state
-    result = euler_step(state, np.zeros(40), state.dt)
+    result = euler_step(state, np.zeros(40))
     assert result.residual < 1e-14
 
 
 def _correction_system(state):
-    """The correction system of the first step from ``state``, with the
-    inputs it was built from."""
-    grid = state.grid
-    rho_d_n = dual_density(grid, state.rho)
-    rho_d_nm1 = dual_density(grid, state.rho_prev)
-    sgp = scale_pressure_gradient(pressure_gradient(state.p, grid), rho_d_n,
-                                  rho_d_nm1)
-    u_t = predict_velocity(state, dual_mass_flux(state.flux), sgp, state.dt,
-                           rho_d_n, rho_d_nm1)
-    source = compensation_source(
-        kinetic_residuals(state, u_t, state.dt, rho_d_nm1), grid)
-    system = _CorrectionSystem(state, u_t, sgp, state.dt, source, rho_d_n)
-    return system, (u_t, sgp, source, rho_d_n)
+    """The correction system of the first step from ``state`` without heat
+    release, with the inputs it was built from."""
+    sgp = scale_pressure_gradient(state.grad_p, state.rho_d, state.rho_d_prev)
+    u_t = predict_velocity(state, sgp)
+    source = compensation_source(kinetic_residuals(state, u_t), state.grid)
+    system = _CorrectionSystem(state, u_t, sgp, source)
+    return system, (u_t, sgp, source)
 
 
 def _benchmark_correction_system(n_cells):
@@ -220,10 +213,11 @@ def _benchmark_correction_system(n_cells):
 # (test_in_place_correction_kernels_match_references)
 
 
-def reference_face_coefficients(state, u_t, sgp, dt, source, rho_d_n):
+def reference_face_coefficients(state, u_t, sgp, source):
     """(a_face, b_face, hs_known) of ``_CorrectionSystem``."""
     grid = state.grid
-    rho_d = rho_d_n[1:-1]
+    dt = state.dt
+    rho_d = state.rho_d[1:-1]
     a_face = u_t[1:-1] + dt / rho_d * sgp[1:-1]
     b_face = dt / (rho_d * grid.dual_volumes[1:-1])
     hdt = grid.cell_volumes / dt
@@ -273,8 +267,7 @@ def _same_bits(got, want):
 def test_in_place_correction_kernels_match_references(state, seed, spread):
     system, inputs = _correction_system(state)
     for got, want in zip((system.a_face, system.b_face, system.hs_known),
-                         reference_face_coefficients(state, *inputs[:2],
-                                                     state.dt, *inputs[2:])):
+                         reference_face_coefficients(state, *inputs)):
         assert _same_bits(got, want)
     n = state.grid.n_cells
     rng = np.random.default_rng(seed)
@@ -344,7 +337,7 @@ def test_correction_solve_converges_at_large_acoustic_cfl():
     h_s = mix.gamma / (mix.gamma - 1.0) * 1.0e5 / rho
     y = (np.zeros(n), np.zeros(n), np.full(n, 0.6), np.full(n, 0.4))
     state = make_state(grid, mix, 0.1, rho, np.zeros(n + 1), h_s, y, np.ones(n))
-    result = euler_step(state, np.zeros(n), state.dt)
+    result = euler_step(state, np.zeros(n))
     assert result.residual < 1e-12
     assert np.max(np.abs(result.u)) < 1e-9
     assert np.allclose(result.p, state.p, rtol=1e-12)
@@ -363,7 +356,7 @@ def test_diverging_correction_solve_is_a_step_failure():
     state = make_state(grid, mix, 0.125, np.ones(n), u, h_s, y, np.zeros(n))
     with pytest.raises(StepFailure, match="stalled at residual .*: stagnated "
                                           "after 15 Newton iterations"):
-        euler_step(state, np.zeros(n), state.dt)
+        euler_step(state, np.zeros(n))
 
 
 def test_correction_solve_raises_when_starved(monkeypatch):
@@ -372,9 +365,9 @@ def test_correction_solve_raises_when_starved(monkeypatch):
     monkeypatch.setattr(hydro, "_NONLINEAR_TOL", 1e-14)
     monkeypatch.setattr(hydro, "_MAX_ITERATIONS", 1)
     with pytest.raises(StepFailure, match="iteration cap reached after 1 Newton"):
-        correction_solve(state, state.u.copy(), pressure_gradient(state.p, state.grid),
-                         state.dt, np.zeros(state.grid.n_cells),
-                         dual_density(state.grid, state.rho))
+        correction_solve(state, state.u.copy(), state.grad_p,
+                         np.zeros(state.grid.n_cells),
+                         np.zeros(state.grid.n_faces))
 
 
 def _singular_solve(l_and_u, ab, b, **kwargs):
@@ -395,9 +388,9 @@ def test_correction_solve_names_why_newton_stopped(monkeypatch, broken, why):
     state = initialize_case(CaseConfig(n_cells=40)).state
     monkeypatch.setattr(hydro, "solve_banded", broken)
     with pytest.raises(StepFailure, match=f": {why} after 0 Newton iterations"):
-        correction_solve(state, state.u.copy(), pressure_gradient(state.p, state.grid),
-                         state.dt, np.zeros(state.grid.n_cells),
-                         dual_density(state.grid, state.rho))
+        correction_solve(state, state.u.copy(), state.grad_p,
+                         np.zeros(state.grid.n_cells),
+                         np.zeros(state.grid.n_faces))
 
 
 def test_total_energy_of_resting_state_is_internal_only():
@@ -425,9 +418,8 @@ def test_internal_energy_balance_of_one_step():
     new_state, info = advance(state, setup.chem_config)
     # the heat release cancels between the sensible and chemical parts, so
     # the only source left in the combined balance is the compensation term
-    res = internal_energy_residual(state, new_state,
-                                   info["chemistry"].face_values,
-                                   info["compensation_source"])
+    res = internal_energy_residual(state, new_state, info["chemistry"],
+                                   info["flow"])
     scale = np.max(np.abs(new_state.rho * new_state.e_s)) / state.dt
     assert np.max(np.abs(res)) < 1e-10 * scale
 
@@ -435,7 +427,7 @@ def test_internal_energy_balance_of_one_step():
 def test_euler_step_source_accounts_for_prediction_loss():
     setup = initialize_case(CaseConfig(n_cells=50))
     state = setup.state
-    result = euler_step(state, np.zeros(state.grid.n_cells), state.dt)
+    result = euler_step(state, np.zeros(state.grid.n_cells))
     total_R = np.sum(result.kinetic_residual)
     total_S = np.sum(state.grid.cell_volumes * result.source)
     assert total_S == pytest.approx(total_R, rel=1e-12, abs=1e-300)

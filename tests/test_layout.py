@@ -1,7 +1,8 @@
 """Every function, method and class in ``src/stagflame`` has a use there,
 every defaulted parameter is passed by some call, every dataclass field is
 read, no parameter takes the same literal from every call in
-``src/stagflame``, the package loads no more of scipy than its LAPACK
+``src/stagflame``, no function that takes a time level also takes a copy
+of one of its fields, the package loads no more of scipy than its LAPACK
 extension, and the per-step code calls reductions as ndarray methods.
 
 Code that only tests call belongs in ``tests/``.  The checks go by name: a
@@ -383,3 +384,70 @@ def test_same_value_guard_sees_constant_parameters(tmp_path):
     assert same_value_parameters(tmp_path) == {
         "mod.solve(band)": 1, "mod.solve(scan)": 1, "mod.wrap(mode)": 4,
         "mod.scaled(k)": 14}
+
+
+# A function that is handed a time level reads the level's own arrays and
+# step size from it: a separate parameter of the same name is a second copy
+# that a caller can get out of step with the level.
+
+
+def _level_fields(trees):
+    """The annotated fields of every ``FieldState`` class in ``trees``,
+    ``InitVar`` arguments left out."""
+    return {item.target.id
+            for tree in trees.values() for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == "FieldState"
+            for item in cls.body
+            if isinstance(item, ast.AnnAssign)
+            and isinstance(item.target, ast.Name)
+            and not _is_init_var(item.annotation)}
+
+
+def level_copy_parameters(src=SRC):
+    """{"module.function(param)": line} of every parameter named like a
+    ``FieldState`` field, of a function or method in ``src`` that also
+    takes a level as a parameter named ``state`` or ``state_*``."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(src.glob("*.py"))}
+    fields = _level_fields(trees)
+    found = {}
+    for module, tree in trees.items():
+        for func, _ in _functions(tree):
+            args = func.args
+            names = args.posonlyargs + args.args + args.kwonlyargs
+            if not any(a.arg == "state" or a.arg.startswith("state_")
+                       for a in names):
+                continue
+            for arg in names:
+                if arg.arg in fields:
+                    found[f"{module}.{func.name}({arg.arg})"] = arg.lineno
+    return found
+
+
+def test_no_function_takes_a_level_and_a_copy_of_its_fields():
+    assert level_copy_parameters() == {}
+
+
+def test_level_copy_guard_sees_copied_fields(tmp_path):
+    (tmp_path / "thermo.py").write_text(
+        "from dataclasses import InitVar, dataclass\n\n"
+        "@dataclass\n"
+        "class FieldState:\n"
+        "    dt: float\n"
+        "    rho: object\n"
+        "    flux: object\n"
+        "    prev: InitVar[object] = None\n")
+    (tmp_path / "step.py").write_text(
+        "def step(state, dt):\n    return dt\n\n"
+        "def audit(state_n, state_next, rho, *, flux=None):\n"
+        "    return rho\n\n"
+        "def build(grid, dt, rho, flux, prev):\n"
+        "    return dt\n\n"
+        "class System:\n"
+        "    def __init__(self, state, source, prev):\n"
+        "        self.state = state\n")
+    # a level's copies are flagged, keyword-only ones too; a function that
+    # builds a level from its fields takes no level, and an InitVar is no
+    # field
+    assert level_copy_parameters(tmp_path) == {
+        "step.step(dt)": 1, "step.audit(rho)": 4, "step.audit(flux)": 4}
