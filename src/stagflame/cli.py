@@ -1,6 +1,7 @@
 """Command line front end: run, sweep, oracle, check."""
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -11,6 +12,7 @@ from .harness import (
     load_config,
     run_case,
     run_sweep,
+    sweep_text,
     write_oracle_csv,
     write_run_csvs,
     write_sweep_csv,
@@ -63,8 +65,20 @@ def build_parser():
     return parser
 
 
+def _require_output_dir(path):
+    """Refuse an output path whose directory does not exist before the work
+    that would fill it; ``write_csv`` still reports what fails only when
+    the file is written."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise ConfigError(f"cannot write {path}: no directory {folder}")
+
+
 def _cmd_run(args):
     config = load_config(args.config, args.overrides)
+    prefix = args.output_prefix
+    if prefix:
+        _require_output_dir(f"{prefix}_profile.csv")
     result = run_case(config)
     print(f"ran {result.n_steps} steps of {result.state.dt:.6e} s "
           f"to t = {result.t_final:.6f} s on {config.n_cells} cells")
@@ -76,7 +90,6 @@ def _cmd_run(args):
               f"({last['correction_iterations']} iterations)")
     parts = ", ".join(f"{k} {result.errors[k]:.4e}" for k in ERROR_FIELDS)
     print(f"L1 errors vs exact solution: {parts}")
-    prefix = args.output_prefix
     if prefix:
         write_run_csvs(prefix, result)
         print(f"wrote {prefix}_profile.csv and {prefix}_diag.csv")
@@ -104,12 +117,13 @@ def _cmd_sweep(args):
         schemes = list(SCHEMES) if explicit else ["upwind"]
     else:
         schemes = _list_option("schemes", args.schemes, str)
-    reports = run_sweep(config, meshes, schemes)
-    for report in reports.values():
-        print(report.to_text())
-    if args.output_prefix:
-        path = f"{args.output_prefix}_sweep.csv"
-        write_sweep_csv(path, reports)
+    path = f"{args.output_prefix}_sweep.csv" if args.output_prefix else None
+    if path:
+        _require_output_dir(path)
+    runs = run_sweep(config, meshes, schemes)
+    print(sweep_text(runs))
+    if path:
+        write_sweep_csv(path, runs)
         print(f"wrote {path}")
     return EXIT_OK
 
@@ -120,8 +134,9 @@ def _cmd_oracle(args):
     if args.time is not None and not args.time > 0.0:
         raise ConfigError(f"--time must be positive, got {args.time!r}")
     config = load_config(args.config, args.overrides)
-    setup = initialize_case(config)
-    pattern = setup.pattern
+    if args.csv:
+        _require_output_dir(args.csv)
+    pattern = initialize_case(config).pattern
     print("exact wave pattern (left to right):")
     print(f"  burnt:   p {pattern.p_burnt:.8e}  rho {pattern.rho_burnt:.8e}  "
           f"u {pattern.u_burnt:.8e}")

@@ -4,6 +4,8 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, fields as dc_fields, replace
+from itertools import groupby
+from operator import attrgetter
 
 import numpy as np
 
@@ -530,113 +532,91 @@ def write_oracle_csv(path, pattern, config, t):
 # convergence study
 
 
-@dataclass
-class ConvergenceReport:
-    """L1 errors and observed orders over a mesh family for one face scheme."""
+def run_sweep(config, meshes, schemes):
+    """Run ``config`` on every mesh for every face scheme; returns the
+    ``RunResult`` of each run, scheme by scheme, meshes in the given order.
 
-    scheme: str
-    meshes: list
-    h: list
-    errors: dict
-    orders: dict
-    ls_order: dict
-    wall_times: list
-    asymptotic_distance: list
-    metadata: dict
-
-    def to_text(self):
-        out = [f"scheme = {self.scheme}"]
-        for k in sorted(self.metadata):
-            out.append(f"  {k} = {_format(self.metadata[k])}")
-        head = "    n      h     " + "".join(f"{f:>12}" for f in ERROR_FIELDS)
-        out.append(head)
-        for i, n in enumerate(self.meshes):
-            row = f"  {n:5d}  {self.h[i]:.5f}"
-            for f in ERROR_FIELDS:
-                row += f"  {self.errors[f][i]:10.4e}"
-            out.append(row)
-        out.append("  observed orders (consecutive pairs, then least squares):")
-        for f in ERROR_FIELDS:
-            pairs = ", ".join(f"{o:.3f}" for o in self.orders[f])
-            out.append(f"    {f:>4}: {pairs}  | ls {self.ls_order[f]:.3f}")
-        dist = ", ".join(f"{d:.4e}" for d in self.asymptotic_distance)
-        out.append(f"  burnt-zone distance to fast-chemistry limit: {dist}")
-        out.append("  wall times [s]: " + ", ".join(f"{w:.2f}" for w in self.wall_times))
-        return "\n".join(out)
-
-
-def convergence_study(config, meshes):
-    """Run ``config`` on each mesh and collect L1 errors and orders.
-
-    The time step follows the configured CFL target on every mesh and
-    ``epsilon_per_h`` ties the reaction time scale to the cell size, so the
-    study refines space and time together.
+    Every run's config is built, and so checked, before the first run
+    starts, and a repeated mesh or scheme is refused.  The time step follows
+    the configured CFL target on every mesh and ``epsilon_per_h`` ties the
+    reaction time scale to the cell size, so a sweep refines space and time
+    together.
     """
     if config.dt is not None:
         raise ConfigError("a convergence study needs a cfl target, not a fixed dt")
-    errors = {f: [] for f in ERROR_FIELDS}
-    h_list = []
-    walls = []
-    eps_used = []
-    dt_used = []
-    steps_used = []
-    distances = []
-    for n in meshes:
-        cfg = replace(config, n_cells=int(n))
-        result = run_case(cfg, collect_diagnostics=False)
+    for kind, items in (("mesh", meshes), ("scheme", schemes)):
+        repeated = [x for i, x in enumerate(items) if x in items[:i]]
+        if repeated:
+            raise ConfigError(f"{kind} {repeated[0]!r} is repeated: a sweep "
+                              f"runs each {kind} once")
+    configs = [replace(config, limiter=s, n_cells=n)
+               for s in schemes for n in meshes]
+    return [run_case(cfg, collect_diagnostics=False) for cfg in configs]
+
+
+def observed_orders(runs, field):
+    """Observed orders of ``field``'s L1 error over one scheme's runs: the
+    order of each consecutive pair of meshes, and the least-squares slope of
+    log error against log h, NaN without two mesh sizes or with an error
+    that is not positive."""
+    h = [run.state.grid.h for run in runs]
+    logh = np.log(h)
+    e = np.array([run.errors[field] for run in runs])
+    fit = len(set(h)) > 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pairs = list(np.log(e[:-1] / e[1:]) / (logh[:-1] - logh[1:]))
+        slope = (float(np.polyfit(logh, np.log(e), 1)[0])
+                 if fit and np.all(e > 0) else float("nan"))
+    return pairs, slope
+
+
+def sweep_text(runs):
+    """The report of a sweep's runs, scheme by scheme as ``run_sweep``
+    returns them: per scheme its settings, the L1 errors of each mesh, the
+    observed orders, the burnt-zone distances and the wall times."""
+    out = []
+    for scheme, group in groupby(runs, attrgetter("config.limiter")):
+        group = list(group)
+        c = group[0].config
+        eps = ",".join(f"{c.epsilon_per_h * r.state.grid.h:.6g}" for r in group)
+        out += [
+            f"scheme = {scheme}",
+            f"  cfl = {_format(c.cfl)}",
+            "  dt_per_mesh = " + ",".join(f"{r.state.dt:.6g}" for r in group),
+            f"  epsilon_per_h = {_format(c.epsilon_per_h)}",
+            f"  epsilon_per_mesh = {eps}",
+            f"  gamma = {_format(c.gamma)}",
+            "  steps_per_mesh = " + ",".join(str(r.n_steps) for r in group),
+            f"  time_mode = {c.time_mode}",
+            "    n      h     " + "".join(f"{f:>12}" for f in ERROR_FIELDS),
+        ]
+        for r in group:
+            out.append(f"  {r.config.n_cells:5d}  {r.state.grid.h:.5f}"
+                       + "".join(f"  {r.errors[f]:10.4e}" for f in ERROR_FIELDS))
+        out.append("  observed orders (consecutive pairs, then least squares):")
         for f in ERROR_FIELDS:
-            errors[f].append(result.errors[f])
-        h = result.state.grid.h
-        h_list.append(h)
-        walls.append(result.wall_time)
-        eps_used.append(config.epsilon_per_h * h)
-        dt_used.append(result.state.dt)
-        steps_used.append(result.n_steps)
-        distances.append(burnt_zone_asymptotic_distance(result.state))
-    orders = {}
-    ls = {}
-    logh = np.log(np.asarray(h_list))
-    fit = len(set(meshes)) > 1  # a slope needs two mesh sizes
-    for f in ERROR_FIELDS:
-        e = np.asarray(errors[f])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            orders[f] = list(np.log(e[:-1] / e[1:]) / (logh[:-1] - logh[1:]))
-            ls[f] = (float(np.polyfit(logh, np.log(e), 1)[0])
-                     if fit and np.all(e > 0) else float("nan"))
-    meta = {
-        "gamma": config.gamma, "cfl": config.cfl,
-        "epsilon_per_h": config.epsilon_per_h,
-        "time_mode": config.time_mode,
-        "epsilon_per_mesh": ",".join(f"{e:.6g}" for e in eps_used),
-        "dt_per_mesh": ",".join(f"{d:.6g}" for d in dt_used),
-        "steps_per_mesh": ",".join(str(s) for s in steps_used),
-    }
-    return ConvergenceReport(
-        scheme=config.limiter, meshes=list(meshes), h=h_list, errors=errors,
-        orders=orders, ls_order=ls, wall_times=walls,
-        asymptotic_distance=distances, metadata=meta,
-    )
+            pairs, slope = observed_orders(group, f)
+            out.append(f"    {f:>4}: {', '.join(f'{o:.3f}' for o in pairs)}"
+                       f"  | ls {slope:.3f}")
+        dist = ", ".join(f"{burnt_zone_asymptotic_distance(r.state):.4e}"
+                         for r in group)
+        out.append(f"  burnt-zone distance to fast-chemistry limit: {dist}")
+        out.append("  wall times [s]: "
+                   + ", ".join(f"{r.wall_time:.2f}" for r in group))
+    return "\n".join(out)
 
 
-def run_sweep(config, meshes, schemes):
-    """Convergence study for several face schemes; returns {scheme: report}.
-
-    Every scheme's config is validated before the first run starts.
-    """
-    configs = {scheme: replace(config, limiter=scheme) for scheme in schemes}
-    return {scheme: convergence_study(cfg, meshes) for scheme, cfg in configs.items()}
-
-
-def write_sweep_csv(path, reports):
-    """Write one row per scheme and mesh of ``{scheme: ConvergenceReport}``;
-    a mesh without a following one has no observed orders."""
+def write_sweep_csv(path, runs):
+    """Write one row per run of a sweep, scheme by scheme as ``run_sweep``
+    returns them; the last mesh of a scheme has no observed orders."""
     rows = []
-    for report in reports.values():
-        for i, n in enumerate(report.meshes):
+    for _, group in groupby(runs, attrgetter("config.limiter")):
+        group = list(group)
+        orders = [observed_orders(group, f)[0] for f in ERROR_FIELDS]
+        for i, r in enumerate(group):
             rows.append(
-                [report.scheme, n, report.h[i], report.wall_times[i],
-                 report.asymptotic_distance[i]]
-                + [report.errors[f][i] for f in ERROR_FIELDS]
-                + [report.orders[f][i] if i < len(report.orders[f]) else ""
-                   for f in ERROR_FIELDS])
+                [r.config.limiter, r.config.n_cells, r.state.grid.h,
+                 r.wall_time, burnt_zone_asymptotic_distance(r.state)]
+                + [r.errors[f] for f in ERROR_FIELDS]
+                + [o[i] if i < len(o) else "" for o in orders])
     write_csv(path, _SWEEP_COLUMNS, rows)

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stagflame import harness, hydro
+from stagflame import cli, harness, hydro
 from stagflame.cli import EXIT_CONFIG, EXIT_OK, EXIT_ORACLE, EXIT_STEP, main
 from stagflame.errors import StepFailure
 
@@ -153,22 +153,51 @@ def test_oracle_time_must_be_positive(config_file, tmp_path, capsys,
         "configuration error: --time must be positive, got ")
 
 
-@pytest.mark.parametrize("argv,path", [
+def _work_must_not_run(*args, **kwargs):
+    raise AssertionError("the work ran")
+
+
+@pytest.mark.parametrize("argv,path,module,work", [
     pytest.param(["run", "--output-prefix", "{}/p"], "{}/p_profile.csv",
-                 id="run"),
+                 cli, "run_case", id="run"),
     pytest.param(["sweep", "--meshes", "24", "--output-prefix", "{}/p"],
-                 "{}/p_sweep.csv", id="sweep"),
-    pytest.param(["oracle", "--csv", "{}/x.csv"], "{}/x.csv", id="oracle"),
+                 "{}/p_sweep.csv", harness, "run_case", id="sweep"),
+    pytest.param(["oracle", "--csv", "{}/x.csv"], "{}/x.csv", harness,
+                 "solve_deflagration_riemann", id="oracle"),
 ])
 def test_unwritable_output_is_a_config_error(config_file, tmp_path, capsys,
-                                             argv, path):
-    # the output directory does not exist: no traceback, exit 2
+                                             monkeypatch, argv, path, module,
+                                             work):
+    # the output directory does not exist: no traceback, exit 2, found
+    # before the run, the sweep or the oracle solve rather than after it
+    monkeypatch.setattr(module, work, _work_must_not_run)
     missing = tmp_path / "missing"
     argv = [argv[0], config_file] + [a.format(missing) for a in argv[1:]]
     assert main(argv) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith(
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
         f"configuration error: cannot write {path.format(missing)}: ")
     assert not missing.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(["--meshes", "2000,2"],
+                 r"n_cells must lie in \[3, 1000000\], got 2$", id="bad-mesh"),
+    pytest.param(["--meshes", "20,20"], r"mesh 20 is repeated",
+                 id="repeated-mesh"),
+    pytest.param(["--meshes", "20", "--schemes", "upwind,upwind"],
+                 r"scheme 'upwind' is repeated", id="repeated-scheme"),
+])
+def test_sweep_refuses_its_meshes_and_schemes_before_any_run(
+        config_file, capsys, monkeypatch, argv, message):
+    calls = []
+    monkeypatch.setattr(harness, "run_case", lambda *a, **k: calls.append(a))
+    assert main(["sweep", config_file, *_EXPLICIT, *argv]) == EXIT_CONFIG
+    assert calls == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.search(message, captured.err.rstrip())
 
 
 def test_static_flame_with_heat_release_is_an_oracle_error(config_file, capsys):

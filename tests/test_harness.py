@@ -1,6 +1,8 @@
 import dataclasses
+import math
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,9 +19,12 @@ from stagflame.harness import (
     initialize_case,
     l1_error,
     load_config,
+    observed_orders,
     parse_config_text,
     run_case,
     run_sweep,
+    sweep_text,
+    write_csv,
     write_run_csvs,
     write_sweep_csv,
 )
@@ -718,22 +723,30 @@ def test_profile_csv_layout(tmp_path):
     assert first["x_center"] == pytest.approx(4.5 / 12 / 2)
 
 
+def test_write_failure_is_a_config_error(tmp_path):
+    # the CLI refuses a missing output directory before the work; a failure
+    # only the write meets, such as a path that is a directory, is still
+    # reported by write_csv
+    message = f"^cannot write {re.escape(str(tmp_path))}: "
+    with pytest.raises(ConfigError, match=message):
+        write_csv(tmp_path, ["a"], [[1.0]])
+
+
 def test_sweep_rows_and_report(tmp_path):
     cfg = CaseConfig(t_end=0.0024, time_mode="explicit-limited")
-    reports = run_sweep(cfg, meshes=[24, 48], schemes=["upwind", "muscl"])
-    assert set(reports) == {"upwind", "muscl"}
-    up = reports["upwind"]
-    assert up.scheme == "upwind"
-    assert up.meshes == [24, 48]
-    assert up.h[0] == pytest.approx(4.5 / 24)
-    # errors and per-mesh companions line up with the mesh list
-    assert len(up.errors["rho"]) == 2
-    assert len(up.asymptotic_distance) == 2
-    assert len(up.orders["rho"]) == 1
-    for key in ("gamma", "cfl", "epsilon_per_h", "dt_per_mesh"):
-        assert key in up.metadata
+    runs = run_sweep(cfg, meshes=[24, 48], schemes=["upwind", "muscl"])
+    # one run per scheme and mesh, scheme by scheme, meshes in order
+    assert [(r.config.limiter, r.config.n_cells) for r in runs] == [
+        ("upwind", 24), ("upwind", 48), ("muscl", 24), ("muscl", 48)]
+    up = runs[:2]
+    assert up[0].state.grid.h == pytest.approx(4.5 / 24)
+    assert all(r.diagnostics == [] for r in runs)
+    pairs, slope = observed_orders(up, "rho")
+    assert len(pairs) == 1
+    # two meshes: the least-squares line passes through both points
+    assert slope == pytest.approx(pairs[0])
     path = tmp_path / "sweep.csv"
-    write_sweep_csv(path, {"upwind": up})
+    write_sweep_csv(path, up)
     rows = path.read_text().splitlines()
     head = rows[0].split(",")
     assert head[:5] == ["scheme", "n_cells", "h", "wall_time",
@@ -743,6 +756,64 @@ def test_sweep_rows_and_report(tmp_path):
     assert rows[1].split(",")[0] == "upwind"
     # the second mesh row carries no order entry of its own
     assert rows[2].split(",")[-1] == ""
-    text = up.to_text()
+    text = sweep_text(up)
     assert "scheme = upwind" in text
+    for key in ("gamma", "cfl", "epsilon_per_h", "dt_per_mesh"):
+        assert f"\n  {key} = " in text
     assert "ls" in text and "burnt-zone distance" in text
+    assert re.findall(r"scheme = (\w+)", sweep_text(runs)) == ["upwind",
+                                                              "muscl"]
+
+
+def _power_law_runs(meshes, C, q):
+    """Stand-ins for the runs of one scheme whose rho error is C h^q."""
+    return [SimpleNamespace(state=SimpleNamespace(grid=SimpleNamespace(h=h)),
+                            errors={"rho": C * h**q})
+            for h in (4.5 / n for n in meshes)]
+
+
+@pytest.mark.parametrize("q", [0.3, 0.73, 1.0, 2.0])
+def test_observed_orders_recover_an_exact_power_law(q):
+    runs = _power_law_runs([40, 100, 250, 600, 2000], 3.7, q)
+    pairs, slope = observed_orders(runs, "rho")
+    assert len(pairs) == 4
+    assert np.all(np.abs(np.array(pairs) - q) <= 1e-12)
+    assert abs(slope - q) <= 1e-12
+
+
+def test_observed_orders_need_two_mesh_sizes_and_positive_errors():
+    pairs, slope = observed_orders(_power_law_runs([250], 3.7, 0.5), "rho")
+    assert pairs == [] and math.isnan(slope)
+    runs = _power_law_runs([250, 500], 3.7, 0.5)
+    runs[1].errors["rho"] = 0.0
+    assert math.isnan(observed_orders(runs, "rho")[1])
+
+
+def _counting_run_case(monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "run_case", lambda *a, **k: calls.append(a))
+    return calls
+
+
+def test_sweep_checks_every_config_before_its_first_run(monkeypatch):
+    calls = _counting_run_case(monkeypatch)
+    cfg = CaseConfig(time_mode="explicit-limited")
+    with pytest.raises(ConfigError, match=r"n_cells must lie in \[3, 1000000\], "
+                                          r"got 2$"):
+        run_sweep(cfg, meshes=[2000, 2], schemes=["upwind", "muscl"])
+    assert calls == []
+
+
+@pytest.mark.parametrize("meshes,schemes,message", [
+    ([20, 40, 20], ["upwind"], "mesh 20 is repeated"),
+    ([20], ["upwind", "muscl", "upwind"], "scheme 'upwind' is repeated"),
+])
+def test_sweep_refuses_a_repeated_entry(monkeypatch, meshes, schemes,
+                                        message):
+    # a repeated scheme would report two blocks under one name, a repeated mesh
+    # gives orders of 0/0
+    calls = _counting_run_case(monkeypatch)
+    cfg = CaseConfig(time_mode="explicit-limited")
+    with pytest.raises(ConfigError, match=message):
+        run_sweep(cfg, meshes, schemes)
+    assert calls == []
