@@ -34,17 +34,16 @@ of the step's ``_ScalarStep`` or ``FaceStencil`` (every scalar shares
 them) or of a ``ChemResult``.
 
 The face values each species balance convected are reported for the energy
-audit alone (``ChemResult.face_values``).  An explicit step has them from its
+audit alone (``species_faces``).  An explicit step keeps them from its
 transport; an implicit step's upwind faces follow from the new fractions
-and are built only when read.
+and are built only when asked for.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, require_fraction
+from .errors import ConfigError, StepFailure, require_fraction
 from .linalg import solve_banded, upwind_band
 from .thermo import y_O_from_z, z_from_fractions
 from .transport import FaceStencil, face_stencil, face_values, upwind_face_values
@@ -83,9 +82,8 @@ class ChemStepConfig:
 @dataclass
 class ChemResult:
     """Output of one chemistry step: new scalars and the heat release
-    actually applied.  ``flux`` holds the mass fluxes the species were
-    convected with, and ``explicit_faces`` the z, y_F, y_O and y_N faces an
-    explicit step convected (None in implicit mode)."""
+    actually applied.  ``explicit_faces`` holds the z, y_F, y_O and y_N
+    faces an explicit step convected (None in implicit mode)."""
 
     G: np.ndarray
     z: np.ndarray
@@ -94,25 +92,25 @@ class ChemResult:
     y_N: np.ndarray
     y_P: np.ndarray
     omega_theta: np.ndarray
-    flux: np.ndarray
-    mixture: object
     explicit_faces: dict = None
 
-    @cached_property
-    def face_values(self):
-        """The face values of z, y_F, y_O, y_N and y_P that each species
-        balance convected with ``flux`` (needed to audit the total-energy
-        budget), built on first read.  Implicit faces are the upwind values
-        of the new z, y_N and y_F, with y_O's derived from them; the closure
-        y_P's follow from the others in either mode."""
-        faces = self.explicit_faces
-        if faces is None:
-            z = upwind_face_values(self.z, self.flux)
-            y_N = upwind_face_values(self.y_N, self.flux)
-            y_F = upwind_face_values(self.y_F, self.flux)
-            faces = {"z": z, "y_F": y_F,
-                     "y_O": y_O_from_z(self.mixture, y_F, z), "y_N": y_N}
-        return {**faces, "y_P": 1.0 - faces["y_F"] - faces["y_O"] - faces["y_N"]}
+
+def species_faces(state, chem):
+    """The face values of z, y_F, y_O, y_N and y_P that the species
+    balances of the chemistry step ``chem`` from ``state`` convected with
+    ``state.flux`` (needed to audit the total-energy budget).  Implicit
+    faces are the upwind values of the new z, y_N and y_F, with y_O's
+    derived from them; the closure y_P's follow from the others in either
+    mode."""
+    faces = chem.explicit_faces
+    if faces is None:
+        F = state.flux
+        z = upwind_face_values(chem.z, F)
+        y_N = upwind_face_values(chem.y_N, F)
+        y_F = upwind_face_values(chem.y_F, F)
+        faces = {"z": z, "y_F": y_F,
+                 "y_O": y_O_from_z(state.mixture, y_F, z), "y_N": y_N}
+    return {**faces, "y_P": 1.0 - faces["y_F"] - faces["y_O"] - faces["y_N"]}
 
 
 def flame_advection_field(G, config, grid):
@@ -162,6 +160,13 @@ def _scalar_step(state, config):
     F = state.flux
     mass = hdt * state.rho
     if config.time_mode == "explicit-limited":
+        # the limited schemes' maximum principle needs the level's material
+        # CFL at most 1, and dt stays fixed after setup
+        if not state.cfl <= 1.0:
+            raise StepFailure(
+                f"material CFL {state.cfl:.4f} exceeds 1 in explicit-limited "
+                f"mode (dt {state.dt:.6e}); the limited face values need "
+                f"CFL <= 1")
         stencil = face_stencil(F, config.limiter, state.rho, state.dt,
                                state.grid)
         return _ScalarStep(F, hdt * state.rho_prev, mass, stencil=stencil)
@@ -235,45 +240,37 @@ def _advance_scalar(step, y, y_face=None, reaction_diag=None,
     return rhs
 
 
-def advance_G(state, config, step=None):
-    """Advance the burnt-zone indicator one step of the level's ``dt``;
-    returns the new G.  ``step`` is the chemistry step's ``_ScalarStep``
-    (built when omitted)."""
-    if step is None:
-        step = _scalar_step(state, config)
-    a = flame_advection_field(state.G, config, state.grid)
-    G_face = None if step.stencil is None else face_values(state.G, step.stencil)
-    return _advance_scalar(step, state.G, G_face, flame=a)
-
-
 @np.errstate(invalid="ignore")
 def chemistry_step(state, config):
     """Run the full chemistry stage of one time step of the level's ``dt``,
     the step that built its (rho_prev, rho, flux).
 
-    Order: indicator, reaction invariant, neutral, fuel (with implicit
-    reaction), then the oxidant and product closures.  Face values of the
-    closed species are derived from the transported ones so that their
-    implied balances hold exactly.  A non-finite input fraction turns into
-    NaN on the way (inf - inf, 0 * inf) without a warning, and the [0, 1]
-    gate on the new fractions names the first non-finite cell.
+    An explicit step refuses a level at material CFL > 1.  Order: indicator,
+    reaction invariant, neutral, fuel (with implicit reaction), then the
+    oxidant and product closures.  Face values of the closed species are
+    derived from the transported ones so that their implied balances hold
+    exactly.  A non-finite input fraction turns into NaN on the way
+    (inf - inf, 0 * inf) without a warning, and the [0, 1] gate on the new
+    fractions names the first non-finite cell.
     """
     grid = state.grid
     mix = state.mixture
     eps = config.epsilon
     step = _scalar_step(state, config)
-    explicit = step.stencil is not None
 
-    G_next = advance_G(state, config, step)
-
-    z_face = yN_face = yF_face = None
-    if explicit:
+    G_face = z_face = yN_face = yF_face = explicit_faces = None
+    if step.stencil is not None:
+        G_face = face_values(state.G, step.stencil)
         # limit y_O, not z, so that y_O keeps its maximum principle; z's
         # faces (and balance) are the same linear combination of theirs
         yO_face = face_values(state.y_O, step.stencil)
         yN_face = face_values(state.y_N, step.stencil)
         yF_face = face_values(state.y_F, step.stencil)
         z_face = z_from_fractions(mix, yF_face, yO_face)
+        explicit_faces = {"z": z_face, "y_F": yF_face, "y_O": yO_face,
+                          "y_N": yN_face}
+    G_next = _advance_scalar(step, state.G, G_face,
+                             flame=flame_advection_field(state.G, config, grid))
     z_next = _advance_scalar(step, state.z, z_face)
     yN_next = _advance_scalar(step, state.y_N, yN_face)
 
@@ -304,12 +301,7 @@ def chemistry_step(state, config):
     omega_theta *= mix.reaction_heat_coefficient / eps
     omega_theta *= burning
 
-    explicit_faces = None
-    if explicit:
-        explicit_faces = {"z": z_face, "y_F": yF_face, "y_O": yO_face,
-                         "y_N": yN_face}
     return ChemResult(
         G=G_next, z=z_next, y_F=yF_next, y_O=yO_next, y_N=yN_next,
-        y_P=yP_next, omega_theta=omega_theta, flux=step.F, mixture=mix,
-        explicit_faces=explicit_faces,
+        y_P=yP_next, omega_theta=omega_theta, explicit_faces=explicit_faces,
     )

@@ -200,8 +200,10 @@ def _coerce(key, raw, ftype):
 
 
 def parse_config_text(text):
-    """Parse flat ``key = value`` text with # comments into a dict of strings."""
+    """Parse flat ``key = value`` text with # comments into a dict of
+    strings; a key set on two lines is a ``ConfigError``."""
     out = {}
+    first_line = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -213,6 +215,10 @@ def parse_config_text(text):
         value = value.strip()
         if not key or not value:
             raise ConfigError(f"line {lineno}: empty key or value in {line!r}")
+        if key in first_line:
+            raise ConfigError(f"line {lineno}: {key!r} is already set on "
+                              f"line {first_line[key]}")
+        first_line[key] = lineno
         out[key] = value
     return out
 
@@ -346,20 +352,11 @@ def check_state_gates(state, fractions=True):
 def advance(state, chem_config):
     """One full step: chemistry then flow; returns (new_state, info dict).
 
-    In explicit-limited mode the step first checks the material CFL of the
-    state's fluxes and density, the one its chemistry step runs at: the
-    discrete maximum principle of the limited schemes needs it at most 1,
-    and ``dt`` stays fixed after setup.  The new state takes the starting
-    state's dual density as its previous-level one.  ``info`` holds the
-    stage results, the ``ChemResult`` (whose face values are built when
-    read) as "chemistry" and the ``FlowResult`` as "flow", and the new
-    state's "max_sum_y_error".
+    The new state takes the starting state's dual density as its
+    previous-level one.  ``info`` holds the stage results, the
+    ``ChemResult`` as "chemistry" and the ``FlowResult`` as "flow", and the
+    new state's "max_sum_y_error".
     """
-    if chem_config.time_mode == "explicit-limited" and not state.cfl <= 1.0:
-        raise StepFailure(
-            f"material CFL {state.cfl:.4f} exceeds 1 in explicit-limited mode "
-            f"(dt {state.dt:.6e}); the limited face values need CFL <= 1"
-        )
     chem = chemistry_step(state, chem_config)
     flow = euler_step(state, chem.omega_theta)
     new_state = FieldState(

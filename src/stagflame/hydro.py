@@ -40,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chemistry import species_faces
 from .errors import StepFailure
 from .linalg import solve_banded, upwind_mass_solve
 from .thermo import chemical_enthalpy
@@ -454,7 +455,7 @@ def internal_energy_residual(state_n, state_next, chem, flow):
     are the ones the chemistry step convected.  Returns the per-cell
     residual of the balance (per unit volume and time).
     """
-    chem_face_values = chem.face_values
+    faces = species_faces(state_n, chem)
     grid = state_next.grid
     mix = state_next.mixture
     dt = state_next.dt
@@ -469,10 +470,10 @@ def internal_energy_residual(state_n, state_next, chem, flow):
     es_face = upwind_face_values(state_next.e_s, state_next.flux)
     sens_flux = state_next.flux * es_face
     hc_face = (
-        dh[0] * chem_face_values["y_F"]
-        + dh[1] * chem_face_values["y_O"]
-        + dh[2] * chem_face_values["y_N"]
-        + dh[3] * chem_face_values["y_P"]
+        dh[0] * faces["y_F"]
+        + dh[1] * faces["y_O"]
+        + dh[2] * faces["y_N"]
+        + dh[3] * faces["y_P"]
     )
     chem_flux = state_n.flux * hc_face
     div = (sens_flux[1:] - sens_flux[:-1] + chem_flux[1:] - chem_flux[:-1])

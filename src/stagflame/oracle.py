@@ -232,8 +232,8 @@ def solve_deflagration_riemann(mixture, p_fresh, T_fresh, y_fresh, u_flame):
     lo = p_fresh
     hi = 2.0 * p_fresh
     try:
-        # an overflowing balance is not finite and fails the bracket test
-        with np.errstate(over="ignore", invalid="ignore"):
+        # an overflowing or singular balance is not finite: no bracket
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for _ in range(200):
                 if phi(hi) > 0.0:
                     break

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from stagflame.chemistry import (
     ChemStepConfig,
-    advance_G,
     chemistry_step,
     flame_advection_field,
+    species_faces,
 )
 from stagflame.errors import ConfigError, StepFailure
 from stagflame.grid import build_uniform_grid
@@ -125,7 +125,7 @@ def test_indicator_front_moves_at_flame_speed():
     cfg = inert_config(flame_speed_product=1.0)
     steps = 100
     for _ in range(steps):
-        state = replace(state, G=advance_G(state, cfg))
+        state = replace(state, G=chemistry_step(state, cfg).G)
     assert np.min(state.G) > -1e-12 and np.max(state.G) < 1.0 + 1e-12
     crossing = float(np.interp(0.5, state.G[::-1], grid.x_centers[::-1]))
     expected = x0 - 1.0 * steps * dt
@@ -138,8 +138,8 @@ def test_flame_term_is_implicit_in_both_time_modes():
     imp = inert_config(flame_speed_product=0.8)
     exp = inert_config(flame_speed_product=0.8, time_mode="explicit-limited",
                        limiter=LimiterParams(scheme="muscl"))
-    G_imp = advance_G(state, imp)
-    G_exp = advance_G(state, exp)
+    G_imp = chemistry_step(state, imp).G
+    G_exp = chemistry_step(state, exp).G
     # no mass flux here, so the two modes share the implicit flame solve
     assert np.allclose(G_imp, G_exp, atol=1e-14)
     assert not np.allclose(G_imp, state.G)
@@ -362,17 +362,30 @@ def test_gates_raise_on_nan_fractions(mode, field):
             chemistry_step(state, cfg)
 
 
+def test_explicit_step_refuses_a_material_cfl_above_one():
+    # the limited face values keep their maximum principle only up to CFL 1
+    state = advected_state(dt=0.1)
+    assert state.cfl > 1.0
+    cfg = ChemStepConfig(epsilon=1e-3, time_mode="explicit-limited",
+                         limiter=LimiterParams(scheme="antidiffusive"))
+    with pytest.raises(StepFailure,
+                       match=r"^material CFL \d+\.\d{4} exceeds 1 in "
+                             r"explicit-limited mode \(dt 1\.000000e-01\)"):
+        chemistry_step(state, cfg)
+    # implicit upwind transport has no such bound
+    chemistry_step(state, ChemStepConfig(epsilon=1e-3))
+
+
 def test_face_values_reported_for_energy_audit():
     state = advected_state(seed=3)
     cfg = ChemStepConfig(epsilon=1e-3)
     res = chemistry_step(state, cfg)
-    faces = res.face_values
+    faces = species_faces(state, res)
     assert set(faces) == {"z", "y_F", "y_O", "y_N", "y_P"}
-    assert res.face_values is faces  # built once, on first read
     mix = state.mixture
-    # implicit faces, built on read: upwind values of the new fractions
-    # under the step's mass fluxes; the closure species get faces derived
-    # from the transported ones
+    # implicit faces: upwind values of the new fractions under the step's
+    # mass fluxes; the closure species get faces derived from the
+    # transported ones
     for name in ("z", "y_N", "y_F"):
         assert np.array_equal(faces[name],
                               upwind_face_values(getattr(res, name), state.flux))

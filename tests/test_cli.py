@@ -56,6 +56,8 @@ def test_bad_config_line_is_a_config_error(tmp_path, capsys):
     ("u_flame=-1", r"u_flame must lie in \[0.0, inf\)"),
     ("limiter=antidiffusive",
      "implicit mode always convects with upwind faces"),
+    # the oracle's bracket search divides by zero on the way, silently
+    ("T_fresh=1e300", "zero initial flux"),
 ])
 def test_bad_config_values_are_config_errors(config_file, capsys, override,
                                              reason):

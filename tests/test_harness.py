@@ -64,6 +64,10 @@ def test_parse_config_text_reports_line_numbers():
         parse_config_text("n_cells = 60\nnot a pair\n")
     with pytest.raises(ConfigError, match="line 1"):
         parse_config_text("n_cells =\n")
+    # a key set twice is refused, not overwritten by its last value
+    with pytest.raises(ConfigError,
+                       match="^line 4: 'n_cells' is already set on line 2$"):
+        parse_config_text("# mesh\nn_cells = 20\ncfl = 0.5\n n_cells = 30\n")
 
 
 def test_from_dict_rejects_unknown_keys():
@@ -586,7 +590,7 @@ def test_each_step_builds_each_level_array_once(monkeypatch, time_mode,
     # each step builds the dual density, the pressure gradient and the CFL
     # of its new level once, and its energy audit builds none; the starting
     # level builds its previous-level dual density too, and the implicit
-    # audit faces are built only when read
+    # audit faces are built only when asked for
     events = []
     last = {}
 
@@ -604,9 +608,10 @@ def test_each_step_builds_each_level_array_once(monkeypatch, time_mode,
                          (chemistry, "upwind_face_values")):
         counting(module, name)
 
-    def stepping(*args):
+    def stepping(state, chem_config):
         events.append("step")
-        new_state, last["info"] = advance(*args)
+        last["state"] = state
+        new_state, last["info"] = advance(state, chem_config)
         return new_state, last["info"]
 
     monkeypatch.setattr(harness, "advance", stepping)
@@ -621,7 +626,7 @@ def test_each_step_builds_each_level_array_once(monkeypatch, time_mode,
         assert sorted(step.split()) == ["cfl_number", "dual_density",
                                         "pressure_gradient"]
     events.clear()
-    faces = last["info"]["chemistry"].face_values
+    faces = chemistry.species_faces(last["state"], last["info"]["chemistry"])
     assert set(faces) == {"z", "y_F", "y_O", "y_N", "y_P"}
     want = 3 if time_mode == "implicit-upwind" else 0
     assert events == ["upwind_face_values"] * want

@@ -3,7 +3,8 @@ every defaulted parameter is passed by some call, every dataclass field is
 read, no parameter takes the same literal from every call in
 ``src/stagflame``, no function that takes a time level also takes a copy
 of one of its fields, the package loads no more of scipy than its LAPACK
-extension, and the per-step code calls reductions as ndarray methods.
+extension, the per-step code calls reductions as ndarray methods, and
+every hook of the benchmark's span recorder still names a callable.
 
 Code that only tests call belongs in ``tests/``.  The checks go by name: a
 definition counts as used when a name or an attribute spelled like it is
@@ -17,6 +18,7 @@ constructor argument, not a stored field, and is not checked.
 """
 
 import ast
+import importlib
 import subprocess
 import sys
 from collections import Counter
@@ -26,7 +28,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "stagflame"
 CALLERS = (ROOT / "src", ROOT / "tests", ROOT / "perfbench")
 
-# No caller in src/ yet: ROADMAP item 3 (the per-cell total-energy balance)
+# No caller in src/ yet: ROADMAP item 4 (the per-cell total-energy balance)
 # gives them one.
 EXEMPT = {"hydro.cell_kinetic_energy", "hydro.internal_energy_residual"}
 
@@ -451,3 +453,32 @@ def test_level_copy_guard_sees_copied_fields(tmp_path):
     # field
     assert level_copy_parameters(tmp_path) == {
         "step.step(dt)": 1, "step.audit(rho)": 4, "step.audit(flux)": 4}
+
+
+SPANS = ROOT / "perfbench" / "spans.py"
+
+
+def span_targets():
+    """The (module, attribute, span) triples of the span recorder's
+    ``TARGETS``, read from its source without importing it."""
+    for node in ast.parse(SPANS.read_text(encoding="utf-8")).body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and getattr(node.targets[0], "id", None) == "TARGETS"):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no TARGETS in {SPANS}")
+
+
+def test_benchmark_hooks_resolve():
+    # a traced benchmark run wraps these attributes where their callers look
+    # them up, and reads Newton's count and fallback flag off each
+    # correction solve's FlowResult; a renamed one would only show as an
+    # absent span in a traced run
+    targets = span_targets()
+    assert targets
+    missing = [f"{module}.{attr}" for module, attr, _ in targets
+               if not callable(getattr(importlib.import_module(module), attr,
+                                       None))]
+    assert missing == []
+    flow_result = importlib.import_module("stagflame.hydro").FlowResult
+    assert "iterations" in flow_result.__dataclass_fields__
+    assert hasattr(flow_result, "used_fallback")
