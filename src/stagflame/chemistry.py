@@ -39,16 +39,16 @@ transport; an implicit step's upwind faces follow from the new fractions
 and are built only when asked for.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, StepFailure, require_fraction
 from .linalg import solve_banded, upwind_band
 from .thermo import y_O_from_z, z_from_fractions
-from .transport import FaceStencil, face_stencil, face_values, upwind_face_values
+from .transport import (FaceStencil, LimiterParams, face_stencil, face_values,
+                        upwind_face_values)
 
-TIME_MODES = ("implicit-upwind", "explicit-limited")
 # The flame advection is off on faces where the indicator gradient is below
 # this fraction of the indicator range per cell: round-off, not a front.
 _GRAD_THRESHOLD = 1e-12
@@ -60,19 +60,20 @@ class ChemStepConfig:
 
     ``epsilon`` is the relaxation time of the reaction (positive).
     ``flame_speed_product`` is the constant rho_u * u_f appearing in the
-    flame propagation term.  ``time_mode`` selects implicit upwind transport
-    (unconditionally stable) or explicit transport with a limiter for the
-    convective face values; the flame term stays implicit either way.
+    flame propagation term.  ``limiter`` is the convection scheme: None for
+    implicit upwind transport (unconditionally stable), a ``LimiterParams``
+    for explicit transport with its face values, nothing else; the flame
+    term stays implicit either way.
     """
 
     epsilon: float
     flame_speed_product: float = 0.0
-    time_mode: str = "implicit-upwind"
-    limiter: object = field(default=None)
+    limiter: object = None
 
     def __post_init__(self):
-        if self.time_mode not in TIME_MODES:
-            raise ConfigError(f"unknown time_mode {self.time_mode!r}")
+        if not (self.limiter is None or isinstance(self.limiter, LimiterParams)):
+            raise ConfigError(f"limiter must be None or a LimiterParams, got "
+                              f"{self.limiter!r}")
         if not self.epsilon > 0.0:
             raise ConfigError("epsilon must be positive")
         if self.flame_speed_product < 0.0:
@@ -113,31 +114,30 @@ def species_faces(state, chem):
     return {**faces, "y_P": 1.0 - faces["y_F"] - faces["y_O"] - faces["y_N"]}
 
 
-def flame_advection_field(G, config, grid):
+def flame_advection_field(G, flame_speed_product):
     """Per-face flame advection velocity rho_u u_f * sign(grad G).
 
-    The gradient at a face is a centred difference of face-interpolated
-    indicator values; where it is flat (below ``_GRAD_THRESHOLD`` times the
-    indicator range per cell) the advection field is switched off, and it is
+    The sign of the gradient at a face is that of the centred difference
+    of face-interpolated indicator values, which no mesh size changes;
+    where that difference is flat (below twice ``_GRAD_THRESHOLD`` times
+    the indicator range) the advection field is switched off, and it is
     always zero at the walls.
     """
     G = np.asarray(G)
     n = G.shape[0]
-    h = grid.h
     G_hat = np.empty(n + 1)
     inner = np.add(G[:-1], G[1:], out=G_hat[1:n])
     inner *= 0.5  # (G_L + G_R) / 2
     G_hat[0] = G[0]
     G_hat[n] = G[-1]
     a = np.zeros(n + 1)
-    grad = np.subtract(G_hat[2:], G_hat[:-2])
-    grad /= 2.0 * h  # centred difference of the face values
+    dG = np.subtract(G_hat[2:], G_hat[:-2])  # 2 h grad G
     span = float(G.max() - G.min())
-    cut = _GRAD_THRESHOLD * span / h
-    # a = rho_u u_f sign(grad G), 0 where |grad G| < cut
-    sign = np.sign(grad, out=a[1:n])
-    sign[np.abs(grad, out=grad) < cut] = 0.0
-    sign *= config.flame_speed_product
+    cut = 2.0 * _GRAD_THRESHOLD * span
+    # a = rho_u u_f sign(dG), 0 where |dG| < cut
+    sign = np.sign(dG, out=a[1:n])
+    sign[np.abs(dG, out=dG) < cut] = 0.0
+    sign *= flame_speed_product
     return a
 
 
@@ -159,7 +159,7 @@ def _scalar_step(state, config):
     hdt = state.grid.cell_volumes / state.dt
     F = state.flux
     mass = hdt * state.rho
-    if config.time_mode == "explicit-limited":
+    if config.limiter is not None:
         # the limited schemes' maximum principle needs the level's material
         # CFL at most 1, and dt stays fixed after setup
         if not state.cfl <= 1.0:
@@ -269,8 +269,8 @@ def chemistry_step(state, config):
         z_face = z_from_fractions(mix, yF_face, yO_face)
         explicit_faces = {"z": z_face, "y_F": yF_face, "y_O": yO_face,
                           "y_N": yN_face}
-    G_next = _advance_scalar(step, state.G, G_face,
-                             flame=flame_advection_field(state.G, config, grid))
+    flame = flame_advection_field(state.G, config.flame_speed_product)
+    G_next = _advance_scalar(step, state.G, G_face, flame=flame)
     z_next = _advance_scalar(step, state.z, z_face)
     yN_next = _advance_scalar(step, state.y_N, yN_face)
 

@@ -9,7 +9,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .chemistry import TIME_MODES, ChemStepConfig, chemistry_step
+from .chemistry import ChemStepConfig, chemistry_step
 from .errors import ConfigError, StepFailure, require_finite, require_fraction
 from .grid import build_uniform_grid
 from .hydro import euler_step, total_energy
@@ -64,7 +64,8 @@ _RANGES = {
     **dict.fromkeys(("molar_F", "molar_O", "molar_N"), (0.0, 1.0, True, True)),
     "u_flame": (0.0, None, True, False),
 }
-_CHOICES = {"time_mode": TIME_MODES, "limiter": SCHEMES}
+_CHOICES = {"time_mode": ("implicit-upwind", "explicit-limited"),
+            "limiter": SCHEMES}
 
 
 def _range_error(key, value):
@@ -157,22 +158,20 @@ class CaseConfig:
 
     def mixture(self):
         try:
-            return MixtureSpec(
-                nu_F=self.nu_F, nu_O=self.nu_O, nu_P=self.nu_P,
-                W_F=self.W_F, W_O=self.W_O, W_N=self.W_N, W_P=self.W_P,
-                dh_F=self.dh_F, dh_O=self.dh_O, dh_N=self.dh_N, dh_P=self.dh_P,
-                gamma=self.gamma,
-            )
+            return MixtureSpec(**{f.name: getattr(self, f.name)
+                                  for f in dc_fields(MixtureSpec)})
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
     def chem_config(self, flame_speed_product, h):
         """The chemistry step's parameters on a mesh of cell size ``h``: the
-        chemical time is ``epsilon_per_h * h``."""
+        chemical time is ``epsilon_per_h * h``, and implicit mode takes no
+        limiter."""
+        explicit = self.time_mode == "explicit-limited"
         return ChemStepConfig(
             epsilon=self.epsilon_per_h * h,
-            flame_speed_product=flame_speed_product, time_mode=self.time_mode,
-            limiter=LimiterParams(scheme=self.limiter),
+            flame_speed_product=flame_speed_product,
+            limiter=LimiterParams(scheme=self.limiter) if explicit else None,
         )
 
     def resolved_dict(self):

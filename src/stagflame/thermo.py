@@ -1,7 +1,6 @@
 """Thermodynamics: stiffened-free ideal gas EOS, mixture data, and the field
 state of one time level with the arrays its readers share."""
 
-import warnings
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -18,9 +17,9 @@ class MixtureSpec:
 
     Molar masses ``W_*`` are in kg/mol, formation enthalpies ``dh_*`` in J/kg.
     ``gamma`` is the (common) adiabatic exponent.  Construction checks the
-    stoichiometric mass balance ``nu_F W_F + nu_O W_O == nu_P W_P`` and warns
-    if the reaction heat per unit product mass turns out negative
-    (endothermic data are accepted but are almost certainly a typo).
+    stoichiometric mass balance ``nu_F W_F + nu_O W_O == nu_P W_P`` and
+    refuses an endothermic reaction (a negative reaction heat), which no
+    deflagration of the model can burn.
     """
 
     nu_F: float
@@ -50,10 +49,9 @@ class MixtureSpec:
                 f"nu_F*W_F + nu_O*W_O = {lhs!r} but nu_P*W_P = {rhs!r}"
             )
         if self.reaction_heat_coefficient < 0.0:
-            warnings.warn(
-                "negative reaction heat coefficient: the reaction is endothermic",
-                stacklevel=2,
-            )
+            raise ValueError(
+                f"the reaction is endothermic: reaction heat coefficient "
+                f"{self.reaction_heat_coefficient!r} J/mol is negative")
 
     @property
     def reaction_heat_coefficient(self):

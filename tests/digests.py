@@ -26,10 +26,6 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
-
-from stagflame.harness import load_config, run_case  # noqa: E402
-
 CONFIG = ROOT / "configs" / "benchmark.cfg"
 RECORD = Path(__file__).resolve().parent / "digests.json"
 _EXPLICIT = ("n_cells=120", "time_mode=explicit-limited")
@@ -63,6 +59,8 @@ def run_digest(result):
 
 def compute():
     """The current digest of every run, by name."""
+    from stagflame.harness import load_config, run_case
+
     return {name: run_digest(run_case(load_config(str(CONFIG), overrides)))
             for name, overrides in RUNS.items()}
 
@@ -133,4 +131,5 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
+    sys.path.insert(0, str(ROOT / "src"))
     sys.exit(main())

@@ -312,9 +312,7 @@ def test_criterion_7_contact_preservation():
 
     state = quiescent_state(n=64, rho_left=1.0, rho_right=0.125, p0=1.0e5,
                             dt=1e-4)
-    chem = ChemStepConfig(epsilon=1e-3, flame_speed_product=0.0,
-                          time_mode="implicit-upwind",
-                          limiter=LimiterParams(scheme="upwind"))
+    chem = ChemStepConfig(epsilon=1e-3, flame_speed_product=0.0)
     p0 = state.p.copy()
     c_scale = float(np.max(np.sqrt(
         state.mixture.gamma * state.p / state.rho)))

@@ -70,9 +70,29 @@ def test_epsilon_per_h_resolution():
     assert cfg.epsilon == pytest.approx(0.1)
 
 
-def test_unknown_time_mode_rejected():
-    with pytest.raises(ConfigError):
-        ChemStepConfig(epsilon=1.0, time_mode="midpoint")
+def test_case_config_maps_time_mode_onto_the_limiter():
+    assert CaseConfig().chem_config(1.0, 0.1).limiter is None
+    explicit = CaseConfig(time_mode="explicit-limited", limiter="muscl")
+    assert explicit.chem_config(1.0, 0.1).limiter == LimiterParams(scheme="muscl")
+
+
+def test_limiter_selects_the_transport():
+    # the limiter is the one scheme value: None convects implicitly with
+    # upwind faces, a LimiterParams explicitly with its own faces
+    state = advected_state(seed=5, dt=1e-3)
+    assert state.cfl <= 1.0
+    assert chemistry_step(state, ChemStepConfig(epsilon=1e-3)).explicit_faces is None
+    muscl = LimiterParams(scheme="muscl")
+    res = chemistry_step(state, ChemStepConfig(epsilon=1e-3, limiter=muscl))
+    assert res.explicit_faces is not None
+    stencil = face_stencil(state.flux, muscl, state.rho, state.dt, state.grid)
+    for name in ("y_F", "y_O", "y_N"):
+        assert np.array_equal(res.explicit_faces[name],
+                              face_values(getattr(state, name), stencil))
+    # a scheme name is not a scheme value
+    with pytest.raises(ConfigError, match="limiter must be None or a "
+                                          "LimiterParams, got 'muscl'"):
+        ChemStepConfig(epsilon=1e-3, limiter="muscl")
 
 
 # ---------------------------------------------------------------------------
@@ -80,28 +100,22 @@ def test_unknown_time_mode_rejected():
 
 
 def test_flame_advection_signs_and_walls():
-    grid = build_uniform_grid(8, 0.0, 1.0)
-    cfg = inert_config(flame_speed_product=2.5)
     G_up = np.linspace(0.0, 1.0, 8)      # burnt on the left
-    a = flame_advection_field(G_up, cfg, grid)
+    a = flame_advection_field(G_up, 2.5)
     assert a[0] == 0.0 and a[-1] == 0.0
     assert np.allclose(a[1:-1], 2.5)
-    a = flame_advection_field(G_up[::-1], cfg, grid)
+    a = flame_advection_field(G_up[::-1], 2.5)
     assert np.allclose(a[1:-1], -2.5)
 
 
 def test_flame_advection_flat_field_is_off():
-    grid = build_uniform_grid(8, 0.0, 1.0)
-    cfg = inert_config(flame_speed_product=2.5)
-    assert np.all(flame_advection_field(np.full(8, 0.3), cfg, grid) == 0.0)
+    assert np.all(flame_advection_field(np.full(8, 0.3), 2.5) == 0.0)
 
 
 def test_flame_advection_threshold_kills_noise():
-    grid = build_uniform_grid(40, 0.0, 1.0)
-    cfg = inert_config(flame_speed_product=1.0)
     G = np.where(np.arange(40) < 20, 0.0, 1.0)
     G[5] += 1e-16  # round-off wiggle in the flat burnt zone
-    a = flame_advection_field(G, cfg, grid)
+    a = flame_advection_field(G, 1.0)
     assert np.all(a[3:9] == 0.0)
     assert np.any(a != 0.0)  # the true front still advects
 
@@ -136,7 +150,7 @@ def test_flame_term_is_implicit_in_both_time_modes():
     state = resting_state(n=40, G=1.0)
     state = replace(state, G=np.where(state.grid.x_centers < 0.5, 0.0, 1.0))
     imp = inert_config(flame_speed_product=0.8)
-    exp = inert_config(flame_speed_product=0.8, time_mode="explicit-limited",
+    exp = inert_config(flame_speed_product=0.8,
                        limiter=LimiterParams(scheme="muscl"))
     G_imp = chemistry_step(state, imp).G
     G_exp = chemistry_step(state, exp).G
@@ -211,7 +225,6 @@ def explicit_front_cases(draw):
     cfg = ChemStepConfig(
         epsilon=draw(st.sampled_from([1e-3, 1.0])),
         flame_speed_product=draw(st.floats(0.02, 1000.0)),
-        time_mode="explicit-limited",
         limiter=LimiterParams(scheme=draw(st.sampled_from(
             ["upwind", "muscl", "antidiffusive"]))))
     return state, cfg
@@ -233,7 +246,7 @@ def test_explicit_solves_are_bitwise_the_full_band(case):
     mass_prev = hdt * state.rho_prev
     mass = hdt * state.rho
     stencil = face_stencil(state.flux, cfg.limiter, state.rho, dt, grid)
-    a = flame_advection_field(state.G, cfg, grid)
+    a = flame_advection_field(state.G, cfg.flame_speed_product)
     G_next = full_band_explicit_solve(
         mass_prev, mass, state.flux, state.G, face_values(state.G, stencil),
         flame=a)
@@ -254,13 +267,11 @@ def test_explicit_solves_are_bitwise_the_full_band(case):
 # full chemistry step
 
 
-@pytest.mark.parametrize("mode,scheme", [
-    ("implicit-upwind", None),
-    ("explicit-limited", "upwind"),
-    ("explicit-limited", "muscl"),
-    ("explicit-limited", "antidiffusive"),
-])
-def test_uniform_composition_is_preserved(mode, scheme):
+@pytest.mark.parametrize("scheme", [None, "upwind", "muscl", "antidiffusive"],
+                         ids=["implicit-upwind-None", "explicit-limited-upwind",
+                              "explicit-limited-muscl",
+                              "explicit-limited-antidiffusive"])
+def test_uniform_composition_is_preserved(scheme):
     state = advected_state()
     n = state.grid.n_cells
     y = (0.02, 0.2, 0.5, 0.28)
@@ -270,7 +281,7 @@ def test_uniform_composition_is_preserved(mode, scheme):
         z=np.full(n, y[0] / NU_F_W_F - y[1] / NU_O_W_O),
         G=np.ones(n))  # reaction off
     limiter = LimiterParams(scheme=scheme) if scheme else None
-    cfg = ChemStepConfig(epsilon=1e-3, time_mode=mode, limiter=limiter)
+    cfg = ChemStepConfig(epsilon=1e-3, limiter=limiter)
     res = chemistry_step(state, cfg)
     for name, v in zip(("y_F", "y_O", "y_N", "y_P"), y):
         assert np.max(np.abs(getattr(res, name) - v)) < 1e-13
@@ -346,13 +357,11 @@ def test_gates_raise_on_inadmissible_fractions():
         chemistry_step(state, ChemStepConfig(epsilon=1.0))
 
 
-@pytest.mark.parametrize("mode,field", [
-    ("implicit-upwind", "y_F"),
-    ("explicit-limited", "y_N"),
-])
-def test_gates_raise_on_nan_fractions(mode, field):
-    cfg = ChemStepConfig(epsilon=1.0, time_mode=mode,
-                         limiter=LimiterParams(scheme="upwind"))
+@pytest.mark.parametrize("scheme,field", [(None, "y_F"), ("upwind", "y_N")],
+                         ids=["implicit-upwind-y_F", "explicit-limited-y_N"])
+def test_gates_raise_on_nan_fractions(scheme, field):
+    limiter = LimiterParams(scheme=scheme) if scheme else None
+    cfg = ChemStepConfig(epsilon=1.0, limiter=limiter)
     for value in (np.nan, np.inf, -np.inf):
         state = advected_state()
         bad = getattr(state, field).copy()
@@ -366,7 +375,7 @@ def test_explicit_step_refuses_a_material_cfl_above_one():
     # the limited face values keep their maximum principle only up to CFL 1
     state = advected_state(dt=0.1)
     assert state.cfl > 1.0
-    cfg = ChemStepConfig(epsilon=1e-3, time_mode="explicit-limited",
+    cfg = ChemStepConfig(epsilon=1e-3,
                          limiter=LimiterParams(scheme="antidiffusive"))
     with pytest.raises(StepFailure,
                        match=r"^material CFL \d+\.\d{4} exceeds 1 in "

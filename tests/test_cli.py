@@ -58,6 +58,14 @@ def test_bad_config_line_is_a_config_error(tmp_path, capsys):
      "implicit mode always convects with upwind faces"),
     # the oracle's bracket search divides by zero on the way, silently
     ("T_fresh=1e300", "zero initial flux"),
+    # an endothermic mixture, even by a hair, warned and then failed in the
+    # oracle
+    ("dh_P=1e-300", "the reaction is endothermic"),
+    ("dh_P=1e-12", "the reaction is endothermic"),
+    ("dh_P=1e12", "the reaction is endothermic"),
+    ("dh_P=1e300", "the reaction is endothermic"),
+    ("dh_F=-1e300", "the reaction is endothermic"),
+    ("dh_O=-1e300", "the reaction is endothermic"),
 ])
 def test_bad_config_values_are_config_errors(config_file, capsys, override,
                                              reason):

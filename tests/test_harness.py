@@ -306,7 +306,6 @@ def test_one_step_keeps_gates_mass_and_energy(state, transport,
         assume(cfl_number(state.flux, state.rho, state.dt, state.grid) <= 1.0)
         chem = ChemStepConfig(epsilon=1e-2 * state.grid.h,
                               flame_speed_product=flame_speed_product,
-                              time_mode="explicit-limited",
                               limiter=LimiterParams(scheme=transport))
     check_state_gates(state)
     new_state, _ = advance(state, chem)

@@ -83,8 +83,8 @@ def test_positive_parameters_enforced():
                     gamma=1.0)
 
 
-def test_endothermic_mixture_warns():
-    with pytest.warns(UserWarning, match="endothermic"):
+def test_endothermic_mixture_is_refused():
+    with pytest.raises(ValueError, match="endothermic"):
         MixtureSpec(nu_F=2.0, nu_O=1.0, nu_P=2.0,
                     W_F=2.016e-3, W_O=31.998e-3, W_N=28.014e-3, W_P=18.015e-3,
                     dh_P=+1.0e6)
