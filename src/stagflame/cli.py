@@ -8,6 +8,7 @@ from dataclasses import replace
 from .errors import ConfigError, OracleError, StepFailure
 from .harness import (
     ERROR_FIELDS,
+    MODE_SCHEMES,
     initialize_case,
     load_config,
     run_case,
@@ -17,7 +18,6 @@ from .harness import (
     write_run_csvs,
     write_sweep_csv,
 )
-from .transport import SCHEMES
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -112,9 +112,8 @@ def _list_option(name, text, item):
 def _cmd_sweep(args):
     config = load_config(args.config, args.overrides)
     meshes = _list_option("meshes", args.meshes, int)
-    if args.schemes is None:  # implicit transport has upwind faces only
-        explicit = config.time_mode == "explicit-limited"
-        schemes = list(SCHEMES) if explicit else ["upwind"]
+    if args.schemes is None:
+        schemes = list(MODE_SCHEMES[config.time_mode])
     else:
         schemes = _list_option("schemes", args.schemes, str)
     path = f"{args.output_prefix}_sweep.csv" if args.output_prefix else None

@@ -28,7 +28,7 @@ from .thermo import (
     pressure_from_state,
     temperature,
 )
-from .transport import SCHEMES, LimiterParams, primal_mass_flux
+from .transport import SCHEMES, LimiterParams, cfl_number, primal_mass_flux
 
 _PROFILE_COLUMNS = (
     "x_center", "rho", "p", "u_face_interp", "T", "e_s", "h_s",
@@ -64,8 +64,9 @@ _RANGES = {
     **dict.fromkeys(("molar_F", "molar_O", "molar_N"), (0.0, 1.0, True, True)),
     "u_flame": (0.0, None, True, False),
 }
-_CHOICES = {"time_mode": ("implicit-upwind", "explicit-limited"),
-            "limiter": SCHEMES}
+# The face schemes each time mode runs: implicit mode has upwind faces only.
+MODE_SCHEMES = {"implicit-upwind": ("upwind",), "explicit-limited": SCHEMES}
+_CHOICES = {"time_mode": tuple(MODE_SCHEMES), "limiter": SCHEMES}
 
 
 def _range_error(key, value):
@@ -141,7 +142,7 @@ class CaseConfig:
         if self.cfl is not None:
             if self.time_mode == "explicit-limited" and self.cfl > 1.0:
                 raise ConfigError("cfl must lie in (0, 1] for explicit-limited mode")
-        if self.time_mode == "implicit-upwind" and self.limiter != "upwind":
+        if self.limiter not in MODE_SCHEMES[self.time_mode]:
             raise ConfigError(f"limiter = {self.limiter} needs time_mode = "
                               f"explicit-limited: implicit mode always "
                               f"convects with upwind faces")
@@ -250,13 +251,13 @@ class CaseSetup:
 def _derive_dt(config, grid, rho_est, u):
     if config.dt is not None:
         return config.dt
-    F_est = primal_mass_flux(rho_est, u)
-    through = np.abs(F_est[:-1]) + np.abs(F_est[1:])
-    if np.max(through) <= 0.0:
-        raise ConfigError("cannot derive dt from a CFL target with zero initial flux")
-    with np.errstate(divide="ignore"):
-        limit = np.min(rho_est * grid.cell_volumes / through)
-    return config.cfl * float(limit)
+    # the material CFL number of a unit step
+    unit = cfl_number(primal_mass_flux(rho_est, u), rho_est, 1.0, grid)
+    if not unit > 0.0:
+        raise ConfigError("cannot derive dt from a CFL target with zero initial "
+                          "flux: no face of the starting level carries mass; "
+                          "set dt instead")
+    return config.cfl / unit
 
 
 def balanced_level(grid, mixture, dt, rho_prev, u, h_s, y_F, y_O, y_N, y_P, z,

@@ -175,23 +175,28 @@ def cell_kinetic_energy(state):
     return (dv[:-1] * ek[:-1] + dv[1:] * ek[1:]) / (2.0 * grid.cell_volumes)
 
 
+def internal_energy(state):
+    """Cell internal energy per unit volume, rho e_s + rho^{n-1} hc: the
+    chemical part is weighted by the previous-level density, matching the
+    two-level species balance.  Returns a new array."""
+    hc = chemical_enthalpy(state.mixture, state.y_F, state.y_O, state.y_N,
+                           state.y_P)
+    hc *= state.rho_prev
+    hc += state.rho * state.e_s
+    return hc
+
+
 def total_energy(state):
     """Discrete total energy of a state (J per unit cross-section).
 
-    Sensible and chemical internal energy over the cells (the chemical part
-    weighted by the previous-level density, matching the two-level species
-    balance) plus kinetic energy over the interior dual cells, including the
-    pressure-gradient storage term.  Exactly conserved by the full step up
-    to the nonlinear solver tolerance.
+    The ``internal_energy`` over the cells plus kinetic energy over the
+    interior dual cells, including the pressure-gradient storage term.
+    Exactly conserved by the full step up to the nonlinear solver tolerance.
     """
     grid = state.grid
-    mix = state.mixture
-    hc = chemical_enthalpy(mix, state.y_F, state.y_O, state.y_N, state.y_P)
-    # sum |K| (rho e_s + rho^{n-1} hc)
-    hc *= state.rho_prev
-    hc += state.rho * state.e_s
-    hc *= grid.cell_volumes
-    e_int = hc.sum()
+    e = internal_energy(state)
+    e *= grid.cell_volumes
+    e_int = e.sum()
     ek = face_kinetic_energy(state)[1:-1]
     ek *= grid.dual_volumes[1:-1]
     e_kin = ek.sum()
@@ -253,14 +258,6 @@ class _CorrectionSystem:
         hdt0 = float(self.hdt[0])
         self.mass_scale = hdt0 * max(float(np.abs(state.rho).max()), 1e-300)
         self.hs_scale = hdt0 * max(float(np.abs(rhoh_n).max()), 1e-300)
-
-    def velocity(self, p):
-        u = np.zeros(self.n + 1)
-        # interior faces: a + b (p_L - p_R)
-        inner = np.subtract(p[:-1], p[1:], out=u[1:-1])
-        inner *= self.b_face
-        inner += self.a_face
-        return u
 
     def residual(self, p):
         """Enthalpy residual at p, plus the face quantities ``jacobian`` reuses.
@@ -368,7 +365,9 @@ def correction_solve(state, u_tilde, sgp, omega_theta, R):
     step halves until p stays positive.  Once the tolerance is met, one more
     step with the last iteration's Jacobian takes the residual down to
     round-off, so that the energy drift does not build up over a run; it is
-    kept only if the residual drops.  The velocity then follows from p, rho
+    kept only if the residual drops.  The interior velocities are the
+    u = a + b (p_L - p_R) of the residual evaluated at the kept p (the
+    closing step's when it is kept), zero at the walls; rho then follows
     from one linear upwind mass solve (positive, since its matrix is an
     M-matrix) and h_s = p / (kappa rho) from the EOS.  Newton is the only
     path: when it reaches ``_MAX_ITERATIONS``, stagnates, meets a singular
@@ -391,10 +390,12 @@ def correction_solve(state, u_tilde, sgp, omega_theta, R):
                 it += 1
                 if delta is not None:
                     p_next = np.add(p, delta, out=delta)
-                    res_next = sys_.norm(sys_.residual(p_next)[0])
+                    r_next, lin_next = sys_.residual(p_next)
+                    res_next = sys_.norm(r_next)
                     if res_next < res and p_next.min() > 0.0:
-                        p, res = p_next, res_next
-            u = sys_.velocity(p)
+                        p, res, lin = p_next, res_next, lin_next
+            u = np.zeros(sys_.n + 1)
+            u[1:-1] = lin[1]  # a + b (p_L - p_R) at the kept p
             rho = sys_.density(u)
             flux = primal_mass_flux(rho, u)
             h_s = rho * sys_.kappa
@@ -457,16 +458,8 @@ def internal_energy_residual(state_n, state_next, chem, flow):
     """
     faces = species_faces(state_n, chem)
     grid = state_next.grid
-    mix = state_next.mixture
     dt = state_next.dt
-    dh = mix.formation_enthalpies
-    hc_next = chemical_enthalpy(mix, state_next.y_F, state_next.y_O,
-                                state_next.y_N, state_next.y_P)
-    hc_n = chemical_enthalpy(mix, state_n.y_F, state_n.y_O,
-                             state_n.y_N, state_n.y_P)
-    rho_e_next = state_next.rho * state_next.e_s + state_next.rho_prev * hc_next
-    rho_e_n = state_n.rho * state_n.e_s + state_n.rho_prev * hc_n
-
+    dh = state_next.mixture.formation_enthalpies
     es_face = upwind_face_values(state_next.e_s, state_next.flux)
     sens_flux = state_next.flux * es_face
     hc_face = (
@@ -479,4 +472,5 @@ def internal_energy_residual(state_n, state_next, chem, flow):
     div = (sens_flux[1:] - sens_flux[:-1] + chem_flux[1:] - chem_flux[:-1])
     div /= grid.cell_volumes
     p_div_u = state_next.p * (state_next.u[1:] - state_next.u[:-1]) / grid.cell_volumes
-    return (rho_e_next - rho_e_n) / dt + div + p_div_u - flow.source
+    return ((internal_energy(state_next) - internal_energy(state_n)) / dt
+            + div + p_div_u - flow.source)

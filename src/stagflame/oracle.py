@@ -199,7 +199,6 @@ def solve_deflagration_riemann(mixture, p_fresh, T_fresh, y_fresh, u_flame):
         raise OracleError("flame speed must be non-negative")
     gamma = mixture.gamma
     rho_fresh = fresh_density(mixture, p_fresh, T_fresh, y_fresh)
-    hs_fresh = gamma / (gamma - 1.0) * p_fresh / rho_fresh
     y_burnt = tuple(
         float(v) for v in asymptotic_composition(mixture, *y_fresh, G=0.0)
     )
@@ -211,45 +210,41 @@ def solve_deflagration_riemann(mixture, p_fresh, T_fresh, y_fresh, u_flame):
         # without heat release a moving flame is a pure composition contact
         if dq > 0.0:
             raise OracleError("static flame with heat release has no self-similar pattern")
-        return _certify(WavePattern(
-            mixture=mixture, p_fresh=p_fresh, rho_fresh=rho_fresh, u_fresh=0.0,
-            y_fresh=tuple(y_fresh), p_shocked=p_fresh, rho_shocked=rho_fresh,
-            u_shocked=0.0, p_burnt=p_fresh,
-            rho_burnt=rho_fresh, u_burnt=0.0, y_burnt=y_burnt,
-            s_shock=np.sqrt(gamma * p_fresh / rho_fresh), s_flame=u_flame,
-            u_flame=u_flame, heat_release=dq,
-        ))
+        p2, rho2, u2 = p_fresh, rho_fresh, 0.0
+        s_shock = np.sqrt(gamma * p_fresh / rho_fresh)
+        s_flame, rho_b, p_b = u_flame, rho_fresh, p_fresh
+    else:
+        def phi(p):
+            rho2, u2, _ = _shock_state(mixture, p_fresh, rho_fresh, p)
+            s_flame = u2 + u_flame
+            rho_b = rho2 * u_flame / s_flame
+            p_b = p - rho2 * u_flame * u2
+            hs2 = gamma / (gamma - 1.0) * p / rho2
+            hs_b = gamma / (gamma - 1.0) * p_b / rho_b
+            return hs_b + 0.5 * s_flame**2 - hs2 - 0.5 * u_flame**2 - dq
 
-    def phi(p):
-        rho2, u2, _ = _shock_state(mixture, p_fresh, rho_fresh, p)
+        lo = p_fresh
+        hi = 2.0 * p_fresh
+        try:
+            # an overflowing or singular balance is not finite: no bracket
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                for _ in range(200):
+                    if phi(hi) > 0.0:
+                        break
+                    hi *= 2.0
+                else:
+                    raise OracleError("could not bracket the shocked-gas pressure")
+                p2 = _brentq(phi, lo, hi)
+        except OverflowError:
+            raise OracleError("the shocked-gas pressure balance overflows") from None
+
+        rho2, u2, s_shock = _shock_state(mixture, p_fresh, rho_fresh, p2)
         s_flame = u2 + u_flame
         rho_b = rho2 * u_flame / s_flame
-        p_b = p - rho2 * u_flame * u2
-        hs2 = gamma / (gamma - 1.0) * p / rho2
-        hs_b = gamma / (gamma - 1.0) * p_b / rho_b
-        return hs_b + 0.5 * s_flame**2 - hs2 - 0.5 * u_flame**2 - dq
+        p_b = p2 - rho2 * u_flame * u2
+        if rho_b <= 0.0 or p_b <= 0.0:
+            raise OracleError("non-positive burnt state")
 
-    lo = p_fresh
-    hi = 2.0 * p_fresh
-    try:
-        # an overflowing or singular balance is not finite: no bracket
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for _ in range(200):
-                if phi(hi) > 0.0:
-                    break
-                hi *= 2.0
-            else:
-                raise OracleError("could not bracket the shocked-gas pressure")
-            p2 = _brentq(phi, lo, hi)
-    except OverflowError:
-        raise OracleError("the shocked-gas pressure balance overflows") from None
-
-    rho2, u2, s_shock = _shock_state(mixture, p_fresh, rho_fresh, p2)
-    s_flame = u2 + u_flame
-    rho_b = rho2 * u_flame / s_flame
-    p_b = p2 - rho2 * u_flame * u2
-    if rho_b <= 0.0 or p_b <= 0.0:
-        raise OracleError("non-positive burnt state")
     return _certify(WavePattern(
         mixture=mixture, p_fresh=p_fresh, rho_fresh=rho_fresh, u_fresh=0.0,
         y_fresh=tuple(y_fresh), p_shocked=p2, rho_shocked=rho2, u_shocked=u2,

@@ -58,6 +58,8 @@ def test_bad_config_line_is_a_config_error(tmp_path, capsys):
      "implicit mode always convects with upwind faces"),
     # the oracle's bracket search divides by zero on the way, silently
     ("T_fresh=1e300", "zero initial flux"),
+    # no heat release: the starting level is the fresh gas at rest
+    ("dh_P=0", "set dt instead"),
     # an endothermic mixture, even by a hair, warned and then failed in the
     # oracle
     ("dh_P=1e-300", "the reaction is endothermic"),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stagflame import hydro
+from stagflame.chemistry import chemistry_step
 from stagflame.errors import StepFailure
 from stagflame.grid import build_uniform_grid
 from stagflame.harness import CaseConfig, advance, initialize_case
@@ -297,6 +298,24 @@ def test_in_place_correction_kernels_match_references(state, seed, spread):
     for first, second in zip((r, *lin), (r2, *lin2)):
         assert not np.shares_memory(first, second)
         assert not any(np.shares_memory(second, a) for a in owned)
+
+
+def test_end_of_step_velocity_is_the_correction_relation_at_p():
+    # the solve takes its velocity from the last residual evaluation: on the
+    # benchmark's first step, zero at the walls and a + b (p_L - p_R) of the
+    # returned p on every interior face, bit for bit
+    setup = initialize_case(CaseConfig())
+    state = setup.state
+    omega = chemistry_step(state, setup.chem_config).omega_theta
+    sgp = scale_pressure_gradient(state.grad_p, state.rho_d, state.rho_d_prev)
+    u_t = predict_velocity(state, sgp)
+    R = kinetic_residuals(state, u_t)
+    system = _CorrectionSystem(state, u_t, sgp,
+                               omega + compensation_source(R, state.grid))
+    flow = correction_solve(state, u_t, sgp, omega, R)
+    assert flow.u[0] == 0.0 and flow.u[-1] == 0.0
+    want = system.a_face + system.b_face * (flow.p[:-1] - flow.p[1:])
+    assert _same_bits(flow.u[1:-1], want)
 
 
 def test_correction_jacobian_matches_central_differences():

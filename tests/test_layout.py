@@ -3,8 +3,9 @@ every defaulted parameter is passed by some call, every dataclass field is
 read, no parameter takes the same literal from every call in
 ``src/stagflame``, no function that takes a time level also takes a copy
 of one of its fields, the package loads no more of scipy than its LAPACK
-extension, the per-step code calls reductions as ndarray methods, and
-every hook of the benchmark's span recorder still names a callable.
+extension, the per-step code calls reductions as ndarray methods, every
+hook of the benchmark's span recorder still names a callable, and no
+module but ``harness`` compares a time mode with its name.
 
 Code that only tests call belongs in ``tests/``.  The checks go by name: a
 definition counts as used when a name or an attribute spelled like it is
@@ -482,3 +483,44 @@ def test_benchmark_hooks_resolve():
     flow_result = importlib.import_module("stagflame.hydro").FlowResult
     assert "iterations" in flow_result.__dataclass_fields__
     assert hasattr(flow_result, "used_fallback")
+
+
+# Which face schemes a time mode runs is said once, in harness.MODE_SCHEMES;
+# code elsewhere that compares a time mode with its name is a second copy of
+# that table.  A message that names a mode is no comparison.
+TIME_MODES = {"implicit-upwind", "explicit-limited"}
+
+
+def mode_comparisons(src=SRC, modes=TIME_MODES):
+    """["module:line"] of every comparison, in a module of ``src`` other
+    than harness, with one of the ``modes`` among its operands."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "harness":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(sub, ast.Constant) and sub.value in modes
+                    for operand in (node.left, *node.comparators)
+                    for sub in ast.walk(operand)):
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_only_the_harness_compares_time_modes():
+    assert mode_comparisons() == []
+    harness = importlib.import_module("stagflame.harness")
+    assert set(harness.MODE_SCHEMES) == TIME_MODES
+
+
+def test_mode_guard_sees_comparisons_not_messages(tmp_path):
+    (tmp_path / "harness.py").write_text(
+        "def explicit(c):\n    return c.time_mode == 'slow'\n")
+    (tmp_path / "cli.py").write_text(
+        "def schemes(c):\n"
+        "    if 'fast' != c.time_mode:\n"
+        "        return 1\n"
+        "    return c.time_mode in ('slow', 'other')\n\n"
+        "def why(c):\n"
+        "    return f'cfl exceeds 1 in {c.time_mode} mode', 'fast'\n")
+    assert mode_comparisons(tmp_path, {"fast", "slow"}) == ["cli:2", "cli:4"]

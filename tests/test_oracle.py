@@ -127,14 +127,21 @@ def test_zero_flame_speed_with_heat_release_fails():
 
 
 def test_inert_composition_gives_trivial_pattern():
+    # every field of the static pattern: the fresh gas at rest on both sides
+    # of a composition contact that moves at u_flame, also at u_flame = 0
     mix = benchmark_mixture()
     y = (0.0, 0.0, 1.0, 0.0)  # pure inert gas: zero heat release
-    pat = solve_deflagration_riemann(mix, P_FRESH, T_FRESH, y, U_FLAME)
-    assert pat.heat_release == 0.0
-    assert pat.p_shocked == pat.p_fresh
-    assert pat.rho_burnt == pat.rho_fresh
-    assert pat.u_shocked == 0.0
-    assert pat.s_flame == U_FLAME
+    rho_fresh = fresh_density(mix, P_FRESH, T_FRESH, y)
+    for u_flame in (U_FLAME, 0.0):
+        pat = solve_deflagration_riemann(mix, P_FRESH, T_FRESH, y, u_flame)
+        assert pat.mixture is mix
+        assert pat.heat_release == 0.0
+        assert pat.y_fresh == y and pat.y_burnt == y
+        assert pat.p_fresh == pat.p_shocked == pat.p_burnt == P_FRESH
+        assert pat.rho_fresh == pat.rho_shocked == pat.rho_burnt == rho_fresh
+        assert pat.u_fresh == pat.u_shocked == pat.u_burnt == 0.0
+        assert pat.s_shock == np.sqrt(mix.gamma * P_FRESH / rho_fresh)
+        assert pat.s_flame == pat.u_flame == u_flame
 
 
 def test_negative_flame_speed_rejected():
