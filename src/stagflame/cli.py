@@ -9,6 +9,7 @@ from .errors import ConfigError, OracleError, StepFailure
 from .harness import (
     ERROR_FIELDS,
     MODE_SCHEMES,
+    case_pattern,
     initialize_case,
     load_config,
     run_case,
@@ -135,7 +136,7 @@ def _cmd_oracle(args):
     config = load_config(args.config, args.overrides)
     if args.csv:
         _require_output_dir(args.csv)
-    pattern = initialize_case(config).pattern
+    pattern = case_pattern(config)
     print("exact wave pattern (left to right):")
     print(f"  burnt:   p {pattern.p_burnt:.8e}  rho {pattern.rho_burnt:.8e}  "
           f"u {pattern.u_burnt:.8e}")

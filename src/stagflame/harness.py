@@ -279,6 +279,20 @@ def balanced_level(grid, mixture, dt, rho_prev, u, h_s, y_F, y_O, y_N, y_P, z,
     )
 
 
+def case_pattern(config):
+    """The exact wave pattern of a case: the oracle's solution for its
+    mixture, fresh state, fresh composition and flame speed."""
+    mix = config.mixture()
+    try:
+        y_fresh = mass_fractions_from_molar(mix, config.molar_F, config.molar_O,
+                                            config.molar_N)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return solve_deflagration_riemann(
+        mix, config.p_fresh, config.T_fresh, y_fresh, config.u_flame
+    )
+
+
 def initialize_case(config):
     """Build the starting state of a case.
 
@@ -290,15 +304,7 @@ def initialize_case(config):
     the one its L1 errors are measured against.
     """
     grid = build_uniform_grid(config.n_cells, config.x_left, config.x_right)
-    mix = config.mixture()
-    try:
-        y_fresh = mass_fractions_from_molar(mix, config.molar_F, config.molar_O,
-                                            config.molar_N)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    pattern = solve_deflagration_riemann(
-        mix, config.p_fresh, config.T_fresh, y_fresh, config.u_flame
-    )
+    pattern = case_pattern(config)
     cells = exact_cell_averages(pattern, grid, config.t_start, config.x0)
     duals = exact_dual_averages(pattern, grid, config.t_start, config.x0)
     u0 = np.asarray(duals["u"])
@@ -317,7 +323,8 @@ def initialize_case(config):
                           f"more than {MAX_STEPS}")
     n_steps = max(1, int(steps))
 
-    state = balanced_level(grid, mix, span / n_steps, rho_prev, u0, **scalars)
+    state = balanced_level(grid, pattern.mixture, span / n_steps, rho_prev, u0,
+                           **scalars)
     check_state_gates(state)
     return CaseSetup(
         state=state, pattern=pattern, n_steps=n_steps,

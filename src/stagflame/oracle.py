@@ -10,31 +10,27 @@ and Numerical Methods for Fluid Dynamics", ch. 4); the deflagration closes
 the pattern with the Rankine-Hugoniot relations including the chemical
 enthalpy jump.  The one scalar unknown is the shocked-gas pressure, pinned
 by requiring the burnt gas to be at rest; it is found on an expanding
-bracket by Brent's method, and the returned pattern certifies itself by
-checking every jump relation.
-
-The root finder ``_brentq`` is a statement-for-statement port of the C loop
-behind ``scipy.optimize.brentq`` (``brentq.c``, scipy 1.17), with the one
-call's settings as module constants; the tests check that its root is
-bitwise scipy's.  Porting the one call keeps ``scipy.optimize``, which costs
-about 0.3 s to import, out of every run: scipy serves only LAPACK ``gtsv``,
-which ``stagflame.linalg`` loads from scipy's extension module without
-importing ``scipy`` itself.
+bracket by bisection down to two adjacent doubles, and the returned pattern
+certifies itself by checking every jump relation.  Bisection needs no
+tolerance, and it keeps ``scipy.optimize``, which costs about 0.3 s to
+import, out of every run.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import OracleError
-from .thermo import chemical_enthalpy, gas_constant_mix, z_from_fractions
+from .thermo import (
+    chemical_enthalpy,
+    gas_constant_mix,
+    sensible_enthalpy,
+    temperature,
+    z_from_fractions,
+)
 
 _REL_TOL = 1e-10
-
-# Brent's method settings: scipy's default xtol, its smallest allowed rtol
-_XTOL = 2e-12
-_RTOL = 4 * np.finfo(float).eps
-_MAXITER = 200
 
 
 @dataclass(frozen=True)
@@ -108,83 +104,43 @@ def _shock_state(mixture, p_fresh, rho_fresh, p):
     return rho, u, s
 
 
-def _brentq(f, xa, xb):
-    """Root of ``f`` in the bracket [xa, xb] by Brent's method.
+def _bisect(f, lo, hi):
+    """Root of ``f`` in the bracket [lo, hi] by bisection to adjacent doubles.
 
-    The loop of scipy's ``brentq.c``, statement for statement: the same
-    interpolation, extrapolation and bisection branches and the same
-    tolerance test in the same floating-point order.  The arithmetic runs on
-    numpy doubles with every floating-point warning off, so it rounds and
-    overflows as the C code does.  Where scipy raises, this raises
-    OracleError: a NaN value of ``f``, a bracket without a sign change, and
-    no convergence in ``_MAXITER`` iterations.
+    The bracket is halved at ``lo + 0.5 * (hi - lo)`` until no double lies
+    strictly between its ends, so no tolerance or iteration cap is needed:
+    a bracket of doubles of one sign halves at most about 2100 times.
+    Returns a point where ``f`` is exactly zero, or else the end with the
+    smaller |f|.  Signs are compared, never multiplied, so values too small
+    for their product still bracket.  Raises OracleError for a NaN value of
+    ``f`` and for a bracket whose ends have the same sign.
     """
 
     def value(x):
-        fx = np.float64(f(x))
-        if np.isnan(fx):
+        fx = f(x)
+        if math.isnan(fx):
             raise OracleError(f"the shocked-gas pressure balance is NaN at p = {x:.6g}")
         return fx
 
-    with np.errstate(all="ignore"):
-        xpre, xcur = np.float64(xa), np.float64(xb)
-        xblk = fblk = spre = scur = np.float64(0.0)
-        fpre = value(xpre)
-        fcur = value(xcur)
-        if fpre == 0:
-            return float(xpre)
-        if fcur == 0:
-            return float(xcur)
-        if np.signbit(fpre) == np.signbit(fcur):
-            raise OracleError("the shocked-gas pressure bracket has no sign change")
-        for _ in range(_MAXITER):
-            if fpre != 0 and fcur != 0 and np.signbit(fpre) != np.signbit(fcur):
-                xblk = xpre
-                fblk = fpre
-                spre = scur = xcur - xpre
-            if abs(fblk) < abs(fcur):
-                xpre, xcur, xblk = xcur, xblk, xcur
-                fpre, fcur, fblk = fcur, fblk, fcur
-
-            delta = (_XTOL + _RTOL * abs(xcur)) / 2
-            sbis = (xblk - xcur) / 2
-            if fcur == 0 or abs(sbis) < delta:
-                return float(xcur)
-
-            if abs(spre) > delta and abs(fcur) < abs(fpre):
-                if xpre == xblk:
-                    # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:
-                    # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = (-fcur * (fblk * dblk - fpre * dpre)
-                            / (dblk * dpre * (fblk - fpre)))
-                # MIN(fabs(spre), 3*fabs(sbis) - delta), with C's operand order
-                a, b = abs(spre), 3 * abs(sbis) - delta
-                if 2 * abs(stry) < (a if a < b else b):
-                    # good short step
-                    spre = scur
-                    scur = stry
-                else:
-                    # bisect
-                    spre = sbis
-                    scur = sbis
-            else:
-                # bisect
-                spre = sbis
-                scur = sbis
-
-            xpre = xcur
-            fpre = fcur
-            if abs(scur) > delta:
-                xcur += scur
-            else:
-                xcur += delta if sbis > 0 else -delta
-            fcur = value(xcur)
-    raise OracleError(
-        f"the shocked-gas pressure did not converge in {_MAXITER} iterations")
+    f_lo = value(lo)
+    f_hi = value(hi)
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if (f_lo < 0.0) == (f_hi < 0.0):
+        raise OracleError("the shocked-gas pressure bracket has no sign change")
+    while True:
+        mid = lo + 0.5 * (hi - lo)
+        if not lo < mid < hi:
+            return lo if abs(f_lo) <= abs(f_hi) else hi
+        f_mid = value(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid < 0.0) == (f_lo < 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
 
 
 def solve_deflagration_riemann(mixture, p_fresh, T_fresh, y_fresh, u_flame):
@@ -199,6 +155,9 @@ def solve_deflagration_riemann(mixture, p_fresh, T_fresh, y_fresh, u_flame):
         raise OracleError("flame speed must be non-negative")
     gamma = mixture.gamma
     rho_fresh = fresh_density(mixture, p_fresh, T_fresh, y_fresh)
+    if not 0.0 < rho_fresh < math.inf:
+        raise OracleError(f"the fresh density p / (R T) = {rho_fresh:.6g} is "
+                          f"not positive and finite")
     y_burnt = tuple(
         float(v) for v in asymptotic_composition(mixture, *y_fresh, G=0.0)
     )
@@ -219,8 +178,8 @@ def solve_deflagration_riemann(mixture, p_fresh, T_fresh, y_fresh, u_flame):
             s_flame = u2 + u_flame
             rho_b = rho2 * u_flame / s_flame
             p_b = p - rho2 * u_flame * u2
-            hs2 = gamma / (gamma - 1.0) * p / rho2
-            hs_b = gamma / (gamma - 1.0) * p_b / rho_b
+            hs2 = sensible_enthalpy(p, rho2, gamma)
+            hs_b = sensible_enthalpy(p_b, rho_b, gamma)
             return hs_b + 0.5 * s_flame**2 - hs2 - 0.5 * u_flame**2 - dq
 
         lo = p_fresh
@@ -234,7 +193,7 @@ def solve_deflagration_riemann(mixture, p_fresh, T_fresh, y_fresh, u_flame):
                     hi *= 2.0
                 else:
                     raise OracleError("could not bracket the shocked-gas pressure")
-                p2 = _brentq(phi, lo, hi)
+                p2 = _bisect(phi, lo, hi)
         except OverflowError:
             raise OracleError("the shocked-gas pressure balance overflows") from None
 
@@ -264,8 +223,8 @@ def rh_residuals(pattern):
     c = np.sqrt(gamma * pattern.p_fresh / pattern.rho_fresh)
     m_scale = pattern.rho_fresh * c
     q_scale = pattern.p_fresh + pattern.rho_fresh * c**2
-    hs = lambda p, rho: gamma / (gamma - 1.0) * p / rho
-    e_scale = hs(pattern.p_fresh, pattern.rho_fresh) + c**2 + pattern.heat_release
+    e_scale = (sensible_enthalpy(pattern.p_fresh, pattern.rho_fresh, gamma)
+               + c**2 + pattern.heat_release)
 
     out = {}
 
@@ -276,8 +235,8 @@ def rh_residuals(pattern):
         out[f"{tag}_momentum"] = abs(
             (pL + mL * (uL - sL)) - (pR + mR * (uR - sL))
         ) / q_scale
-        eL = hs(pL, rhoL) + hcL + 0.5 * (uL - sL) ** 2
-        eR = hs(pR, rhoR) + hcR + 0.5 * (uR - sL) ** 2
+        eL = sensible_enthalpy(pL, rhoL, gamma) + hcL + 0.5 * (uL - sL) ** 2
+        eR = sensible_enthalpy(pR, rhoR, gamma) + hcR + 0.5 * (uR - sL) ** 2
         out[f"{tag}_energy"] = abs(eL - eR) / e_scale
 
     hc_fresh = chemical_enthalpy(mix, *pattern.y_fresh)
@@ -321,15 +280,11 @@ def _region_values(pattern):
         "G": (0.0, 1.0, 1.0),
     }
     gamma = mix.gamma
-    hs = []
-    T = []
-    for k in range(3):
-        p = fields["p"][k]
-        rho = fields["rho"][k]
-        y = (fields["y_F"][k], fields["y_O"][k], fields["y_N"][k], fields["y_P"][k])
-        hs.append(gamma / (gamma - 1.0) * p / rho)
-        e_s = p / ((gamma - 1.0) * rho)
-        T.append((gamma - 1.0) * e_s / gas_constant_mix(mix, *y))
+    hs, T = [], []
+    columns = ("p", "rho", "y_F", "y_O", "y_N", "y_P")
+    for p, rho, *y in zip(*(fields[k] for k in columns)):
+        hs.append(sensible_enthalpy(p, rho, gamma))
+        T.append(temperature(mix, p / ((gamma - 1.0) * rho), *y))
     fields["h_s"] = tuple(hs)
     fields["T"] = tuple(T)
     return fields

@@ -132,6 +132,11 @@ def pressure_from_state(rho, h_s, gamma):
     return (gamma - 1.0) / gamma * rho * h_s
 
 
+def sensible_enthalpy(p, rho, gamma):
+    """The same EOS solved for the enthalpy: h_s = gamma/(gamma-1) p / rho."""
+    return gamma / (gamma - 1.0) * p / rho
+
+
 def gas_constant_mix(mixture, y_F, y_O, y_N, y_P):
     """Specific gas constant of the local mixture, R_u * sum_i y_i / W_i."""
     return R_UNIVERSAL * (

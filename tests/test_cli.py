@@ -218,6 +218,31 @@ def test_static_flame_with_heat_release_is_an_oracle_error(config_file, capsys):
     assert "oracle error" in capsys.readouterr().err
 
 
+def test_oracle_verb_builds_no_starting_level(config_file, capsys,
+                                              monkeypatch):
+    # without heat release the pattern is the fresh gas at rest and
+    # certifies; that no face carries mass for a CFL target to measure is a
+    # run's concern, and the oracle builds no grid to find it
+    monkeypatch.setattr(harness, "build_uniform_grid", _work_must_not_run)
+    assert main(["oracle", config_file, "--set", "dh_P=0"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "heat release 0.00000000e+00" in out
+    assert "worst jump-relation residual: 0.000e+00" in out
+
+
+@pytest.mark.parametrize("verb", ["oracle", "check"])
+def test_vanishing_fresh_density_is_an_oracle_error(config_file, capsys,
+                                                    verb):
+    # p / (R T) underflows to 0, which the shock relations divide by
+    code = main([verb, config_file, "--set", "p_fresh=1e-300",
+                 "--set", "T_fresh=1e300"])
+    assert code == EXIT_ORACLE
+    captured = capsys.readouterr()
+    assert captured.err == ("oracle error: the fresh density p / (R T) = 0 "
+                            "is not positive and finite\n")
+    assert captured.out == ""
+
+
 def test_sweep_verb(config_file, tmp_path, capsys):
     prefix = str(tmp_path / "study")
     code = main(["sweep", config_file, "--meshes", "24,48",

@@ -246,8 +246,8 @@ _IMPORT_PROBE = (
 def test_only_the_lapack_extension_of_scipy_is_imported():
     # scipy serves LAPACK gtsv alone, loaded from its extension module: the
     # package init of scipy and scipy.linalg would add about 0.35 s to every
-    # cold start, and scipy.optimize about 0.3 s more, so the oracle carries
-    # its own port of brentq
+    # cold start, and scipy.optimize about 0.3 s more, so the oracle finds
+    # its one root by its own bisection
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(SRC.parent)],
                           capture_output=True, text=True, check=True)
     assert proc.stdout.split() == ["scipy.linalg._flapack"]

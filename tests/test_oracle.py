@@ -4,7 +4,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 from stagflame import oracle
 from stagflame.errors import OracleError
@@ -179,39 +178,10 @@ def test_oracle_messages_print_plain_numbers():
     assert "precursor speed 7.59265e-149 does not outrun the flame 63" in message
 
 
-# ---------------------------------------------------------------------------
-# the root finder: a port of scipy's brentq
-
-
-def scipy_root(f, a, b):
-    """The call the port replaces: scipy's brentq with the oracle's settings."""
-    return brentq(f, a, b, xtol=oracle._XTOL, rtol=oracle._RTOL,
-                  maxiter=oracle._MAXITER)
-
-
-def bitwise_run(solve, f, a, b):
-    """Hex strings of every point ``solve`` evaluates f at, then of its root."""
-    points = []
-
-    def traced(x):
-        points.append(float(x).hex())
-        return f(x)
-
-    root = solve(traced, a, b)
-    assert type(root) is float
-    return points + [root.hex()]
-
-
-def test_root_is_bitwise_scipy_over_random_oracle_problems(monkeypatch):
-    port = oracle._brentq
-    runs = []
-
-    def compare(f, a, b):
-        mine = bitwise_run(port, f, a, b)
-        runs.append((mine, bitwise_run(scipy_root, f, a, b)))
-        return float.fromhex(mine[-1])
-
-    monkeypatch.setattr(oracle, "_brentq", compare)
+def test_every_random_oracle_problem_certifies():
+    # u_flame down to 1e-3 m/s: problems 166 and 472 are nearly static
+    # flames (p_shocked / p_fresh about 1) whose energy jump needs the root
+    # to the last double
     base = benchmark_mixture()
     rng = random.Random(5)
     for _ in range(1000):
@@ -222,26 +192,38 @@ def test_root_is_bitwise_scipy_over_random_oracle_problems(monkeypatch):
         x_F = rng.uniform(0.01, 0.5)
         x_O = rng.uniform(0.01, 0.45)
         y = mass_fractions_from_molar(mix, x_F, x_O, 1.0 - x_F - x_O)
-        try:
-            solve_deflagration_riemann(mix, p_fresh, T_fresh, y, u_flame)
-        except OracleError:
-            pass  # a few patterns fail certification after the root solve
-    assert len(runs) == 1000
-    assert [mine for mine, _ in runs] == [want for _, want in runs]
+        pattern = solve_deflagration_riemann(mix, p_fresh, T_fresh, y, u_flame)
+        assert max(rh_residuals(pattern).values()) <= 1e-10
+
+
+def test_nearly_static_flame_certifies():
+    mix = replace(benchmark_mixture(), gamma=1.273)
+    y = mass_fractions_from_molar(mix, 0.0414, 0.2217, 1.0 - 0.0414 - 0.2217)
+    pattern = solve_deflagration_riemann(mix, 108.0, 2272.0, y, 1.7e-3)
+    assert pattern.p_shocked / pattern.p_fresh == pytest.approx(1.0, abs=1e-6)
+    assert max(rh_residuals(pattern).values()) <= 1e-10
+
+
+def counted(f):
+    """``f`` and a list that grows by one entry per evaluation."""
+    calls = []
+
+    def traced(x):
+        calls.append(x)
+        return f(x)
+
+    return traced, calls
 
 
 BRANCH_CASES = {
-    # interpolation, extrapolation and accepted short steps only
     "cubic": (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
-    # rejected extrapolations fall back to bisection
     "exponential": (lambda x: math.exp(x) - 1e4, 0.0, 20.0),
-    # extrapolations that overshoot 3/4 of the bracket are refused
     "steep exponential": (lambda x: math.exp(-22.0 * (x - 0.4)) - 1.0, 0.0, 1.0),
-    # a flat triple root: both bisection branches, over 100 iterations
+    # a flat triple root
     "triple root": (lambda x: (x - 1.0) ** 3, 0.0, 3.0),
-    # equal |f| on both sides: every step bisects
+    # equal |f| on both sides of the jump
     "step": (lambda x: -1.0 if x < 1.0 / 3.0 else 1.0, 0.0, 1.0),
-    # f(a) f(b) underflows to -0: the sign test must use the sign bits
+    # f(a) f(b) underflows to -0: only the signs may be compared
     "tiny values": (lambda x: 1e-200 * (0.3 - x), 0.0, 1.0),
     # exact zeros at either end of the bracket are returned as they are
     "zero at a": (lambda x: x - 1.0, 1.0, 2.0),
@@ -250,36 +232,41 @@ BRANCH_CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(BRANCH_CASES))
-def test_root_is_bitwise_scipy_on_analytic_functions(name):
+def test_bisection_ends_on_a_zero_or_a_sign_change(name):
     f, a, b = BRANCH_CASES[name]
-    assert bitwise_run(oracle._brentq, f, a, b) == bitwise_run(scipy_root, f, a, b)
+    traced, calls = counted(f)
+    root = oracle._bisect(traced, a, b)
+    assert type(root) is float and a <= root <= b
+    if name.startswith("zero at"):
+        assert root == 1.0 and len(calls) == 2
+    fx = f(root)
+    if fx != 0.0:
+        neighbours = (f(math.nextafter(root, a)), f(math.nextafter(root, b)))
+        assert any(math.copysign(1.0, fn) != math.copysign(1.0, fx)
+                   for fn in neighbours)
 
 
-def test_root_finder_refuses_nan_values():
+def test_bisection_refuses_nan_values():
     f = lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5
-    with pytest.raises(ValueError, match="NaN"):
-        scipy_root(f, 0.0, 1.0)
     with pytest.raises(OracleError, match="NaN"):
-        oracle._brentq(f, 0.0, 1.0)
-
-
-def test_root_finder_stops_at_the_iteration_cap():
-    # bisecting [0, 1e300] down to the jump at 1 takes about 1000 halvings
-    f = lambda x: -1.0 if x < 1.0 else 1.0
-    with pytest.raises(RuntimeError, match="converge"):
-        scipy_root(f, 0.0, 1e300)
-    with pytest.raises(OracleError, match="did not converge in 200 iterations"):
-        oracle._brentq(f, 0.0, 1e300)
+        oracle._bisect(f, 0.0, 1.0)
 
 
 @pytest.mark.parametrize("value", [1.0, 1e-200])
-def test_root_finder_needs_a_sign_change(value):
-    # with 1e-200 the product f(a) f(b) underflows to 0; the sign bits agree
+def test_bisection_needs_a_sign_change(value):
+    # with 1e-200 the product f(a) f(b) underflows to 0; the signs agree
     f = lambda x: value * (x * x + 1.0)
-    with pytest.raises(ValueError, match="different signs"):
-        scipy_root(f, -1.0, 1.0)
     with pytest.raises(OracleError, match="no sign change"):
-        oracle._brentq(f, -1.0, 1.0)
+        oracle._bisect(f, -1.0, 1.0)
+
+
+def test_bisection_runs_to_adjacent_doubles_without_a_cap():
+    # a jump at 1 in [0, 1e300]: about 997 halvings down to a bracket of
+    # width 1, 52 more down to adjacent doubles, and the two ends
+    traced, calls = counted(lambda x: -1.0 if x < 1.0 else 1.0)
+    root = oracle._bisect(traced, 0.0, 1e300)
+    assert root in (1.0, math.nextafter(1.0, 0.0))
+    assert len(calls) == 1051
 
 
 # ---------------------------------------------------------------------------
