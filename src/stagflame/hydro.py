@@ -7,7 +7,8 @@ mass/enthalpy/EOS correction system for the end-of-step density, sensible
 enthalpy and pressure.  The velocity is eliminated through the correction
 relation and the cell-local EOS p = kappa rho h_s is substituted, which
 leaves an enthalpy balance in the pressure alone: Newton runs on the N cell
-pressures with a tridiagonal Jacobian, then one linear mass solve gives the
+pressures with a tridiagonal Jacobian (each step p - J^-1 r, J^-1 r solved
+in the place of the residual r), then one linear mass solve gives the
 density and the EOS the enthalpy.  Newton is the only nonlinear path: a
 step it cannot converge ends in a StepFailure that says why it stopped.
 The pieces are arranged so that a discrete total energy - sensible plus
@@ -79,13 +80,13 @@ class FlowResult:
     used_fallback = False
 
 
-def scale_pressure_gradient(grad_p, rho_dual_n, rho_dual_nm1):
-    """Old gradient rescaled by sqrt(rho^n_D / rho^{n-1}_D).
+def scale_pressure_gradient(state):
+    """The level's gradient rescaled by sqrt(rho^n_D / rho^{n-1}_D).
 
     This is the exact factor that lets the pressure-gradient storage term of
     the kinetic energy telescope between steps.
     """
-    return np.sqrt(np.asarray(rho_dual_n) / np.asarray(rho_dual_nm1)) * np.asarray(grad_p)
+    return np.sqrt(state.rho_d / state.rho_d_prev) * state.grad_p
 
 
 def predict_velocity(state, sgp):
@@ -219,9 +220,9 @@ class _CorrectionSystem:
     cells, so the Jacobian is tridiagonal; Newton solves it through the
     module's ``solve_banded``.  Upwind switches freeze per
     linearisation (semismooth Newton).  Once p is known, the mass balance
-    is linear in rho (``density``) and h_s = p / (kappa rho).  Everything
-    that does not depend on p is built once, in the constructor.  S is the
-    heat release plus the prediction's compensation source.
+    is linear in rho and h_s = p / (kappa rho).  Everything that does not
+    depend on p is built once, in the constructor.  S is the heat release
+    plus the prediction's compensation source.
     """
 
     def __init__(self, state, u_tilde, sgp, source):
@@ -324,25 +325,20 @@ class _CorrectionSystem:
         return ab
 
     def newton_step(self, r):
-        """Newton update for the residual r with the Jacobian in ``band``.
+        """Solve J delta = r with the Jacobian in ``band``: p - delta is
+        the Newton update.
 
-        ``r`` is overwritten (the step is solved in its place); ``band`` is
+        ``r`` is overwritten (delta is solved in its place); ``band`` is
         left intact, so a later step can reuse it.  Returns ``(delta,
         None)``, or ``(None, why)`` when there is no usable step.
         """
         try:
-            delta = solve_banded((1, 1), self.band, np.negative(r, out=r),
-                                 overwrite_b=True)
+            delta = solve_banded((1, 1), self.band, r, overwrite_b=True)
         except np.linalg.LinAlgError:
             return None, "singular Jacobian"
         if not np.isfinite(delta).all():
             return None, "non-finite Newton step"
         return delta, None
-
-    def density(self, u):
-        """rho from the mass balance with upwind fluxes at face velocities u."""
-        state = self.state
-        return upwind_mass_solve(state.grid, state.rho, u, state.dt)
 
     def mass_norm(self, rho, flux):
         # hdt (rho - rho^n) + F_right - F_left
@@ -389,14 +385,14 @@ def correction_solve(state, u_tilde, sgp, omega_theta, R):
                 delta, _ = sys_.newton_step(r)
                 it += 1
                 if delta is not None:
-                    p_next = np.add(p, delta, out=delta)
+                    p_next = np.subtract(p, delta, out=delta)
                     r_next, lin_next = sys_.residual(p_next)
                     res_next = sys_.norm(r_next)
                     if res_next < res and p_next.min() > 0.0:
                         p, res, lin = p_next, res_next, lin_next
             u = np.zeros(sys_.n + 1)
             u[1:-1] = lin[1]  # a + b (p_L - p_R) at the kept p
-            rho = sys_.density(u)
+            rho = upwind_mass_solve(state.grid, state.rho, u, state.dt)
             flux = primal_mass_flux(rho, u)
             h_s = rho * sys_.kappa
             np.divide(p, h_s, out=h_s)  # h_s = p / (kappa rho)
@@ -418,11 +414,11 @@ def correction_solve(state, u_tilde, sgp, omega_theta, R):
             why = stop
             break
         alpha = 1.0
-        trial = np.add(p, delta, out=spare)
+        trial = np.subtract(p, delta, out=spare)
         while alpha > 1e-6 and trial.min() <= 0.0:
             alpha *= 0.5
             np.multiply(alpha, delta, out=trial)
-            trial += p  # p + alpha delta
+            np.subtract(p, trial, out=trial)  # p - alpha delta
         p, spare = trial, p
     raise StepFailure(
         f"correction solve stalled at residual {res:.3e} "
@@ -441,7 +437,7 @@ def euler_step(state, omega_theta):
     p turns into NaN on the way (inf - inf) without a warning, and the
     correction solve's finiteness test ends the step.
     """
-    sgp = scale_pressure_gradient(state.grad_p, state.rho_d, state.rho_d_prev)
+    sgp = scale_pressure_gradient(state)
     u_tilde = predict_velocity(state, sgp)
     R = kinetic_residuals(state, u_tilde)
     return correction_solve(state, u_tilde, sgp, omega_theta, R)
@@ -459,15 +455,10 @@ def internal_energy_residual(state_n, state_next, chem, flow):
     faces = species_faces(state_n, chem)
     grid = state_next.grid
     dt = state_next.dt
-    dh = state_next.mixture.formation_enthalpies
     es_face = upwind_face_values(state_next.e_s, state_next.flux)
     sens_flux = state_next.flux * es_face
-    hc_face = (
-        dh[0] * faces["y_F"]
-        + dh[1] * faces["y_O"]
-        + dh[2] * faces["y_N"]
-        + dh[3] * faces["y_P"]
-    )
+    hc_face = chemical_enthalpy(state_next.mixture, faces["y_F"], faces["y_O"],
+                                faces["y_N"], faces["y_P"])
     chem_flux = state_n.flux * hc_face
     div = (sens_flux[1:] - sens_flux[:-1] + chem_flux[1:] - chem_flux[:-1])
     div /= grid.cell_volumes

@@ -63,11 +63,6 @@ class MixtureSpec:
             - self.nu_P * self.W_P * self.dh_P
         )
 
-    @property
-    def formation_enthalpies(self):
-        """Formation enthalpies as an array ordered (F, O, N, P)."""
-        return np.array([self.dh_F, self.dh_O, self.dh_N, self.dh_P])
-
 
 @dataclass
 class FieldState:

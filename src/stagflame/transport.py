@@ -127,8 +127,10 @@ class FaceStencil:
 
     ``cells`` stacks the upwind, downwind and far-upstream cell of every
     face; a wall face has its adjacent cell in all three rows, and the far
-    upstream cell is the upwind one where none lies beyond it.  ``zeta`` is
-    the anti-diffusive slope per face, 0 at walls and on zero-flux faces.
+    upstream cell is the upwind one where none lies beyond it; an upwind
+    stencil holds the upwind row alone, the one its face values read.
+    ``zeta`` is the anti-diffusive slope per face, 0 at walls and on
+    zero-flux faces.
     """
 
     params: LimiterParams
@@ -140,14 +142,16 @@ def face_stencil(F, params, rho_next, dt, grid):
     """Build the step's ``FaceStencil`` from its mass fluxes ``F``.
 
     Each face takes its column of ``grid.cells_right`` where F >= 0 and of
-    ``grid.cells_left`` elsewhere.  ``rho_next``, ``dt`` and the grid's cell
-    volumes give the upwind-cell masses the anti-diffusive slope is
-    measured against; the other schemes ignore them.
+    ``grid.cells_left`` elsewhere, the upwind scheme only their first row.
+    ``rho_next``, ``dt`` and the grid's cell volumes give the upwind-cell
+    masses the anti-diffusive slope is measured against; the other schemes
+    ignore them.
     """
     F = np.asarray(F)
     n = F.shape[0] - 1
     pos = F >= 0.0
-    cells = np.where(pos, grid.cells_right, grid.cells_left)
+    rows = 1 if params.scheme == "upwind" else 3
+    cells = np.where(pos, grid.cells_right[:rows], grid.cells_left[:rows])
     if params.scheme != "antidiffusive":
         return FaceStencil(params, cells)
     abs_F = np.abs(F)

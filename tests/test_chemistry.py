@@ -64,6 +64,13 @@ def test_epsilon_must_be_positive(epsilon):
     assert ChemStepConfig(epsilon=3.0).epsilon == 3.0
 
 
+def test_flame_speed_product_must_be_non_negative():
+    with pytest.raises(ConfigError, match="flame_speed_product must be "
+                                          "non-negative"):
+        ChemStepConfig(epsilon=1.0, flame_speed_product=-1.0)
+    assert ChemStepConfig(epsilon=1.0).flame_speed_product == 0.0
+
+
 def test_epsilon_per_h_resolution():
     grid = build_uniform_grid(10, 0.0, 2.0)
     cfg = CaseConfig(epsilon_per_h=0.5).chem_config(1.0, grid.h)
@@ -325,12 +332,11 @@ def test_heat_release_matches_composition_change():
     cfg = ChemStepConfig(epsilon=1e-3)
     res = chemistry_step(state, cfg)
     mix = state.mixture
-    dh = mix.formation_enthalpies
     source = (
-        dh[0] * (res.y_F - state.y_F)
-        + dh[1] * (res.y_O - state.y_O)
-        + dh[2] * (res.y_N - state.y_N)
-        + dh[3] * (res.y_P - state.y_P)
+        mix.dh_F * (res.y_F - state.y_F)
+        + mix.dh_O * (res.y_O - state.y_O)
+        + mix.dh_N * (res.y_N - state.y_N)
+        + mix.dh_P * (res.y_P - state.y_P)
     ) / dt  # rho = rho_prev = 1 here
     assert np.allclose(source, -res.omega_theta, rtol=1e-12)
     assert np.all(res.omega_theta >= 0.0)

@@ -1,12 +1,18 @@
+import math
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stagflame import cli, harness, hydro
 from stagflame.cli import EXIT_CONFIG, EXIT_OK, EXIT_ORACLE, EXIT_STEP, main
 from stagflame.errors import StepFailure
+from stagflame.harness import CaseConfig
+
+SHIPPED = Path(__file__).resolve().parents[1] / "configs" / "benchmark.cfg"
 
 
 @pytest.fixture
@@ -216,6 +222,12 @@ def test_static_flame_with_heat_release_is_an_oracle_error(config_file, capsys):
     code = main(["oracle", config_file, "--set", "u_flame=0"])
     assert code == EXIT_ORACLE
     assert "oracle error" in capsys.readouterr().err
+    # a nearly static flame fails the pattern's own certificate (README,
+    # "Inputs that exit 4")
+    code = main(["oracle", config_file, "--set", "u_flame=1e-6"])
+    assert code == EXIT_ORACLE
+    assert capsys.readouterr().err == (
+        "oracle error: jump relation residual 1.381e-09 exceeds 1.0e-10\n")
 
 
 def test_oracle_verb_builds_no_starting_level(config_file, capsys,
@@ -287,8 +299,7 @@ def test_sweep_schemes_default_to_the_time_mode(capsys):
 
 def test_check_verb_loads_the_shipped_config(capsys):
     # every key of configs/benchmark.cfg must still be a known config key
-    path = Path(__file__).resolve().parents[1] / "configs" / "benchmark.cfg"
-    assert main(["check", str(path)]) == EXIT_OK
+    assert main(["check", str(SHIPPED)]) == EXIT_OK
     assert "all checks passed" in capsys.readouterr().out
 
 
@@ -330,3 +341,52 @@ def test_check_verb_step_failure_exits_3(config_file, capsys, monkeypatch):
     assert "all checks passed" not in captured.out
     assert captured.err == (
         "step failure: step 1 (t = 0.002): injected\n")
+
+
+# the extremes of the exit-code scan of every numeric key
+EXTREMES = (math.nan, math.inf, -math.inf, -1.0, 0.0, 1e-300, 1e-12, 1e12,
+            1e300, -1e300)
+
+
+def _near(default):
+    """Values around a key's default: scaled by 1/2 to 2, or about 0.
+    Some break a relation between keys (the molar fractions' sum, the
+    stoichiometric mass balance), which is a configuration error."""
+    if default is None:  # dt, the alternative to cfl
+        return st.floats(1e-7, 1e-4)
+    if default == 0.0:  # the formation enthalpies dh_F, dh_O, dh_N
+        return st.floats(-1e6, 1e6)
+    return st.floats(0.5, 2.0).map(lambda f: f * default)
+
+
+_DEFAULTS = CaseConfig()
+NEAR_DEFAULT = {f.name: _near(getattr(_DEFAULTS, f.name))
+                for f in fields(CaseConfig)
+                if f.name not in ("n_cells", "time_mode", "limiter")}
+NEAR_DEFAULT["n_cells"] = st.integers(3, 48)
+NEAR_DEFAULT["x_left"] = NEAR_DEFAULT["x0"] = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def one_key_override(draw):
+    key = draw(st.sampled_from(sorted(NEAR_DEFAULT)))
+    value = draw(st.one_of(NEAR_DEFAULT[key], st.sampled_from(EXTREMES)))
+    return key, value
+
+
+@settings(max_examples=300, deadline=None)
+@given(override=one_key_override(),
+       mode=st.sampled_from([("implicit-upwind", "upwind"),
+                             ("explicit-limited", "upwind"),
+                             ("explicit-limited", "muscl"),
+                             ("explicit-limited", "antidiffusive")]))
+def test_every_numeric_value_ends_in_a_documented_exit(override, mode):
+    # one key of the shipped config set near its default or to an extreme:
+    # the check ends in exit 0, 2, 3 or 4, never in a traceback, and any
+    # warning fails the test (warnings are errors under pytest here)
+    key, value = override
+    time_mode, limiter = mode
+    argv = ["check", str(SHIPPED), "--set", "n_cells=24",
+            "--set", f"time_mode={time_mode}", "--set", f"limiter={limiter}",
+            "--set", f"{key}={value!r}"]
+    assert main(argv) in (EXIT_OK, EXIT_CONFIG, EXIT_STEP, EXIT_ORACLE)

@@ -805,6 +805,10 @@ def test_sweep_checks_every_config_before_its_first_run(monkeypatch):
     with pytest.raises(ConfigError, match=r"n_cells must lie in \[3, 1000000\], "
                                           r"got 2$"):
         run_sweep(cfg, meshes=[2000, 2], schemes=["upwind", "muscl"])
+    # a fixed dt would not refine time with the mesh
+    fixed = CaseConfig(time_mode="explicit-limited", dt=1e-5)
+    with pytest.raises(ConfigError, match="needs a cfl target, not a fixed dt"):
+        run_sweep(fixed, meshes=[20, 40], schemes=["upwind"])
     assert calls == []
 
 

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -67,8 +68,9 @@ def test_gradient_divergence_duality():
 
 
 def test_scale_pressure_gradient_factor():
-    g = np.array([0.0, 2.0, 0.0])
-    out = scale_pressure_gradient(g, np.full(3, 4.0), np.full(3, 1.0))
+    level = SimpleNamespace(grad_p=np.array([0.0, 2.0, 0.0]),
+                            rho_d=np.full(3, 4.0), rho_d_prev=np.full(3, 1.0))
+    out = scale_pressure_gradient(level)
     assert np.allclose(out, [0.0, 4.0, 0.0])
 
 
@@ -85,7 +87,7 @@ def test_prediction_satisfies_momentum_balance():
     Fd = dual_mass_flux(F)
     rho_d_n = state.rho_d
     rho_d_nm1 = state.rho_d_prev
-    sgp = scale_pressure_gradient(state.grad_p, rho_d_n, rho_d_nm1)
+    sgp = scale_pressure_gradient(state)
     u_t = predict_velocity(state, sgp)
     assert u_t[0] == 0.0 and u_t[-1] == 0.0
     # re-assemble the dual-cell balance with centred face velocities
@@ -196,7 +198,7 @@ def test_correction_solve_converges_on_benchmark_step():
 def _correction_system(state):
     """The correction system of the first step from ``state`` without heat
     release, with the inputs it was built from."""
-    sgp = scale_pressure_gradient(state.grad_p, state.rho_d, state.rho_d_prev)
+    sgp = scale_pressure_gradient(state)
     u_t = predict_velocity(state, sgp)
     source = compensation_source(kinetic_residuals(state, u_t), state.grid)
     system = _CorrectionSystem(state, u_t, sgp, source)
@@ -307,7 +309,7 @@ def test_end_of_step_velocity_is_the_correction_relation_at_p():
     setup = initialize_case(CaseConfig())
     state = setup.state
     omega = chemistry_step(state, setup.chem_config).omega_theta
-    sgp = scale_pressure_gradient(state.grad_p, state.rho_d, state.rho_d_prev)
+    sgp = scale_pressure_gradient(state)
     u_t = predict_velocity(state, sgp)
     R = kinetic_residuals(state, u_t)
     system = _CorrectionSystem(state, u_t, sgp,

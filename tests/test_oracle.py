@@ -159,6 +159,14 @@ def test_overflowing_flame_speed_is_an_oracle_error():
         solve_deflagration_riemann(mix, P_FRESH, T_FRESH, y, 1e300)
 
 
+def test_too_fast_a_flame_leaves_no_positive_burnt_state():
+    # at 1e12 m/s the burnt pressure p - rho u_flame u comes out negative
+    mix = benchmark_mixture()
+    y = mass_fractions_from_molar(mix, 2.0 / 7.0, 1.0 / 7.0, 4.0 / 7.0)
+    with pytest.raises(OracleError, match="non-positive burnt state"):
+        solve_deflagration_riemann(mix, P_FRESH, T_FRESH, y, 1e12)
+
+
 def test_overflowing_fresh_pressure_is_an_oracle_error():
     # the pressure balance overflows to inf, then NaN, while the bracket
     # doubles; under warnings-as-errors that must not surface as a warning
@@ -295,6 +303,8 @@ def test_sample_solution_needs_positive_time():
     pat = benchmark_pattern()
     with pytest.raises(OracleError):
         sample_solution(pat, np.array([0.0]), 0.0)
+    with pytest.raises(OracleError, match="needs t > 0"):
+        interval_averages(pat, np.array([0.0, 1.0]), -1e-3)
 
 
 def test_interval_averages_against_quadrature():
