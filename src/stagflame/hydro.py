@@ -427,15 +427,15 @@ def correction_solve(state, u_tilde, sgp, omega_theta, R):
     )
 
 
-@np.errstate(invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore")
 def euler_step(state, omega_theta):
     """One full flow step from an accepted state (chemistry already done).
 
     Returns the ``FlowResult``: the corrected fields plus the prediction
     by-products needed for the energy audit.  The step size, fluxes, dual
-    densities and pressure gradient are the state's own.  A non-finite u or
-    p turns into NaN on the way (inf - inf) without a warning, and the
-    correction solve's finiteness test ends the step.
+    densities and pressure gradient are the state's own.  A u or p that
+    overflows or turns non-finite goes on as inf or NaN without a warning,
+    and the correction solve's finiteness test ends the step.
     """
     sgp = scale_pressure_gradient(state)
     u_tilde = predict_velocity(state, sgp)

@@ -128,6 +128,19 @@ def test_explicit_step_past_cfl_one_is_a_step_failure(config_file, capsys):
     assert "material CFL" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("limiter", ["muscl", "antidiffusive"])
+def test_overflowing_correction_is_a_step_failure(limiter, capsys):
+    # a vanishing reaction time scales the round-off left in the burnt
+    # cells' reaction invariant up to a heat release that drives Newton's
+    # pressures past the largest double: the step fails, without a warning
+    code = main(["check", str(SHIPPED), "--set", "n_cells=24",
+                 "--set", "time_mode=explicit-limited",
+                 "--set", f"limiter={limiter}",
+                 "--set", "epsilon_per_h=1e-300"])
+    assert code == EXIT_STEP
+    assert "non-finite Newton step" in capsys.readouterr().err
+
+
 def test_unsolvable_correction_is_a_step_failure(config_file, capsys,
                                                  monkeypatch):
     monkeypatch.setattr(hydro, "_NONLINEAR_TOL", 1e-14)
