@@ -14,6 +14,7 @@ from .harness import (
     load_config,
     run_case,
     run_sweep,
+    sweep_report,
     sweep_text,
     write_oracle_csv,
     write_run_csvs,
@@ -120,10 +121,10 @@ def _cmd_sweep(args):
     path = f"{args.output_prefix}_sweep.csv" if args.output_prefix else None
     if path:
         _require_output_dir(path)
-    runs = run_sweep(config, meshes, schemes)
-    print(sweep_text(runs))
+    report = sweep_report(run_sweep(config, meshes, schemes))
+    print(sweep_text(report))
     if path:
-        write_sweep_csv(path, runs)
+        write_sweep_csv(path, report)
         print(f"wrote {path}")
     return EXIT_OK
 
@@ -146,8 +147,7 @@ def _cmd_oracle(args):
           f"u {pattern.u_fresh:.8e}")
     print(f"  flame speed {pattern.s_flame:.8e}, precursor speed "
           f"{pattern.s_shock:.8e}, heat release {pattern.heat_release:.8e}")
-    res = rh_residuals(pattern)
-    worst = max(res.values())
+    worst = max(rh_residuals(pattern).values())
     print(f"  worst jump-relation residual: {worst:.3e}")
     if args.csv:
         t = args.time if args.time is not None else config.t_end

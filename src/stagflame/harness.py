@@ -110,7 +110,6 @@ class CaseConfig:
     p_fresh: float = 9.9e4
     T_fresh: float = 283.0
     u_flame: float = 63.0
-    x0: float = 0.0
     t_start: float = 0.002
     t_end: float = 0.005
     cfl: float = None
@@ -139,9 +138,8 @@ class CaseConfig:
             raise ConfigError("set at most one of cfl, dt")
         if self.cfl is None and self.dt is None:
             self.cfl = 0.8
-        if self.cfl is not None:
-            if self.time_mode == "explicit-limited" and self.cfl > 1.0:
-                raise ConfigError("cfl must lie in (0, 1] for explicit-limited mode")
+        if self.dt is None and self.cfl > 1.0 and self.time_mode == "explicit-limited":
+            raise ConfigError("cfl must lie in (0, 1] for explicit-limited mode")
         if self.limiter not in MODE_SCHEMES[self.time_mode]:
             raise ConfigError(f"limiter = {self.limiter} needs time_mode = "
                               f"explicit-limited: implicit mode always "
@@ -174,9 +172,6 @@ class CaseConfig:
             flame_speed_product=flame_speed_product,
             limiter=LimiterParams(scheme=self.limiter) if explicit else None,
         )
-
-    def resolved_dict(self):
-        return {k: v for k, v in vars(self).items() if v is not None}
 
 
 def _coerce(key, raw, ftype):
@@ -305,11 +300,10 @@ def initialize_case(config):
     """
     grid = build_uniform_grid(config.n_cells, config.x_left, config.x_right)
     pattern = case_pattern(config)
-    cells = exact_cell_averages(pattern, grid, config.t_start, config.x0)
-    duals = exact_dual_averages(pattern, grid, config.t_start, config.x0)
-    u0 = np.asarray(duals["u"])
-    u0[0] = 0.0
-    u0[-1] = 0.0
+    cells = exact_cell_averages(pattern, grid, config.t_start)
+    duals = exact_dual_averages(pattern, grid, config.t_start)
+    u0 = duals["u"]
+    u0[[0, -1]] = 0.0
     rho_prev = cells["rho"]
     scalars = {k: cells[k]
                for k in ("h_s", "y_F", "y_O", "y_N", "y_P", "z", "G")}
@@ -322,6 +316,11 @@ def initialize_case(config):
                           f"to cover [{config.t_start!r}, {config.t_end!r}], "
                           f"more than {MAX_STEPS}")
     n_steps = max(1, int(steps))
+    # the wave starts at the left wall; Python floats overflow without a warning
+    x_shock = config.x_left + float(pattern.s_shock) * config.t_end
+    if x_shock >= config.x_right:
+        raise ConfigError(f"the precursor shock reaches x = {x_shock:.6g} by t_end "
+                          f"{config.t_end!r}, at or past x_right {config.x_right!r}")
 
     state = balanced_level(grid, pattern.mixture, span / n_steps, rho_prev, u0,
                            **scalars)
@@ -428,14 +427,14 @@ def run_case(config, collect_diagnostics=True):
                 "min_G": float(state.G.min()), "max_G": float(state.G.max()),
             })
     wall = time.perf_counter() - started
-    errors = l1_error(state, setup.pattern, t, config.x0)
+    errors = l1_error(state, setup.pattern, t)
     return RunResult(
         config=config, state=state, n_steps=setup.n_steps, t_final=t,
         diagnostics=rows, errors=errors, energy_drift_rel=drift, wall_time=wall,
     )
 
 
-def l1_error(state, pattern, t, x0=0.0):
+def l1_error(state, pattern, t):
     """Discrete L1 distances to the exact solution at time t.
 
     Cell fields integrate |difference| against the cell volumes; the
@@ -444,11 +443,11 @@ def l1_error(state, pattern, t, x0=0.0):
     """
     grid = state.grid
     mix = state.mixture
-    cells = exact_cell_averages(pattern, grid, t, x0)
-    duals = exact_dual_averages(pattern, grid, t, x0)
+    cells = exact_cell_averages(pattern, grid, t)
+    duals = exact_dual_averages(pattern, grid, t)
     vol = grid.cell_volumes
     T_num = temperature(mix, state.e_s, state.y_F, state.y_O, state.y_N, state.y_P)
-    out = {
+    return {
         "p": float(np.sum(vol * np.abs(state.p - cells["p"]))),
         "rho": float(np.sum(vol * np.abs(state.rho - cells["rho"]))),
         "y_F": float(np.sum(vol * np.abs(state.y_F - cells["y_F"]))),
@@ -456,7 +455,6 @@ def l1_error(state, pattern, t, x0=0.0):
         "T": float(np.sum(vol * np.abs(T_num - cells["T"]))),
         "u": float(np.sum(grid.dual_volumes * np.abs(state.u - duals["u"]))),
     }
-    return out
 
 
 def burnt_zone_asymptotic_distance(state):
@@ -503,8 +501,9 @@ def write_run_csvs(prefix, result):
     """Write ``<prefix>_profile.csv``, one row per cell of the final state,
     and ``<prefix>_diag.csv``, one row per step.  Both headers embed the
     resolved config and the run's t_final, dt_used and n_steps."""
-    header = {**result.config.resolved_dict(), "t_final": result.t_final,
-              "dt_used": result.state.dt, "n_steps": result.n_steps}
+    header = {k: v for k, v in vars(result.config).items() if v is not None}
+    header.update(t_final=result.t_final, dt_used=result.state.dt,
+                  n_steps=result.n_steps)
     state = result.state
     grid = state.grid
     mix = state.mixture
@@ -527,7 +526,7 @@ def write_oracle_csv(path, pattern, config, t):
     """Sample the exact solution at time t at ``n_cells`` evenly spaced points
     spanning the domain, ends included; one column per field."""
     x = np.linspace(config.x_left, config.x_right, config.n_cells)
-    fields = sample_solution(pattern, x, t, config.x0)
+    fields = sample_solution(pattern, x - config.x_left, t)
     names = sorted(fields)
     write_csv(path, ["x"] + names, np.column_stack([x] + [fields[k] for k in names]))
 
@@ -574,13 +573,25 @@ def observed_orders(runs, field):
     return pairs, slope
 
 
-def sweep_text(runs):
-    """The report of a sweep's runs, scheme by scheme as ``run_sweep``
-    returns them: per scheme its settings, the L1 errors of each mesh, the
-    observed orders, the burnt-zone distances and the wall times."""
-    out = []
+def sweep_report(runs):
+    """What a sweep's text and CSV report, computed once: for each scheme,
+    in the order ``run_sweep`` returns them, a tuple of the scheme, its runs,
+    each error field's observed orders and each run's burnt-zone distance."""
+    report = []
     for scheme, group in groupby(runs, attrgetter("config.limiter")):
         group = list(group)
+        report.append((scheme, group,
+                       {f: observed_orders(group, f) for f in ERROR_FIELDS},
+                       [burnt_zone_asymptotic_distance(r.state) for r in group]))
+    return report
+
+
+def sweep_text(report):
+    """The text of a ``sweep_report``: per scheme its settings, the L1
+    errors of each mesh, the observed orders, the burnt-zone distances and
+    the wall times."""
+    out = []
+    for scheme, group, orders, dist in report:
         c = group[0].config
         eps = ",".join(f"{c.epsilon_per_h * r.state.grid.h:.6g}" for r in group)
         out += [
@@ -598,29 +609,21 @@ def sweep_text(runs):
             out.append(f"  {r.config.n_cells:5d}  {r.state.grid.h:.5f}"
                        + "".join(f"  {r.errors[f]:10.4e}" for f in ERROR_FIELDS))
         out.append("  observed orders (consecutive pairs, then least squares):")
-        for f in ERROR_FIELDS:
-            pairs, slope = observed_orders(group, f)
+        for f, (pairs, slope) in orders.items():
             out.append(f"    {f:>4}: {', '.join(f'{o:.3f}' for o in pairs)}"
                        f"  | ls {slope:.3f}")
-        dist = ", ".join(f"{burnt_zone_asymptotic_distance(r.state):.4e}"
-                         for r in group)
-        out.append(f"  burnt-zone distance to fast-chemistry limit: {dist}")
+        out.append("  burnt-zone distance to fast-chemistry limit: "
+                   + ", ".join(f"{d:.4e}" for d in dist))
         out.append("  wall times [s]: "
                    + ", ".join(f"{r.wall_time:.2f}" for r in group))
     return "\n".join(out)
 
 
-def write_sweep_csv(path, runs):
-    """Write one row per run of a sweep, scheme by scheme as ``run_sweep``
-    returns them; the last mesh of a scheme has no observed orders."""
-    rows = []
-    for _, group in groupby(runs, attrgetter("config.limiter")):
-        group = list(group)
-        orders = [observed_orders(group, f)[0] for f in ERROR_FIELDS]
-        for i, r in enumerate(group):
-            rows.append(
-                [r.config.limiter, r.config.n_cells, r.state.grid.h,
-                 r.wall_time, burnt_zone_asymptotic_distance(r.state)]
-                + [r.errors[f] for f in ERROR_FIELDS]
-                + [o[i] if i < len(o) else "" for o in orders])
-    write_csv(path, _SWEEP_COLUMNS, rows)
+def write_sweep_csv(path, report):
+    """Write one row per run of a ``sweep_report``; the last mesh of a
+    scheme has no observed orders."""
+    write_csv(path, _SWEEP_COLUMNS, (
+        [scheme, r.config.n_cells, r.state.grid.h, r.wall_time, dist[i]]
+        + [r.errors[f] for f in ERROR_FIELDS]
+        + [orders[f][0][i] if i < len(group) - 1 else "" for f in ERROR_FIELDS]
+        for scheme, group, orders, dist in report for i, r in enumerate(group)))

@@ -22,6 +22,7 @@ from stagflame.harness import (
     observed_orders,
     run_case,
     run_sweep,
+    sweep_report,
     sweep_text,
 )
 from stagflame.hydro import _NONLINEAR_TOL
@@ -394,7 +395,7 @@ def test_criterion_9_convergence_orders(sweep_runs):
                 factor_ok = factor_ok and 0.5 <= ratio <= 2.0
 
     # each scheme's block of the report states the settings it ran with
-    blocks = sweep_text(runs).split("scheme = ")[1:]
+    blocks = sweep_text(sweep_report(runs)).split("scheme = ")[1:]
     meta_ok = [b.split("\n", 1)[0] for b in blocks] == list(SCHEMES) and all(
         f"\n  {key} = " in b
         for b in blocks for key in ("gamma", "cfl", "epsilon_per_h"))

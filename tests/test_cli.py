@@ -84,18 +84,36 @@ def test_bad_config_values_are_config_errors(config_file, capsys, override,
     assert re.search(reason, err)
 
 
+@pytest.mark.parametrize("verb,override,shock,wall", [
+    ("run", "x_right=3.0", "3.51828", "x_right 3.0"),
+    ("check", "x_right=3.0", "3.51828", "x_right 3.0"),
+    ("check", "x_left=1.0", "4.51828", "x_right 4.5"),
+])
+def test_a_domain_the_shock_leaves_is_a_config_error(verb, override, shock,
+                                                     wall, capsys):
+    # the shipped case's precursor shock runs 3.52 from the left wall by
+    # t_end: a right wall it reaches is refused before the first step
+    assert main([verb, str(SHIPPED), "--set", override]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"configuration error: the precursor shock "
+                            f"reaches x = {shock} by t_end 0.005, at or past "
+                            f"{wall}\n")
+
+
 @pytest.mark.parametrize("override", [
     "init_mode=uniform", "nonlinear_tol=1e-14", "max_iterations=1",
     "grad_threshold=0", "flame_speed_product=50", "output_prefix=out",
     "epsilon=1e-4", "zeta_minus=1.0", "zeta_plus=1.0",
-    "neighbor_policy=opposite_cells", "s_max=2.0",
+    "neighbor_policy=opposite_cells", "s_max=2.0", "x0=0.0",
 ])
 def test_removed_keys_are_config_errors(config_file, capsys, override):
     # the Newton tolerance and cap and the front cutoff are constants, the
     # flame speed is the oracle's, the run starts from the oracle's state,
     # the output prefix is the --output-prefix flag, the chemical time
     # shrinks with the mesh (epsilon_per_h), and the face schemes keep their
-    # default tuning, so even a default value is unknown
+    # default tuning, and the wave starts at the left wall, so even a
+    # default value is unknown
     assert main(["run", config_file, "--set", override]) == EXIT_CONFIG
     assert "unknown config key" in capsys.readouterr().err
 
@@ -268,13 +286,27 @@ def test_vanishing_fresh_density_is_an_oracle_error(config_file, capsys,
     assert captured.out == ""
 
 
-def test_sweep_verb(config_file, tmp_path, capsys):
+def test_sweep_verb(config_file, tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapper
+
+    for name in ("observed_orders", "burnt_zone_asymptotic_distance"):
+        monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
     prefix = str(tmp_path / "study")
     code = main(["sweep", config_file, "--meshes", "24,48",
                  "--schemes", "upwind,antidiffusive",
                  "--set", "time_mode=explicit-limited",
                  "--output-prefix", prefix])
     assert code == EXIT_OK
+    # the text and the CSV share one report: each scheme's orders of each
+    # error field and each run's burnt-zone distance are computed once
+    assert calls.count("observed_orders") == 2 * len(harness.ERROR_FIELDS)
+    assert calls.count("burnt_zone_asymptotic_distance") == 4
     out = capsys.readouterr().out
     assert "scheme = upwind" in out
     assert "scheme = antidiffusive" in out
@@ -377,7 +409,7 @@ NEAR_DEFAULT = {f.name: _near(getattr(_DEFAULTS, f.name))
                 for f in fields(CaseConfig)
                 if f.name not in ("n_cells", "time_mode", "limiter")}
 NEAR_DEFAULT["n_cells"] = st.integers(3, 48)
-NEAR_DEFAULT["x_left"] = NEAR_DEFAULT["x0"] = st.floats(-1.0, 1.0)
+NEAR_DEFAULT["x_left"] = st.floats(-1.0, 1.0)
 
 
 @st.composite

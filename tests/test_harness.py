@@ -23,6 +23,7 @@ from stagflame.harness import (
     parse_config_text,
     run_case,
     run_sweep,
+    sweep_report,
     sweep_text,
     write_csv,
     write_run_csvs,
@@ -156,7 +157,7 @@ def test_choice_keys_are_checked_when_the_config_is_built():
 
 
 # A flame that neither moves nor releases heat: the exact solution is the
-# fresh gas at rest, and the burnt zone (x < x0 = 0) lies outside the domain.
+# fresh gas at rest: the burnt zone never leaves the left wall.
 _STATIC_FLAME = dict(u_flame=0.0, dh_P=0.0)
 
 
@@ -195,6 +196,37 @@ def test_initialize_case_benchmark_structure():
         setup.pattern.flame_speed_product)
     # the chemical time is epsilon_per_h times the cell size
     assert setup.chem_config.epsilon == 1e-2 * state.grid.h
+
+
+@pytest.mark.parametrize("mode", [
+    {},
+    {"time_mode": "explicit-limited", "limiter": "antidiffusive"},
+], ids=["implicit-upwind", "explicit-antidiffusive"])
+def test_the_wave_starts_at_the_left_wall(mode):
+    # the shipped case on a domain moved to the right or the left: the wave
+    # moves with the wall, so the run takes the same steps and its errors
+    # change only by the round-off of the shifted positions
+    base = dataclasses.replace(load_config(ROOT / "configs" / "benchmark.cfg"),
+                               n_cells=120, **mode)
+    ref = run_case(base, collect_diagnostics=False)
+    for shift in (0.5, -3.0):
+        moved = run_case(dataclasses.replace(base, x_left=base.x_left + shift,
+                                             x_right=base.x_right + shift),
+                         collect_diagnostics=False)
+        assert moved.n_steps == ref.n_steps
+        for field, err in ref.errors.items():
+            assert moved.errors[field] == pytest.approx(err, rel=1e-9), field
+
+
+def test_a_moved_wall_holds_burnt_gas_at_rest():
+    # the flame is 0.93 from the wall at t_start: with the wall at 0.95 the
+    # first cells are burnt and their faces at rest, not shocked gas moving
+    setup = initialize_case(CaseConfig(n_cells=24, x_left=0.95))
+    h = setup.state.grid.h
+    burnt = int(setup.pattern.s_flame * 0.002 // h)
+    assert burnt >= 5
+    assert np.all(setup.state.G[:burnt] == 0.0)
+    assert np.all(setup.state.u[:burnt] == 0.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -667,8 +699,8 @@ def test_l1_error_zero_for_exact_state():
     state = setup.state
     # replace with the exact averages the initialiser sampled from
     from stagflame.oracle import exact_cell_averages, exact_dual_averages
-    cells = exact_cell_averages(setup.pattern, state.grid, 0.002, 0.0)
-    duals = exact_dual_averages(setup.pattern, state.grid, 0.002, 0.0)
+    cells = exact_cell_averages(setup.pattern, state.grid, 0.002)
+    duals = exact_dual_averages(setup.pattern, state.grid, 0.002)
     gamma = state.mixture.gamma
     state = dataclasses.replace(
         state, rho=cells["rho"], p=cells["p"], u=np.asarray(duals["u"]),
@@ -750,7 +782,7 @@ def test_sweep_rows_and_report(tmp_path):
     # two meshes: the least-squares line passes through both points
     assert slope == pytest.approx(pairs[0])
     path = tmp_path / "sweep.csv"
-    write_sweep_csv(path, up)
+    write_sweep_csv(path, sweep_report(up))
     rows = path.read_text().splitlines()
     head = rows[0].split(",")
     assert head[:5] == ["scheme", "n_cells", "h", "wall_time",
@@ -760,13 +792,13 @@ def test_sweep_rows_and_report(tmp_path):
     assert rows[1].split(",")[0] == "upwind"
     # the second mesh row carries no order entry of its own
     assert rows[2].split(",")[-1] == ""
-    text = sweep_text(up)
+    text = sweep_text(sweep_report(up))
     assert "scheme = upwind" in text
     for key in ("gamma", "cfl", "epsilon_per_h", "dt_per_mesh"):
         assert f"\n  {key} = " in text
     assert "ls" in text and "burnt-zone distance" in text
-    assert re.findall(r"scheme = (\w+)", sweep_text(runs)) == ["upwind",
-                                                              "muscl"]
+    assert re.findall(r"scheme = (\w+)",
+                      sweep_text(sweep_report(runs))) == ["upwind", "muscl"]
 
 
 def _power_law_runs(meshes, C, q):
