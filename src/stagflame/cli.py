@@ -85,11 +85,10 @@ def _cmd_run(args):
     print(f"ran {result.n_steps} steps of {result.state.dt:.6e} s "
           f"to t = {result.t_final:.6f} s on {config.n_cells} cells")
     print(f"relative total-energy drift: {result.energy_drift_rel:.3e}")
-    if result.diagnostics:
-        last = result.diagnostics[-1]
-        print(f"final cfl {last['cfl']:.3f}, correction residual "
-              f"{last['correction_residual']:.3e} "
-              f"({last['correction_iterations']} iterations)")
+    last = result.diagnostics[-1]
+    print(f"final cfl {last['cfl']:.3f}, correction residual "
+          f"{last['correction_residual']:.3e} "
+          f"({last['correction_iterations']} iterations)")
     parts = ", ".join(f"{k} {result.errors[k]:.4e}" for k in ERROR_FIELDS)
     print(f"L1 errors vs exact solution: {parts}")
     if prefix:

@@ -34,12 +34,17 @@ _PROFILE_COLUMNS = (
     "x_center", "rho", "p", "u_face_interp", "T", "e_s", "h_s",
     "y_F", "y_O", "y_N", "y_P", "z", "G",
 )
-_DIAG_COLUMNS = (
-    "step", "t", "dt", "cfl", "mass_total", "energy_total",
-    "energy_drift_rel", "correction_residual", "correction_iterations",
-    "used_fallback", "kinetic_residual_total", "max_sum_y_error",
-    "min_G", "max_G",
-)
+# One record of RunResult.diagnostics per step, in _diag.csv column order.
+DIAG_DTYPE = np.dtype([
+    ("step", np.int64), ("t", np.float64), ("dt", np.float64),
+    ("cfl", np.float64), ("mass_total", np.float64),
+    ("energy_total", np.float64), ("energy_drift_rel", np.float64),
+    ("correction_residual", np.float64),
+    ("correction_iterations", np.int64), ("used_fallback", np.int64),
+    ("kinetic_residual_total", np.float64),
+    ("max_sum_y_error", np.float64), ("min_G", np.float64),
+    ("max_G", np.float64),
+])
 ERROR_FIELDS = ("p", "u", "rho", "y_F", "G", "T")
 _SWEEP_COLUMNS = (
     ("scheme", "n_cells", "h", "wall_time", "asymptotic_distance")
@@ -383,7 +388,7 @@ class RunResult:
     state: FieldState
     n_steps: int
     t_final: float
-    diagnostics: list
+    diagnostics: np.ndarray  # DIAG_DTYPE records, one per step
     errors: dict
     energy_drift_rel: float
     wall_time: float
@@ -393,7 +398,9 @@ def run_case(config, collect_diagnostics=True):
     """Run a case from t_start to t_end with the fixed step chosen at setup.
 
     The total energy is audited after every step when diagnostics are
-    collected, otherwise only after the last one, the only drift kept.  A
+    collected, otherwise only after the last one, the only drift kept.
+    ``diagnostics`` holds one ``DIAG_DTYPE`` record per step, or none
+    without diagnostics; records and columns index by field name.  A
     StepFailure is raised again with the step index and the time the step
     started from in front of its message.
     """
@@ -401,7 +408,7 @@ def run_case(config, collect_diagnostics=True):
     state = setup.state
     dt = state.dt
     e0 = total_energy(state)
-    rows = []
+    rows = np.empty(setup.n_steps if collect_diagnostics else 0, DIAG_DTYPE)
     started = time.perf_counter()
     for step in range(1, setup.n_steps + 1):
         try:
@@ -415,17 +422,14 @@ def run_case(config, collect_diagnostics=True):
             drift = abs(e_now - e0) / abs(e0)
         if collect_diagnostics:
             flow = info["flow"]
-            rows.append({
-                "step": step, "t": t, "dt": dt, "cfl": state.cfl,
-                "mass_total": float((state.grid.cell_volumes * state.rho).sum()),
-                "energy_total": e_now, "energy_drift_rel": drift,
-                "correction_residual": flow.residual,
-                "correction_iterations": flow.iterations,
-                "used_fallback": 0,  # kept column: Newton has no fallback
-                "kinetic_residual_total": float(flow.kinetic_residual.sum()),
-                "max_sum_y_error": info["max_sum_y_error"],
-                "min_G": float(state.G.min()), "max_G": float(state.G.max()),
-            })
+            rows[step - 1] = (
+                step, t, dt, state.cfl,
+                (state.grid.cell_volumes * state.rho).sum(),
+                e_now, drift, flow.residual, flow.iterations,
+                0,  # used_fallback, a kept column: Newton has no fallback
+                flow.kinetic_residual.sum(), info["max_sum_y_error"],
+                state.G.min(), state.G.max(),
+            )
     wall = time.perf_counter() - started
     errors = l1_error(state, setup.pattern, t)
     return RunResult(
@@ -517,9 +521,7 @@ def write_run_csvs(prefix, result):
     }
     write_csv(f"{prefix}_profile.csv", _PROFILE_COLUMNS,
               np.column_stack([cols[c] for c in _PROFILE_COLUMNS]), header)
-    write_csv(f"{prefix}_diag.csv", _DIAG_COLUMNS,
-              ([row[c] for c in _DIAG_COLUMNS] for row in result.diagnostics),
-              header)
+    write_csv(f"{prefix}_diag.csv", DIAG_DTYPE.names, result.diagnostics, header)
 
 
 def write_oracle_csv(path, pattern, config, t):

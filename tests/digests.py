@@ -50,8 +50,10 @@ def run_digest(result):
     h = hashlib.sha256()
     for name in LEVEL_FIELDS:
         _update(h, name, getattr(result.state, name))
+    # the recorded digests hash each record's fields in name order
+    names = sorted(result.diagnostics.dtype.names)
     for row in result.diagnostics:
-        _update(h, ",".join(sorted(row)), [row[k] for k in sorted(row)])
+        _update(h, ",".join(names), [row[k] for k in names])
     errors = result.errors
     _update(h, ",".join(sorted(errors)), [errors[k] for k in sorted(errors)])
     return h.hexdigest()

@@ -33,6 +33,39 @@ def test_run_verb_writes_outputs(config_file, tmp_path, capsys):
     assert (tmp_path / "out_diag.csv").exists()
 
 
+def test_run_diag_csv_reads_back_bit_for_bit(config_file, tmp_path, capsys,
+                                             monkeypatch):
+    # every _diag.csv value parses back to the run's record exactly, the
+    # integer columns as integers, and the summary prints an integer count
+    results = []
+    original = cli.run_case
+
+    def recording(config):
+        results.append(original(config))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "run_case", recording)
+    prefix = str(tmp_path / "out")
+    assert main(["run", config_file, "--output-prefix", prefix]) == EXIT_OK
+    diag = results[0].diagnostics
+    lines = [line for line in (tmp_path / "out_diag.csv").read_text().splitlines()
+             if not line.startswith("#")]
+    names = lines[0].split(",")
+    assert tuple(names) == diag.dtype.names
+    ints = {"step", "correction_iterations", "used_fallback"}
+    rows = []
+    for line in lines[1:]:
+        values = line.split(",")
+        assert all(v.lstrip("-").isdigit() for n, v in zip(names, values)
+                   if n in ints), line
+        rows.append(tuple(int(v) if n in ints else float(v)
+                          for n, v in zip(names, values)))
+    assert np.array(rows, dtype=diag.dtype).tobytes() == diag.tobytes()
+    out = capsys.readouterr().out
+    count = re.search(r"\((\d+) iterations\)", out)
+    assert count and int(count[1]) == diag[-1]["correction_iterations"]
+
+
 def test_unknown_key_is_a_config_error(config_file, capsys):
     code = main(["run", config_file, "--set", "bogus=1"])
     assert code == EXIT_CONFIG

@@ -12,6 +12,7 @@ from stagflame import chemistry, harness, thermo
 from stagflame.chemistry import ChemStepConfig
 from stagflame.errors import ConfigError, StepFailure, require_fraction
 from stagflame.harness import (
+    DIAG_DTYPE,
     CaseConfig,
     advance,
     burnt_zone_asymptotic_distance,
@@ -451,6 +452,29 @@ def test_run_case_small_benchmark():
     assert -1e-10 <= last["min_G"] and last["max_G"] <= 1.0 + 1e-10
 
 
+def test_diagnostics_are_one_record_per_step(tmp_path):
+    # the records carry the _diag.csv columns in order, 112 bytes a step
+    cfg = CaseConfig(n_cells=40, t_end=0.0024)
+    result = run_case(cfg)
+    diag = result.diagnostics
+    write_run_csvs(tmp_path / "run", result)
+    header = [line for line in (tmp_path / "run_diag.csv").read_text().splitlines()
+              if not line.startswith("#")][0]
+    assert diag.dtype.names == tuple(header.split(","))
+    ints = ("step", "correction_iterations", "used_fallback")
+    assert all(diag.dtype[name] == np.int64 for name in ints)
+    assert all(diag.dtype[name] == np.float64
+               for name in diag.dtype.names if name not in ints)
+    assert diag.dtype.itemsize == 112
+    assert diag.shape == (result.n_steps,)
+    assert diag["step"].tolist() == list(range(1, result.n_steps + 1))
+    assert (diag["dt"] == result.state.dt).all()
+    assert not diag["used_fallback"].any()
+    assert diag[-1]["energy_drift_rel"] == result.energy_drift_rel
+    off = run_case(cfg, collect_diagnostics=False)
+    assert off.diagnostics.shape == (0,) and off.diagnostics.dtype == diag.dtype
+
+
 def test_run_without_diagnostics_audits_start_and_end(monkeypatch):
     # only the last drift is kept, so only e0 and the final state are audited
     cfg = CaseConfig(n_cells=40, t_end=0.0024)
@@ -463,7 +487,7 @@ def test_run_without_diagnostics_audits_start_and_end(monkeypatch):
     monkeypatch.setattr(harness, "total_energy", counting)
     off = run_case(cfg, collect_diagnostics=False)
     assert len(audits) == 2
-    assert off.diagnostics == []
+    assert len(off.diagnostics) == 0 and off.diagnostics.dtype == DIAG_DTYPE
     on = run_case(cfg)
     assert len(audits) == 3 + on.n_steps
     assert off.energy_drift_rel == on.energy_drift_rel
@@ -563,7 +587,7 @@ def test_no_step_writes_into_a_level(monkeypatch, overrides):
     for name in _FIELDS:
         assert (getattr(got.state, name).tobytes()
                 == getattr(want.state, name).tobytes()), name
-    assert got.diagnostics == want.diagnostics
+    assert got.diagnostics.tobytes() == want.diagnostics.tobytes()
     assert got.errors == want.errors
 
 
@@ -596,7 +620,7 @@ def test_no_scalar_writes_into_the_arrays_of_its_step(monkeypatch, overrides):
     for name in _FIELDS:
         assert (getattr(got.state, name).tobytes()
                 == getattr(want.state, name).tobytes()), name
-    assert got.diagnostics == want.diagnostics
+    assert got.diagnostics.tobytes() == want.diagnostics.tobytes()
     assert got.errors == want.errors
 
 
@@ -776,7 +800,8 @@ def test_sweep_rows_and_report(tmp_path):
         ("upwind", 24), ("upwind", 48), ("muscl", 24), ("muscl", 48)]
     up = runs[:2]
     assert up[0].state.grid.h == pytest.approx(4.5 / 24)
-    assert all(r.diagnostics == [] for r in runs)
+    assert all(len(r.diagnostics) == 0 and r.diagnostics.dtype == DIAG_DTYPE
+               for r in runs)
     pairs, slope = observed_orders(up, "rho")
     assert len(pairs) == 1
     # two meshes: the least-squares line passes through both points
