@@ -1,6 +1,7 @@
 """Command line front end: run, sweep, oracle, check."""
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -131,8 +132,8 @@ def _cmd_sweep(args):
 def _cmd_oracle(args):
     from .oracle import rh_residuals
 
-    if args.time is not None and not args.time > 0.0:
-        raise ConfigError(f"--time must be positive, got {args.time!r}")
+    if args.time is not None and not 0.0 < args.time < math.inf:
+        raise ConfigError(f"--time must be positive and finite, got {args.time!r}")
     config = load_config(args.config, args.overrides)
     if args.csv:
         _require_output_dir(args.csv)

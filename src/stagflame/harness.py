@@ -6,6 +6,7 @@ import time
 from dataclasses import dataclass, fields as dc_fields, replace
 from itertools import groupby
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -238,9 +239,9 @@ def load_config(path, overrides=()):
     return CaseConfig.from_dict(data)
 
 
-@dataclass
-class CaseSetup:
-    """Initialised case: the starting state plus everything derived."""
+class CaseSetup(NamedTuple):
+    """Initialised case: the starting state plus everything derived.  It
+    unpacks in field order, so that a caller need keep only what it reads."""
 
     state: FieldState
     pattern: object
@@ -400,42 +401,55 @@ def run_case(config, collect_diagnostics=True):
     The total energy is audited after every step when diagnostics are
     collected, otherwise only after the last one, the only drift kept.
     ``diagnostics`` holds one ``DIAG_DTYPE`` record per step, or none
-    without diagnostics; records and columns index by field name.  A
-    StepFailure is raised again with the step index and the time the step
-    started from in front of its message.
+    without diagnostics; records and columns index by field name.  A run
+    holds one time level and one step's results at a time: the starting
+    level is let go after the first step, and each step's stage results
+    after its record is written.  A StepFailure is raised again with the
+    step index and the time the step started from in front of its message.
     """
-    setup = initialize_case(config)
-    state = setup.state
+    state, pattern, chem_config, n_steps = initialize_case(config)
     dt = state.dt
     e0 = total_energy(state)
-    rows = np.empty(setup.n_steps if collect_diagnostics else 0, DIAG_DTYPE)
+    rows = np.empty(n_steps if collect_diagnostics else 0, DIAG_DTYPE)
     started = time.perf_counter()
-    for step in range(1, setup.n_steps + 1):
+    for step in range(1, n_steps + 1):
+        t = config.t_start + step * dt
         try:
-            state, info = advance(state, setup.chem_config)
+            state = _recorded_step(state, chem_config, rows, step, t, e0)
         except StepFailure as exc:
             t_from = config.t_start + (step - 1) * dt
             raise StepFailure(f"step {step} (t = {t_from:.9g}): {exc}") from exc
-        t = config.t_start + step * dt
-        if collect_diagnostics or step == setup.n_steps:
-            e_now = total_energy(state)
-            drift = abs(e_now - e0) / abs(e0)
-        if collect_diagnostics:
-            flow = info["flow"]
-            rows[step - 1] = (
-                step, t, dt, state.cfl,
-                (state.grid.cell_volumes * state.rho).sum(),
-                e_now, drift, flow.residual, flow.iterations,
-                0,  # used_fallback, a kept column: Newton has no fallback
-                flow.kinetic_residual.sum(), info["max_sum_y_error"],
-                state.G.min(), state.G.max(),
-            )
+    if collect_diagnostics:
+        drift = float(rows[-1]["energy_drift_rel"])
+    else:
+        drift = abs(total_energy(state) - e0) / abs(e0)
     wall = time.perf_counter() - started
-    errors = l1_error(state, setup.pattern, t)
+    errors = l1_error(state, pattern, t)
     return RunResult(
-        config=config, state=state, n_steps=setup.n_steps, t_final=t,
+        config=config, state=state, n_steps=n_steps, t_final=t,
         diagnostics=rows, errors=errors, energy_drift_rel=drift, wall_time=wall,
     )
+
+
+def _recorded_step(state, chem_config, rows, step, t, e0):
+    """``advance`` a run's level by its step ``step``, which ends at ``t``,
+    and return the new level.  When ``rows`` holds a record per step, the
+    step's record is written from the new level, its energy against the
+    starting ``e0`` and the stage results, which only this call holds, so
+    they are freed before the next step."""
+    state, info = advance(state, chem_config)
+    if len(rows):
+        e_now = total_energy(state)
+        flow = info["flow"]
+        rows[step - 1] = (
+            step, t, state.dt, state.cfl,
+            (state.grid.cell_volumes * state.rho).sum(),
+            e_now, abs(e_now - e0) / abs(e0), flow.residual, flow.iterations,
+            0,  # used_fallback, a kept column: Newton has no fallback
+            flow.kinetic_residual.sum(), info["max_sum_y_error"],
+            state.G.min(), state.G.max(),
+        )
+    return state
 
 
 def l1_error(state, pattern, t):

@@ -26,7 +26,10 @@ residual it is handed, keeping the operations of the formula its comment
 gives in their order, so that results stay bitwise those of the plain
 expression.  Nothing writes into an array of a level or into one that a
 ``FlowResult`` holds.  The one buffer an object keeps is the
-correction solve's Jacobian band, allocated once per solve.
+correction solve's Jacobian band, allocated once per solve.  A solve holds
+one linearisation at a time: each is let go once the Jacobian is built from
+it, and of the one at the converged iterate (or at the closing step's,
+when that is kept) only the face velocities are kept.
 
 The prediction and every Newton step are tridiagonal solves through
 ``solve_banded``, imported from ``stagflame.linalg`` under scipy's name and
@@ -340,6 +343,26 @@ class _CorrectionSystem:
             return None, "non-finite Newton step"
         return delta, None
 
+    def closing_step(self, p, r, res):
+        """One more Newton step from the converged ``p``, with the Jacobian
+        in ``band`` and ``r`` the residual at ``p`` (overwritten).
+
+        Returns the new iterate, its scaled residual and its interior face
+        velocities (the residual's a + b (p_L - p_R)), or None when there is
+        no usable step, or the step does not lower the residual below
+        ``res`` or leaves a pressure non-positive.  The step's residual and
+        linearisation are freed on return.
+        """
+        delta, _ = self.newton_step(r)
+        if delta is None:
+            return None
+        p_next = np.subtract(p, delta, out=delta)
+        r_next, lin = self.residual(p_next)
+        res_next = self.norm(r_next)
+        if res_next < res and p_next.min() > 0.0:
+            return p_next, res_next, lin[1]
+        return None
+
     def mass_norm(self, rho, flux):
         # hdt (rho - rho^n) + F_right - F_left
         r = rho - self.state.rho
@@ -370,10 +393,47 @@ def correction_solve(state, u_tilde, sgp, omega_theta, R):
     Jacobian or takes a non-finite step, the solve raises StepFailure naming
     the reason and the iteration count.  The reported residual is the larger
     of the scaled enthalpy and mass residuals.
+
+    Besides its inputs and the system's per-solve arrays (the band among
+    them), a solve holds the iterate p, the line step's spare buffer and one
+    residual with its linearisation (``residual``'s face quantities), which
+    it drops once the Jacobian is built from it.  Once Newton converges,
+    the spare buffer and the last Newton step are freed and only the face
+    velocities of the last linearisation are kept; the closing step
+    replaces them by its own iterate's only when the step is kept.  So at
+    most one set of residual and Jacobian temporaries is live.
     """
     S = compensation_source(R, state.grid)
     sys_ = _CorrectionSystem(state, u_tilde, sgp, omega_theta + S)
-    p = np.array(state.p, dtype=float)
+    p, r, res, u_face, it = _newton(sys_, np.array(state.p, dtype=float))
+    if it:  # the closing step
+        it += 1
+        closed = sys_.closing_step(p, r, res)
+        if closed is not None:
+            p, res, u_face = closed
+    u = np.zeros(sys_.n + 1)
+    u[1:-1] = u_face
+    rho = upwind_mass_solve(state.grid, state.rho, u, state.dt)
+    flux = primal_mass_flux(rho, u)
+    h_s = rho * sys_.kappa
+    np.divide(p, h_s, out=h_s)  # h_s = p / (kappa rho)
+    return FlowResult(
+        u=u, rho=rho, h_s=h_s, p=p, flux=flux,
+        iterations=it, residual=max(res, sys_.mass_norm(rho, flux)),
+        kinetic_residual=R, source=S,
+    )
+
+
+def _newton(sys_, p):
+    """Newton iterations on ``sys_`` from the pressures ``p`` (a buffer the
+    iterations overwrite) until the scaled residual meets the tolerance.
+
+    Returns ``(p, r, res, u, it)`` of that iterate: its residual and scaled
+    residual, its interior face velocities a + b (p_L - p_R) and the
+    iteration count; the rest of its linearisation, the spare buffer and
+    the last Newton step are freed on return.  Raises StepFailure when no
+    iterate meets the tolerance.
+    """
     spare = np.empty_like(p)  # the line step's trial, swapped with p
     why = "iteration cap reached"
     best, best_it = np.inf, 0
@@ -381,26 +441,7 @@ def correction_solve(state, u_tilde, sgp, omega_theta, R):
         r, lin = sys_.residual(p)
         res = sys_.norm(r)
         if res < _NONLINEAR_TOL:
-            if it:  # the closing step
-                delta, _ = sys_.newton_step(r)
-                it += 1
-                if delta is not None:
-                    p_next = np.subtract(p, delta, out=delta)
-                    r_next, lin_next = sys_.residual(p_next)
-                    res_next = sys_.norm(r_next)
-                    if res_next < res and p_next.min() > 0.0:
-                        p, res, lin = p_next, res_next, lin_next
-            u = np.zeros(sys_.n + 1)
-            u[1:-1] = lin[1]  # a + b (p_L - p_R) at the kept p
-            rho = upwind_mass_solve(state.grid, state.rho, u, state.dt)
-            flux = primal_mass_flux(rho, u)
-            h_s = rho * sys_.kappa
-            np.divide(p, h_s, out=h_s)  # h_s = p / (kappa rho)
-            return FlowResult(
-                u=u, rho=rho, h_s=h_s, p=p, flux=flux,
-                iterations=it, residual=max(res, sys_.mass_norm(rho, flux)),
-                kinetic_residual=R, source=S,
-            )
+            return p, r, res, lin[1], it
         if it == _MAX_ITERATIONS:
             break
         if res < _STAGNATION_DROP * best:
@@ -409,6 +450,7 @@ def correction_solve(state, u_tilde, sgp, omega_theta, R):
             why = "stagnated"
             break
         sys_.jacobian(lin)
+        del lin  # the band holds all the Newton step reads of it
         delta, stop = sys_.newton_step(r)
         if stop:
             why = stop

@@ -219,7 +219,7 @@ def test_oracle_verb_prints_pattern_and_samples(config_file, tmp_path, capsys):
     assert np.all(np.isfinite(data))
 
 
-@pytest.mark.parametrize("time", ["-1", "0", "nan"])
+@pytest.mark.parametrize("time", ["-1", "0", "nan", "inf"])
 def test_oracle_time_must_be_positive(config_file, tmp_path, capsys,
                                       monkeypatch, time):
     # a bad sampling time is a bad command line, refused before the oracle
@@ -232,7 +232,7 @@ def test_oracle_time_must_be_positive(config_file, tmp_path, capsys,
     assert code == EXIT_CONFIG
     assert calls == []
     assert capsys.readouterr().err.startswith(
-        "configuration error: --time must be positive, got ")
+        "configuration error: --time must be positive and finite, got ")
 
 
 def _work_must_not_run(*args, **kwargs):

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import math
 import re
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -493,6 +495,36 @@ def test_run_without_diagnostics_audits_start_and_end(monkeypatch):
     assert off.energy_drift_rel == on.energy_drift_rel
     assert off.energy_drift_rel == on.diagnostics[-1]["energy_drift_rel"]
     assert off.errors == on.errors
+
+
+@pytest.mark.parametrize("collect_diagnostics", [True, False])
+def test_a_run_holds_one_level_and_one_step_of_results(monkeypatch,
+                                                       collect_diagnostics):
+    # when step k starts, every level handed to an earlier step (the
+    # starting one from step 2 on) and the stage results of step k - 1 are
+    # unreachable; with the cycle collector off, they must already be freed
+    handed, stages, returned = [], [], []
+
+    def recording(state, chem_config):
+        assert all(ref() is None for ref in handed), "an earlier level is held"
+        assert all(ref() is None for ref in stages), "a stage result is held"
+        handed.append(weakref.ref(state))
+        new_state, info = advance(state, chem_config)
+        stages.extend(weakref.ref(info[k]) for k in ("chemistry", "flow"))
+        returned.append(weakref.ref(new_state))
+        return new_state, info
+
+    monkeypatch.setattr(harness, "advance", recording)
+    config = load_config(ROOT / "configs" / "benchmark.cfg", ["t_end=0.0021"])
+    gc.disable()
+    try:
+        result = run_case(config, collect_diagnostics)
+    finally:
+        gc.enable()
+    assert len(handed) == result.n_steps >= 5
+    assert all(ref() is None for ref in handed + stages)
+    # the final level stays in the result
+    assert returned[-1]() is result.state
 
 
 _SIX_STEP_CASES = [

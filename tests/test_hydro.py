@@ -302,22 +302,76 @@ def test_in_place_correction_kernels_match_references(state, seed, spread):
         assert not any(np.shares_memory(second, a) for a in owned)
 
 
-def test_end_of_step_velocity_is_the_correction_relation_at_p():
-    # the solve takes its velocity from the last residual evaluation: on the
-    # benchmark's first step, zero at the walls and a + b (p_L - p_R) of the
-    # returned p on every interior face, bit for bit
+def _benchmark_flow_step(monkeypatch, reject=None):
+    """The flow step of the benchmark's first step, with its closing Newton
+    step recorded: the system, the p and scaled residual before the step
+    and, when it solves, its iterate and scaled residual.  ``reject`` names
+    the method that fails the closing step: ``norm`` by a residual no lower
+    than before it, ``newton_step`` by no usable step.  Whether the step is
+    kept or not, the interior velocities must be a + b (p_L - p_R) of the
+    returned p, bit for bit, and zero at the walls."""
     setup = initialize_case(CaseConfig())
     state = setup.state
     omega = chemistry_step(state, setup.chem_config).omega_theta
-    sgp = scale_pressure_gradient(state)
-    u_t = predict_velocity(state, sgp)
-    R = kinetic_residuals(state, u_t)
-    system = _CorrectionSystem(state, u_t, sgp,
-                               omega + compensation_source(R, state.grid))
-    flow = correction_solve(state, u_t, sgp, omega, R)
+    residual = _CorrectionSystem.residual
+    norm = _CorrectionSystem.norm
+    newton_step = _CorrectionSystem.newton_step
+    last, closing = {}, {}
+
+    def recording_residual(system, p):
+        if closing:
+            closing["p_next"] = p
+        else:
+            last["p"] = p.copy()
+        return residual(system, p)
+
+    def recording_norm(system, r):
+        value = norm(system, r)
+        if not closing:
+            last["res"] = value
+            return value
+        closing["res_next"] = value
+        return closing["res"] if reject == "norm" else value
+
+    def recording_newton_step(system, r):
+        if last["res"] < hydro._NONLINEAR_TOL:  # the closing step
+            closing.update(system=system, p=last["p"], res=last["res"])
+            if reject == "newton_step":
+                return None, "singular Jacobian"
+        return newton_step(system, r)
+
+    monkeypatch.setattr(_CorrectionSystem, "residual", recording_residual)
+    monkeypatch.setattr(_CorrectionSystem, "norm", recording_norm)
+    monkeypatch.setattr(_CorrectionSystem, "newton_step", recording_newton_step)
+    flow = euler_step(state, omega)
+    system = closing["system"]
     assert flow.u[0] == 0.0 and flow.u[-1] == 0.0
     want = system.a_face + system.b_face * (flow.p[:-1] - flow.p[1:])
     assert _same_bits(flow.u[1:-1], want)
+    return flow, closing
+
+
+def test_end_of_step_velocity_is_the_correction_relation_at_p(monkeypatch):
+    # the solve takes its velocity from the last kept residual evaluation;
+    # on the benchmark's first step the closing Newton step lowers the
+    # residual and is kept
+    flow, closing = _benchmark_flow_step(monkeypatch)
+    assert flow.p is closing["p_next"]
+    assert not _same_bits(flow.p, closing["p"])
+    assert closing["res_next"] < closing["res"]
+    mass = closing["system"].mass_norm(flow.rho, flow.flux)
+    assert flow.residual == max(closing["res_next"], mass)
+
+
+@pytest.mark.parametrize("reject", ["norm", "newton_step"])
+def test_a_rejected_closing_step_returns_the_p_from_before_it(monkeypatch,
+                                                             reject):
+    # a closing step that does not lower the residual, or has no usable
+    # step, is rejected: the solve returns the p and residual from before it
+    flow, closing = _benchmark_flow_step(monkeypatch, reject)
+    assert _same_bits(flow.p, closing["p"])
+    mass = closing["system"].mass_norm(flow.rho, flow.flux)
+    assert flow.residual == max(closing["res"], mass)
 
 
 def test_correction_jacobian_matches_central_differences():
