@@ -33,10 +33,9 @@ those of the plain expression.  Nothing writes into an array of a level,
 of the step's ``_ScalarStep`` or ``FaceStencil`` (every scalar shares
 them) or of a ``ChemResult``.
 
-The face values each species balance convected are reported for the energy
-audit alone (``species_faces``).  An explicit step keeps them from its
-transport; an implicit step's upwind faces follow from the new fractions
-and are built only when asked for.
+A ``ChemResult`` holds no face values: the energy audit rebuilds those
+each species balance convected (``species_faces``), through this module's
+``face_values``, so the span recorder counts them too.
 """
 
 from dataclasses import dataclass
@@ -46,8 +45,7 @@ import numpy as np
 from .errors import ConfigError, StepFailure, require_fraction
 from .linalg import solve_banded, upwind_band
 from .thermo import y_O_from_z, z_from_fractions
-from .transport import (FaceStencil, LimiterParams, face_stencil, face_values,
-                        upwind_face_values)
+from .transport import FaceStencil, LimiterParams, face_stencil, face_values
 
 # The flame advection is off on faces where the indicator gradient is below
 # this fraction of the indicator range per cell: round-off, not a front.
@@ -82,9 +80,9 @@ class ChemStepConfig:
 
 @dataclass
 class ChemResult:
-    """Output of one chemistry step: new scalars and the heat release
-    actually applied.  ``explicit_faces`` holds the z, y_F, y_O and y_N
-    faces an explicit step convected (None in implicit mode)."""
+    """Output of one chemistry step: new scalars, the heat release
+    actually applied and the ``limiter`` the step ran (None in implicit
+    mode)."""
 
     G: np.ndarray
     z: np.ndarray
@@ -93,25 +91,38 @@ class ChemResult:
     y_N: np.ndarray
     y_P: np.ndarray
     omega_theta: np.ndarray
-    explicit_faces: dict = None
+    limiter: LimiterParams = None
 
 
 def species_faces(state, chem):
     """The face values of z, y_F, y_O, y_N and y_P that the species
     balances of the chemistry step ``chem`` from ``state`` convected with
-    ``state.flux`` (needed to audit the total-energy budget).  Implicit
-    faces are the upwind values of the new z, y_N and y_F, with y_O's
-    derived from them; the closure y_P's follow from the others in either
-    mode."""
-    faces = chem.explicit_faces
-    if faces is None:
-        F = state.flux
-        z = upwind_face_values(chem.z, F)
-        y_N = upwind_face_values(chem.y_N, F)
-        y_F = upwind_face_values(chem.y_F, F)
+    ``state.flux`` (needed to audit the total-energy budget), rebuilt on
+    the stencil of those fluxes and the step's limiter: an explicit step's
+    ``_level_faces``, or the upwind values of the new z, y_N and y_F, with
+    y_O's derived from them.  y_P's close the sum in either mode."""
+    stencil = face_stencil(state.flux, chem.limiter or LimiterParams(),
+                           state.rho, state.dt, state.grid)
+    if chem.limiter is not None:
+        faces = _level_faces(state, stencil)
+    else:
+        z = face_values(chem.z, stencil)
+        y_N = face_values(chem.y_N, stencil)
+        y_F = face_values(chem.y_F, stencil)
         faces = {"z": z, "y_F": y_F,
                  "y_O": y_O_from_z(state.mixture, y_F, z), "y_N": y_N}
     return {**faces, "y_P": 1.0 - faces["y_F"] - faces["y_O"] - faces["y_N"]}
+
+
+def _level_faces(state, stencil):
+    """The faces of the level's y_O, y_N and y_F under ``stencil``, and z's
+    from y_F's and y_O's: limiting y_O, not z, keeps y_O's maximum
+    principle, and z's faces (and balance) are their linear combination."""
+    y_O = face_values(state.y_O, stencil)
+    y_N = face_values(state.y_N, stencil)
+    y_F = face_values(state.y_F, stencil)
+    return {"z": z_from_fractions(state.mixture, y_F, y_O), "y_F": y_F,
+            "y_O": y_O, "y_N": y_N}
 
 
 def flame_advection_field(G, flame_speed_product):
@@ -258,21 +269,14 @@ def chemistry_step(state, config):
     eps = config.epsilon
     step = _scalar_step(state, config)
 
-    G_face = z_face = yN_face = yF_face = explicit_faces = None
+    faces = {}
     if step.stencil is not None:
-        G_face = face_values(state.G, step.stencil)
-        # limit y_O, not z, so that y_O keeps its maximum principle; z's
-        # faces (and balance) are the same linear combination of theirs
-        yO_face = face_values(state.y_O, step.stencil)
-        yN_face = face_values(state.y_N, step.stencil)
-        yF_face = face_values(state.y_F, step.stencil)
-        z_face = z_from_fractions(mix, yF_face, yO_face)
-        explicit_faces = {"z": z_face, "y_F": yF_face, "y_O": yO_face,
-                          "y_N": yN_face}
+        faces = {"G": face_values(state.G, step.stencil),
+                 **_level_faces(state, step.stencil)}
     flame = flame_advection_field(state.G, config.flame_speed_product)
-    G_next = _advance_scalar(step, state.G, G_face, flame=flame)
-    z_next = _advance_scalar(step, state.z, z_face)
-    yN_next = _advance_scalar(step, state.y_N, yN_face)
+    G_next = _advance_scalar(step, state.G, faces.get("G"), flame=flame)
+    z_next = _advance_scalar(step, state.z, faces.get("z"))
+    yN_next = _advance_scalar(step, state.y_N, faces.get("y_N"))
 
     burning = np.subtract(0.5, G_next)
     np.maximum(burning, 0.0, out=burning)  # (1/2 - G)^+
@@ -283,8 +287,8 @@ def chemistry_step(state, config):
     reaction_rhs = burn * mix.nu_F
     reaction_rhs *= mix.W_F
     reaction_rhs *= z_plus
-    yF_next = _advance_scalar(step, state.y_F, yF_face, reaction_diag=burn,
-                              reaction_rhs=reaction_rhs)
+    yF_next = _advance_scalar(step, state.y_F, faces.get("y_F"),
+                              reaction_diag=burn, reaction_rhs=reaction_rhs)
 
     yO_next = y_O_from_z(mix, yF_next, z_next)
     yP_next = np.subtract(1.0, yF_next)
@@ -303,5 +307,5 @@ def chemistry_step(state, config):
 
     return ChemResult(
         G=G_next, z=z_next, y_F=yF_next, y_O=yO_next, y_N=yN_next,
-        y_P=yP_next, omega_theta=omega_theta, explicit_faces=explicit_faces,
+        y_P=yP_next, omega_theta=omega_theta, limiter=config.limiter,
     )

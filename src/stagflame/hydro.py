@@ -48,7 +48,8 @@ from .chemistry import species_faces
 from .errors import StepFailure
 from .linalg import solve_banded, upwind_mass_solve
 from .thermo import chemical_enthalpy
-from .transport import dual_mass_flux, primal_mass_flux, upwind_face_values
+from .transport import (LimiterParams, dual_mass_flux, face_stencil,
+                        face_values, primal_mass_flux)
 
 # Newton meets the correction solve when the scaled residual (each equation
 # divided by its natural size) drops below _NONLINEAR_TOL; a solve that has
@@ -67,7 +68,7 @@ _STAGNATION_ITERATIONS = 12
 class FlowResult:
     """Everything one flow step produces: the end-of-step fields of the
     correction solve (velocities at faces), its Newton record, and the
-    kinetic energy the prediction dissipated with its cell source."""
+    kinetic energy the prediction dissipated."""
 
     u: np.ndarray
     rho: np.ndarray
@@ -77,7 +78,6 @@ class FlowResult:
     iterations: int
     residual: float
     kinetic_residual: np.ndarray
-    source: np.ndarray
     # always False, since Newton is the only path; kept because the
     # benchmark's span recorder still reads it
     used_fallback = False
@@ -377,7 +377,7 @@ def correction_solve(state, u_tilde, sgp, omega_theta, R):
 
     The enthalpy balance's source is the heat release ``omega_theta`` plus
     the ``compensation_source`` of the prediction's kinetic residuals ``R``;
-    the ``FlowResult`` holds both R and that compensation source.
+    the ``FlowResult`` holds R, from which the energy audit derives it.
     Semismooth Newton on the N pressures of the reduced enthalpy balance
     (see ``_CorrectionSystem``), starting from p^n: upwind switches freeze
     per iteration, each step is one tridiagonal banded solve, and a line
@@ -403,8 +403,8 @@ def correction_solve(state, u_tilde, sgp, omega_theta, R):
     replaces them by its own iterate's only when the step is kept.  So at
     most one set of residual and Jacobian temporaries is live.
     """
-    S = compensation_source(R, state.grid)
-    sys_ = _CorrectionSystem(state, u_tilde, sgp, omega_theta + S)
+    sys_ = _CorrectionSystem(state, u_tilde, sgp,
+                             omega_theta + compensation_source(R, state.grid))
     p, r, res, u_face, it = _newton(sys_, np.array(state.p, dtype=float))
     if it:  # the closing step
         it += 1
@@ -420,7 +420,7 @@ def correction_solve(state, u_tilde, sgp, omega_theta, R):
     return FlowResult(
         u=u, rho=rho, h_s=h_s, p=p, flux=flux,
         iterations=it, residual=max(res, sys_.mass_norm(rho, flux)),
-        kinetic_residual=R, source=S,
+        kinetic_residual=R,
     )
 
 
@@ -473,11 +473,11 @@ def _newton(sys_, p):
 def euler_step(state, omega_theta):
     """One full flow step from an accepted state (chemistry already done).
 
-    Returns the ``FlowResult``: the corrected fields plus the prediction
-    by-products needed for the energy audit.  The step size, fluxes, dual
-    densities and pressure gradient are the state's own.  A u or p that
-    overflows or turns non-finite goes on as inf or NaN without a warning,
-    and the correction solve's finiteness test ends the step.
+    Returns the ``FlowResult``: the corrected fields plus the prediction's
+    kinetic residuals.  The step size, fluxes, dual densities and pressure
+    gradient are the state's own.  A u or p that overflows or turns
+    non-finite goes on as inf or NaN without a warning, and the correction
+    solve's finiteness test ends the step.
     """
     sgp = scale_pressure_gradient(state)
     u_tilde = predict_velocity(state, sgp)
@@ -491,13 +491,15 @@ def internal_energy_residual(state_n, state_next, chem, flow):
     ``chem`` and ``flow`` are the step's stage results (``advance``'s info).
     The sensible part inherits the correction-solve residual; the chemical
     part cancels against the heat release exactly, since the face values
-    are the ones the chemistry step convected.  Returns the per-cell
-    residual of the balance (per unit volume and time).
+    are the ones the chemistry step convected (``species_faces``), which
+    leaves the kinetic residuals' ``compensation_source``.  Returns the
+    per-cell residual of the balance (per unit volume and time).
     """
     faces = species_faces(state_n, chem)
     grid = state_next.grid
     dt = state_next.dt
-    es_face = upwind_face_values(state_next.e_s, state_next.flux)
+    es_face = face_values(state_next.e_s, face_stencil(
+        state_next.flux, LimiterParams(), state_next.rho, dt, grid))
     sens_flux = state_next.flux * es_face
     hc_face = chemical_enthalpy(state_next.mixture, faces["y_F"], faces["y_O"],
                                 faces["y_N"], faces["y_P"])
@@ -505,5 +507,6 @@ def internal_energy_residual(state_n, state_next, chem, flow):
     div = (sens_flux[1:] - sens_flux[:-1] + chem_flux[1:] - chem_flux[:-1])
     div /= grid.cell_volumes
     p_div_u = state_next.p * (state_next.u[1:] - state_next.u[:-1]) / grid.cell_volumes
+    S = compensation_source(flow.kinetic_residual, grid)
     return ((internal_energy(state_next) - internal_energy(state_n)) / dt
-            + div + p_div_u - flow.source)
+            + div + p_div_u - S)

@@ -11,7 +11,8 @@ fluxes, what does not depend on the scalar (upwind, downwind and far-upstream
 cells, the anti-diffusive slope), and ``face_values`` applies it to a scalar.
 Both work in their own temporaries (``out=``, augmented assignment) and
 never write into their arguments; a ``FaceStencil`` is shared by every
-scalar of a step and is not written after it is built.
+scalar of a step and is not written after it is built.  The energy audit
+rebuilds its upwind faces, of e_s and of an implicit step, the same way.
 """
 
 from dataclasses import dataclass, field
@@ -107,18 +108,6 @@ def cfl_number(F, rho_next, dt, grid):
 
 # ---------------------------------------------------------------------------
 # face-value schemes
-
-
-def upwind_face_values(y, F):
-    """Vectorised upwind face values; boundary faces take the adjacent cell."""
-    y = np.asarray(y)
-    F = np.asarray(F)
-    n = y.shape[0]
-    vals = np.empty(n + 1)
-    vals[0] = y[0]
-    vals[-1] = y[-1]
-    vals[1:n] = np.where(F[1:n] >= 0.0, y[:-1], y[1:])
-    return vals
 
 
 @dataclass(frozen=True)

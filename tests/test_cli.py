@@ -151,6 +151,37 @@ def test_removed_keys_are_config_errors(config_file, capsys, override):
     assert "unknown config key" in capsys.readouterr().err
 
 
+def test_a_step_override_replaces_the_files_other_step_key(tmp_path, capsys,
+                                                          monkeypatch):
+    # the shipped file sets cfl; --set dt replaces it.  Its cfl = 0.8
+    # resolves to 168 steps of span / 168, so a dt of that step reproduces
+    # the shipped run's steps and L1 errors
+    results = []
+    original = cli.run_case
+
+    def recording(config):
+        results.append(original(config))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "run_case", recording)
+    assert main(["run", str(SHIPPED)]) == EXIT_OK
+    assert main(["run", str(SHIPPED),
+                 "--set", "dt=1.785714285714286e-05"]) == EXIT_OK
+    shipped, fixed = results
+    assert (shipped.config.cfl, fixed.config.cfl) == (0.8, None)
+    assert fixed.n_steps == shipped.n_steps == 168
+    assert fixed.errors == shipped.errors
+    capsys.readouterr()
+    # both step keys, in the overrides or in the file, stay an error
+    both = tmp_path / "both.cfg"
+    both.write_text("cfl = 0.8\ndt = 1e-5\n")
+    for argv in (["run", str(SHIPPED), "--set", "cfl=0.5", "--set", "dt=1e-6"],
+                 ["run", str(both), "--set", "dt=1e-6"]):
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "configuration error: set at most one of cfl, dt\n")
+
+
 _EXPLICIT = ("--set", "time_mode=explicit-limited")
 
 

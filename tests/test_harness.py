@@ -36,6 +36,7 @@ from stagflame import hydro
 from stagflame.hydro import total_energy
 from stagflame.thermo import FieldState, pressure_from_state
 from stagflame.transport import (
+    SCHEMES,
     LimiterParams,
     cfl_number,
     dual_density,
@@ -527,6 +528,37 @@ def test_a_run_holds_one_level_and_one_step_of_results(monkeypatch,
     assert returned[-1]() is result.state
 
 
+@pytest.mark.parametrize("limiter", SCHEMES)
+def test_the_flow_step_holds_no_face_values(monkeypatch, limiter):
+    # the faces an explicit step convected are let go when chemistry_step
+    # returns: when a step's Newton iterations start, no array face_values
+    # returned during that step is reachable
+    returned, seen = [], []
+    face_values, newton = chemistry.face_values, hydro._newton
+
+    def recording(*args):
+        values = face_values(*args)
+        returned.append(weakref.ref(values))
+        return values
+
+    def checking(*args):
+        seen.append((len(returned), sum(ref() is not None for ref in returned)))
+        returned.clear()
+        return newton(*args)
+
+    monkeypatch.setattr(chemistry, "face_values", recording)
+    monkeypatch.setattr(hydro, "_newton", checking)
+    config = CaseConfig(n_cells=40, t_end=0.0024, time_mode="explicit-limited",
+                        limiter=limiter)
+    gc.disable()
+    try:
+        result = run_case(config)
+    finally:
+        gc.enable()
+    assert result.n_steps >= 4
+    assert seen == [(4, 0)] * result.n_steps
+
+
 _SIX_STEP_CASES = [
     dict(t_end=0.0021),  # the implicit-250 benchmark case, six steps of it
     dict(n_cells=200, t_end=0.0021, time_mode="explicit-limited",
@@ -676,8 +708,9 @@ def test_each_step_builds_each_level_array_once(monkeypatch, time_mode,
                                                 collect_diagnostics):
     # each step builds the dual density, the pressure gradient and the CFL
     # of its new level once, and its energy audit builds none; the starting
-    # level builds its previous-level dual density too, and the implicit
-    # audit faces are built only when asked for
+    # level builds its previous-level dual density too.  An explicit step
+    # makes four face_values calls (G, y_O, y_N, y_F), an implicit one none,
+    # and the species faces of either are rebuilt only when asked for
     events = []
     last = {}
 
@@ -691,8 +724,7 @@ def test_each_step_builds_each_level_array_once(monkeypatch, time_mode,
         monkeypatch.setattr(module, name, wrapper)
 
     for module, name in ((thermo, "dual_density"), (thermo, "pressure_gradient"),
-                         (thermo, "cfl_number"),
-                         (chemistry, "upwind_face_values")):
+                         (thermo, "cfl_number"), (chemistry, "face_values")):
         counting(module, name)
 
     def stepping(state, chem_config):
@@ -709,14 +741,15 @@ def test_each_step_builds_each_level_array_once(monkeypatch, time_mode,
     assert sorted(start.split()) == ["cfl_number", "dual_density",
                                      "dual_density", "pressure_gradient"]
     assert len(steps) == result.n_steps
+    face_calls = 0 if time_mode == "implicit-upwind" else 4
     for step in steps:
-        assert sorted(step.split()) == ["cfl_number", "dual_density",
-                                        "pressure_gradient"]
+        assert sorted(step.split()) == sorted(
+            ["cfl_number", "dual_density", "pressure_gradient"]
+            + ["face_values"] * face_calls)
     events.clear()
     faces = chemistry.species_faces(last["state"], last["info"]["chemistry"])
     assert set(faces) == {"z", "y_F", "y_O", "y_N", "y_P"}
-    want = 3 if time_mode == "implicit-upwind" else 0
-    assert events == ["upwind_face_values"] * want
+    assert events == ["face_values"] * 3
 
 
 @pytest.mark.parametrize("field,cell", [("u", 7), ("p", 7), ("p", 0)])

@@ -11,7 +11,6 @@ from stagflame.transport import (
     face_stencil,
     face_values,
     primal_mass_flux,
-    upwind_face_values,
 )
 
 val = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -91,8 +90,10 @@ def test_primal_flux_tie_takes_left_cell():
     rho = np.array([2.0, 4.0, 8.0])
     u = np.zeros(4)
     assert np.all(primal_mass_flux(rho, u) == 0.0)
-    # the upwind switch at exactly zero velocity picks the left cell
-    assert upwind_face_values(np.array([5.0, 7.0]), np.zeros(3))[1] == 5.0
+    # the upwind face value at a zero flux of either sign takes it too
+    F = np.array([0.0, 0.0, -0.0, 0.0])
+    stencil = face_stencil(F, LimiterParams(), rho, 1.0, grid3())
+    assert face_values(rho, stencil).tolist() == [2.0, 2.0, 4.0, 8.0]
 
 
 def test_dual_flux_is_average_of_primal_pair():
@@ -274,8 +275,8 @@ def test_vectorized_matches_scalar(scheme):
 def test_upwind_face_values_boundaries():
     y = np.array([3.0, 4.0, 5.0])
     F = np.array([0.0, 1.0, -1.0, 0.0])
-    vals = upwind_face_values(y, F)
-    assert np.allclose(vals, [3.0, 3.0, 5.0, 5.0])
+    stencil = face_stencil(F, LimiterParams(), np.ones(3), 1.0, grid3())
+    assert face_values(y, stencil).tolist() == [3.0, 3.0, 5.0, 5.0]
 
 
 def test_stencil_geometry_at_walls_and_zero_flux():
