@@ -21,7 +21,7 @@ class StaggeredGrid:
     n_cells : int
         Number of primal cells (at least 3).
     x_faces : ndarray, shape (n_cells + 1,)
-        Face positions; the first and last are the domain end points.
+        Face positions, from the left wall at 0 to the right wall.
     x_centers : ndarray, shape (n_cells,)
         Cell-center positions.
     h : float
@@ -53,16 +53,16 @@ class StaggeredGrid:
         return self.n_cells + 1
 
 
-def build_uniform_grid(n_cells, x_left=0.0, x_right=1.0):
-    """Build a uniform staggered grid with ``n_cells`` cells on (x_left, x_right).
+def build_uniform_grid(n_cells, x_right=1.0):
+    """Build a uniform staggered grid with ``n_cells`` cells on (0, x_right).
 
     Parameters
     ----------
     n_cells : int
         Number of cells; must be at least 3 so that every cell has a
         well-defined neighbour stencil on at least one side.
-    x_left, x_right : float
-        Domain bounds, ``x_left < x_right``.
+    x_right : float
+        Right wall, ``x_right > 0``; the left wall is at 0.
 
     Returns
     -------
@@ -70,10 +70,10 @@ def build_uniform_grid(n_cells, x_left=0.0, x_right=1.0):
     """
     if n_cells < 3:
         raise ValueError(f"need at least 3 cells, got {n_cells}")
-    if not x_right > x_left:
-        raise ValueError(f"empty domain: ({x_left}, {x_right})")
-    x_faces = np.linspace(x_left, x_right, n_cells + 1)
-    h = (x_right - x_left) / n_cells
+    if not x_right > 0.0:
+        raise ValueError(f"empty domain: x_right must be positive, got {x_right}")
+    x_faces = np.linspace(0.0, x_right, n_cells + 1)
+    h = x_right / n_cells
     x_centers = 0.5 * (x_faces[:-1] + x_faces[1:])
     cell_volumes = np.full(n_cells, h)
     dual_volumes = np.full(n_cells + 1, h)

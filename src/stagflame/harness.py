@@ -31,10 +31,6 @@ from .thermo import (
 )
 from .transport import SCHEMES, LimiterParams, cfl_number, primal_mass_flux
 
-_PROFILE_COLUMNS = (
-    "x_center", "rho", "p", "u_face_interp", "T", "e_s", "h_s",
-    "y_F", "y_O", "y_N", "y_P", "z", "G",
-)
 # One record of RunResult.diagnostics per step, in _diag.csv column order.
 DIAG_DTYPE = np.dtype([
     ("step", np.int64), ("t", np.float64), ("dt", np.float64),
@@ -63,6 +59,7 @@ MAX_STEPS = 10**7
 # times the largest mesh any study runs.
 _RANGES = {
     "n_cells": (3, 10**6, True, True),
+    "x_right": (0.0, None, False, False),
     "gamma": (1.0, None, False, False),
     **dict.fromkeys(("nu_F", "nu_O", "nu_P", "W_F", "W_O", "W_N", "W_P",
                      "p_fresh", "T_fresh", "t_start", "cfl", "dt",
@@ -96,7 +93,6 @@ class CaseConfig:
     """Flat run configuration; mirrors the key = value config files."""
 
     n_cells: int = 250
-    x_left: float = 0.0
     x_right: float = 4.5
     gamma: float = 1.4
     nu_F: float = 2.0
@@ -135,9 +131,6 @@ class CaseConfig:
                 error = _range_error(f.name, value)
                 if error:
                     raise ConfigError(error)
-        if not self.x_right > self.x_left:
-            raise ConfigError(f"empty domain: x_right {self.x_right!r} "
-                              f"must exceed x_left {self.x_left!r}")
         if not self.t_end > self.t_start:
             raise ConfigError("t_end must exceed t_start")
         if self.cfl is not None and self.dt is not None:
@@ -309,7 +302,7 @@ def initialize_case(config):
     indicator moves at the oracle's mass-burning rate, so the run's flame is
     the one its L1 errors are measured against.
     """
-    grid = build_uniform_grid(config.n_cells, config.x_left, config.x_right)
+    grid = build_uniform_grid(config.n_cells, config.x_right)
     pattern = case_pattern(config)
     cells = exact_cell_averages(pattern, grid, config.t_start)
     duals = exact_dual_averages(pattern, grid, config.t_start)
@@ -328,7 +321,7 @@ def initialize_case(config):
                           f"more than {MAX_STEPS}")
     n_steps = max(1, int(steps))
     # the wave starts at the left wall; Python floats overflow without a warning
-    x_shock = config.x_left + float(pattern.s_shock) * config.t_end
+    x_shock = float(pattern.s_shock) * config.t_end
     if x_shock >= config.x_right:
         raise ConfigError(f"the precursor shock reaches x = {x_shock:.6g} by t_end "
                           f"{config.t_end!r}, at or past x_right {config.x_right!r}")
@@ -530,22 +523,23 @@ def write_run_csvs(prefix, result):
     mix = state.mixture
     T = temperature(mix, state.e_s, state.y_F, state.y_O, state.y_N, state.y_P)
     u_c = 0.5 * (state.u[:-1] + state.u[1:])
+    # the profile's columns, in file order
     cols = {
         "x_center": grid.x_centers, "rho": state.rho, "p": state.p,
         "u_face_interp": u_c, "T": T, "e_s": state.e_s, "h_s": state.h_s,
         "y_F": state.y_F, "y_O": state.y_O, "y_N": state.y_N,
         "y_P": state.y_P, "z": state.z, "G": state.G,
     }
-    write_csv(f"{prefix}_profile.csv", _PROFILE_COLUMNS,
-              np.column_stack([cols[c] for c in _PROFILE_COLUMNS]), header)
+    write_csv(f"{prefix}_profile.csv", cols,
+              np.column_stack(list(cols.values())), header)
     write_csv(f"{prefix}_diag.csv", DIAG_DTYPE.names, result.diagnostics, header)
 
 
 def write_oracle_csv(path, pattern, config, t):
     """Sample the exact solution at time t at ``n_cells`` evenly spaced points
     spanning the domain, ends included; one column per field."""
-    x = np.linspace(config.x_left, config.x_right, config.n_cells)
-    fields = sample_solution(pattern, x - config.x_left, t)
+    x = np.linspace(0.0, config.x_right, config.n_cells)
+    fields = sample_solution(pattern, x, t)
     names = sorted(fields)
     write_csv(path, ["x"] + names, np.column_stack([x] + [fields[k] for k in names]))
 

@@ -14,7 +14,7 @@ bracket by bisection down to two adjacent doubles, and the returned pattern
 certifies itself by checking every jump relation.  Bisection needs no
 tolerance, and it keeps ``scipy.optimize``, which costs about 0.3 s to
 import, out of every run.  Both waves start at the closed end at t = 0:
-positions are measured from that wall, which a grid's first face holds.
+positions are distances from that wall, at x = 0 on every grid.
 """
 
 import math
@@ -91,8 +91,10 @@ def asymptotic_composition(mixture, y_F, y_O, y_N, y_P, G):
     return out_F, out_O, out_N, out_P
 
 
-def _shock_state(mixture, p_fresh, rho_fresh, p):
-    """State behind a right-running shock of back pressure p (>= p_fresh)."""
+def _wave_states(mixture, p_fresh, rho_fresh, u_flame, p):
+    """At a trial shocked-gas pressure p (>= p_fresh): the state behind the
+    right-running shock (rho, u, shock speed), then the burnt state behind
+    the flame that eats it at ``u_flame`` (flame speed, rho, p)."""
     gamma = mixture.gamma
     beta = (gamma - 1.0) / (gamma + 1.0)
     r = p / p_fresh
@@ -102,7 +104,10 @@ def _shock_state(mixture, p_fresh, rho_fresh, p):
     u = (p - p_fresh) * np.sqrt(a_r / (p + b_r))
     c_fresh = np.sqrt(gamma * p_fresh / rho_fresh)
     s = c_fresh * np.sqrt((gamma + 1.0) / (2.0 * gamma) * r + (gamma - 1.0) / (2.0 * gamma))
-    return rho, u, s
+    s_flame = u + u_flame
+    rho_b = rho * u_flame / s_flame
+    p_b = p - rho * u_flame * u
+    return rho, u, s, s_flame, rho_b, p_b
 
 
 def _bisect(f, lo, hi):
@@ -175,10 +180,8 @@ def solve_deflagration_riemann(mixture, p_fresh, T_fresh, y_fresh, u_flame):
         s_flame, rho_b, p_b = u_flame, rho_fresh, p_fresh
     else:
         def phi(p):
-            rho2, u2, _ = _shock_state(mixture, p_fresh, rho_fresh, p)
-            s_flame = u2 + u_flame
-            rho_b = rho2 * u_flame / s_flame
-            p_b = p - rho2 * u_flame * u2
+            rho2, _, _, s_flame, rho_b, p_b = _wave_states(
+                mixture, p_fresh, rho_fresh, u_flame, p)
             hs2 = sensible_enthalpy(p, rho2, gamma)
             hs_b = sensible_enthalpy(p_b, rho_b, gamma)
             return hs_b + 0.5 * s_flame**2 - hs2 - 0.5 * u_flame**2 - dq
@@ -198,10 +201,8 @@ def solve_deflagration_riemann(mixture, p_fresh, T_fresh, y_fresh, u_flame):
         except OverflowError:
             raise OracleError("the shocked-gas pressure balance overflows") from None
 
-        rho2, u2, s_shock = _shock_state(mixture, p_fresh, rho_fresh, p2)
-        s_flame = u2 + u_flame
-        rho_b = rho2 * u_flame / s_flame
-        p_b = p2 - rho2 * u_flame * u2
+        rho2, u2, s_shock, s_flame, rho_b, p_b = _wave_states(
+            mixture, p_fresh, rho_fresh, u_flame, p2)
         if rho_b <= 0.0 or p_b <= 0.0:
             raise OracleError("non-positive burnt state")
 
@@ -325,10 +326,10 @@ def interval_averages(pattern, edges, t):
 
 def exact_cell_averages(pattern, grid, t):
     """Exact primal-cell averages of every field at time t."""
-    return interval_averages(pattern, grid.x_faces - grid.x_faces[0], t)
+    return interval_averages(pattern, grid.x_faces, t)
 
 
 def exact_dual_averages(pattern, grid, t):
     """Exact dual-cell averages (the velocity control volumes) at time t."""
     edges = np.concatenate(([grid.x_faces[0]], grid.x_centers, [grid.x_faces[-1]]))
-    return interval_averages(pattern, edges - grid.x_faces[0], t)
+    return interval_averages(pattern, edges, t)

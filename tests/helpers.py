@@ -29,7 +29,7 @@ def quiescent_state(n=16, rho_left=1.2, rho_right=0.4, p0=1.0e5, dt=1.0e-4,
                     mixture=None):
     """Stationary state with a density/composition jump under uniform pressure."""
     mix = mixture or benchmark_mixture()
-    grid = build_uniform_grid(n, 0.0, 1.0)
+    grid = build_uniform_grid(n, 1.0)
     rho = np.where(grid.x_centers < 0.5, rho_left, rho_right)
     u = np.zeros(grid.n_faces)
     h_s = mix.gamma * p0 / ((mix.gamma - 1.0) * rho)
@@ -50,7 +50,7 @@ def admissible_state(rho, p, u_interior, y_F, y_O, y_N, G, acoustic_cfl):
                                 for v in (rho, p, y_F, y_O, y_N, G))
     n = rho.shape[0]
     mix = benchmark_mixture()
-    grid = build_uniform_grid(n, 0.0, 1.0)
+    grid = build_uniform_grid(n, 1.0)
     u = np.zeros(n + 1)
     u[1:-1] = u_interior
     y = (y_F, y_O, y_N, 1.0 - y_F - y_O - y_N)

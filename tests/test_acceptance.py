@@ -122,7 +122,7 @@ def test_criterion_3_duality_identity():
             n = 1000
         else:
             n = int(rng.integers(10, 1001))
-        grid = build_uniform_grid(n, 0.0, float(rng.uniform(0.5, 4.0)))
+        grid = build_uniform_grid(n, float(rng.uniform(0.5, 4.0)))
         p = rng.uniform(0.1, 10.0, n)
         u = np.zeros(n + 1)
         u[1:-1] = rng.uniform(-5.0, 5.0, n - 1)
@@ -147,7 +147,7 @@ def test_criterion_3_duality_identity():
 
 def test_criterion_4_exact_heaviside_transport():
     n, j0, steps = 400, 60, 200
-    grid = build_uniform_grid(n, 0.0, float(n))  # h = 1
+    grid = build_uniform_grid(n, float(n))  # h = 1
     ones = np.ones(n)
     F = np.ones(n + 1)
     started = time.perf_counter()
@@ -215,7 +215,7 @@ def _transport_trial(rng, params, n_trials=500):
     worst = 0.0
     for _ in range(n_trials):
         n = int(rng.integers(8, 80))
-        grid = build_uniform_grid(n, 0.0, 1.0)
+        grid = build_uniform_grid(n, 1.0)
         rho_old = rng.uniform(0.5, 2.0, n)
         u = np.zeros(n + 1)
         u[1:-1] = rng.uniform(-1.0, 1.0, n - 1)
@@ -253,7 +253,7 @@ def test_criterion_6_discrete_maximum_principle():
     # no longer certifiably a convex combination of old values.  With the
     # cap the slopes stay at s_max = 2 and the coefficient stays >= 0.
     n = 5
-    grid = build_uniform_grid(n, 0.0, float(n))
+    grid = build_uniform_grid(n, float(n))
     rho_old = np.ones(n)
     u = np.zeros(n + 1)
     u[2], u[3] = -1.0, 1.0

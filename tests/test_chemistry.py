@@ -31,7 +31,7 @@ def inert_config(**kw):
 
 def resting_state(n=20, G=1.0, y=(0.02, 0.2, 0.5, 0.28), dt=1e-3):
     mix = benchmark_mixture()
-    grid = build_uniform_grid(n, 0.0, 1.0)
+    grid = build_uniform_grid(n, 1.0)
     comp = tuple(np.full(n, v) for v in y)
     h_s = np.full(n, 3.0e5)
     return make_state(grid, mix, dt, np.ones(n), np.zeros(n + 1), h_s,
@@ -41,7 +41,7 @@ def resting_state(n=20, G=1.0, y=(0.02, 0.2, 0.5, 0.28), dt=1e-3):
 def advected_state(n=32, dt=2e-3, seed=1, time_sign=1.0):
     rng = np.random.default_rng(seed)
     mix = benchmark_mixture()
-    grid = build_uniform_grid(n, 0.0, 1.0)
+    grid = build_uniform_grid(n, 1.0)
     u = np.zeros(n + 1)
     u[1:-1] = time_sign * rng.uniform(-0.4, 0.4, n - 1)
     rho = rng.uniform(0.8, 1.2, n)
@@ -73,7 +73,7 @@ def test_flame_speed_product_must_be_non_negative():
 
 
 def test_epsilon_per_h_resolution():
-    grid = build_uniform_grid(10, 0.0, 2.0)
+    grid = build_uniform_grid(10, 2.0)
     cfg = CaseConfig(epsilon_per_h=0.5).chem_config(1.0, grid.h)
     assert cfg.epsilon == pytest.approx(0.1)
 
@@ -135,7 +135,7 @@ def test_indicator_front_moves_at_flame_speed():
     # here oriented burnt-right so it moves left into the fresh gas
     n = 500
     mix = benchmark_mixture()
-    grid = build_uniform_grid(n, 0.0, 1.0)
+    grid = build_uniform_grid(n, 1.0)
     x0 = 0.6
     G = np.where(grid.x_centers < x0, 1.0, 0.0)
     comp = (np.full(n, 0.02), np.full(n, 0.2), np.full(n, 0.5), np.full(n, 0.28))
@@ -217,7 +217,7 @@ def explicit_front_cases(draw):
     if draw(st.booleans()):
         G = G[::-1].copy()
     mix = benchmark_mixture()
-    grid = build_uniform_grid(n, 0.0, 1.0)
+    grid = build_uniform_grid(n, 1.0)
     u = np.zeros(n + 1)
     u[1:-1] = cells(-0.4, 0.4, n - 1)
     u[1:-1][cells(0.0, 1.0, n - 1) < 0.2] = 0.0

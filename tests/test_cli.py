@@ -1,6 +1,6 @@
 import math
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -81,7 +81,8 @@ def test_bad_config_line_is_a_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("override,reason", [
     ("cfl=nan", "cfl must be finite"),
-    ("x_right=-1", "empty domain"),
+    ("x_right=-1", r"x_right must lie in \(0.0, inf\)"),
+    ("x_right=0", r"x_right must lie in \(0.0, inf\)"),
     ("T_fresh=-1", r"T_fresh must lie in \(0.0, inf\)"),
     ("gamma=nan", "gamma must be finite"),
     ("molar_F=0.5", "molar fractions sum to"),
@@ -120,7 +121,6 @@ def test_bad_config_values_are_config_errors(config_file, capsys, override,
 @pytest.mark.parametrize("verb,override,shock,wall", [
     ("run", "x_right=3.0", "3.51828", "x_right 3.0"),
     ("check", "x_right=3.0", "3.51828", "x_right 3.0"),
-    ("check", "x_left=1.0", "4.51828", "x_right 4.5"),
 ])
 def test_a_domain_the_shock_leaves_is_a_config_error(verb, override, shock,
                                                      wall, capsys):
@@ -413,6 +413,8 @@ def test_check_verb_loads_the_shipped_config(capsys):
 
 
 def test_check_verb_passes_on_benchmark(config_file, capsys):
+    # the case's t_end 0.0021 is two steps of its dt from t_start: the check
+    # runs those two
     assert main(["check", config_file]) == EXIT_OK
     out = capsys.readouterr().out.splitlines()
     assert out == [
@@ -421,8 +423,64 @@ def test_check_verb_passes_on_benchmark(config_file, capsys):
         out[1],
         "all checks passed",
     ]
-    assert re.fullmatch(r"10-step run: 10 steps of dt \S+ hold every gate, "
+    assert re.fullmatch(r"2-step run of dt \S+: every gate holds, "
                         r"energy drift \S+", out[1])
+
+
+@pytest.mark.parametrize("n_cells,steps", [(3, 1), (8, 3), (13, 6), (250, 10)])
+def test_check_runs_at_most_the_cases_own_steps(n_cells, steps, capsys,
+                                                monkeypatch):
+    # a coarse mesh covers the shipped case in fewer than ten steps: the
+    # check runs all of them and stops at the case's t_end, before the
+    # precursor shock reaches the right wall; the shipped mesh runs ten
+    results = []
+    original = cli.run_case
+
+    def recording(config, **kwargs):
+        results.append(original(config, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "run_case", recording)
+    assert main(["check", str(SHIPPED), "--set", f"n_cells={n_cells}"]) == EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].startswith(f"{steps}-step run of dt ")
+    assert results[0].n_steps == steps
+    if steps < 10:
+        assert results[0].t_final == pytest.approx(0.005, rel=1e-12)
+
+
+@pytest.mark.parametrize("eps,code,reported", [
+    (1e-6, EXIT_STEP, "step failure: 10-step run: energy drift 2.41e-05 "
+                      "exceeds 1e-8"),
+    (1e-13, EXIT_OK, "energy drift 2.40e-12"),
+])
+def test_check_verb_gates_the_energy_drift(eps, code, reported, capsys,
+                                           monkeypatch):
+    # every step gains a fraction eps of its sensible enthalpy: the check's
+    # ten steps fail its 1e-8 energy budget at 1e-6 and hold it at 1e-13
+    original = harness.advance
+
+    def leaking(state, chem_config):
+        new_state, info = original(state, chem_config)
+        return replace(new_state, h_s=new_state.h_s * (1 + eps)), info
+
+    monkeypatch.setattr(harness, "advance", leaking)
+    assert main(["check", str(SHIPPED)]) == code
+    captured = capsys.readouterr()
+    assert reported in (captured.err if code == EXIT_STEP else captured.out)
+    assert ("all checks passed" in captured.out) == (code == EXIT_OK)
+
+
+def test_a_left_wall_key_is_unknown(tmp_path, capsys):
+    # the left wall is x = 0: a file or an override that still places it
+    # names a key the config does not know
+    path = tmp_path / "walled.cfg"
+    path.write_text(SHIPPED.read_text() + "x_left = 0.0\n")
+    for argv in (["run", str(path)],
+                 ["check", str(SHIPPED), "--set", "x_left=0.0"]):
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "configuration error: unknown config key 'x_left'\n")
 
 
 def test_check_verb_static_flame_is_an_oracle_error(config_file, capsys):
@@ -473,7 +531,6 @@ NEAR_DEFAULT = {f.name: _near(getattr(_DEFAULTS, f.name))
                 for f in fields(CaseConfig)
                 if f.name not in ("n_cells", "time_mode", "limiter")}
 NEAR_DEFAULT["n_cells"] = st.integers(3, 48)
-NEAR_DEFAULT["x_left"] = st.floats(-1.0, 1.0)
 
 
 @st.composite

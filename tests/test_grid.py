@@ -5,7 +5,7 @@ from stagflame.grid import build_uniform_grid
 
 
 def test_uniform_grid_layout():
-    g = build_uniform_grid(10, 0.0, 2.5)
+    g = build_uniform_grid(10, 2.5)
     assert g.n_cells == 10
     assert g.n_faces == 11
     assert g.h == pytest.approx(0.25)
@@ -16,7 +16,7 @@ def test_uniform_grid_layout():
 
 def test_dual_volumes_tile_the_domain():
     # half cells at the walls, full cells inside, same total as the primal mesh
-    g = build_uniform_grid(7, -1.0, 3.0)
+    g = build_uniform_grid(7, 4.0)
     assert np.allclose(g.cell_volumes, g.h)
     assert g.dual_volumes[0] == pytest.approx(0.5 * g.h)
     assert g.dual_volumes[-1] == pytest.approx(0.5 * g.h)
@@ -32,5 +32,7 @@ def test_minimum_cell_count(n):
 
 
 def test_empty_domain_rejected():
-    with pytest.raises(ValueError):
-        build_uniform_grid(5, 1.0, 1.0)
+    # the left wall is at 0, so the right one must lie past it
+    for x_right in (0.0, -1.0):
+        with pytest.raises(ValueError, match="x_right must be positive"):
+            build_uniform_grid(5, x_right)

@@ -202,37 +202,6 @@ def test_initialize_case_benchmark_structure():
     assert setup.chem_config.epsilon == 1e-2 * state.grid.h
 
 
-@pytest.mark.parametrize("mode", [
-    {},
-    {"time_mode": "explicit-limited", "limiter": "antidiffusive"},
-], ids=["implicit-upwind", "explicit-antidiffusive"])
-def test_the_wave_starts_at_the_left_wall(mode):
-    # the shipped case on a domain moved to the right or the left: the wave
-    # moves with the wall, so the run takes the same steps and its errors
-    # change only by the round-off of the shifted positions
-    base = dataclasses.replace(load_config(ROOT / "configs" / "benchmark.cfg"),
-                               n_cells=120, **mode)
-    ref = run_case(base, collect_diagnostics=False)
-    for shift in (0.5, -3.0):
-        moved = run_case(dataclasses.replace(base, x_left=base.x_left + shift,
-                                             x_right=base.x_right + shift),
-                         collect_diagnostics=False)
-        assert moved.n_steps == ref.n_steps
-        for field, err in ref.errors.items():
-            assert moved.errors[field] == pytest.approx(err, rel=1e-9), field
-
-
-def test_a_moved_wall_holds_burnt_gas_at_rest():
-    # the flame is 0.93 from the wall at t_start: with the wall at 0.95 the
-    # first cells are burnt and their faces at rest, not shocked gas moving
-    setup = initialize_case(CaseConfig(n_cells=24, x_left=0.95))
-    h = setup.state.grid.h
-    burnt = int(setup.pattern.s_flame * 0.002 // h)
-    assert burnt >= 5
-    assert np.all(setup.state.G[:burnt] == 0.0)
-    assert np.all(setup.state.u[:burnt] == 0.0)
-
-
 @settings(max_examples=60, deadline=None)
 @given(state=admissible_states())
 def test_balanced_levels_close_the_mass_balance(state):

@@ -43,7 +43,7 @@ def short_benchmark(n_cells=60, steps=2, **kw):
 
 
 def test_pressure_gradient_walls_are_zero():
-    grid = build_uniform_grid(5, 0.0, 1.0)
+    grid = build_uniform_grid(5, 1.0)
     p = np.array([1.0, 2.0, 4.0, 4.0, 1.0])
     g = pressure_gradient(p, grid)
     assert g[0] == 0.0 and g[-1] == 0.0
@@ -55,7 +55,7 @@ def test_gradient_divergence_duality():
     rng = np.random.default_rng(2)
     for _ in range(30):
         n = int(rng.integers(5, 200))
-        grid = build_uniform_grid(n, 0.0, float(rng.uniform(0.5, 4.0)))
+        grid = build_uniform_grid(n, float(rng.uniform(0.5, 4.0)))
         p = rng.uniform(0.1, 10.0, n)
         u = np.zeros(n + 1)
         u[1:-1] = rng.standard_normal(n - 1)
@@ -117,7 +117,7 @@ def test_kinetic_residuals_form():
 
 
 def test_compensation_source_splits_residuals():
-    grid = build_uniform_grid(4, 0.0, 4.0)  # h = 1
+    grid = build_uniform_grid(4, 4.0)  # h = 1
     R = np.zeros(5)
     R[2] = 2.0  # interior face between cells 1 and 2
     S = compensation_source(R, grid)
@@ -409,7 +409,7 @@ def test_correction_solve_converges_at_large_acoustic_cfl():
     # tolerance
     n = 16
     mix = CaseConfig().mixture()
-    grid = build_uniform_grid(n, 0.0, 1.0)
+    grid = build_uniform_grid(n, 1.0)
     rho = np.random.default_rng(3).uniform(0.5, 1.5, n)
     h_s = mix.gamma / (mix.gamma - 1.0) * 1.0e5 / rho
     y = (np.zeros(n), np.zeros(n), np.full(n, 0.6), np.full(n, 0.4))
@@ -426,7 +426,7 @@ def test_diverging_correction_solve_is_a_step_failure():
     # the iteration cap
     n = 4
     mix = CaseConfig().mixture()
-    grid = build_uniform_grid(n, 0.0, 1.0)
+    grid = build_uniform_grid(n, 1.0)
     h_s = np.full(n, mix.gamma / (mix.gamma - 1.0) * 5.0e4)
     u = np.array([0.0, 0.0, 0.0, 1.0, 0.0])
     y = (np.zeros(n), np.zeros(n), np.full(n, 0.5), np.full(n, 0.5))

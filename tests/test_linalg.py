@@ -133,7 +133,7 @@ def test_solve_banded_passes_nan_through():
 
 def test_upwind_mass_solve_balances_mass():
     rng = np.random.default_rng(11)
-    grid = build_uniform_grid(30, 0.0, 1.5)
+    grid = build_uniform_grid(30, 1.5)
     dt = 0.02
     for _ in range(20):
         rho_old = rng.uniform(0.3, 2.0, grid.n_cells)

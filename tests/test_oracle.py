@@ -333,7 +333,7 @@ def test_interval_average_inside_one_region_is_exact():
 
 def test_cell_and_dual_averages_shapes():
     pat = benchmark_pattern()
-    grid = build_uniform_grid(25, 0.0, 4.5)
+    grid = build_uniform_grid(25, 4.5)
     t = 2e-3
     cells = exact_cell_averages(pat, grid, t)
     duals = exact_dual_averages(pat, grid, t)

@@ -17,7 +17,7 @@ val = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
 
 def grid3():
-    return build_uniform_grid(3, 0.0, 3.0)
+    return build_uniform_grid(3, 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +103,7 @@ def test_dual_flux_is_average_of_primal_pair():
 
 def test_dual_flux_inherits_primal_balance():
     rng = np.random.default_rng(3)
-    grid = build_uniform_grid(40, 0.0, 2.0)
+    grid = build_uniform_grid(40, 2.0)
     dt = 1e-2
     for _ in range(20):
         rho_old = rng.uniform(0.5, 2.0, grid.n_cells)
@@ -215,7 +215,7 @@ def test_antidiffusive_zero_flux_is_upwind():
 
 def test_antidiffusive_stays_between_upwind_and_downwind():
     rng = np.random.default_rng(5)
-    grid = build_uniform_grid(12, 0.0, 12.0)
+    grid = build_uniform_grid(12, 12.0)
     params = LimiterParams(scheme="antidiffusive", s_max=50.0)
     for _ in range(200):
         y = rng.uniform(-1.0, 1.0, 12)
@@ -245,7 +245,7 @@ def test_vectorized_matches_scalar(scheme):
     rng = np.random.default_rng(17)
     for _ in range(300):
         n = int(rng.choice([3, 4, 5, 8, 11, 24]))
-        grid = build_uniform_grid(n, 0.0, 2.0)
+        grid = build_uniform_grid(n, 2.0)
         params = LimiterParams(
             scheme=scheme,
             zeta_minus=float(rng.uniform(0.0, 2.0)),
@@ -282,7 +282,7 @@ def test_upwind_face_values_boundaries():
 def test_stencil_geometry_at_walls_and_zero_flux():
     # walls take the adjacent cell in every row; the anti-diffusive slope is
     # 0 there and on every face without flux, so those faces are upwind
-    grid = build_uniform_grid(4, 0.0, 4.0)
+    grid = build_uniform_grid(4, 4.0)
     F = np.array([0.0, 1.0, 0.0, -1.0, 0.0])
     params = LimiterParams(scheme="antidiffusive")
     stencil = face_stencil(F, params, np.ones(4), 0.25, grid)
@@ -333,7 +333,7 @@ def test_stencil_matches_index_arithmetic(left_wall_flow, right_wall_flow):
     rng = np.random.default_rng(23)
     for _ in range(100):
         n = int(rng.choice([3, 4, 6, 13, 40]))
-        grid = build_uniform_grid(n, 0.0, 2.0)
+        grid = build_uniform_grid(n, 2.0)
         F = np.zeros(n + 1)
         F[1:-1] = rng.uniform(-1.0, 1.0, n - 1)
         F[1:-1][rng.random(n - 1) < 0.3] = 0.0
