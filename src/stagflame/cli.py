@@ -132,6 +132,8 @@ def _cmd_sweep(args):
 def _cmd_oracle(args):
     from .oracle import rh_residuals
 
+    if args.time is not None and not args.csv:
+        raise ConfigError("--time needs --csv")
     if args.time is not None and not 0.0 < args.time < math.inf:
         raise ConfigError(f"--time must be positive and finite, got {args.time!r}")
     config = load_config(args.config, args.overrides)
@@ -140,11 +142,11 @@ def _cmd_oracle(args):
     pattern = case_pattern(config)
     print("exact wave pattern (left to right):")
     print(f"  burnt:   p {pattern.p_burnt:.8e}  rho {pattern.rho_burnt:.8e}  "
-          f"u {pattern.u_burnt:.8e}")
+          "u 0.00000000e+00")
     print(f"  shocked: p {pattern.p_shocked:.8e}  rho {pattern.rho_shocked:.8e}  "
           f"u {pattern.u_shocked:.8e}")
     print(f"  fresh:   p {pattern.p_fresh:.8e}  rho {pattern.rho_fresh:.8e}  "
-          f"u {pattern.u_fresh:.8e}")
+          "u 0.00000000e+00")
     print(f"  flame speed {pattern.s_flame:.8e}, precursor speed "
           f"{pattern.s_shock:.8e}, heat release {pattern.heat_release:.8e}")
     worst = max(rh_residuals(pattern).values())

@@ -397,7 +397,7 @@ def run_case(config, collect_diagnostics=True):
     """Run a case from t_start to t_end with the fixed step chosen at setup.
 
     The total energy is audited after every step when diagnostics are
-    collected, otherwise only after the last one, the only drift kept.
+    collected, and after the last one for the drift the result keeps.
     ``diagnostics`` holds one ``DIAG_DTYPE`` record per step, or none
     without diagnostics; records and columns index by field name.  A run
     holds one time level and one step's results at a time: the starting
@@ -417,10 +417,7 @@ def run_case(config, collect_diagnostics=True):
         except StepFailure as exc:
             t_from = config.t_start + (step - 1) * dt
             raise StepFailure(f"step {step} (t = {t_from:.9g}): {exc}") from exc
-    if collect_diagnostics:
-        drift = float(rows[-1]["energy_drift_rel"])
-    else:
-        drift = abs(total_energy(state) - e0) / abs(e0)
+    drift = abs(total_energy(state) - e0) / abs(e0)
     wall = time.perf_counter() - started
     errors = l1_error(state, pattern, t)
     return RunResult(

@@ -1,15 +1,15 @@
 """Segregated pressure-correction flow step on the staggered grid.
 
-One flow step runs: rescale the old pressure gradient, predict face
-velocities with the old gradient (implicit in the convection), measure the
-kinetic energy the prediction dissipated, then solve the coupled
-mass/enthalpy/EOS correction system for the end-of-step density, sensible
-enthalpy and pressure.  The velocity is eliminated through the correction
-relation and the cell-local EOS p = kappa rho h_s is substituted, which
-leaves an enthalpy balance in the pressure alone: Newton runs on the N cell
-pressures with a tridiagonal Jacobian (each step p - J^-1 r, J^-1 r solved
-in the place of the residual r), then one linear mass solve gives the
-density and the EOS the enthalpy.  Newton is the only nonlinear path: a
+One flow step builds the correction system, whose constructor rescales the
+old pressure gradient, predicts face velocities with it (implicit in the
+convection) and measures the kinetic energy the prediction dissipated, then
+solves the coupled mass/enthalpy/EOS system for the end-of-step density,
+sensible enthalpy and pressure.  The velocity is eliminated through the
+correction relation and the cell-local EOS p = kappa rho h_s is substituted,
+which leaves an enthalpy balance in the pressure alone: Newton runs on the N
+cell pressures with a tridiagonal Jacobian (each step p - J^-1 r, J^-1 r
+solved in the place of the residual r), then one linear mass solve gives
+the density and the EOS the enthalpy.  Newton is the only nonlinear path: a
 step it cannot converge ends in a StepFailure that says why it stopped.
 The pieces are arranged so that a discrete total energy - sensible plus
 chemical plus kinetic including a pressure-gradient storage term - is
@@ -223,16 +223,21 @@ class _CorrectionSystem:
     cells, so the Jacobian is tridiagonal; Newton solves it through the
     module's ``solve_banded``.  Upwind switches freeze per
     linearisation (semismooth Newton).  Once p is known, the mass balance
-    is linear in rho and h_s = p / (kappa rho).  Everything that does not
-    depend on p is built once, in the constructor.  S is the heat release
-    plus the prediction's compensation source.
+    is linear in rho and h_s = p / (kappa rho).  The constructor builds all
+    that does not depend on p: the prediction u_tilde with the rescaled
+    gradient sgp (both freed on return), its kinetic residuals ``R``, a, b
+    and S, the heat release plus the ``compensation_source`` of R.
     """
 
-    def __init__(self, state, u_tilde, sgp, source):
+    def __init__(self, state, omega_theta):
         grid = state.grid
         dt = state.dt
         self.state = state
         self.n = grid.n_cells
+        sgp = scale_pressure_gradient(state)
+        u_tilde = predict_velocity(state, sgp)
+        self.R = kinetic_residuals(state, u_tilde)
+        source = omega_theta + compensation_source(self.R, grid)
         self.hdt = grid.cell_volumes / dt
         self.kappa = (state.mixture.gamma - 1.0) / state.mixture.gamma
         self.inv_kappa = 1.0 / self.kappa
@@ -372,16 +377,16 @@ class _CorrectionSystem:
         return float(np.abs(r, out=r).max()) / self.mass_scale
 
 
-def correction_solve(state, u_tilde, sgp, omega_theta, R):
-    """Solve the correction system for (u, rho, h_s, p) at step end.
+def correction_solve(system):
+    """Solve the correction ``system`` for (u, rho, h_s, p) at step end.
 
-    The enthalpy balance's source is the heat release ``omega_theta`` plus
-    the ``compensation_source`` of the prediction's kinetic residuals ``R``;
-    the ``FlowResult`` holds R, from which the energy audit derives it.
-    Semismooth Newton on the N pressures of the reduced enthalpy balance
-    (see ``_CorrectionSystem``), starting from p^n: upwind switches freeze
-    per iteration, each step is one tridiagonal banded solve, and a line
-    step halves until p stays positive.  Once the tolerance is met, one more
+    The system carries all the solve reads: its level, the coefficients
+    built from the prediction, and the prediction's kinetic residuals R,
+    which the ``FlowResult`` holds for the energy audit.  Semismooth Newton
+    on the N pressures of the reduced enthalpy balance (see
+    ``_CorrectionSystem``), starting from p^n: upwind switches freeze per
+    iteration, each step is one tridiagonal banded solve, and a line step
+    halves until p stays positive.  Once the tolerance is met, one more
     step with the last iteration's Jacobian takes the residual down to
     round-off, so that the energy drift does not build up over a run; it is
     kept only if the residual drops.  The interior velocities are the
@@ -394,33 +399,32 @@ def correction_solve(state, u_tilde, sgp, omega_theta, R):
     the reason and the iteration count.  The reported residual is the larger
     of the scaled enthalpy and mass residuals.
 
-    Besides its inputs and the system's per-solve arrays (the band among
-    them), a solve holds the iterate p, the line step's spare buffer and one
-    residual with its linearisation (``residual``'s face quantities), which
+    Besides the system's per-solve arrays (the band among them), a solve
+    holds the iterate p, the line step's spare buffer and one residual
+    with its linearisation (``residual``'s face quantities), which
     it drops once the Jacobian is built from it.  Once Newton converges,
     the spare buffer and the last Newton step are freed and only the face
     velocities of the last linearisation are kept; the closing step
     replaces them by its own iterate's only when the step is kept.  So at
     most one set of residual and Jacobian temporaries is live.
     """
-    sys_ = _CorrectionSystem(state, u_tilde, sgp,
-                             omega_theta + compensation_source(R, state.grid))
-    p, r, res, u_face, it = _newton(sys_, np.array(state.p, dtype=float))
+    state = system.state
+    p, r, res, u_face, it = _newton(system, np.array(state.p, dtype=float))
     if it:  # the closing step
         it += 1
-        closed = sys_.closing_step(p, r, res)
+        closed = system.closing_step(p, r, res)
         if closed is not None:
             p, res, u_face = closed
-    u = np.zeros(sys_.n + 1)
+    u = np.zeros(system.n + 1)
     u[1:-1] = u_face
     rho = upwind_mass_solve(state.grid, state.rho, u, state.dt)
     flux = primal_mass_flux(rho, u)
-    h_s = rho * sys_.kappa
+    h_s = rho * system.kappa
     np.divide(p, h_s, out=h_s)  # h_s = p / (kappa rho)
     return FlowResult(
         u=u, rho=rho, h_s=h_s, p=p, flux=flux,
-        iterations=it, residual=max(res, sys_.mass_norm(rho, flux)),
-        kinetic_residual=R,
+        iterations=it, residual=max(res, system.mass_norm(rho, flux)),
+        kinetic_residual=system.R,
     )
 
 
@@ -474,15 +478,12 @@ def euler_step(state, omega_theta):
     """One full flow step from an accepted state (chemistry already done).
 
     Returns the ``FlowResult``: the corrected fields plus the prediction's
-    kinetic residuals.  The step size, fluxes, dual densities and pressure
-    gradient are the state's own.  A u or p that overflows or turns
+    kinetic residuals, built from the state's own step size, fluxes, dual
+    densities and pressure gradient.  A u or p that overflows or turns
     non-finite goes on as inf or NaN without a warning, and the correction
     solve's finiteness test ends the step.
     """
-    sgp = scale_pressure_gradient(state)
-    u_tilde = predict_velocity(state, sgp)
-    R = kinetic_residuals(state, u_tilde)
-    return correction_solve(state, u_tilde, sgp, omega_theta, R)
+    return correction_solve(_CorrectionSystem(state, omega_theta))
 
 
 def internal_energy_residual(state_n, state_next, chem, flow):

@@ -37,21 +37,19 @@ _REL_TOL = 1e-10
 @dataclass(frozen=True)
 class WavePattern:
     """Self-similar two-wave solution, states ordered left (burnt) to right
-    (fresh).  ``s_flame`` and ``s_shock`` are the wave speeds; the burnt gas
-    is at rest (u_burnt = 0).  ``flame_speed_product`` is the mass-burning
+    (fresh).  ``s_flame`` and ``s_shock`` are the wave speeds; only the
+    shocked gas moves.  ``flame_speed_product`` is the mass-burning
     prefactor rho_shocked * u_flame used by the discrete flame term."""
 
     mixture: object
     p_fresh: float
     rho_fresh: float
-    u_fresh: float
     y_fresh: tuple
     p_shocked: float
     rho_shocked: float
     u_shocked: float
     p_burnt: float
     rho_burnt: float
-    u_burnt: float
     y_burnt: tuple
     s_shock: float
     s_flame: float
@@ -207,9 +205,9 @@ def solve_deflagration_riemann(mixture, p_fresh, T_fresh, y_fresh, u_flame):
             raise OracleError("non-positive burnt state")
 
     return _certify(WavePattern(
-        mixture=mixture, p_fresh=p_fresh, rho_fresh=rho_fresh, u_fresh=0.0,
+        mixture=mixture, p_fresh=p_fresh, rho_fresh=rho_fresh,
         y_fresh=tuple(y_fresh), p_shocked=p2, rho_shocked=rho2, u_shocked=u2,
-        p_burnt=p_b, rho_burnt=rho_b, u_burnt=0.0, y_burnt=y_burnt,
+        p_burnt=p_b, rho_burnt=rho_b, y_burnt=y_burnt,
         s_shock=s_shock, s_flame=s_flame, u_flame=u_flame, heat_release=dq,
     ))
 
@@ -245,9 +243,9 @@ def rh_residuals(pattern):
     hc_burnt = chemical_enthalpy(mix, *pattern.y_burnt)
     jump("shock", pattern.s_shock,
          pattern.p_shocked, pattern.rho_shocked, pattern.u_shocked, hc_fresh,
-         pattern.p_fresh, pattern.rho_fresh, pattern.u_fresh, hc_fresh)
+         pattern.p_fresh, pattern.rho_fresh, 0.0, hc_fresh)
     jump("flame", pattern.s_flame,
-         pattern.p_burnt, pattern.rho_burnt, pattern.u_burnt, hc_burnt,
+         pattern.p_burnt, pattern.rho_burnt, 0.0, hc_burnt,
          pattern.p_shocked, pattern.rho_shocked, pattern.u_shocked, hc_fresh)
     return out
 
@@ -273,7 +271,7 @@ def _region_values(pattern):
     fields = {
         "p": (pattern.p_burnt, pattern.p_shocked, pattern.p_fresh),
         "rho": (pattern.rho_burnt, pattern.rho_shocked, pattern.rho_fresh),
-        "u": (pattern.u_burnt, pattern.u_shocked, pattern.u_fresh),
+        "u": (0.0, pattern.u_shocked, 0.0),
         "y_F": (yb[0], yf[0], yf[0]),
         "y_O": (yb[1], yf[1], yf[1]),
         "y_N": (yb[2], yf[2], yf[2]),

@@ -266,6 +266,15 @@ def test_oracle_time_must_be_positive(config_file, tmp_path, capsys,
         "configuration error: --time must be positive and finite, got ")
 
 
+def test_oracle_time_needs_csv(config_file, capsys):
+    # a sampling time with no CSV to sample is a bad command line, not an
+    # option to ignore
+    assert main(["oracle", config_file, "--time", "0.001"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "configuration error: --time needs --csv\n"
+
+
 def _work_must_not_run(*args, **kwargs):
     raise AssertionError("the work ran")
 
@@ -556,3 +565,60 @@ def test_every_numeric_value_ends_in_a_documented_exit(override, mode):
             "--set", f"time_mode={time_mode}", "--set", f"limiter={limiter}",
             "--set", f"{key}={value!r}"]
     assert main(argv) in (EXIT_OK, EXIT_CONFIG, EXIT_STEP, EXIT_ORACLE)
+
+
+# Each numeric key but n_cells and dt at half and twice its default (the
+# formation enthalpies, 0 by default, at -1e5 and 1e5), checked on 24
+# implicit cells.  The property test above accepts any documented exit;
+# here each draw's outcome is pinned, so that a spurious refusal fails.
+# A draw refused with exit 2 maps to the start of its message; every other
+# draw passes.
+_SHOCK = "the precursor shock reaches"
+_BALANCE = "stoichiometric mass balance violated"
+_MOLAR_SUM = "molar fractions sum to"
+NEAR_DEFAULT_REFUSALS = {
+    ("x_right", "low"): _SHOCK,
+    ("gamma", "low"): "gamma must lie in (1.0, inf)",
+    ("gamma", "high"): _SHOCK,
+    ("dh_P", "high"): _SHOCK,
+    ("u_flame", "high"): _SHOCK,
+    ("t_end", "high"): _SHOCK,
+    ("molar_F", "low"): _MOLAR_SUM,
+    ("molar_F", "high"): _MOLAR_SUM,
+    ("molar_O", "low"): _MOLAR_SUM,
+    ("molar_O", "high"): _MOLAR_SUM,
+    ("molar_N", "low"): _MOLAR_SUM,
+    ("molar_N", "high"): "molar_N must lie in [0.0, 1.0]",
+    **{(key, side): _BALANCE
+       for key in ("nu_F", "nu_O", "nu_P", "W_F", "W_O", "W_P")
+       for side in ("low", "high")},
+}
+
+
+def _near_default_draws():
+    for f in fields(CaseConfig):
+        default = getattr(_DEFAULTS, f.name)
+        if f.name == "n_cells" or not isinstance(default, float):
+            continue  # dt defaults to None, the modes to names
+        values = ((-1e5, 1e5) if default == 0.0
+                  else (0.5 * default, 2.0 * default))
+        for side, value in zip(("low", "high"), values):
+            yield pytest.param(f.name, side, value, id=f"{f.name}={value!r}")
+
+
+@pytest.mark.parametrize("key,side,value", list(_near_default_draws()))
+def test_each_near_default_value_has_its_pinned_outcome(key, side, value,
+                                                       capsys):
+    argv = ["check", str(SHIPPED), "--set", "n_cells=24",
+            "--set", "time_mode=implicit-upwind", "--set", "limiter=upwind",
+            "--set", f"{key}={value!r}"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    refusal = NEAR_DEFAULT_REFUSALS.get((key, side))
+    if refusal is None:
+        assert code == EXIT_OK, captured.err
+        assert captured.out.endswith("all checks passed\n")
+    else:
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err.startswith(f"configuration error: {refusal}")

@@ -448,7 +448,8 @@ def test_diagnostics_are_one_record_per_step(tmp_path):
 
 
 def test_run_without_diagnostics_audits_start_and_end(monkeypatch):
-    # only the last drift is kept, so only e0 and the final state are audited
+    # only the last drift is kept, so without diagnostics only e0 and the
+    # final state are audited; with them, every step and the final state
     cfg = CaseConfig(n_cells=40, t_end=0.0024)
     audits = []
 
@@ -461,7 +462,7 @@ def test_run_without_diagnostics_audits_start_and_end(monkeypatch):
     assert len(audits) == 2
     assert len(off.diagnostics) == 0 and off.diagnostics.dtype == DIAG_DTYPE
     on = run_case(cfg)
-    assert len(audits) == 3 + on.n_steps
+    assert len(audits) == 4 + on.n_steps
     assert off.energy_drift_rel == on.energy_drift_rel
     assert off.energy_drift_rel == on.diagnostics[-1]["energy_drift_rel"]
     assert off.errors == on.errors

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -9,7 +11,7 @@ from stagflame import hydro
 from stagflame.chemistry import chemistry_step
 from stagflame.errors import StepFailure
 from stagflame.grid import build_uniform_grid
-from stagflame.harness import CaseConfig, advance, initialize_case
+from stagflame.harness import CaseConfig, advance, initialize_case, run_case
 from stagflame.hydro import (
     _CorrectionSystem,
     cell_kinetic_energy,
@@ -24,6 +26,7 @@ from stagflame.hydro import (
 )
 from stagflame.thermo import chemical_enthalpy
 from stagflame.transport import (
+    SCHEMES,
     dual_density,
     dual_mass_flux,
     pressure_gradient,
@@ -199,11 +202,14 @@ def test_correction_solve_converges_on_benchmark_step():
 
 def _correction_system(state):
     """The correction system of the first step from ``state`` without heat
-    release, with the inputs it was built from."""
+    release, and the (u_t, sgp, source) its constructor built, recomputed."""
+    omega = np.zeros(state.grid.n_cells)
+    system = _CorrectionSystem(state, omega)
     sgp = scale_pressure_gradient(state)
     u_t = predict_velocity(state, sgp)
-    source = compensation_source(kinetic_residuals(state, u_t), state.grid)
-    system = _CorrectionSystem(state, u_t, sgp, source)
+    R = kinetic_residuals(state, u_t)
+    assert _same_bits(system.R, R)
+    source = omega + compensation_source(R, state.grid)
     return system, (u_t, sgp, source)
 
 
@@ -437,14 +443,12 @@ def test_diverging_correction_solve_is_a_step_failure():
 
 
 def test_correction_solve_raises_when_starved(monkeypatch):
-    setup = initialize_case(CaseConfig(n_cells=40))
-    state = setup.state
+    state = initialize_case(CaseConfig(n_cells=40)).state
+    system = _CorrectionSystem(state, np.zeros(state.grid.n_cells))
     monkeypatch.setattr(hydro, "_NONLINEAR_TOL", 1e-14)
     monkeypatch.setattr(hydro, "_MAX_ITERATIONS", 1)
     with pytest.raises(StepFailure, match="iteration cap reached after 1 Newton"):
-        correction_solve(state, state.u.copy(), state.grad_p,
-                         np.zeros(state.grid.n_cells),
-                         np.zeros(state.grid.n_faces))
+        correction_solve(system)
 
 
 def _singular_solve(l_and_u, ab, b, **kwargs):
@@ -461,13 +465,48 @@ def _nan_solve(l_and_u, ab, b, **kwargs):
 ])
 def test_correction_solve_names_why_newton_stopped(monkeypatch, broken, why):
     # the Newton steps go through the module's solve_banded; a broken solve
-    # stops Newton at once, and the failure names the reason
+    # stops Newton at once, and the failure names the reason (the system is
+    # built first: its prediction is a banded solve too)
     state = initialize_case(CaseConfig(n_cells=40)).state
+    system = _CorrectionSystem(state, np.zeros(state.grid.n_cells))
     monkeypatch.setattr(hydro, "solve_banded", broken)
     with pytest.raises(StepFailure, match=f": {why} after 0 Newton iterations"):
-        correction_solve(state, state.u.copy(), state.grad_p,
-                         np.zeros(state.grid.n_cells),
-                         np.zeros(state.grid.n_faces))
+        correction_solve(system)
+
+
+@pytest.mark.parametrize("limiter", SCHEMES)
+def test_the_flow_step_holds_no_prediction(monkeypatch, limiter):
+    # the prediction is the correction system's constructor's own: when a
+    # step's Newton iterations start, neither the scaled gradient nor the
+    # predicted velocity of that step is reachable
+    returned, seen = [], []
+    scale, predict, newton = (hydro.scale_pressure_gradient,
+                              hydro.predict_velocity, hydro._newton)
+
+    def recording(fn):
+        def wrapper(*args):
+            value = fn(*args)
+            returned.append(weakref.ref(value))
+            return value
+        return wrapper
+
+    def checking(*args):
+        seen.append((len(returned), sum(ref() is not None for ref in returned)))
+        returned.clear()
+        return newton(*args)
+
+    monkeypatch.setattr(hydro, "scale_pressure_gradient", recording(scale))
+    monkeypatch.setattr(hydro, "predict_velocity", recording(predict))
+    monkeypatch.setattr(hydro, "_newton", checking)
+    config = CaseConfig(n_cells=40, t_end=0.0024, time_mode="explicit-limited",
+                        limiter=limiter)
+    gc.disable()
+    try:
+        result = run_case(config)
+    finally:
+        gc.enable()
+    assert result.n_steps >= 4
+    assert seen == [(2, 0)] * result.n_steps
 
 
 def test_total_energy_of_resting_state_is_internal_only():
