@@ -393,14 +393,12 @@ class RunResult:
     wall_time: float
 
 
-def run_case(config, collect_diagnostics=True):
+def run_case(config):
     """Run a case from t_start to t_end with the fixed step chosen at setup.
 
-    The total energy is audited after every step when diagnostics are
-    collected, and after the last one for the drift the result keeps.
-    ``diagnostics`` holds one ``DIAG_DTYPE`` record per step, or none
-    without diagnostics; records and columns index by field name.  A run
-    holds one time level and one step's results at a time: the starting
+    ``diagnostics`` holds one ``DIAG_DTYPE`` record per step, with the total
+    energy audited after it; the result keeps the last record's drift.  A
+    run holds one time level and one step's results at a time: the starting
     level is let go after the first step, and each step's stage results
     after its record is written.  A StepFailure is raised again with the
     step index and the time the step started from in front of its message.
@@ -408,7 +406,7 @@ def run_case(config, collect_diagnostics=True):
     state, pattern, chem_config, n_steps = initialize_case(config)
     dt = state.dt
     e0 = total_energy(state)
-    rows = np.empty(n_steps if collect_diagnostics else 0, DIAG_DTYPE)
+    rows = np.empty(n_steps, DIAG_DTYPE)
     started = time.perf_counter()
     for step in range(1, n_steps + 1):
         t = config.t_start + step * dt
@@ -417,33 +415,30 @@ def run_case(config, collect_diagnostics=True):
         except StepFailure as exc:
             t_from = config.t_start + (step - 1) * dt
             raise StepFailure(f"step {step} (t = {t_from:.9g}): {exc}") from exc
-    drift = abs(total_energy(state) - e0) / abs(e0)
     wall = time.perf_counter() - started
-    errors = l1_error(state, pattern, t)
     return RunResult(
         config=config, state=state, n_steps=n_steps, t_final=t,
-        diagnostics=rows, errors=errors, energy_drift_rel=drift, wall_time=wall,
+        diagnostics=rows, errors=l1_error(state, pattern, t),
+        energy_drift_rel=float(rows[-1]["energy_drift_rel"]), wall_time=wall,
     )
 
 
 def _recorded_step(state, chem_config, rows, step, t, e0):
     """``advance`` a run's level by its step ``step``, which ends at ``t``,
-    and return the new level.  When ``rows`` holds a record per step, the
-    step's record is written from the new level, its energy against the
-    starting ``e0`` and the stage results, which only this call holds, so
-    they are freed before the next step."""
+    and return the new level.  The step's record is written from the new
+    level, its energy against the starting ``e0`` and the stage results,
+    which only this call holds, so they are freed before the next step."""
     state, info = advance(state, chem_config)
-    if len(rows):
-        e_now = total_energy(state)
-        flow = info["flow"]
-        rows[step - 1] = (
-            step, t, state.dt, state.cfl,
-            (state.grid.cell_volumes * state.rho).sum(),
-            e_now, abs(e_now - e0) / abs(e0), flow.residual, flow.iterations,
-            0,  # used_fallback, a kept column: Newton has no fallback
-            flow.kinetic_residual.sum(), info["max_sum_y_error"],
-            state.G.min(), state.G.max(),
-        )
+    e_now = total_energy(state)
+    flow = info["flow"]
+    rows[step - 1] = (
+        step, t, state.dt, state.cfl,
+        (state.grid.cell_volumes * state.rho).sum(),
+        e_now, abs(e_now - e0) / abs(e0), flow.residual, flow.iterations,
+        0,  # used_fallback, a kept column: Newton has no fallback
+        flow.kinetic_residual.sum(), info["max_sum_y_error"],
+        state.G.min(), state.G.max(),
+    )
     return state
 
 
@@ -564,7 +559,7 @@ def run_sweep(config, meshes, schemes):
                               f"runs each {kind} once")
     configs = [replace(config, limiter=s, n_cells=n)
                for s in schemes for n in meshes]
-    return [run_case(cfg, collect_diagnostics=False) for cfg in configs]
+    return [run_case(cfg) for cfg in configs]
 
 
 def observed_orders(runs, field):

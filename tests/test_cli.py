@@ -86,6 +86,9 @@ def test_bad_config_line_is_a_config_error(tmp_path, capsys):
     ("T_fresh=-1", r"T_fresh must lie in \(0.0, inf\)"),
     ("gamma=nan", "gamma must be finite"),
     ("molar_F=0.5", "molar fractions sum to"),
+    ("molar_F=1.0000000000000002",
+     r"molar_F must lie in \[0.0, 1.0\], got 1.0000000000000002"),
+    ("t_end=0.002", "t_end must exceed t_start"),
     ("t_end=1e300", r"needs [\d.]+e\+304 steps .* more than 10000000"),
     ("t_start=0", r"t_start must lie in \(0.0, inf\)"),
     ("n_cells=1.5", "'n_cells' needs an integer"),
@@ -303,6 +306,28 @@ def test_unwritable_output_is_a_config_error(config_file, tmp_path, capsys,
     assert not missing.exists()
 
 
+@pytest.mark.parametrize("argv,option", [
+    pytest.param(["run", "--output-prefix", ""], "output-prefix", id="run"),
+    pytest.param(["sweep", "--meshes", "24", "--output-prefix", ""],
+                 "output-prefix", id="sweep"),
+    pytest.param(["oracle", "--csv", ""], "csv", id="oracle"),
+    pytest.param(["oracle", "--csv", "", "--time", "0.001"], "csv",
+                 id="oracle-time"),
+])
+def test_an_empty_output_path_is_a_config_error(config_file, capsys,
+                                                monkeypatch, argv, option):
+    # an empty path names no file: it is refused before any work, naming
+    # the option that was given, not ignored
+    for module, work in ((cli, "run_case"), (harness, "run_case"),
+                         (harness, "solve_deflagration_riemann")):
+        monkeypatch.setattr(module, work, _work_must_not_run)
+    assert main([argv[0], config_file, *argv[1:]]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"configuration error: --{option} needs a path, "
+                            f"got an empty one\n")
+
+
 @pytest.mark.parametrize("argv,message", [
     pytest.param(["--meshes", "2000,2"],
                  r"n_cells must lie in \[3, 1000000\], got 2$", id="bad-mesh"),
@@ -460,7 +485,7 @@ def test_check_runs_at_most_the_cases_own_steps(n_cells, steps, capsys,
 
 @pytest.mark.parametrize("eps,code,reported", [
     (1e-6, EXIT_STEP, "step failure: 10-step run: energy drift 2.41e-05 "
-                      "exceeds 1e-8"),
+                      "at step 10 exceeds 1e-8"),
     (1e-13, EXIT_OK, "energy drift 2.40e-12"),
 ])
 def test_check_verb_gates_the_energy_drift(eps, code, reported, capsys,
@@ -478,6 +503,26 @@ def test_check_verb_gates_the_energy_drift(eps, code, reported, capsys,
     captured = capsys.readouterr()
     assert reported in (captured.err if code == EXIT_STEP else captured.out)
     assert ("all checks passed" in captured.out) == (code == EXIT_OK)
+
+
+def test_check_verb_gates_its_worst_step(capsys, monkeypatch):
+    # step 5 gains a fraction 1e-6 of its sensible enthalpy and step 6 gives
+    # it back: the last step's drift holds the budget, step 5's does not
+    original = harness.advance
+    steps = []
+
+    def lending(state, chem_config):
+        new_state, info = original(state, chem_config)
+        steps.append(None)
+        factor = {5: 1 + 1e-6, 6: 1 / (1 + 1e-6)}.get(len(steps), 1.0)
+        return replace(new_state, h_s=new_state.h_s * factor), info
+
+    monkeypatch.setattr(harness, "advance", lending)
+    assert main(["check", str(SHIPPED)]) == EXIT_STEP
+    captured = capsys.readouterr()
+    assert "all checks passed" not in captured.out
+    assert re.fullmatch(r"step failure: 10-step run: energy drift \S+ at step 5 "
+                        r"exceeds 1e-8\n", captured.err)
 
 
 def test_a_left_wall_key_is_unknown(tmp_path, capsys):

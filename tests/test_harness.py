@@ -14,7 +14,6 @@ from stagflame import chemistry, harness, thermo
 from stagflame.chemistry import ChemStepConfig
 from stagflame.errors import ConfigError, StepFailure, require_fraction
 from stagflame.harness import (
-    DIAG_DTYPE,
     CaseConfig,
     advance,
     burnt_zone_asymptotic_distance,
@@ -146,6 +145,12 @@ def test_config_validation():
         CaseConfig(time_mode="explicit-limited", cfl=1.2)
     # the implicit mode tolerates CFL above one
     assert CaseConfig(cfl=1.2).cfl == 1.2
+    # each closed upper bound admits the bound itself, and nothing past it
+    CaseConfig(molar_F=1.0, molar_O=0.0, molar_N=0.0)
+    assert CaseConfig(n_cells=10**6).n_cells == 10**6
+    assert CaseConfig(time_mode="explicit-limited", cfl=1.0).cfl == 1.0
+    with pytest.raises(ConfigError, match=r"\(0, 1\]"):
+        CaseConfig(time_mode="explicit-limited", cfl=math.nextafter(1.0, 2.0))
     assert CaseConfig().cfl == 0.8
     assert CaseConfig().epsilon_per_h == 1e-2
 
@@ -443,13 +448,11 @@ def test_diagnostics_are_one_record_per_step(tmp_path):
     assert (diag["dt"] == result.state.dt).all()
     assert not diag["used_fallback"].any()
     assert diag[-1]["energy_drift_rel"] == result.energy_drift_rel
-    off = run_case(cfg, collect_diagnostics=False)
-    assert off.diagnostics.shape == (0,) and off.diagnostics.dtype == diag.dtype
 
 
-def test_run_without_diagnostics_audits_start_and_end(monkeypatch):
-    # only the last drift is kept, so without diagnostics only e0 and the
-    # final state are audited; with them, every step and the final state
+def test_a_run_audits_the_start_and_each_step(monkeypatch):
+    # the starting level and each new level are audited once; the drift the
+    # result keeps is the last step's, with no audit of its own
     cfg = CaseConfig(n_cells=40, t_end=0.0024)
     audits = []
 
@@ -458,19 +461,14 @@ def test_run_without_diagnostics_audits_start_and_end(monkeypatch):
         return total_energy(*args)
 
     monkeypatch.setattr(harness, "total_energy", counting)
-    off = run_case(cfg, collect_diagnostics=False)
-    assert len(audits) == 2
-    assert len(off.diagnostics) == 0 and off.diagnostics.dtype == DIAG_DTYPE
-    on = run_case(cfg)
-    assert len(audits) == 4 + on.n_steps
-    assert off.energy_drift_rel == on.energy_drift_rel
-    assert off.energy_drift_rel == on.diagnostics[-1]["energy_drift_rel"]
-    assert off.errors == on.errors
+    result = run_case(cfg)
+    assert len(audits) == 1 + result.n_steps
+    assert audits[-1] is result.state
+    assert result.energy_drift_rel == result.diagnostics[-1]["energy_drift_rel"]
+    assert type(result.energy_drift_rel) is float
 
 
-@pytest.mark.parametrize("collect_diagnostics", [True, False])
-def test_a_run_holds_one_level_and_one_step_of_results(monkeypatch,
-                                                       collect_diagnostics):
+def test_a_run_holds_one_level_and_one_step_of_results(monkeypatch):
     # when step k starts, every level handed to an earlier step (the
     # starting one from step 2 on) and the stage results of step k - 1 are
     # unreachable; with the cycle collector off, they must already be freed
@@ -489,7 +487,7 @@ def test_a_run_holds_one_level_and_one_step_of_results(monkeypatch,
     config = load_config(ROOT / "configs" / "benchmark.cfg", ["t_end=0.0021"])
     gc.disable()
     try:
-        result = run_case(config, collect_diagnostics)
+        result = run_case(config)
     finally:
         gc.enable()
     assert len(handed) == result.n_steps >= 5
@@ -673,9 +671,7 @@ def test_replace_rebuilds_the_level_arrays(name):
 
 
 @pytest.mark.parametrize("time_mode", ["implicit-upwind", "explicit-limited"])
-@pytest.mark.parametrize("collect_diagnostics", [True, False])
-def test_each_step_builds_each_level_array_once(monkeypatch, time_mode,
-                                                collect_diagnostics):
+def test_each_step_builds_each_level_array_once(monkeypatch, time_mode):
     # each step builds the dual density, the pressure gradient and the CFL
     # of its new level once, and its energy audit builds none; the starting
     # level builds its previous-level dual density too.  An explicit step
@@ -705,7 +701,7 @@ def test_each_step_builds_each_level_array_once(monkeypatch, time_mode,
 
     monkeypatch.setattr(harness, "advance", stepping)
     result = run_case(CaseConfig(n_cells=40, t_end=0.0024,
-                                 time_mode=time_mode), collect_diagnostics)
+                                 time_mode=time_mode))
     assert result.n_steps >= 4
     start, *steps = " ".join(events).split("step")
     assert sorted(start.split()) == ["cfl_number", "dual_density",
@@ -747,8 +743,8 @@ def test_wall_velocity_does_not_enter_the_step(value):
 
 
 def test_l1_error_decreases_with_mesh():
-    coarse = run_case(CaseConfig(n_cells=40, t_end=0.003), collect_diagnostics=False)
-    fine = run_case(CaseConfig(n_cells=160, t_end=0.003), collect_diagnostics=False)
+    coarse = run_case(CaseConfig(n_cells=40, t_end=0.003))
+    fine = run_case(CaseConfig(n_cells=160, t_end=0.003))
     for f in ("p", "u", "rho"):
         assert fine.errors[f] < coarse.errors[f]
 
@@ -803,7 +799,7 @@ def test_runs_are_deterministic(tmp_path):
 
 def test_profile_csv_layout(tmp_path):
     cfg = CaseConfig(n_cells=12, t_end=0.0021)
-    result = run_case(cfg, collect_diagnostics=False)
+    result = run_case(cfg)
     write_run_csvs(tmp_path / "out", result)
     lines = (tmp_path / "out_profile.csv").read_text().splitlines()
     header = [l for l in lines if l.startswith("#")]
@@ -835,7 +831,8 @@ def test_sweep_rows_and_report(tmp_path):
         ("upwind", 24), ("upwind", 48), ("muscl", 24), ("muscl", 48)]
     up = runs[:2]
     assert up[0].state.grid.h == pytest.approx(4.5 / 24)
-    assert all(len(r.diagnostics) == 0 and r.diagnostics.dtype == DIAG_DTYPE
+    assert all(len(r.diagnostics) == r.n_steps
+               and r.energy_drift_rel == r.diagnostics[-1]["energy_drift_rel"]
                for r in runs)
     pairs, slope = observed_orders(up, "rho")
     assert len(pairs) == 1

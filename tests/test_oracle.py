@@ -220,12 +220,16 @@ def test_nearly_static_flame_certifies():
     assert max(rh_residuals(pattern).values()) <= 1e-10
 
 
-def counted(f):
-    """``f`` and a list that grows by one entry per evaluation."""
+def counted(f, cap=None):
+    """``f`` and a list that grows by one entry per evaluation; an
+    evaluation past ``cap`` raises, so a bisection that fails to end fails
+    its test instead of hanging it."""
     calls = []
 
     def traced(x):
         calls.append(x)
+        if cap is not None and len(calls) > cap:
+            raise AssertionError(f"more than {cap} evaluations")
         return f(x)
 
     return traced, calls
@@ -250,7 +254,8 @@ BRANCH_CASES = {
 @pytest.mark.parametrize("name", sorted(BRANCH_CASES))
 def test_bisection_ends_on_a_zero_or_a_sign_change(name):
     f, a, b = BRANCH_CASES[name]
-    traced, calls = counted(f)
+    # the two ends and at most about 2100 halvings, as _bisect documents
+    traced, calls = counted(f, cap=2102)
     root = oracle._bisect(traced, a, b)
     assert type(root) is float and a <= root <= b
     if name.startswith("zero at"):
@@ -279,10 +284,20 @@ def test_bisection_needs_a_sign_change(value):
 def test_bisection_runs_to_adjacent_doubles_without_a_cap():
     # a jump at 1 in [0, 1e300]: about 997 halvings down to a bracket of
     # width 1, 52 more down to adjacent doubles, and the two ends
-    traced, calls = counted(lambda x: -1.0 if x < 1.0 else 1.0)
+    traced, calls = counted(lambda x: -1.0 if x < 1.0 else 1.0, cap=1051)
     root = oracle._bisect(traced, 0.0, 1e300)
     assert root in (1.0, math.nextafter(1.0, 0.0))
     assert len(calls) == 1051
+
+
+def test_bisection_ends_when_the_midpoint_rounds_onto_lo():
+    # lo + 0.5 * (hi - lo) is 1 + 2**-53, a tie that rounds to even, onto
+    # lo: the bracket already holds adjacent doubles, so only its two ends
+    # are evaluated
+    hi = math.nextafter(1.0, 2.0)
+    traced, calls = counted(lambda x: -1.0 if x < hi else 1.0, cap=2)
+    assert oracle._bisect(traced, 1.0, hi) == 1.0
+    assert calls == [1.0, hi]
 
 
 # ---------------------------------------------------------------------------
