@@ -45,7 +45,7 @@ import numpy as np
 from .errors import ConfigError, StepFailure, require_fraction
 from .linalg import solve_banded, upwind_band
 from .thermo import y_O_from_z, z_from_fractions
-from .transport import FaceStencil, LimiterParams, face_stencil, face_values
+from .transport import SCHEMES, FaceStencil, face_stencil, face_values
 
 # The flame advection is off on faces where the indicator gradient is below
 # this fraction of the indicator range per cell: round-off, not a front.
@@ -59,19 +59,19 @@ class ChemStepConfig:
     ``epsilon`` is the relaxation time of the reaction (positive).
     ``flame_speed_product`` is the constant rho_u * u_f appearing in the
     flame propagation term.  ``limiter`` is the convection scheme: None for
-    implicit upwind transport (unconditionally stable), a ``LimiterParams``
-    for explicit transport with its face values, nothing else; the flame
-    term stays implicit either way.
+    implicit upwind transport (unconditionally stable), the name of one of
+    ``transport.SCHEMES`` for explicit transport with its face values,
+    nothing else; the flame term stays implicit either way.
     """
 
     epsilon: float
     flame_speed_product: float = 0.0
-    limiter: object = None
+    limiter: str = None
 
     def __post_init__(self):
-        if not (self.limiter is None or isinstance(self.limiter, LimiterParams)):
-            raise ConfigError(f"limiter must be None or a LimiterParams, got "
-                              f"{self.limiter!r}")
+        if not (self.limiter is None or self.limiter in SCHEMES):
+            raise ConfigError(f"limiter must be None or one of {SCHEMES}, "
+                              f"got {self.limiter!r}")
         if not self.epsilon > 0.0:
             raise ConfigError("epsilon must be positive")
         if self.flame_speed_product < 0.0:
@@ -91,7 +91,7 @@ class ChemResult:
     y_N: np.ndarray
     y_P: np.ndarray
     omega_theta: np.ndarray
-    limiter: LimiterParams = None
+    limiter: str = None
 
 
 def species_faces(state, chem):
@@ -101,8 +101,8 @@ def species_faces(state, chem):
     the stencil of those fluxes and the step's limiter: an explicit step's
     ``_level_faces``, or the upwind values of the new z, y_N and y_F, with
     y_O's derived from them.  y_P's close the sum in either mode."""
-    stencil = face_stencil(state.flux, chem.limiter or LimiterParams(),
-                           state.rho, state.dt, state.grid)
+    stencil = face_stencil(state.flux, chem.limiter or "upwind", state.rho,
+                           state.dt, state.grid)
     if chem.limiter is not None:
         faces = _level_faces(state, stencil)
     else:

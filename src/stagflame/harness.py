@@ -29,7 +29,7 @@ from .thermo import (
     pressure_from_state,
     temperature,
 )
-from .transport import SCHEMES, LimiterParams, cfl_number, primal_mass_flux
+from .transport import SCHEMES, cfl_number, primal_mass_flux
 
 # One record of RunResult.diagnostics per step, in _diag.csv column order.
 DIAG_DTYPE = np.dtype([
@@ -52,20 +52,20 @@ _SWEEP_COLUMNS = (
 # benchmark's largest run takes 1340).
 MAX_STEPS = 10**7
 
-# Admissible ranges of the numeric config keys: (low, high, low included,
-# high included), None for an unbounded end.  Every float key, listed or
-# not, must also be finite.  t_start is positive because the self-similar
+# Admissible ranges of the numeric config keys: (low, high, closed); a
+# closed range includes its finite ends.  Every float key, listed or not,
+# must also be finite.  t_start is positive because the self-similar
 # solution the run starts from needs t > 0.  The cap on n_cells is 500
 # times the largest mesh any study runs.
 _RANGES = {
-    "n_cells": (3, 10**6, True, True),
-    "x_right": (0.0, None, False, False),
-    "gamma": (1.0, None, False, False),
+    "n_cells": (3, 10**6, True),
+    "x_right": (0.0, math.inf, False),
+    "gamma": (1.0, math.inf, False),
     **dict.fromkeys(("nu_F", "nu_O", "nu_P", "W_F", "W_O", "W_N", "W_P",
                      "p_fresh", "T_fresh", "t_start", "cfl", "dt",
-                     "epsilon_per_h"), (0.0, None, False, False)),
-    **dict.fromkeys(("molar_F", "molar_O", "molar_N"), (0.0, 1.0, True, True)),
-    "u_flame": (0.0, None, True, False),
+                     "epsilon_per_h"), (0.0, math.inf, False)),
+    **dict.fromkeys(("molar_F", "molar_O", "molar_N"), (0.0, 1.0, True)),
+    "u_flame": (0.0, math.inf, True),
 }
 # The face schemes each time mode runs: implicit mode has upwind faces only.
 MODE_SCHEMES = {"implicit-upwind": ("upwind",), "explicit-limited": SCHEMES}
@@ -78,13 +78,11 @@ def _range_error(key, value):
         return f"{key} must be finite, got {value!r}"
     if key not in _RANGES:
         return None
-    lo, hi, lo_in, hi_in = _RANGES[key]
-    below = lo is not None and (value < lo or (value == lo and not lo_in))
-    above = hi is not None and (value > hi or (value == hi and not hi_in))
-    if not (below or above):
+    lo, hi, closed = _RANGES[key]
+    if lo < value < hi or (closed and value in (lo, hi)):
         return None
-    interval = (f"{'[' if lo_in else '('}{lo}, "
-                f"{'inf' if hi is None else hi}{']' if hi_in else ')'}")
+    interval = (f"{'[' if closed else '('}{lo}, {hi}"
+                f"{']' if closed and hi < math.inf else ')'}")
     return f"{key} must lie in {interval}, got {value!r}"
 
 
@@ -169,7 +167,7 @@ class CaseConfig:
         return ChemStepConfig(
             epsilon=self.epsilon_per_h * h,
             flame_speed_product=flame_speed_product,
-            limiter=LimiterParams(scheme=self.limiter) if explicit else None,
+            limiter=self.limiter if explicit else None,
         )
 
 

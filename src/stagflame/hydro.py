@@ -48,8 +48,8 @@ from .chemistry import species_faces
 from .errors import StepFailure
 from .linalg import solve_banded, upwind_mass_solve
 from .thermo import chemical_enthalpy
-from .transport import (LimiterParams, dual_mass_flux, face_stencil,
-                        face_values, primal_mass_flux)
+from .transport import (dual_mass_flux, face_stencil, face_values,
+                        primal_mass_flux)
 
 # Newton meets the correction solve when the scaled residual (each equation
 # divided by its natural size) drops below _NONLINEAR_TOL; a solve that has
@@ -500,7 +500,7 @@ def internal_energy_residual(state_n, state_next, chem, flow):
     grid = state_next.grid
     dt = state_next.dt
     es_face = face_values(state_next.e_s, face_stencil(
-        state_next.flux, LimiterParams(), state_next.rho, dt, grid))
+        state_next.flux, "upwind", state_next.rho, dt, grid))
     sens_flux = state_next.flux * es_face
     hc_face = chemical_enthalpy(state_next.mixture, faces["y_F"], faces["y_O"],
                                 faces["y_N"], faces["y_P"])

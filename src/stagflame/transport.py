@@ -6,13 +6,15 @@ Three face-value schemes are provided for scalar convection: plain upwind, a
 MUSCL limiter that clips a centred tentative value into two admissibility
 intervals, and an anti-diffusive scheme that pushes the face value as close
 to the downwind cell value as the admissibility interval allows.  A scheme
-comes in two parts: ``face_stencil`` builds, once per step from the mass
-fluxes, what does not depend on the scalar (upwind, downwind and far-upstream
-cells, the anti-diffusive slope), and ``face_values`` applies it to a scalar.
-Both work in their own temporaries (``out=``, augmented assignment) and
-never write into their arguments; a ``FaceStencil`` is shared by every
-scalar of a step and is not written after it is built.  The energy audit
-rebuilds its upwind faces, of e_s and of an implicit step, the same way.
+is its name, one of ``SCHEMES``; the limited ones run with the one tuning
+this module's constants give.  A scheme comes in two parts: ``face_stencil``
+builds, once per step from the mass fluxes, what does not depend on the
+scalar (upwind, downwind and far-upstream cells, the anti-diffusive slope),
+and ``face_values`` applies it to a scalar.  Both work in their own
+temporaries (``out=``, augmented assignment) and never write into their
+arguments; a ``FaceStencil`` is shared by every scalar of a step and is not
+written after it is built.  The energy audit rebuilds its upwind faces, of
+e_s and of an implicit step, the same way.
 """
 
 from dataclasses import dataclass, field
@@ -20,32 +22,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 SCHEMES = ("upwind", "muscl", "antidiffusive")
-
-
-@dataclass(frozen=True)
-class LimiterParams:
-    """Parameters of the face-value scheme.
-
-    ``zeta_minus`` and ``zeta_plus`` (both in [0, 2]) open the two MUSCL
-    admissibility intervals, the second one towards the far upstream cell:
-    the upwind cell's other neighbour, mirrored through it from the downwind
-    cell.  ``s_max`` caps the anti-diffusion slope; 0 degrades to upwind.
-    """
-
-    scheme: str = "upwind"
-    zeta_minus: float = 1.0
-    zeta_plus: float = 1.0
-    s_max: float = 2.0
-
-    def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
-        if not 0.0 <= self.zeta_minus <= 2.0:
-            raise ValueError("zeta_minus must lie in [0, 2]")
-        if not 0.0 <= self.zeta_plus <= 2.0:
-            raise ValueError("zeta_plus must lie in [0, 2]")
-        if self.s_max < 0.0:
-            raise ValueError("s_max must be non-negative")
+# The tuning of the limited schemes.  ZETA_MINUS and ZETA_PLUS (in [0, 2])
+# open the two MUSCL admissibility intervals, the second one towards the far
+# upstream cell: the upwind cell's other neighbour, mirrored through it from
+# the downwind cell.  S_MAX caps the anti-diffusive slope; 0 degrades to
+# upwind.
+ZETA_MINUS = 1.0
+ZETA_PLUS = 1.0
+S_MAX = 2.0
 
 
 def primal_mass_flux(rho, u):
@@ -112,7 +96,8 @@ def cfl_number(F, rho_next, dt, grid):
 
 @dataclass(frozen=True)
 class FaceStencil:
-    """The geometry of one step's face-value scheme, shared by every scalar.
+    """The geometry of one step's face-value ``scheme``, shared by every
+    scalar.
 
     ``cells`` stacks the upwind, downwind and far-upstream cell of every
     face; a wall face has its adjacent cell in all three rows, and the far
@@ -122,13 +107,14 @@ class FaceStencil:
     zero-flux faces.
     """
 
-    params: LimiterParams
+    scheme: str
     cells: np.ndarray = field(repr=False)
     zeta: np.ndarray = field(default=None, repr=False)
 
 
-def face_stencil(F, params, rho_next, dt, grid):
-    """Build the step's ``FaceStencil`` from its mass fluxes ``F``.
+def face_stencil(F, scheme, rho_next, dt, grid):
+    """Build the step's ``FaceStencil`` of ``scheme``, one of ``SCHEMES``,
+    from its mass fluxes ``F``.
 
     Each face takes its column of ``grid.cells_right`` where F >= 0 and of
     ``grid.cells_left`` elsewhere, the upwind scheme only their first row.
@@ -139,10 +125,10 @@ def face_stencil(F, params, rho_next, dt, grid):
     F = np.asarray(F)
     n = F.shape[0] - 1
     pos = F >= 0.0
-    rows = 1 if params.scheme == "upwind" else 3
+    rows = 1 if scheme == "upwind" else 3
     cells = np.where(pos, grid.cells_right[:rows], grid.cells_left[:rows])
-    if params.scheme != "antidiffusive":
-        return FaceStencil(params, cells)
+    if scheme != "antidiffusive":
+        return FaceStencil(scheme, cells)
     abs_F = np.abs(F)
     vol = np.multiply(rho_next, grid.cell_volumes)[cells[0, 1:n]]
     # nu = dt |F_j| / vol
@@ -158,36 +144,34 @@ def face_stencil(F, params, rho_next, dt, grid):
         # zeta = (1 - nu_other) / nu where nu > 0
         np.divide(np.subtract(1.0, nu_other, out=nu_other), nu,
                   out=zeta[1:n], where=nu > 0.0)
-    # zeta clipped to [0, s_max]
+    # zeta clipped to [0, S_MAX]
     np.maximum(zeta, 0.0, out=zeta)
-    return FaceStencil(params, cells,
-                       np.minimum(zeta, params.s_max, out=zeta))
+    return FaceStencil(scheme, cells, np.minimum(zeta, S_MAX, out=zeta))
 
 
 def face_values(y, stencil):
     """Face values of the cell scalar ``y`` under the step's ``stencil``.
 
     Upwind takes the upwind cell.  MUSCL clips the centred value into two
-    intervals at the upwind value, opened by ``zeta_plus`` towards the
-    downwind cell and by ``zeta_minus`` away from the far upstream one; the
+    intervals at the upwind value, opened by ``ZETA_PLUS`` towards the
+    downwind cell and by ``ZETA_MINUS`` away from the far upstream one; the
     anti-diffusive scheme clips the downwind value between the upwind value
     and its extrapolation by ``zeta`` away from the far upstream cell.
     Each call returns a new array.  ``tests/test_transport.py`` checks every
     face against per-face reference routines.
     """
     y = np.asarray(y)
-    params = stencil.params
-    if params.scheme == "upwind":
+    if stencil.scheme == "upwind":
         return y[stencil.cells[0]]
     y_up, y_dn, y_m = y[stencil.cells]
-    if params.scheme == "muscl":
-        # e1 = y_up + zeta_plus / 2 (y_dn - y_up)
+    if stencil.scheme == "muscl":
+        # e1 = y_up + ZETA_PLUS / 2 (y_dn - y_up)
         e1 = y_dn - y_up
-        e1 *= 0.5 * params.zeta_plus
+        e1 *= 0.5 * ZETA_PLUS
         e1 += y_up
-        # e2 = y_up + zeta_minus / 2 (y_up - y_m)
+        # e2 = y_up + ZETA_MINUS / 2 (y_up - y_m)
         e2 = np.subtract(y_up, y_m, out=y_m)
-        e2 *= 0.5 * params.zeta_minus
+        e2 *= 0.5 * ZETA_MINUS
         e2 += y_up
         # lo = max(min(y_up, e1), min(y_up, e2))
         lo = np.minimum(y_up, e1)

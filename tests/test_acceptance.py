@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from stagflame import transport
 from stagflame.errors import StepFailure
 from stagflame.grid import build_uniform_grid
 from stagflame.harness import (
@@ -28,7 +29,6 @@ from stagflame.harness import (
 from stagflame.hydro import _NONLINEAR_TOL
 from stagflame.oracle import asymptotic_composition, rh_residuals
 from stagflame.transport import (
-    LimiterParams,
     cfl_number,
     face_stencil,
     face_values,
@@ -145,7 +145,7 @@ def test_criterion_3_duality_identity():
 # 4. exact transport of a step profile by the anti-diffusive scheme
 
 
-def test_criterion_4_exact_heaviside_transport():
+def test_criterion_4_exact_heaviside_transport(monkeypatch):
     n, j0, steps = 400, 60, 200
     grid = build_uniform_grid(n, float(n))  # h = 1
     ones = np.ones(n)
@@ -154,9 +154,10 @@ def test_criterion_4_exact_heaviside_transport():
     worst_err = 0.0
     worst_mixed = 0
     for nu in (0.3, 0.5, 0.9):
-        params = LimiterParams(scheme="antidiffusive", s_max=(1.0 - nu) / nu)
+        # the slope cap (1 - nu) / nu makes the scheme exact on a step
+        monkeypatch.setattr(transport, "S_MAX", (1.0 - nu) / nu)
         y = np.where(np.arange(n) < j0, 1.0, 0.0)
-        stencil = face_stencil(F, params, ones, nu, grid)
+        stencil = face_stencil(F, "antidiffusive", ones, nu, grid)
         for k in range(1, steps + 1):
             vals = face_values(y, stencil)
             y = y - nu * (vals[1:] - vals[:-1])
@@ -184,8 +185,8 @@ def test_criterion_5_muscl_minmod_equivalence():
     n = 10040
     y = rng.uniform(-1.0, 1.0, n)
     F = rng.uniform(-1.0, 1.0, n + 1)
-    params = LimiterParams(scheme="muscl", zeta_minus=1.0, zeta_plus=1.0)
-    vals = face_values(y, face_stencil(F, params, np.ones(n), 1.0,
+    assert transport.ZETA_MINUS == transport.ZETA_PLUS == 1.0
+    vals = face_values(y, face_stencil(F, "muscl", np.ones(n), 1.0,
                                        build_uniform_grid(n)))
     j = np.arange(2, n - 1)  # faces whose far-upstream cell exists
     assert j.size >= 10_000
@@ -210,7 +211,7 @@ def test_criterion_5_muscl_minmod_equivalence():
 # 6. discrete maximum principle of the explicit limited schemes
 
 
-def _transport_trial(rng, params, n_trials=500):
+def _transport_trial(rng, scheme, n_trials=500):
     """Random explicit transport steps; returns the worst bound excess."""
     worst = 0.0
     for _ in range(n_trials):
@@ -229,7 +230,7 @@ def _transport_trial(rng, params, n_trials=500):
             if np.min(rho_new) > 0.0 and cfl_number(F, rho_new, dt, grid) <= 1.0:
                 break
             dt *= 0.7
-        vals = face_values(y, face_stencil(F, params, rho_new, dt, grid))
+        vals = face_values(y, face_stencil(F, scheme, rho_new, dt, grid))
         y_new = (rho_old * grid.cell_volumes * y
                  - dt * np.diff(F * vals)) / (rho_new * grid.cell_volumes)
         worst = max(worst,
@@ -238,11 +239,11 @@ def _transport_trial(rng, params, n_trials=500):
     return worst
 
 
-def test_criterion_6_discrete_maximum_principle():
+def test_criterion_6_discrete_maximum_principle(monkeypatch):
     rng = np.random.default_rng(606)
-    worst_muscl = _transport_trial(rng, LimiterParams(scheme="muscl"))
-    worst_ad = _transport_trial(
-        rng, LimiterParams(scheme="antidiffusive", s_max=2.0))
+    assert transport.S_MAX == 2.0
+    worst_muscl = _transport_trial(rng, "muscl")
+    worst_ad = _transport_trial(rng, "antidiffusive")
 
     # Regression for the slope cap: diverging flow, both faces of cell 2
     # carry mass out.  The convexity argument budgets each outgoing face by
@@ -267,8 +268,8 @@ def test_criterion_6_discrete_maximum_principle():
     y_right = np.array([0.0, -3.0, 1.0, 14.0, 0.0])
 
     def worst_slopes(s_max):
-        params = LimiterParams(scheme="antidiffusive", s_max=s_max)
-        stencil = face_stencil(F, params, rho_new, dt, grid)
+        monkeypatch.setattr(transport, "S_MAX", s_max)
+        stencil = face_stencil(F, "antidiffusive", rho_new, dt, grid)
         va = face_values(y_left, stencil)
         vb = face_values(y_right, stencil)
         s_left = (va[2] - y_left[2]) / (y_left[2] - y_left[3])
@@ -290,8 +291,8 @@ def test_criterion_6_discrete_maximum_principle():
     # be saturated by the same profile, so the realisable overshoot the cap
     # prevents needs cells with more than two faces.  Document that the
     # uncapped random search stays bounded here.
-    worst_uncapped = _transport_trial(
-        rng, LimiterParams(scheme="antidiffusive", s_max=1e30))
+    monkeypatch.setattr(transport, "S_MAX", 1e30)
+    worst_uncapped = _transport_trial(rng, "antidiffusive")
 
     ok = (worst_muscl <= 1e-12 and worst_ad <= 1e-12 and regression_ok
           and worst_uncapped <= 1e-12)

@@ -16,8 +16,7 @@ from stagflame.errors import ConfigError, StepFailure
 from stagflame.grid import build_uniform_grid
 from stagflame.harness import CaseConfig
 from stagflame.thermo import y_O_from_z, z_from_fractions
-from stagflame.transport import (SCHEMES, LimiterParams, face_stencil,
-                                 face_values)
+from stagflame.transport import SCHEMES, face_stencil, face_values
 from helpers import benchmark_mixture, make_state
 
 NU_F_W_F = 2.0 * 2.016e-3
@@ -81,24 +80,25 @@ def test_epsilon_per_h_resolution():
 def test_case_config_maps_time_mode_onto_the_limiter():
     assert CaseConfig().chem_config(1.0, 0.1).limiter is None
     explicit = CaseConfig(time_mode="explicit-limited", limiter="muscl")
-    assert explicit.chem_config(1.0, 0.1).limiter == LimiterParams(scheme="muscl")
+    assert explicit.chem_config(1.0, 0.1).limiter == "muscl"
 
 
 def test_limiter_selects_the_transport():
     # the limiter is the one scheme value: None convects implicitly with
-    # upwind faces, a LimiterParams explicitly with its own faces (which
+    # upwind faces, a scheme name explicitly with its own faces (which
     # test_species_faces_are_the_convected_faces checks); the result
     # reports the limiter the step ran
     state = advected_state(seed=5, dt=1e-3)
     assert state.cfl <= 1.0
     assert chemistry_step(state, ChemStepConfig(epsilon=1e-3)).limiter is None
-    muscl = LimiterParams(scheme="muscl")
-    res = chemistry_step(state, ChemStepConfig(epsilon=1e-3, limiter=muscl))
-    assert res.limiter is muscl
-    # a scheme name is not a scheme value
-    with pytest.raises(ConfigError, match="limiter must be None or a "
-                                          "LimiterParams, got 'muscl'"):
-        ChemStepConfig(epsilon=1e-3, limiter="muscl")
+    res = chemistry_step(state, ChemStepConfig(epsilon=1e-3, limiter="muscl"))
+    assert res.limiter == "muscl"
+    # a name outside SCHEMES is refused, and the message lists them
+    with pytest.raises(ConfigError) as refused:
+        ChemStepConfig(epsilon=1e-3, limiter="parabolic")
+    assert str(refused.value) == (
+        "limiter must be None or one of ('upwind', 'muscl', 'antidiffusive'), "
+        "got 'parabolic'")
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +156,7 @@ def test_flame_term_is_implicit_in_both_time_modes():
     state = resting_state(n=40, G=1.0)
     state = replace(state, G=np.where(state.grid.x_centers < 0.5, 0.0, 1.0))
     imp = inert_config(flame_speed_product=0.8)
-    exp = inert_config(flame_speed_product=0.8,
-                       limiter=LimiterParams(scheme="muscl"))
+    exp = inert_config(flame_speed_product=0.8, limiter="muscl")
     G_imp = chemistry_step(state, imp).G
     G_exp = chemistry_step(state, exp).G
     # no mass flux here, so the two modes share the implicit flame solve
@@ -231,8 +230,7 @@ def explicit_front_cases(draw):
     cfg = ChemStepConfig(
         epsilon=draw(st.sampled_from([1e-3, 1.0])),
         flame_speed_product=draw(st.floats(0.02, 1000.0)),
-        limiter=LimiterParams(scheme=draw(st.sampled_from(
-            ["upwind", "muscl", "antidiffusive"]))))
+        limiter=draw(st.sampled_from(SCHEMES)))
     return state, cfg
 
 
@@ -286,8 +284,7 @@ def test_uniform_composition_is_preserved(scheme):
                   for name, v in zip(("y_F", "y_O", "y_N", "y_P"), y)},
         z=np.full(n, y[0] / NU_F_W_F - y[1] / NU_O_W_O),
         G=np.ones(n))  # reaction off
-    limiter = LimiterParams(scheme=scheme) if scheme else None
-    cfg = ChemStepConfig(epsilon=1e-3, limiter=limiter)
+    cfg = ChemStepConfig(epsilon=1e-3, limiter=scheme)
     res = chemistry_step(state, cfg)
     for name, v in zip(("y_F", "y_O", "y_N", "y_P"), y):
         assert np.max(np.abs(getattr(res, name) - v)) < 1e-13
@@ -365,8 +362,7 @@ def test_gates_raise_on_inadmissible_fractions():
 @pytest.mark.parametrize("scheme,field", [(None, "y_F"), ("upwind", "y_N")],
                          ids=["implicit-upwind-y_F", "explicit-limited-y_N"])
 def test_gates_raise_on_nan_fractions(scheme, field):
-    limiter = LimiterParams(scheme=scheme) if scheme else None
-    cfg = ChemStepConfig(epsilon=1.0, limiter=limiter)
+    cfg = ChemStepConfig(epsilon=1.0, limiter=scheme)
     for value in (np.nan, np.inf, -np.inf):
         state = advected_state()
         bad = getattr(state, field).copy()
@@ -380,8 +376,7 @@ def test_explicit_step_refuses_a_material_cfl_above_one():
     # the limited face values keep their maximum principle only up to CFL 1
     state = advected_state(dt=0.1)
     assert state.cfl > 1.0
-    cfg = ChemStepConfig(epsilon=1e-3,
-                         limiter=LimiterParams(scheme="antidiffusive"))
+    cfg = ChemStepConfig(epsilon=1e-3, limiter="antidiffusive")
     with pytest.raises(StepFailure,
                        match=r"^material CFL \d+\.\d{4} exceeds 1 in "
                              r"explicit-limited mode \(dt 1\.000000e-01\)"):
@@ -430,8 +425,7 @@ def test_species_faces_are_the_convected_faces(monkeypatch, scheme):
         return returned[-1]
 
     monkeypatch.setattr(chemistry, "face_values", recording)
-    res = chemistry_step(state, ChemStepConfig(
-        epsilon=1e-3, limiter=LimiterParams(scheme=scheme)))
+    res = chemistry_step(state, ChemStepConfig(epsilon=1e-3, limiter=scheme))
     monkeypatch.undo()
     _, y_O, y_N, y_F = returned
     faces = species_faces(state, res)

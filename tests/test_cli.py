@@ -384,6 +384,39 @@ def test_vanishing_fresh_density_is_an_oracle_error(config_file, capsys,
     assert captured.out == ""
 
 
+# README's "Inputs that exit 4": each input sets one key of the shipped
+# config, and the oracle fails with this message.
+_BRACKET = "could not bracket the shocked-gas pressure"
+_RESIDUAL = "jump relation residual {} exceeds 1.0e-10"
+ORACLE_FAILURES = {
+    "u_flame=1e-6": _RESIDUAL.format("1.381e-09"),
+    "u_flame=1e-12": _RESIDUAL.format("1.891e-04"),
+    "u_flame=1e-300": _RESIDUAL.format("8.554e-01"),
+    "T_fresh=1e-12": _RESIDUAL.format("3.791e-08"),
+    "W_N=1e12": _RESIDUAL.format("6.465e-03"),
+    **dict.fromkeys(("gamma=1e300", "p_fresh=1e300", "dh_F=1e300",
+                     "dh_O=1e300", "dh_P=-1e300", "p_fresh=1e-300",
+                     "T_fresh=1e-300"), _BRACKET),
+    "W_N=1e300": "precursor speed 7.59265e-149 does not outrun the flame 63",
+    "u_flame=0": "static flame with heat release has no self-similar pattern",
+    "u_flame=1e12": "non-positive burnt state",
+    "u_flame=1e300": "the shocked-gas pressure balance overflows",
+}
+
+
+@pytest.mark.parametrize("time_mode", ["implicit-upwind", "explicit-limited"])
+@pytest.mark.parametrize("verb", ["oracle", "check"])
+@pytest.mark.parametrize("override", ORACLE_FAILURES)
+def test_each_documented_oracle_failure_exits_4(capsys, override, verb,
+                                                time_mode):
+    argv = [verb, str(SHIPPED), "--set", f"time_mode={time_mode}",
+            "--set", override]
+    assert main(argv) == EXIT_ORACLE
+    captured = capsys.readouterr()
+    assert captured.err == f"oracle error: {ORACLE_FAILURES[override]}\n"
+    assert captured.out == ""
+
+
 def test_sweep_verb(config_file, tmp_path, capsys, monkeypatch):
     calls = []
 

@@ -36,7 +36,6 @@ from stagflame.hydro import total_energy
 from stagflame.thermo import FieldState, pressure_from_state
 from stagflame.transport import (
     SCHEMES,
-    LimiterParams,
     cfl_number,
     dual_density,
     pressure_gradient,
@@ -309,14 +308,11 @@ def test_one_step_keeps_gates_mass_and_energy(state, transport,
                                               flame_speed_product):
     # every face scheme keeps every fraction in [0, 1] on any admissible
     # state; explicit transport only within its material CFL bound of 1
-    if transport is None:
-        chem = ChemStepConfig(epsilon=1e-2 * state.grid.h,
-                              flame_speed_product=flame_speed_product)
-    else:
+    if transport is not None:
         assume(cfl_number(state.flux, state.rho, state.dt, state.grid) <= 1.0)
-        chem = ChemStepConfig(epsilon=1e-2 * state.grid.h,
-                              flame_speed_product=flame_speed_product,
-                              limiter=LimiterParams(scheme=transport))
+    chem = ChemStepConfig(epsilon=1e-2 * state.grid.h,
+                          flame_speed_product=flame_speed_product,
+                          limiter=transport)
     check_state_gates(state)
     new_state, _ = advance(state, chem)
     check_state_gates(new_state)

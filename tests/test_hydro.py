@@ -382,6 +382,22 @@ def test_a_rejected_closing_step_returns_the_p_from_before_it(monkeypatch,
     assert flow.residual == max(closing["res"], mass)
 
 
+def test_a_level_at_its_solution_takes_no_newton_step(monkeypatch):
+    # at rest under uniform pressure with no heat release, p^n already meets
+    # the tolerance: the solve takes no Newton step and no closing step, and
+    # returns p^n itself
+    def no_closing_step(self, p, r, res):
+        raise AssertionError("closing step taken")
+
+    monkeypatch.setattr(hydro._CorrectionSystem, "closing_step",
+                        no_closing_step)
+    state = quiescent_state(n=10)
+    flow = euler_step(state, np.zeros(state.grid.n_cells))
+    assert flow.iterations == 0
+    assert _same_bits(flow.p, state.p)
+    assert flow.residual < hydro._NONLINEAR_TOL
+
+
 def test_correction_jacobian_matches_central_differences():
     state, system = _benchmark_correction_system(30)
     n = state.grid.n_cells

@@ -1,6 +1,7 @@
 """Every function, method and class in ``src/stagflame`` has a use there,
 every defaulted parameter is passed by some call, every dataclass field is
-read, no parameter takes the same literal from every call in
+read, every defaulted dataclass field is passed by some construction in
+``src/stagflame``, no parameter takes the same literal from every call in
 ``src/stagflame``, no function that takes a time level also takes a copy
 of one of its fields, the package loads no more of scipy than its LAPACK
 extension, the per-step code calls reductions as ndarray methods, every
@@ -387,6 +388,94 @@ def test_same_value_guard_sees_constant_parameters(tmp_path):
     assert same_value_parameters(tmp_path) == {
         "mod.solve(band)": 1, "mod.solve(scan)": 1, "mod.wrap(mode)": 4,
         "mod.scaled(k)": 14}
+
+
+# A defaulted dataclass field that no construction in src/ passes is a
+# constant spelled as a field.  Constructions in tests do not count: a test
+# of a knob does not justify the knob.
+
+
+def _field_keywords(value):
+    """{keyword: node} of ``value`` when it is a ``field(...)`` call, else
+    None."""
+    if not (isinstance(value, ast.Call)
+            and getattr(value.func, "id", getattr(value.func, "attr", None))
+            == "field"):
+        return None
+    return {kw.arg: kw.value for kw in value.keywords}
+
+
+def unpassed_fields(src=SRC):
+    """{"module.Class.field": line} of every dataclass field of ``src``
+    with a default that no construction in ``src`` passes: by keyword, by
+    position or through ``*args`` or ``**kwargs``.  A ``cls(...)`` call in
+    the class body constructs the class, and a keyword of any ``replace``
+    call passes every field of its name; ``field(init=False)`` is no
+    constructor argument and is not checked."""
+    calls = _calls((src,))
+    replaced = {kw.arg for call in calls.get("replace", ())
+                for kw in call.keywords}
+    unpassed = {}
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for cls in ast.walk(tree):
+            if not (isinstance(cls, ast.ClassDef)
+                    and any(_is_dataclass(d) for d in cls.decorator_list)):
+                continue
+            sites = calls.get(cls.name, []) + [
+                node for node in ast.walk(cls) if isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "cls"]
+            index = 0
+            for item in cls.body:
+                if not (isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name)):
+                    continue
+                keywords = _field_keywords(item.value)
+                if keywords is None:
+                    defaulted = item.value is not None
+                elif getattr(keywords.get("init"), "value", True) is False:
+                    continue
+                else:
+                    defaulted = bool(keywords.keys()
+                                     & {"default", "default_factory"})
+                name = item.target.id
+                if defaulted and name not in replaced and not any(
+                        _passes(call, index, name, False) for call in sites):
+                    unpassed[f"{path.stem}.{cls.name}.{name}"] = item.lineno
+                index += 1
+    return unpassed
+
+
+def test_every_defaulted_field_is_passed_in_src():
+    assert unpassed_fields() == {}
+
+
+def test_field_default_guard_sees_unpassed_fields(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "from dataclasses import dataclass, field, replace\n\n"
+        "@dataclass\n"
+        "class Knobs:\n"
+        "    name: str\n"
+        "    required: int = field(repr=False)\n"
+        "    by_position: int = 0\n"
+        "    by_keyword: int = 0\n"
+        "    by_replace: int = 0\n"
+        "    dead: int = 0\n"
+        "    dead_field: int = field(default=0, repr=False)\n"
+        "    derived: int = field(init=False)\n\n"
+        "@dataclass\n"
+        "class Config:\n"
+        "    mode: str = 'a'\n\n"
+        "    @classmethod\n"
+        "    def from_dict(cls, data):\n"
+        "        return cls(**data)\n\n"
+        "def run(k):\n"
+        "    Knobs('x', 3, 1, by_keyword=2)\n"
+        "    return replace(k, by_replace=4)\n")
+    # a field(init=False) is no constructor argument; cls(**data) passes
+    # every field of its class
+    assert unpassed_fields(tmp_path) == {"mod.Knobs.dead": 10,
+                                         "mod.Knobs.dead_field": 11}
 
 
 # A function that is handed a time level reads the level's own arrays and

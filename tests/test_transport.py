@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from stagflame import transport
 from stagflame.grid import build_uniform_grid
 from stagflame.transport import (
-    LimiterParams,
     cfl_number,
     dual_density,
     dual_mass_flux,
@@ -22,8 +22,9 @@ def grid3():
 
 # ---------------------------------------------------------------------------
 # per-face reference routines: one interior face j at a time, written with
-# scalar branches; the vectorised kernels in stagflame.transport must match
-# them bit for bit (test_vectorized_matches_scalar)
+# scalar branches and reading the scheme tuning from stagflame.transport
+# (which the tests of other tunings monkeypatch); the vectorised kernels
+# there must match them bit for bit (test_vectorized_matches_scalar)
 
 
 def _interval(a, b):
@@ -35,7 +36,7 @@ def upwind_face_value(y, F, j):
     return y[j - 1] if F[j] >= 0.0 else y[j]
 
 
-def muscl_face_value(y, F, j, params):
+def muscl_face_value(y, F, j):
     """MUSCL face value at interior face j (see ``face_values``)."""
     n = len(y)
     if F[j] >= 0.0:
@@ -43,15 +44,15 @@ def muscl_face_value(y, F, j, params):
     else:
         up, dn = j, j - 1
     tentative = 0.5 * (y[j - 1] + y[j])
-    lo1, hi1 = _interval(y[up], y[up] + 0.5 * params.zeta_plus * (y[dn] - y[up]))
+    lo1, hi1 = _interval(y[up], y[up] + 0.5 * transport.ZETA_PLUS * (y[dn] - y[up]))
     m = 2 * up - dn
     y_m = y[m] if 0 <= m < n else y[up]
-    lo2, hi2 = _interval(y[up], y[up] + 0.5 * params.zeta_minus * (y[up] - y_m))
+    lo2, hi2 = _interval(y[up], y[up] + 0.5 * transport.ZETA_MINUS * (y[up] - y_m))
     lo, hi = max(lo1, lo2), min(hi1, hi2)
     return min(max(tentative, lo), hi)
 
 
-def antidiffusive_face_value(y, F, j, rho_next, dt, grid, params):
+def antidiffusive_face_value(y, F, j, rho_next, dt, grid):
     """Anti-diffusive face value at interior face j (see ``face_values``)."""
     n = len(y)
     if F[j] >= 0.0:
@@ -65,7 +66,7 @@ def antidiffusive_face_value(y, F, j, rho_next, dt, grid, params):
     if nu <= 0.0:
         return y[up]
     nu_other = dt * abs(F[opf]) / vol
-    zeta = min(max((1.0 - nu_other) / nu, 0.0), params.s_max)
+    zeta = min(max((1.0 - nu_other) / nu, 0.0), transport.S_MAX)
     m = 2 * up - dn
     y_m = y[m] if 0 <= m < n else y[up]
     far = y[up] + zeta * (y[up] - y_m)
@@ -92,7 +93,7 @@ def test_primal_flux_tie_takes_left_cell():
     assert np.all(primal_mass_flux(rho, u) == 0.0)
     # the upwind face value at a zero flux of either sign takes it too
     F = np.array([0.0, 0.0, -0.0, 0.0])
-    stencil = face_stencil(F, LimiterParams(), rho, 1.0, grid3())
+    stencil = face_stencil(F, "upwind", rho, 1.0, grid3())
     assert face_values(rho, stencil).tolist() == [2.0, 2.0, 4.0, 8.0]
 
 
@@ -135,11 +136,10 @@ def test_cfl_number_example():
 # MUSCL face values
 
 
-def _muscl3(y_m, y_up, y_dn, **kw):
-    params = LimiterParams(scheme="muscl", **kw)
+def _muscl3(y_m, y_up, y_dn):
     y = np.array([y_m, y_up, y_dn])
     F = np.array([0.0, 1.0, 1.0, 0.0])
-    return muscl_face_value(y, F, 2, params)
+    return muscl_face_value(y, F, 2)
 
 
 def test_muscl_smooth_ramp_gives_centered_value():
@@ -150,16 +150,17 @@ def test_muscl_local_extremum_falls_back_to_upwind():
     assert _muscl3(0.0, 1.0, 0.0) == pytest.approx(1.0)
 
 
-def test_muscl_zero_zeta_is_upwind():
-    assert _muscl3(0.0, 1.0, 2.0, zeta_minus=0.0, zeta_plus=0.0) == pytest.approx(1.0)
+def test_muscl_zero_zeta_is_upwind(monkeypatch):
+    monkeypatch.setattr(transport, "ZETA_MINUS", 0.0)
+    monkeypatch.setattr(transport, "ZETA_PLUS", 0.0)
+    assert _muscl3(0.0, 1.0, 2.0) == pytest.approx(1.0)
 
 
 def test_muscl_missing_far_cell_is_upwind():
     # face 1 with positive flux has no far upstream cell on a 3-cell grid
     y = np.array([0.0, 1.0, 2.0])
     F = np.array([0.0, 1.0, 1.0, 0.0])
-    params = LimiterParams(scheme="muscl")
-    assert muscl_face_value(y, F, 1, params) == pytest.approx(0.0)
+    assert muscl_face_value(y, F, 1) == pytest.approx(0.0)
 
 
 def _minmod_face(y_m, y_up, y_dn):
@@ -179,20 +180,16 @@ def test_muscl_unit_zetas_equal_minmod(y_m, y_up, y_dn):
 def test_muscl_reversed_flow_mirrors():
     y = np.array([2.0, 1.0, 0.0])
     F = np.array([0.0, -1.0, -1.0, 0.0])
-    params = LimiterParams(scheme="muscl")
-    assert muscl_face_value(y, F, 1, params) == pytest.approx(1.5)
+    assert muscl_face_value(y, F, 1) == pytest.approx(1.5)
 
 
 # ---------------------------------------------------------------------------
 # anti-diffusive face values
 
 
-def _ad3(y, F, dt, s_max=2.0, rho=None):
-    grid = grid3()
-    params = LimiterParams(scheme="antidiffusive", s_max=s_max)
-    rho = np.ones(3) if rho is None else rho
+def _ad3(y, F, dt):
     return antidiffusive_face_value(np.asarray(y, float), np.asarray(F, float),
-                                    2, rho, dt, grid, params)
+                                    2, np.ones(3), dt, grid3())
 
 
 def test_antidiffusive_plateau_is_upwind():
@@ -204,26 +201,26 @@ def test_antidiffusive_reaches_downwind_value():
     assert _ad3([1.0, 0.5, 0.0], [1.0, 1.0, 1.0, 1.0], 0.5) == pytest.approx(0.0)
 
 
-def test_antidiffusive_zero_cap_is_upwind():
-    assert _ad3([1.0, 0.5, 0.0], [1.0, 1.0, 1.0, 1.0], 0.5, s_max=0.0) == \
-        pytest.approx(0.5)
+def test_antidiffusive_zero_cap_is_upwind(monkeypatch):
+    monkeypatch.setattr(transport, "S_MAX", 0.0)
+    assert _ad3([1.0, 0.5, 0.0], [1.0, 1.0, 1.0, 1.0], 0.5) == pytest.approx(0.5)
 
 
 def test_antidiffusive_zero_flux_is_upwind():
     assert _ad3([1.0, 0.5, 0.0], [0.0, 0.0, 0.0, 0.0], 0.5) == pytest.approx(0.5)
 
 
-def test_antidiffusive_stays_between_upwind_and_downwind():
+def test_antidiffusive_stays_between_upwind_and_downwind(monkeypatch):
     rng = np.random.default_rng(5)
     grid = build_uniform_grid(12, 12.0)
-    params = LimiterParams(scheme="antidiffusive", s_max=50.0)
+    monkeypatch.setattr(transport, "S_MAX", 50.0)
     for _ in range(200):
         y = rng.uniform(-1.0, 1.0, 12)
         u = np.zeros(13)
         u[1:-1] = rng.uniform(-1.0, 1.0, 11)
         rho = rng.uniform(0.5, 2.0, 12)
         F = primal_mass_flux(rho, u)
-        vals = face_values(y, face_stencil(F, params, rho, 0.4, grid))
+        vals = face_values(y, face_stencil(F, "antidiffusive", rho, 0.4, grid))
         for j in range(1, 12):
             lo = min(y[j - 1], y[j])
             hi = max(y[j - 1], y[j])
@@ -238,7 +235,7 @@ def test_antidiffusive_stays_between_upwind_and_downwind():
 # mirrored through the upwind cell
 @pytest.mark.parametrize("scheme", ["upwind", "muscl", "antidiffusive"],
                          ids=lambda scheme: f"opposite_cells-{scheme}")
-def test_vectorized_matches_scalar(scheme):
+def test_vectorized_matches_scalar(monkeypatch, scheme):
     # every face, walls included, must come out bit for bit as the per-face
     # routine computes it: meshes down to 3 cells put every interior face
     # next to a wall, and about a third of the interior faces carry no flux
@@ -246,12 +243,12 @@ def test_vectorized_matches_scalar(scheme):
     for _ in range(300):
         n = int(rng.choice([3, 4, 5, 8, 11, 24]))
         grid = build_uniform_grid(n, 2.0)
-        params = LimiterParams(
-            scheme=scheme,
-            zeta_minus=float(rng.uniform(0.0, 2.0)),
-            zeta_plus=float(rng.uniform(0.0, 2.0)),
-            s_max=float(rng.choice([0.0, 1.7, 2.0, rng.uniform(0.0, 5.0)])),
-        )
+        for name, value in (
+                ("ZETA_MINUS", float(rng.uniform(0.0, 2.0))),
+                ("ZETA_PLUS", float(rng.uniform(0.0, 2.0))),
+                ("S_MAX", float(rng.choice([0.0, 1.7, 2.0,
+                                            rng.uniform(0.0, 5.0)])))):
+            monkeypatch.setattr(transport, name, value)
         y = rng.uniform(-2.0, 2.0, n)
         u = np.zeros(n + 1)
         u[1:-1] = rng.uniform(-1.0, 1.0, n - 1)
@@ -259,15 +256,15 @@ def test_vectorized_matches_scalar(scheme):
         rho = rng.uniform(0.5, 2.0, n)
         F = primal_mass_flux(rho, u)
         dt = float(rng.uniform(0.005, 0.2))
-        got = face_values(y, face_stencil(F, params, rho, dt, grid))
+        got = face_values(y, face_stencil(F, scheme, rho, dt, grid))
         want = [y[0]]
         for j in range(1, n):
             if scheme == "upwind":
                 want.append(upwind_face_value(y, F, j))
             elif scheme == "muscl":
-                want.append(muscl_face_value(y, F, j, params))
+                want.append(muscl_face_value(y, F, j))
             else:
-                want.append(antidiffusive_face_value(y, F, j, rho, dt, grid, params))
+                want.append(antidiffusive_face_value(y, F, j, rho, dt, grid))
         want.append(y[-1])
         assert got.tolist() == want
 
@@ -275,7 +272,7 @@ def test_vectorized_matches_scalar(scheme):
 def test_upwind_face_values_boundaries():
     y = np.array([3.0, 4.0, 5.0])
     F = np.array([0.0, 1.0, -1.0, 0.0])
-    stencil = face_stencil(F, LimiterParams(), np.ones(3), 1.0, grid3())
+    stencil = face_stencil(F, "upwind", np.ones(3), 1.0, grid3())
     assert face_values(y, stencil).tolist() == [3.0, 3.0, 5.0, 5.0]
 
 
@@ -284,8 +281,7 @@ def test_stencil_geometry_at_walls_and_zero_flux():
     # 0 there and on every face without flux, so those faces are upwind
     grid = build_uniform_grid(4, 4.0)
     F = np.array([0.0, 1.0, 0.0, -1.0, 0.0])
-    params = LimiterParams(scheme="antidiffusive")
-    stencil = face_stencil(F, params, np.ones(4), 0.25, grid)
+    stencil = face_stencil(F, "antidiffusive", np.ones(4), 0.25, grid)
     assert stencil.cells.tolist() == [[0, 0, 1, 3, 3],
                                       [0, 1, 2, 2, 3],
                                       [0, 0, 0, 3, 3]]
@@ -296,7 +292,7 @@ def test_stencil_geometry_at_walls_and_zero_flux():
     assert face_values(y, stencil).tolist() == [1.0, 1.0, 0.5, 0.25, 0.25]
 
 
-def index_built_stencil(F, params, rho_next, dt, grid):
+def index_built_stencil(F, rho_next, dt, grid):
     """``(cells, zeta)`` built with index arithmetic on the face numbers and
     ``np.clip``, the construction the grid's two templates replace."""
     n = F.shape[0] - 1
@@ -322,12 +318,13 @@ def index_built_stencil(F, params, rho_next, dt, grid):
     with np.errstate(over="ignore"):
         np.divide(np.subtract(1.0, nu_other, out=nu_other), nu,
                   out=zeta[1:n], where=nu > 0.0)
-    return cells, np.clip(zeta, 0.0, params.s_max, out=zeta)
+    return cells, np.clip(zeta, 0.0, transport.S_MAX, out=zeta)
 
 
 @pytest.mark.parametrize("left_wall_flow", [1.0, -1.0])
 @pytest.mark.parametrize("right_wall_flow", [1.0, -1.0])
-def test_stencil_matches_index_arithmetic(left_wall_flow, right_wall_flow):
+def test_stencil_matches_index_arithmetic(monkeypatch, left_wall_flow,
+                                          right_wall_flow):
     # zero-flux faces inside the domain and either flow direction on the
     # faces next to each wall: the cells and zeta must come out bit for bit
     rng = np.random.default_rng(23)
@@ -341,24 +338,14 @@ def test_stencil_matches_index_arithmetic(left_wall_flow, right_wall_flow):
         F[n - 1] = right_wall_flow * rng.uniform(0.1, 1.0)
         rho = rng.uniform(0.5, 2.0, n)
         dt = float(rng.uniform(0.005, 2.0))
-        params = LimiterParams(scheme="antidiffusive",
-                               s_max=float(rng.choice([0.0, 1.3, 2.0, 50.0])))
-        cells, zeta = index_built_stencil(F, params, rho, dt, grid)
-        stencil = face_stencil(F, params, rho, dt, grid)
+        monkeypatch.setattr(transport, "S_MAX",
+                            float(rng.choice([0.0, 1.3, 2.0, 50.0])))
+        cells, zeta = index_built_stencil(F, rho, dt, grid)
+        stencil = face_stencil(F, "antidiffusive", rho, dt, grid)
         assert stencil.cells.tolist() == cells.tolist()
         assert stencil.zeta.view(np.int64).tolist() == zeta.view(np.int64).tolist()
         # upwind keeps the one row its face values read
         for scheme, rows in (("upwind", 1), ("muscl", 3)):
-            other = face_stencil(F, LimiterParams(scheme=scheme), rho, dt, grid)
+            other = face_stencil(F, scheme, rho, dt, grid)
             assert other.cells.tolist() == cells[:rows].tolist()
 
-
-def test_limiter_params_validation():
-    with pytest.raises(ValueError):
-        LimiterParams(scheme="parabolic")
-    with pytest.raises(ValueError):
-        LimiterParams(zeta_plus=2.5)
-    with pytest.raises(ValueError):
-        LimiterParams(zeta_minus=2.5)
-    with pytest.raises(ValueError):
-        LimiterParams(s_max=-1.0)
