@@ -61,10 +61,10 @@ _RANGES = {
     "n_cells": (3, 10**6, True),
     "x_right": (0.0, math.inf, False),
     "gamma": (1.0, math.inf, False),
-    **dict.fromkeys(("nu_F", "nu_O", "nu_P", "W_F", "W_O", "W_N", "W_P",
-                     "p_fresh", "T_fresh", "t_start", "cfl", "dt",
-                     "epsilon_per_h"), (0.0, math.inf, False)),
-    **dict.fromkeys(("molar_F", "molar_O", "molar_N"), (0.0, 1.0, True)),
+    **dict.fromkeys(("nu_F", "nu_O", "W_F", "W_O", "W_N", "W_P", "p_fresh",
+                     "T_fresh", "t_start", "cfl", "dt", "epsilon_per_h"),
+                    (0.0, math.inf, False)),
+    **dict.fromkeys(("molar_F", "molar_O"), (0.0, 1.0, True)),
     "u_flame": (0.0, math.inf, True),
 }
 # The face schemes each time mode runs: implicit mode has upwind faces only.
@@ -95,7 +95,6 @@ class CaseConfig:
     gamma: float = 1.4
     nu_F: float = 2.0
     nu_O: float = 1.0
-    nu_P: float = 2.0
     W_F: float = 2.016e-3
     W_O: float = 31.998e-3
     W_N: float = 28.014e-3
@@ -106,7 +105,6 @@ class CaseConfig:
     dh_P: float = -13.255e6
     molar_F: float = 2.0 / 7.0
     molar_O: float = 1.0 / 7.0
-    molar_N: float = 4.0 / 7.0
     p_fresh: float = 9.9e4
     T_fresh: float = 283.0
     u_flame: float = 63.0
@@ -281,8 +279,7 @@ def case_pattern(config):
     mixture, fresh state, fresh composition and flame speed."""
     mix = config.mixture()
     try:
-        y_fresh = mass_fractions_from_molar(mix, config.molar_F, config.molar_O,
-                                            config.molar_N)
+        y_fresh = mass_fractions_from_molar(mix, config.molar_F, config.molar_O)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return solve_deflagration_riemann(

@@ -13,18 +13,17 @@ R_UNIVERSAL = 8.31446261815324  # J/(mol K)
 @dataclass(frozen=True)
 class MixtureSpec:
     """Four-species mixture (fuel, oxidant, neutral, product) with one-step
-    stoichiometry ``nu_F F + nu_O O -> nu_P P``.
+    stoichiometry ``nu_F F + nu_O O -> P``.
 
     Molar masses ``W_*`` are in kg/mol, formation enthalpies ``dh_*`` in J/kg.
-    ``gamma`` is the (common) adiabatic exponent.  Construction checks the
-    stoichiometric mass balance ``nu_F W_F + nu_O W_O == nu_P W_P`` and
-    refuses an endothermic reaction (a negative reaction heat), which no
-    deflagration of the model can burn.
+    ``gamma`` is the (common) adiabatic exponent.  A reaction event makes the
+    product mass ``nu_F W_F + nu_O W_O``, so the product's coefficient is that
+    mass over ``W_P``.  Construction refuses an endothermic reaction (a
+    negative reaction heat), which no deflagration of the model can burn.
     """
 
     nu_F: float
     nu_O: float
-    nu_P: float
     W_F: float
     W_O: float
     W_N: float
@@ -36,18 +35,11 @@ class MixtureSpec:
     gamma: float = 1.4
 
     def __post_init__(self):
-        for name in ("nu_F", "nu_O", "nu_P", "W_F", "W_O", "W_N", "W_P"):
+        for name in ("nu_F", "nu_O", "W_F", "W_O", "W_N", "W_P"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
         if self.gamma <= 1.0:
             raise ValueError("gamma must exceed 1")
-        lhs = self.nu_F * self.W_F + self.nu_O * self.W_O
-        rhs = self.nu_P * self.W_P
-        if abs(lhs - rhs) > 1e-12 * max(abs(lhs), abs(rhs)):
-            raise ValueError(
-                f"stoichiometric mass balance violated: "
-                f"nu_F*W_F + nu_O*W_O = {lhs!r} but nu_P*W_P = {rhs!r}"
-            )
         if self.reaction_heat_coefficient < 0.0:
             raise ValueError(
                 f"the reaction is endothermic: reaction heat coefficient "
@@ -57,11 +49,9 @@ class MixtureSpec:
     def reaction_heat_coefficient(self):
         """Heat released per mole of reaction event (J/mol), from the
         formation-enthalpy balance of the consumed and created masses."""
-        return (
-            self.nu_F * self.W_F * self.dh_F
-            + self.nu_O * self.W_O * self.dh_O
-            - self.nu_P * self.W_P * self.dh_P
-        )
+        m_F = self.nu_F * self.W_F
+        m_O = self.nu_O * self.W_O
+        return m_F * self.dh_F + m_O * self.dh_O - (m_F + m_O) * self.dh_P
 
 
 @dataclass
@@ -159,12 +149,15 @@ def y_O_from_z(mixture, y_F, z):
     return mixture.nu_O * mixture.W_O * (y_F / (mixture.nu_F * mixture.W_F) - z)
 
 
-def mass_fractions_from_molar(mixture, x_F, x_O, x_N):
+def mass_fractions_from_molar(mixture, x_F, x_O):
     """Convert the molar fractions of a product-free gas to mass fractions
-    (y_F, y_O, y_N, y_P = 0); the input must sum to 1."""
-    total = x_F + x_O + x_N
-    if abs(total - 1.0) > 1e-12:
-        raise ValueError(f"molar fractions sum to {total!r}, expected 1")
+    (y_F, y_O, y_N, y_P = 0); the neutral takes the rest, ``1 - x_F - x_O``,
+    and a rest that rounds below 0 by at most 1e-12 is 0."""
+    x_N = 1.0 - x_F - x_O
+    if x_N < -1e-12:
+        raise ValueError(f"molar_F + molar_O must not exceed 1, got "
+                         f"molar_F = {x_F!r} and molar_O = {x_O!r}")
+    x_N = max(x_N, 0.0)
     w = x_F * mixture.W_F + x_O * mixture.W_O + x_N * mixture.W_N
     return (
         x_F * mixture.W_F / w,

@@ -120,8 +120,11 @@ def face_stencil(F, scheme, rho_next, dt, grid):
     ``grid.cells_left`` elsewhere, the upwind scheme only their first row.
     ``rho_next``, ``dt`` and the grid's cell volumes give the upwind-cell
     masses the anti-diffusive slope is measured against; the other schemes
-    ignore them.
+    ignore them.  A scheme outside ``SCHEMES`` is a ValueError.
     """
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown face scheme {scheme!r}, expected one of "
+                         f"{', '.join(SCHEMES)}")
     F = np.asarray(F)
     n = F.shape[0] - 1
     pos = F >= 0.0

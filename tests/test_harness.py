@@ -145,7 +145,7 @@ def test_config_validation():
     # the implicit mode tolerates CFL above one
     assert CaseConfig(cfl=1.2).cfl == 1.2
     # each closed upper bound admits the bound itself, and nothing past it
-    CaseConfig(molar_F=1.0, molar_O=0.0, molar_N=0.0)
+    CaseConfig(molar_F=1.0, molar_O=0.0)
     assert CaseConfig(n_cells=10**6).n_cells == 10**6
     assert CaseConfig(time_mode="explicit-limited", cfl=1.0).cfl == 1.0
     with pytest.raises(ConfigError, match=r"\(0, 1\]"):
@@ -206,6 +206,28 @@ def test_initialize_case_benchmark_structure():
     assert setup.chem_config.epsilon == 1e-2 * state.grid.h
 
 
+def test_a_case_may_take_exactly_max_steps():
+    # a fixed dt that covers the span in MAX_STEPS steps is set up (and
+    # not stepped); one step more is refused
+    span = CaseConfig().t_end - CaseConfig().t_start
+    setup = initialize_case(CaseConfig(n_cells=24, dt=span / harness.MAX_STEPS))
+    assert setup.n_steps == harness.MAX_STEPS
+    with pytest.raises(ConfigError, match="more than 10000000$"):
+        initialize_case(CaseConfig(n_cells=24,
+                                   dt=span / (harness.MAX_STEPS + 1)))
+
+
+def test_the_shock_must_stay_inside_the_domain_by_t_end():
+    # a shock that reaches x_right exactly by t_end is refused, and the
+    # next double up is a domain that holds it
+    config = CaseConfig(n_cells=24)
+    x_shock = float(harness.case_pattern(config).s_shock) * config.t_end
+    with pytest.raises(ConfigError, match="at or past x_right"):
+        initialize_case(dataclasses.replace(config, x_right=x_shock))
+    initialize_case(dataclasses.replace(
+        config, x_right=math.nextafter(x_shock, math.inf)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(state=admissible_states())
 def test_balanced_levels_close_the_mass_balance(state):
@@ -250,6 +272,16 @@ def test_gate_violations_raise():
     bad = _with_cell(state, h_s=(0, 0.5 * state.p[0] / state.rho[0]))
     with pytest.raises(StepFailure, match="sensible"):
         check_state_gates(bad)
+
+
+def test_fraction_gate_bounds_are_inclusive():
+    # the gate admits 1e-10 past either end of [0, 1], and nothing beyond
+    for lo, hi in ((-1e-10, 0.5), (0.5, 1.0 + 1e-10)):
+        require_fraction("y_F", np.array([lo, hi]))
+    for value in (math.nextafter(-1e-10, -math.inf),
+                  math.nextafter(1.0 + 1e-10, math.inf)):
+        with pytest.raises(StepFailure, match="y_F left"):
+            require_fraction("y_F", np.array([0.5, value]))
 
 
 @pytest.mark.parametrize("field", ["y_F", "G", "rho", "e_s"])

@@ -292,6 +292,26 @@ def test_stencil_geometry_at_walls_and_zero_flux():
     assert face_values(y, stencil).tolist() == [1.0, 1.0, 0.5, 0.25, 0.25]
 
 
+@pytest.mark.parametrize("scheme", [None, "parabolic", "Upwind", ""])
+def test_face_stencil_refuses_a_scheme_it_does_not_know(scheme):
+    # refused before anything is built, not later inside face_values
+    F = np.array([0.0, 1.0, -1.0, 1.0, 0.0])
+    with pytest.raises(ValueError) as info:
+        face_stencil(F, scheme, np.ones(4), 0.25, build_uniform_grid(4, 4.0))
+    assert str(info.value) == (f"unknown face scheme {scheme!r}, expected "
+                               f"one of upwind, muscl, antidiffusive")
+
+
+@pytest.mark.parametrize("scheme", transport.SCHEMES)
+def test_face_stencil_builds_every_scheme(scheme):
+    F = np.array([0.0, 1.0, -1.0, 1.0, 0.0])
+    stencil = face_stencil(F, scheme, np.ones(4), 0.25,
+                           build_uniform_grid(4, 4.0))
+    assert stencil.scheme == scheme
+    vals = face_values(np.array([1.0, 0.5, 0.0, 0.25]), stencil)
+    assert vals.shape == (5,) and np.all((vals >= 0.0) & (vals <= 1.0))
+
+
 def index_built_stencil(F, rho_next, dt, grid):
     """``(cells, zeta)`` built with index arithmetic on the face numbers and
     ``np.clip``, the construction the grid's two templates replace."""
