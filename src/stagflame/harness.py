@@ -99,9 +99,6 @@ class CaseConfig:
     W_O: float = 31.998e-3
     W_N: float = 28.014e-3
     W_P: float = 18.015e-3
-    dh_F: float = 0.0
-    dh_O: float = 0.0
-    dh_N: float = 0.0
     dh_P: float = -13.255e6
     molar_F: float = 2.0 / 7.0
     molar_O: float = 1.0 / 7.0
@@ -311,7 +308,7 @@ def initialize_case(config):
     span = config.t_end - config.t_start
     steps = np.ceil(span / dt_raw - 1e-9)
     if not steps <= MAX_STEPS:
-        raise ConfigError(f"the case needs {steps:.6g} steps of dt {dt_raw:.6g} "
+        raise ConfigError(f"the case needs {steps:.17g} steps of dt {dt_raw:.6g} "
                           f"to cover [{config.t_start!r}, {config.t_end!r}], "
                           f"more than {MAX_STEPS}")
     n_steps = max(1, int(steps))
@@ -466,7 +463,7 @@ def burnt_zone_asymptotic_distance(state):
     limit; shrinking epsilon with the mesh should drive this to zero.
     """
     yF, yO, yN, yP = asymptotic_composition(
-        state.mixture, state.y_F, state.y_O, state.y_N, state.y_P, state.G)
+        state.mixture, state.y_F, state.y_O, state.y_N, state.G)
     burnt = state.G < 0.5
     diff = (np.abs(state.y_F - yF) + np.abs(state.y_O - yO)
             + np.abs(state.y_N - yN) + np.abs(state.y_P - yP))

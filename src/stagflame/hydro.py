@@ -183,8 +183,7 @@ def internal_energy(state):
     """Cell internal energy per unit volume, rho e_s + rho^{n-1} hc: the
     chemical part is weighted by the previous-level density, matching the
     two-level species balance.  Returns a new array."""
-    hc = chemical_enthalpy(state.mixture, state.y_F, state.y_O, state.y_N,
-                           state.y_P)
+    hc = chemical_enthalpy(state.mixture, state.y_P)
     hc *= state.rho_prev
     hc += state.rho * state.e_s
     return hc
@@ -502,8 +501,7 @@ def internal_energy_residual(state_n, state_next, chem, flow):
     es_face = face_values(state_next.e_s, face_stencil(
         state_next.flux, "upwind", state_next.rho, dt, grid))
     sens_flux = state_next.flux * es_face
-    hc_face = chemical_enthalpy(state_next.mixture, faces["y_F"], faces["y_O"],
-                                faces["y_N"], faces["y_P"])
+    hc_face = chemical_enthalpy(state_next.mixture, faces["y_P"])
     chem_flux = state_n.flux * hc_face
     div = (sens_flux[1:] - sens_flux[:-1] + chem_flux[1:] - chem_flux[:-1])
     div /= grid.cell_volumes

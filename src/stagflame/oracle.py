@@ -67,17 +67,17 @@ def fresh_density(mixture, p, T, y):
     return p / (r_mix * T)
 
 
-def asymptotic_composition(mixture, y_F, y_O, y_N, y_P, G):
+def asymptotic_composition(mixture, y_F, y_O, y_N, G):
     """Composition the infinitely fast reaction leaves behind.
 
     Burnt cells (G < 1/2, where the reaction cutoff is active) keep only the
-    excess reactant implied by the invariant z; fresh cells pass through
-    unchanged.  Idempotent.
+    excess reactant implied by the invariant z; fresh cells keep their fuel
+    and oxidant.  Every cell keeps its neutral, and its product is the rest,
+    1 - y_F - y_O - y_N.  Idempotent.
     """
     y_F = np.asarray(y_F, dtype=float)
     y_O = np.asarray(y_O, dtype=float)
     y_N = np.asarray(y_N, dtype=float)
-    y_P = np.asarray(y_P, dtype=float)
     burnt = np.asarray(G) < 0.5
     z = z_from_fractions(mixture, y_F, y_O)
     yF_b = mixture.nu_F * mixture.W_F * np.maximum(z, 0.0)
@@ -163,11 +163,12 @@ def solve_deflagration_riemann(mixture, p_fresh, T_fresh, y_fresh, u_flame):
         raise OracleError(f"the fresh density p / (R T) = {rho_fresh:.6g} is "
                           f"not positive and finite")
     y_burnt = tuple(
-        float(v) for v in asymptotic_composition(mixture, *y_fresh, G=0.0)
+        float(v) for v in asymptotic_composition(mixture, *y_fresh[:3], G=0.0)
     )
-    dq = chemical_enthalpy(mixture, *y_fresh) - chemical_enthalpy(mixture, *y_burnt)
-    if dq < 0.0:
-        raise OracleError("endothermic jump: burnt gas holds more formation enthalpy")
+    # the burnt gas holds at least the fresh product and dh_P <= 0, so a
+    # negative jump is the rounding of a fresh gas that cannot burn
+    dq = max(chemical_enthalpy(mixture, y_fresh[3])
+             - chemical_enthalpy(mixture, y_burnt[3]), 0.0)
 
     if u_flame == 0.0 or dq == 0.0:
         # without heat release a moving flame is a pure composition contact
@@ -239,8 +240,8 @@ def rh_residuals(pattern):
         eR = sensible_enthalpy(pR, rhoR, gamma) + hcR + 0.5 * (uR - sL) ** 2
         out[f"{tag}_energy"] = abs(eL - eR) / e_scale
 
-    hc_fresh = chemical_enthalpy(mix, *pattern.y_fresh)
-    hc_burnt = chemical_enthalpy(mix, *pattern.y_burnt)
+    hc_fresh = chemical_enthalpy(mix, pattern.y_fresh[3])
+    hc_burnt = chemical_enthalpy(mix, pattern.y_burnt[3])
     jump("shock", pattern.s_shock,
          pattern.p_shocked, pattern.rho_shocked, pattern.u_shocked, hc_fresh,
          pattern.p_fresh, pattern.rho_fresh, 0.0, hc_fresh)

@@ -15,11 +15,14 @@ class MixtureSpec:
     """Four-species mixture (fuel, oxidant, neutral, product) with one-step
     stoichiometry ``nu_F F + nu_O O -> P``.
 
-    Molar masses ``W_*`` are in kg/mol, formation enthalpies ``dh_*`` in J/kg.
-    ``gamma`` is the (common) adiabatic exponent.  A reaction event makes the
-    product mass ``nu_F W_F + nu_O W_O``, so the product's coefficient is that
-    mass over ``W_P``.  Construction refuses an endothermic reaction (a
-    negative reaction heat), which no deflagration of the model can burn.
+    Molar masses ``W_*`` are in kg/mol.  The reactants and the neutral are
+    the reference state of the chemical enthalpy, so ``dh_P``, the product's
+    formation enthalpy in J/kg, is the one chemical input.  ``gamma`` is the
+    (common) adiabatic exponent.  A reaction event makes the product mass
+    ``nu_F W_F + nu_O W_O``, so the product's coefficient is that mass over
+    ``W_P``.  Construction refuses an endothermic reaction (a negative
+    reaction heat, so ``dh_P > 0``), which no deflagration of the model can
+    burn.
     """
 
     nu_F: float
@@ -28,9 +31,6 @@ class MixtureSpec:
     W_O: float
     W_N: float
     W_P: float
-    dh_F: float = 0.0
-    dh_O: float = 0.0
-    dh_N: float = 0.0
     dh_P: float = 0.0
     gamma: float = 1.4
 
@@ -40,18 +40,16 @@ class MixtureSpec:
                 raise ValueError(f"{name} must be positive")
         if self.gamma <= 1.0:
             raise ValueError("gamma must exceed 1")
-        if self.reaction_heat_coefficient < 0.0:
+        if self.dh_P > 0.0:
             raise ValueError(
                 f"the reaction is endothermic: reaction heat coefficient "
                 f"{self.reaction_heat_coefficient!r} J/mol is negative")
 
     @property
     def reaction_heat_coefficient(self):
-        """Heat released per mole of reaction event (J/mol), from the
-        formation-enthalpy balance of the consumed and created masses."""
-        m_F = self.nu_F * self.W_F
-        m_O = self.nu_O * self.W_O
-        return m_F * self.dh_F + m_O * self.dh_O - (m_F + m_O) * self.dh_P
+        """Heat released per mole of reaction event (J/mol): the formation
+        enthalpy of the product mass it makes, with the opposite sign."""
+        return -(self.nu_F * self.W_F + self.nu_O * self.W_O) * self.dh_P
 
 
 @dataclass
@@ -167,8 +165,7 @@ def mass_fractions_from_molar(mixture, x_F, x_O):
     )
 
 
-def chemical_enthalpy(mixture, y_F, y_O, y_N, y_P):
-    """Formation-enthalpy content sum_i y_i dh_i (J/kg)."""
-    return (
-        y_F * mixture.dh_F + y_O * mixture.dh_O + y_N * mixture.dh_N + y_P * mixture.dh_P
-    )
+def chemical_enthalpy(mixture, y_P):
+    """Formation-enthalpy content y_P dh_P (J/kg); the other species hold
+    none."""
+    return y_P * mixture.dh_P

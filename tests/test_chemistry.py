@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,7 @@ from stagflame.chemistry import (
 from stagflame.errors import ConfigError, StepFailure
 from stagflame.grid import build_uniform_grid
 from stagflame.harness import CaseConfig
-from stagflame.thermo import y_O_from_z, z_from_fractions
+from stagflame.thermo import FieldState, y_O_from_z, z_from_fractions
 from stagflame.transport import SCHEMES, face_stencil, face_values
 from helpers import benchmark_mixture, make_state
 
@@ -124,6 +125,11 @@ def test_flame_advection_threshold_kills_noise():
     a = flame_advection_field(G, 1.0)
     assert np.all(a[3:9] == 0.0)
     assert np.any(a != 0.0)  # the true front still advects
+    # span 1: face 2's difference G_hat[3] - G_hat[1] = d / 2 is kept at
+    # exactly the threshold 2e-12 and cut one double below it
+    for d, want in ((4e-12, 1.0), (math.nextafter(4e-12, 0.0), 0.0)):
+        a = flame_advection_field(np.array([0.0, 0.0, 0.0, d, 1.0, 1.0]), 1.0)
+        assert a[2] == want
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +168,20 @@ def test_flame_term_is_implicit_in_both_time_modes():
     # no mass flux here, so the two modes share the implicit flame solve
     assert np.allclose(G_imp, G_exp, atol=1e-14)
     assert not np.allclose(G_imp, state.G)
+
+
+@pytest.mark.parametrize("limiter,solves", [(None, 4), ("upwind", 2)])
+def test_counted_banded_solves_of_a_step(monkeypatch, limiter, solves):
+    # an implicit step solves G, z, y_N and y_F; an explicit step divides z
+    # and y_N by their cell masses and solves only y_F and G
+    state = advected_state()
+    calls = []
+    real = chemistry.solve_banded
+    monkeypatch.setattr(chemistry, "solve_banded",
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    chemistry_step(state, ChemStepConfig(epsilon=1e-3, flame_speed_product=1.0,
+                                         limiter=limiter))
+    assert len(calls) == solves
 
 
 def full_band_explicit_solve(mass_prev, mass, F, y, y_face,
@@ -321,19 +341,14 @@ def test_implicit_fuel_decay_closed_form():
 
 
 def test_heat_release_matches_composition_change():
-    # with only the product carrying formation enthalpy, the enthalpy-weighted
-    # species sources must cancel the applied heat release exactly
+    # only the product carries formation enthalpy, so its source weighted
+    # by dh_P must cancel the applied heat release exactly
     dt = 5e-4
     state = resting_state(n=12, G=0.2, y=(0.02, 0.2, 0.5, 0.28), dt=dt)
     cfg = ChemStepConfig(epsilon=1e-3)
     res = chemistry_step(state, cfg)
     mix = state.mixture
-    source = (
-        mix.dh_F * (res.y_F - state.y_F)
-        + mix.dh_O * (res.y_O - state.y_O)
-        + mix.dh_N * (res.y_N - state.y_N)
-        + mix.dh_P * (res.y_P - state.y_P)
-    ) / dt  # rho = rho_prev = 1 here
+    source = mix.dh_P * (res.y_P - state.y_P) / dt  # rho = rho_prev = 1 here
     assert np.allclose(source, -res.omega_theta, rtol=1e-12)
     assert np.all(res.omega_theta >= 0.0)
 
@@ -383,6 +398,33 @@ def test_explicit_step_refuses_a_material_cfl_above_one():
         chemistry_step(state, cfg)
     # implicit upwind transport has no such bound
     chemistry_step(state, ChemStepConfig(epsilon=1e-3))
+
+
+def test_explicit_step_admits_a_material_cfl_of_exactly_one():
+    # four cells of mass 0.25 at rest in density, a unit flux through the
+    # interior faces and dt = 1/8: the inner cells run at CFL exactly 1,
+    # the bound itself, and the next double up of dt passes it
+    grid = build_uniform_grid(4, 1.0)
+    flux = np.array([0.0, 1.0, 1.0, 1.0, 0.0])
+    y = {k: np.full(4, v) for k, v in (("y_F", 0.02), ("y_O", 0.2),
+                                         ("y_N", 0.5), ("y_P", 0.28))}
+    mix = benchmark_mixture()
+    cfg = ChemStepConfig(epsilon=1.0, limiter="antidiffusive")
+    for dt in (0.125, math.nextafter(0.125, 1.0)):
+        rho_prev = 1.0 + dt * np.diff(flux) / grid.cell_volumes
+        state = FieldState(
+            grid=grid, mixture=mix, dt=dt, rho_prev=rho_prev,
+            rho=np.ones(4), u=flux, p=np.ones(4), h_s=np.ones(4), **y,
+            z=z_from_fractions(mix, y["y_F"], y["y_O"]), G=np.ones(4),
+            flux=flux)
+        if dt == 0.125:
+            assert state.cfl == 1.0
+            # a uniform composition stays uniform
+            assert np.allclose(chemistry_step(state, cfg).y_F, 0.02,
+                               rtol=1e-14, atol=0.0)
+        else:
+            with pytest.raises(StepFailure, match="^material CFL 1.0000 "):
+                chemistry_step(state, cfg)
 
 
 def _upwind(y, F):

@@ -105,6 +105,12 @@ def test_from_dict_takes_integers_for_an_integer_key(raw):
     assert config.n_cells == 12 and type(config.n_cells) is int
 
 
+def test_from_dict_strips_a_padded_string_value():
+    config = CaseConfig.from_dict({"time_mode": " explicit-limited\t",
+                                   "limiter": "  muscl "})
+    assert (config.time_mode, config.limiter) == ("explicit-limited", "muscl")
+
+
 def test_load_config_with_overrides(tmp_path):
     path = tmp_path / "case.cfg"
     path.write_text("n_cells = 40\ncfl = 0.5\n")
@@ -208,13 +214,18 @@ def test_initialize_case_benchmark_structure():
 
 def test_a_case_may_take_exactly_max_steps():
     # a fixed dt that covers the span in MAX_STEPS steps is set up (and
-    # not stepped); one step more is refused
+    # not stepped); one step more is refused, and the message names the
+    # count it refuses, not one that rounds down to the cap
     span = CaseConfig().t_end - CaseConfig().t_start
     setup = initialize_case(CaseConfig(n_cells=24, dt=span / harness.MAX_STEPS))
     assert setup.n_steps == harness.MAX_STEPS
-    with pytest.raises(ConfigError, match="more than 10000000$"):
+    with pytest.raises(ConfigError, match="more than 10000000$") as refused:
         initialize_case(CaseConfig(n_cells=24,
                                    dt=span / (harness.MAX_STEPS + 1)))
+    assert "needs 10000001 steps" in str(refused.value)
+    # the smallest double makes the count infinite, which is refused too
+    with pytest.raises(ConfigError, match="needs inf steps"):
+        initialize_case(CaseConfig(n_cells=24, dt=5e-324))
 
 
 def test_the_shock_must_stay_inside_the_domain_by_t_end():
@@ -809,6 +820,11 @@ def test_burnt_zone_distance():
     state = dataclasses.replace(state, G=np.zeros_like(state.G))
     want = 2.0 * (state.y_F[0] + state.y_O[0]) * (4.5 - 0.0)
     assert burnt_zone_asymptotic_distance(state) == pytest.approx(want, rel=1e-12)
+    # G = 1/2 is fresh, as in asymptotic_composition: a product fraction
+    # that the other three do not close counts nowhere
+    state = dataclasses.replace(state, G=np.full_like(state.G, 0.5),
+                                y_P=state.y_P + 0.1)
+    assert burnt_zone_asymptotic_distance(state) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -851,6 +867,15 @@ def test_write_failure_is_a_config_error(tmp_path):
         write_csv(tmp_path, ["a"], [[1.0]])
 
 
+def test_write_csv_keeps_17_significant_digits(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ["a", "b", "c"], [[0.1, np.float64(0.1), 3]],
+              header={"x": 0.1})
+    assert path.read_text().splitlines() == [
+        "# x = 0.10000000000000001", "a,b,c",
+        "0.10000000000000001,0.10000000000000001,3"]
+
+
 def test_sweep_rows_and_report(tmp_path):
     cfg = CaseConfig(t_end=0.0024, time_mode="explicit-limited")
     runs = run_sweep(cfg, meshes=[24, 48], schemes=["upwind", "muscl"])
@@ -884,6 +909,22 @@ def test_sweep_rows_and_report(tmp_path):
     assert "ls" in text and "burnt-zone distance" in text
     assert re.findall(r"scheme = (\w+)",
                       sweep_text(sweep_report(runs))) == ["upwind", "muscl"]
+
+
+def test_sweep_csv_writes_each_consecutive_pair_order(tmp_path):
+    # three meshes have two consecutive pairs: their orders fill the first
+    # two rows, and the last mesh's order entries are empty
+    runs = [SimpleNamespace(config=SimpleNamespace(n_cells=n),
+                            state=SimpleNamespace(grid=SimpleNamespace(h=4.5 / n)),
+                            wall_time=1.0,
+                            errors=dict.fromkeys(harness.ERROR_FIELDS, 0.5))
+            for n in (24, 48, 96)]
+    orders = {f: ([1.25, 2.5], 2.0) for f in harness.ERROR_FIELDS}
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(path, [("upwind", runs, orders, [0.0, 0.0, 0.0])])
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    n = len(harness.ERROR_FIELDS)
+    assert [row[-n:] for row in rows] == [["1.25"] * n, ["2.5"] * n, [""] * n]
 
 
 def _power_law_runs(meshes, C, q):

@@ -382,6 +382,29 @@ def test_a_rejected_closing_step_returns_the_p_from_before_it(monkeypatch,
     assert flow.residual == max(closing["res"], mass)
 
 
+@pytest.mark.parametrize("floor,kept", [(0.0, False), (5e-324, True)])
+def test_a_closing_step_keeps_only_positive_pressures(monkeypatch, floor,
+                                                      kept):
+    # a closing step that lowers the residual but leaves a pressure at
+    # exactly 0 is rejected; one that leaves the smallest double is kept
+    state = initialize_case(CaseConfig(n_cells=12)).state
+    system = _CorrectionSystem(state, np.zeros(state.grid.n_cells))
+    p = state.p.copy()
+    p[0] = 1e-320  # a subnormal, so that p - delta is exact
+    delta = np.zeros_like(p)
+    delta[0] = 1e-320 - floor
+    u = np.zeros(state.grid.n_cells - 1)
+    monkeypatch.setattr(system, "newton_step", lambda r: (delta.copy(), None))
+    monkeypatch.setattr(system, "residual", lambda q: (np.zeros_like(q),
+                                                       (None, u)))
+    monkeypatch.setattr(system, "norm", lambda r: 0.0)
+    out = system.closing_step(p, np.zeros_like(p), 1.0)
+    if kept:
+        assert out[0][0] == floor and out[1:] == (0.0, u)
+    else:
+        assert out is None
+
+
 def test_a_level_at_its_solution_takes_no_newton_step(monkeypatch):
     # at rest under uniform pressure with no heat release, p^n already meets
     # the tolerance: the solve takes no Newton step and no closing step, and
@@ -396,6 +419,27 @@ def test_a_level_at_its_solution_takes_no_newton_step(monkeypatch):
     assert flow.iterations == 0
     assert _same_bits(flow.p, state.p)
     assert flow.residual < hydro._NONLINEAR_TOL
+
+
+def test_a_residual_of_exactly_the_tolerance_does_not_meet_it(monkeypatch):
+    # the solve stops strictly below _NONLINEAR_TOL: the same level, with
+    # every residual read as the tolerance itself, stagnates
+    monkeypatch.setattr(_CorrectionSystem, "norm",
+                        lambda self, r: hydro._NONLINEAR_TOL)
+    state = quiescent_state(n=10)
+    with pytest.raises(StepFailure, match="stalled at residual .*: stagnated"):
+        euler_step(state, np.zeros(state.grid.n_cells))
+
+
+def test_a_drop_of_exactly_the_stagnation_factor_is_no_progress(monkeypatch):
+    # residuals 1, then 0.9 = _STAGNATION_DROP * 1 ever after: the first
+    # residual stays the best, so the solve stagnates 12 iterations after it
+    residuals = iter([1.0])
+    monkeypatch.setattr(_CorrectionSystem, "norm",
+                        lambda self, r: next(residuals, hydro._STAGNATION_DROP))
+    state = quiescent_state(n=10)
+    with pytest.raises(StepFailure, match="stagnated after 12 Newton"):
+        euler_step(state, np.zeros(state.grid.n_cells))
 
 
 def test_correction_jacobian_matches_central_differences():
@@ -467,6 +511,24 @@ def test_correction_solve_raises_when_starved(monkeypatch):
         correction_solve(system)
 
 
+def test_a_capped_correction_solve_makes_no_newton_solve_past_the_cap(
+        monkeypatch):
+    # with a cap of one iteration, the solve makes its one Newton step and
+    # stops at the next residual; the closing solve of a converged iterate
+    # never runs
+    state = initialize_case(CaseConfig(n_cells=40)).state
+    system = _CorrectionSystem(state, np.zeros(state.grid.n_cells))
+    solves = []
+    real = hydro.solve_banded
+    monkeypatch.setattr(hydro, "solve_banded",
+                        lambda *a, **kw: solves.append(1) or real(*a, **kw))
+    monkeypatch.setattr(hydro, "_NONLINEAR_TOL", 1e-14)
+    monkeypatch.setattr(hydro, "_MAX_ITERATIONS", 1)
+    with pytest.raises(StepFailure, match="iteration cap reached after 1 Newton"):
+        correction_solve(system)
+    assert len(solves) == 1
+
+
 def _singular_solve(l_and_u, ab, b, **kwargs):
     raise np.linalg.LinAlgError("singular matrix")
 
@@ -527,8 +589,7 @@ def test_the_flow_step_holds_no_prediction(monkeypatch, limiter):
 
 def test_total_energy_of_resting_state_is_internal_only():
     state = quiescent_state(n=10)
-    hc = chemical_enthalpy(state.mixture, state.y_F, state.y_O, state.y_N,
-                           state.y_P)
+    hc = chemical_enthalpy(state.mixture, state.y_P)
     want = np.sum(state.grid.cell_volumes
                   * (state.rho * state.e_s + state.rho_prev * hc))
     assert total_energy(state) == pytest.approx(want, rel=1e-14)

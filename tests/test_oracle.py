@@ -103,7 +103,7 @@ def test_shock_satisfies_textbook_relations():
 
 def test_burnt_composition_is_the_asymptotic_map():
     pat = benchmark_pattern()
-    want = asymptotic_composition(pat.mixture, *pat.y_fresh, G=0.0)
+    want = asymptotic_composition(pat.mixture, *pat.y_fresh[:3], G=0.0)
     assert pat.y_burnt == tuple(float(v) for v in want)
     # stoichiometric fresh gas burns out completely
     assert pat.y_burnt[0] == 0.0
@@ -115,13 +115,13 @@ def test_burnt_composition_is_the_asymptotic_map():
 def test_asymptotic_composition_is_idempotent_and_gated():
     mix = benchmark_mixture()
     y = (0.04, 0.1, 0.5, 0.36)  # rich
-    out = asymptotic_composition(mix, *y, G=0.0)
-    again = asymptotic_composition(mix, *out, G=0.0)
+    out = asymptotic_composition(mix, *y[:3], G=0.0)
+    again = asymptotic_composition(mix, *out[:3], G=0.0)
     assert np.allclose(out, again, atol=1e-16)
     assert out[1] == 0.0  # oxidant exhausted in a rich mixture
     assert float(sum(out)) == pytest.approx(1.0, abs=1e-15)
     # fresh cells (G >= 1/2, no reaction cutoff active) pass through
-    untouched = asymptotic_composition(mix, *y, G=0.5)
+    untouched = asymptotic_composition(mix, *y[:3], G=0.5)
     assert tuple(float(v) for v in untouched) == y
 
 
@@ -130,6 +130,13 @@ def test_zero_flame_speed_with_heat_release_fails():
     y = mass_fractions_from_molar(mix, 2.0 / 7.0, 1.0 / 7.0)
     with pytest.raises(OracleError):
         solve_deflagration_riemann(mix, P_FRESH, T_FRESH, y, 0.0)
+
+
+def test_negative_flame_speed_is_refused():
+    mix = benchmark_mixture()
+    y = mass_fractions_from_molar(mix, 2.0 / 7.0, 1.0 / 7.0)
+    with pytest.raises(OracleError, match="flame speed must be non-negative"):
+        solve_deflagration_riemann(mix, 9.9e4, 283.0, y, -1e-300)
 
 
 def test_inert_composition_gives_trivial_pattern():

@@ -119,24 +119,24 @@ def test_reaction_heat_coefficient_of_benchmark():
 
 def test_chemical_enthalpy_is_linear_in_fractions():
     mix = benchmark_mixture()
-    assert chemical_enthalpy(mix, 0.0, 0.0, 1.0, 0.0) == 0.0
-    assert chemical_enthalpy(mix, 0.0, 0.0, 0.3, 0.7) == pytest.approx(
-        0.7 * -13.255e6, rel=1e-12)
+    assert chemical_enthalpy(mix, 0.0) == 0.0
+    assert chemical_enthalpy(mix, 0.7) == pytest.approx(0.7 * -13.255e6,
+                                                        rel=1e-12)
+    y_P = np.array([0.0, 0.35, 0.7])
+    assert np.array_equal(chemical_enthalpy(mix, y_P), y_P * -13.255e6)
 
 
 @st.composite
 def exothermic_mixtures(draw):
-    """A mixture with every molar mass and coefficient drawn, and formation
-    enthalpies that release heat: dh_P lies below the mass-weighted mean of
-    dh_F and dh_O by a drawn specific heat of reaction."""
+    """A mixture with every molar mass and coefficient drawn, and a product
+    formation enthalpy that releases 1e3 to 5e7 J/kg of heat, or none.
+    Tiny enthalpies are left out: near the subnormal range the products
+    lose the relative precision the test asks for."""
     nu_F, nu_O = (draw(st.floats(0.1, 10.0)) for _ in range(2))
     W_F, W_O, W_N, W_P = (draw(st.floats(1e-3, 0.3)) for _ in range(4))
-    dh_F, dh_O, dh_N = (draw(st.floats(-2e7, 2e7)) for _ in range(3))
-    m_F, m_O = nu_F * W_F, nu_O * W_O
-    dh_P = ((m_F * dh_F + m_O * dh_O) / (m_F + m_O)
-            - draw(st.floats(1e3, 5e7)))
+    dh_P = draw(st.just(0.0) | st.floats(-5e7, -1e3))
     return MixtureSpec(nu_F=nu_F, nu_O=nu_O, W_F=W_F, W_O=W_O, W_N=W_N,
-                       W_P=W_P, dh_F=dh_F, dh_O=dh_O, dh_N=dh_N, dh_P=dh_P)
+                       W_P=W_P, dh_P=dh_P)
 
 
 @settings(max_examples=300, deadline=None)
@@ -146,18 +146,18 @@ def test_derived_product_mass_closes_the_reaction(mix, x_F, share_O):
     # the fast-chemistry burnt gas of a fresh, product-free gas: its
     # fractions sum to 1, and the chemical enthalpy it gave up is the
     # reaction heat of the moles of fuel burnt.  Both sides agree to a few
-    # ulps of what is in play: the formation enthalpies, and the heat of
-    # every reaction event the fresh fuel and oxidant could make, whose
-    # rounding the invariant z carries into the moles burnt
+    # ulps of what is in play: the product's formation enthalpy, and the
+    # heat of every reaction event the fresh fuel and oxidant could make,
+    # whose rounding the invariant z carries into the moles burnt
     x_O = share_O * (1.0 - x_F)
     fresh = mass_fractions_from_molar(mix, x_F, x_O)
     burnt = [float(v) for v in
-             asymptotic_composition(mix, *fresh, np.zeros(()))]
+             asymptotic_composition(mix, *fresh[:3], np.zeros(()))]
     assert math.fsum(burnt) == pytest.approx(1.0, abs=4 * EPS)
-    released = chemical_enthalpy(mix, *fresh) - chemical_enthalpy(mix, *burnt)
+    released = chemical_enthalpy(mix, fresh[3]) - chemical_enthalpy(mix, burnt[3])
     m_F, m_O = mix.nu_F * mix.W_F, mix.nu_O * mix.W_O
     moles = (fresh[0] - burnt[0]) / m_F
-    scale = (max(abs(mix.dh_F), abs(mix.dh_O), abs(mix.dh_N), abs(mix.dh_P))
+    scale = (abs(mix.dh_P)
              + mix.reaction_heat_coefficient * (fresh[0] / m_F + fresh[1] / m_O))
     assert released == pytest.approx(mix.reaction_heat_coefficient * moles,
                                      rel=8 * EPS, abs=8 * EPS * scale)
