@@ -9,8 +9,10 @@ correction relation and the cell-local EOS p = kappa rho h_s is substituted,
 which leaves an enthalpy balance in the pressure alone: Newton runs on the N
 cell pressures with a tridiagonal Jacobian (each step p - J^-1 r, J^-1 r
 solved in the place of the residual r), then one linear mass solve gives
-the density and the EOS the enthalpy.  Newton is the only nonlinear path: a
-step it cannot converge ends in a StepFailure that says why it stopped.
+the density and the EOS the enthalpy.  ``correction_solve`` is that one
+Newton loop, its stop rules and closing step included.  Newton is the only
+nonlinear path: a step it cannot converge ends in a StepFailure that says
+why it stopped.
 The pieces are arranged so that a discrete total energy - sensible plus
 chemical plus kinetic including a pressure-gradient storage term - is
 conserved to the nonlinear solver tolerance.  That tolerance and Newton's
@@ -347,26 +349,6 @@ class _CorrectionSystem:
             return None, "non-finite Newton step"
         return delta, None
 
-    def closing_step(self, p, r, res):
-        """One more Newton step from the converged ``p``, with the Jacobian
-        in ``band`` and ``r`` the residual at ``p`` (overwritten).
-
-        Returns the new iterate, its scaled residual and its interior face
-        velocities (the residual's a + b (p_L - p_R)), or None when there is
-        no usable step, or the step does not lower the residual below
-        ``res`` or leaves a pressure non-positive.  The step's residual and
-        linearisation are freed on return.
-        """
-        delta, _ = self.newton_step(r)
-        if delta is None:
-            return None
-        p_next = np.subtract(p, delta, out=delta)
-        r_next, lin = self.residual(p_next)
-        res_next = self.norm(r_next)
-        if res_next < res and p_next.min() > 0.0:
-            return p_next, res_next, lin[1]
-        return None
-
     def mass_norm(self, rho, flux):
         # hdt (rho - rho^n) + F_right - F_left
         r = rho - self.state.rho
@@ -381,80 +363,51 @@ def correction_solve(system):
 
     The system carries all the solve reads: its level, the coefficients
     built from the prediction, and the prediction's kinetic residuals R,
-    which the ``FlowResult`` holds for the energy audit.  Semismooth Newton
-    on the N pressures of the reduced enthalpy balance (see
+    which the ``FlowResult`` holds for the energy audit.  One semismooth
+    Newton loop on the N pressures of the reduced enthalpy balance (see
     ``_CorrectionSystem``), starting from p^n: upwind switches freeze per
     iteration, each step is one tridiagonal banded solve, and a line step
-    halves until p stays positive.  Once the tolerance is met, one more
+    halves until p stays positive.  Once the tolerance is met, a closing
     step with the last iteration's Jacobian takes the residual down to
     round-off, so that the energy drift does not build up over a run; it is
-    kept only if the residual drops.  The interior velocities are the
-    u = a + b (p_L - p_R) of the residual evaluated at the kept p (the
-    closing step's when it is kept), zero at the walls; rho then follows
-    from one linear upwind mass solve (positive, since its matrix is an
-    M-matrix) and h_s = p / (kappa rho) from the EOS.  Newton is the only
-    path: when it reaches ``_MAX_ITERATIONS``, stagnates, meets a singular
-    Jacobian or takes a non-finite step, the solve raises StepFailure naming
-    the reason and the iteration count.  The reported residual is the larger
-    of the scaled enthalpy and mass residuals.
+    kept only if it lowers the residual and leaves every pressure positive.
+    The interior velocities are the u = a + b (p_L - p_R) of the residual
+    evaluated at the kept p (the closing step's when it is kept), zero at
+    the walls; rho then follows from one linear upwind mass solve (positive,
+    since its matrix is an M-matrix) and h_s = p / (kappa rho) from the EOS.
+    Newton is the only path: when it reaches ``_MAX_ITERATIONS``, stagnates,
+    meets a singular Jacobian or takes a non-finite step, the solve raises
+    StepFailure naming the reason and the iteration count.  The reported
+    residual is the larger of the scaled enthalpy and mass residuals.
 
     Besides the system's per-solve arrays (the band among them), a solve
     holds the iterate p, the line step's spare buffer and one residual
     with its linearisation (``residual``'s face quantities), which
     it drops once the Jacobian is built from it.  Once Newton converges,
-    the spare buffer and the last Newton step are freed and only the face
-    velocities of the last linearisation are kept; the closing step
-    replaces them by its own iterate's only when the step is kept.  So at
-    most one set of residual and Jacobian temporaries is live.
+    the spare buffer is freed and only the face velocities of the last
+    linearisation are kept; the closing step's own solve replaces the last
+    Newton step, and its face velocities replace the kept ones only when
+    the step is kept.  Its residual and linearisation are freed either way,
+    so at most one set of residual and Jacobian temporaries is live.
     """
     state = system.state
-    p, r, res, u_face, it = _newton(system, np.array(state.p, dtype=float))
-    if it:  # the closing step
-        it += 1
-        closed = system.closing_step(p, r, res)
-        if closed is not None:
-            p, res, u_face = closed
-    u = np.zeros(system.n + 1)
-    u[1:-1] = u_face
-    rho = upwind_mass_solve(state.grid, state.rho, u, state.dt)
-    flux = primal_mass_flux(rho, u)
-    h_s = rho * system.kappa
-    np.divide(p, h_s, out=h_s)  # h_s = p / (kappa rho)
-    return FlowResult(
-        u=u, rho=rho, h_s=h_s, p=p, flux=flux,
-        iterations=it, residual=max(res, system.mass_norm(rho, flux)),
-        kinetic_residual=system.R,
-    )
-
-
-def _newton(sys_, p):
-    """Newton iterations on ``sys_`` from the pressures ``p`` (a buffer the
-    iterations overwrite) until the scaled residual meets the tolerance.
-
-    Returns ``(p, r, res, u, it)`` of that iterate: its residual and scaled
-    residual, its interior face velocities a + b (p_L - p_R) and the
-    iteration count; the rest of its linearisation, the spare buffer and
-    the last Newton step are freed on return.  Raises StepFailure when no
-    iterate meets the tolerance.
-    """
+    p = np.array(state.p, dtype=float)  # the iterate, overwritten
     spare = np.empty_like(p)  # the line step's trial, swapped with p
     why = "iteration cap reached"
     best, best_it = np.inf, 0
     for it in range(_MAX_ITERATIONS + 1):
-        r, lin = sys_.residual(p)
-        res = sys_.norm(r)
-        if res < _NONLINEAR_TOL:
-            return p, r, res, lin[1], it
-        if it == _MAX_ITERATIONS:
+        r, lin = system.residual(p)
+        res = system.norm(r)
+        if res < _NONLINEAR_TOL or it == _MAX_ITERATIONS:
             break
         if res < _STAGNATION_DROP * best:
             best, best_it = res, it
         elif it - best_it >= _STAGNATION_ITERATIONS:
             why = "stagnated"
             break
-        sys_.jacobian(lin)
+        system.jacobian(lin)
         del lin  # the band holds all the Newton step reads of it
-        delta, stop = sys_.newton_step(r)
+        delta, stop = system.newton_step(r)
         if stop:
             why = stop
             break
@@ -465,10 +418,34 @@ def _newton(sys_, p):
             np.multiply(alpha, delta, out=trial)
             np.subtract(p, trial, out=trial)  # p - alpha delta
         p, spare = trial, p
-    raise StepFailure(
-        f"correction solve stalled at residual {res:.3e} "
-        f"(tolerance {_NONLINEAR_TOL:.1e}): {why} after {it} Newton "
-        f"iterations"
+    if not res < _NONLINEAR_TOL:
+        raise StepFailure(
+            f"correction solve stalled at residual {res:.3e} "
+            f"(tolerance {_NONLINEAR_TOL:.1e}): {why} after {it} Newton "
+            f"iterations"
+        )
+    u_face = lin[1]
+    del lin, spare
+    if it:  # the closing step, on the band the last iteration left
+        it += 1
+        delta, _ = system.newton_step(r)
+        if delta is not None:
+            p_next = np.subtract(p, delta, out=delta)
+            r_next, lin = system.residual(p_next)
+            res_next = system.norm(r_next)
+            if res_next < res and p_next.min() > 0.0:
+                p, res, u_face = p_next, res_next, lin[1]
+            del r_next, lin, p_next, delta
+    u = np.zeros(system.n + 1)
+    u[1:-1] = u_face
+    rho = upwind_mass_solve(state.grid, state.rho, u, state.dt)
+    flux = primal_mass_flux(rho, u)
+    h_s = rho * system.kappa
+    np.divide(p, h_s, out=h_s)  # h_s = p / (kappa rho)
+    return FlowResult(
+        u=u, rho=rho, h_s=h_s, p=p, flux=flux,
+        iterations=it, residual=max(res, system.mass_norm(rho, flux)),
+        kinetic_residual=system.R,
     )
 
 

@@ -295,8 +295,10 @@ def sample_solution(pattern, x, t):
     """Point values of the exact solution at positions x and time t (> 0)."""
     if t <= 0.0:
         raise OracleError("the self-similar solution needs t > 0")
-    xi = np.asarray(x, dtype=float) / t
-    region = np.where(xi < pattern.s_flame, 0, np.where(xi < pattern.s_shock, 1, 2))
+    # x against s t, not x / t against s: x / t overflows for a tiny t
+    x = np.asarray(x, dtype=float)
+    region = np.where(x < pattern.s_flame * t, 0,
+                      np.where(x < pattern.s_shock * t, 1, 2))
     return {name: np.asarray(vals)[region]
             for name, vals in _region_values(pattern).items()}
 

@@ -62,6 +62,23 @@ EQUIVALENT = {
         "mutant fails at the next line instead of naming the package",
     ("cli.py", '__name__ == "__main__"', "False"):
         "the tests call main() and never run the module as a script",
+    ("hydro.py", "alpha > 1e-6", "alpha >= 1e-06"):
+        "the line step's alpha is always a power of two, which the double "
+        "1e-6 is not",
+    ("oracle.py", "f_lo < 0.0", "f_lo <= 0.0"):
+        "_bisect returns an end or midpoint where f is exactly zero before "
+        "any sign test, so no value a sign test reads is 0",
+    ("oracle.py", "f_hi < 0.0", "f_hi <= 0.0"):
+        "_bisect returns an end or midpoint where f is exactly zero before "
+        "any sign test, so no value a sign test reads is 0",
+    ("oracle.py", "f_mid < 0.0", "f_mid <= 0.0"):
+        "_bisect returns an end or midpoint where f is exactly zero before "
+        "any sign test, so no value a sign test reads is 0",
+    ("linalg.py", "c >= 0.0", "c > 0.0"):
+        "the band differs only at a face with c = +0 or -0, and there only "
+        "in the sign of a zero off-diagonal entry; the four runs of "
+        "tests/digests.py, which hash the bytes of every final array, match "
+        "under the mutant",
 }
 
 _FLIPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,

@@ -538,10 +538,10 @@ def test_a_run_holds_one_level_and_one_step_of_results(monkeypatch):
 @pytest.mark.parametrize("limiter", SCHEMES)
 def test_the_flow_step_holds_no_face_values(monkeypatch, limiter):
     # the faces an explicit step convected are let go when chemistry_step
-    # returns: when a step's Newton iterations start, no array face_values
+    # returns: when a step's correction solve starts, no array face_values
     # returned during that step is reachable
     returned, seen = [], []
-    face_values, newton = chemistry.face_values, hydro._newton
+    face_values, solve = chemistry.face_values, hydro.correction_solve
 
     def recording(*args):
         values = face_values(*args)
@@ -551,10 +551,10 @@ def test_the_flow_step_holds_no_face_values(monkeypatch, limiter):
     def checking(*args):
         seen.append((len(returned), sum(ref() is not None for ref in returned)))
         returned.clear()
-        return newton(*args)
+        return solve(*args)
 
     monkeypatch.setattr(chemistry, "face_values", recording)
-    monkeypatch.setattr(hydro, "_newton", checking)
+    monkeypatch.setattr(hydro, "correction_solve", checking)
     config = CaseConfig(n_cells=40, t_end=0.0024, time_mode="explicit-limited",
                         limiter=limiter)
     gc.disable()

@@ -386,34 +386,56 @@ def test_a_rejected_closing_step_returns_the_p_from_before_it(monkeypatch,
 def test_a_closing_step_keeps_only_positive_pressures(monkeypatch, floor,
                                                       kept):
     # a closing step that lowers the residual but leaves a pressure at
-    # exactly 0 is rejected; one that leaves the smallest double is kept
+    # exactly 0 is rejected; one that leaves the smallest double is kept.
+    # The residuals read 1, then 1e-13 (converged after one zero Newton
+    # step), then 0 at the closing iterate
     state = initialize_case(CaseConfig(n_cells=12)).state
-    system = _CorrectionSystem(state, np.zeros(state.grid.n_cells))
     p = state.p.copy()
     p[0] = 1e-320  # a subnormal, so that p - delta is exact
-    delta = np.zeros_like(p)
-    delta[0] = 1e-320 - floor
-    u = np.zeros(state.grid.n_cells - 1)
-    monkeypatch.setattr(system, "newton_step", lambda r: (delta.copy(), None))
-    monkeypatch.setattr(system, "residual", lambda q: (np.zeros_like(q),
-                                                       (None, u)))
-    monkeypatch.setattr(system, "norm", lambda r: 0.0)
-    out = system.closing_step(p, np.zeros_like(p), 1.0)
-    if kept:
-        assert out[0][0] == floor and out[1:] == (0.0, u)
-    else:
-        assert out is None
+    state = replace(state, p=p)
+    system = _CorrectionSystem(state, np.zeros(state.grid.n_cells))
+    norms = iter([1.0, 1e-13, 0.0])
+    closing = np.zeros_like(p)
+    closing[0] = 1e-320 - floor
+    steps = iter([np.zeros_like(p), closing])
+    monkeypatch.setattr(system, "norm", lambda r: next(norms))
+    monkeypatch.setattr(system, "newton_step", lambda r: (next(steps), None))
+    flow = correction_solve(system)
+    assert flow.iterations == 2
+    assert flow.p[0] == (floor if kept else 1e-320)
+
+
+def test_a_line_step_halves_a_trial_of_exactly_zero(monkeypatch):
+    # a Newton step delta = p makes the trial p - delta exactly 0 in every
+    # cell, which is no positive pressure: the line step halves the step,
+    # and the next residual is evaluated at p / 2
+    state = initialize_case(CaseConfig(n_cells=12)).state
+    system = _CorrectionSystem(state, np.zeros(state.grid.n_cells))
+    residual = system.residual
+    seen = []
+
+    def recording_residual(p):
+        seen.append(p.copy())
+        return residual(p)
+
+    monkeypatch.setattr(system, "residual", recording_residual)
+    monkeypatch.setattr(system, "norm", lambda r: 1.0)
+    monkeypatch.setattr(system, "newton_step", lambda r: (seen[-1].copy(),
+                                                          None))
+    with pytest.raises(StepFailure, match="stagnated"):
+        correction_solve(system)
+    assert _same_bits(seen[0], state.p)
+    assert _same_bits(seen[1], state.p / 2.0)
 
 
 def test_a_level_at_its_solution_takes_no_newton_step(monkeypatch):
     # at rest under uniform pressure with no heat release, p^n already meets
-    # the tolerance: the solve takes no Newton step and no closing step, and
-    # returns p^n itself
-    def no_closing_step(self, p, r, res):
-        raise AssertionError("closing step taken")
+    # the tolerance: the solve takes no Newton step, the closing one
+    # included, and returns p^n itself
+    def no_newton_step(self, r):
+        raise AssertionError("Newton step taken")
 
-    monkeypatch.setattr(hydro._CorrectionSystem, "closing_step",
-                        no_closing_step)
+    monkeypatch.setattr(hydro._CorrectionSystem, "newton_step", no_newton_step)
     state = quiescent_state(n=10)
     flow = euler_step(state, np.zeros(state.grid.n_cells))
     assert flow.iterations == 0
@@ -555,11 +577,11 @@ def test_correction_solve_names_why_newton_stopped(monkeypatch, broken, why):
 @pytest.mark.parametrize("limiter", SCHEMES)
 def test_the_flow_step_holds_no_prediction(monkeypatch, limiter):
     # the prediction is the correction system's constructor's own: when a
-    # step's Newton iterations start, neither the scaled gradient nor the
+    # step's correction solve starts, neither the scaled gradient nor the
     # predicted velocity of that step is reachable
     returned, seen = [], []
-    scale, predict, newton = (hydro.scale_pressure_gradient,
-                              hydro.predict_velocity, hydro._newton)
+    scale, predict, solve = (hydro.scale_pressure_gradient,
+                             hydro.predict_velocity, hydro.correction_solve)
 
     def recording(fn):
         def wrapper(*args):
@@ -571,11 +593,11 @@ def test_the_flow_step_holds_no_prediction(monkeypatch, limiter):
     def checking(*args):
         seen.append((len(returned), sum(ref() is not None for ref in returned)))
         returned.clear()
-        return newton(*args)
+        return solve(*args)
 
     monkeypatch.setattr(hydro, "scale_pressure_gradient", recording(scale))
     monkeypatch.setattr(hydro, "predict_velocity", recording(predict))
-    monkeypatch.setattr(hydro, "_newton", checking)
+    monkeypatch.setattr(hydro, "correction_solve", checking)
     config = CaseConfig(n_cells=40, t_end=0.0024, time_mode="explicit-limited",
                         limiter=limiter)
     gc.disable()

@@ -191,6 +191,84 @@ def test_overflowing_fresh_pressure_is_an_oracle_error():
         solve_deflagration_riemann(mix, 1e300, T_FRESH, y, U_FLAME)
 
 
+def test_an_infinite_fresh_density_is_refused():
+    mix = benchmark_mixture()
+    y = mass_fractions_from_molar(mix, 2.0 / 7.0, 1.0 / 7.0)
+    with pytest.raises(OracleError, match="= inf is not positive and finite"):
+        solve_deflagration_riemann(mix, math.inf, T_FRESH, y, U_FLAME)
+
+
+class _Bracketed(Exception):
+    pass
+
+
+def test_a_balance_of_exactly_zero_does_not_close_the_bracket(monkeypatch):
+    # the bracket's upper end must make the balance positive: one where it
+    # is exactly 0 is doubled.  With u_flame**2 underflowing to 0, s_flame
+    # 0 and h_s read as rho, the balance is rho_b - dq, which the patched
+    # wave states make 0 at 2 p_fresh and dq at any other pressure
+    dq = benchmark_pattern().heat_release
+    mix = benchmark_mixture()
+    y = mass_fractions_from_molar(mix, 2.0 / 7.0, 1.0 / 7.0)
+    his = []
+
+    def bisect(f, lo, hi):
+        his.append(hi)
+        raise _Bracketed
+
+    monkeypatch.setattr(oracle, "sensible_enthalpy", lambda p, rho, g: rho)
+    monkeypatch.setattr(oracle, "_wave_states", lambda m, p_f, rho_f, u_f, p: (
+        0.0, 0.0, 0.0, 0.0, dq if p == 2.0 * P_FRESH else 2.0 * dq, 1.0))
+    monkeypatch.setattr(oracle, "_bisect", bisect)
+    with pytest.raises(_Bracketed):
+        solve_deflagration_riemann(mix, P_FRESH, T_FRESH, y, 1e-200)
+    assert his == [4.0 * P_FRESH]
+
+
+@pytest.mark.parametrize("field", ["rho_b", "p_b"])
+def test_a_burnt_state_of_exactly_zero_is_refused(monkeypatch, field):
+    # the burnt density and pressure must be positive: the wave states at
+    # the root, once the bisection has returned, are read with one of them
+    # set to exactly 0
+    wave_states, bisect = oracle._wave_states, oracle._bisect
+    rooted = []
+
+    def rooting(*args):
+        root = bisect(*args)
+        rooted.append(root)
+        return root
+
+    def zeroing(*args):
+        states = list(wave_states(*args))
+        if rooted:
+            states[4 if field == "rho_b" else 5] = 0.0
+        return tuple(states)
+
+    monkeypatch.setattr(oracle, "_bisect", rooting)
+    monkeypatch.setattr(oracle, "_wave_states", zeroing)
+    with pytest.raises(OracleError, match="non-positive burnt state"):
+        benchmark_pattern()
+
+
+def test_certify_admits_a_residual_of_exactly_the_tolerance(monkeypatch):
+    pat = benchmark_pattern()
+    monkeypatch.setattr(oracle, "rh_residuals",
+                        lambda pattern: {"shock_mass": oracle._REL_TOL})
+    assert oracle._certify(pat) is pat
+    monkeypatch.setattr(oracle, "rh_residuals", lambda pattern: {
+        "shock_mass": math.nextafter(oracle._REL_TOL, 1.0)})
+    with pytest.raises(OracleError, match="exceeds"):
+        oracle._certify(pat)
+
+
+def test_certify_refuses_a_precursor_as_fast_as_the_flame(monkeypatch):
+    pat = benchmark_pattern()
+    monkeypatch.setattr(oracle, "rh_residuals",
+                        lambda pattern: {"shock_mass": 0.0})
+    with pytest.raises(OracleError, match="does not outrun"):
+        oracle._certify(replace(pat, s_shock=pat.s_flame))
+
+
 def test_oracle_messages_print_plain_numbers():
     mix = CaseConfig(W_N=1e300).mixture()
     y = mass_fractions_from_molar(mix, 2.0 / 7.0, 1.0 / 7.0)
@@ -329,12 +407,36 @@ def test_sample_solution_regions():
                        [pat.y_burnt[0], pat.y_fresh[0], pat.y_fresh[0]])
 
 
+def test_sample_solution_takes_a_wave_front_to_the_state_ahead_of_it():
+    # at t = 1 a point at x = s_flame is shocked gas, one at x = s_shock
+    # fresh gas
+    pat = benchmark_pattern()
+    fields = sample_solution(pat, np.array([pat.s_flame, pat.s_shock]), 1.0)
+    assert fields["p"].tolist() == [pat.p_shocked, pat.p_fresh]
+    x = np.array([math.nextafter(pat.s_flame, 0.0),
+                  math.nextafter(pat.s_shock, 0.0)])
+    fields = sample_solution(pat, x, 1.0)
+    assert fields["p"].tolist() == [pat.p_burnt, pat.p_shocked]
+
+
+def test_sample_solution_at_the_smallest_time():
+    # x / t would overflow at t = 5e-324: the wave fronts sit at s t, some
+    # hundreds of the smallest double from the wall, and everything past
+    # them is fresh
+    pat = benchmark_pattern()
+    fields = sample_solution(pat, np.array([0.0, 3e-321, 1e-3, 4.5]), 5e-324)
+    assert fields["p"].tolist() == [pat.p_burnt, pat.p_shocked, pat.p_fresh,
+                                    pat.p_fresh]
+
+
 def test_sample_solution_needs_positive_time():
     pat = benchmark_pattern()
     with pytest.raises(OracleError):
         sample_solution(pat, np.array([0.0]), 0.0)
     with pytest.raises(OracleError, match="needs t > 0"):
         interval_averages(pat, np.array([0.0, 1.0]), -1e-3)
+    with pytest.raises(OracleError, match="needs t > 0"):
+        interval_averages(pat, np.array([0.0, 1.0]), 0.0)
 
 
 def test_interval_averages_against_quadrature():

@@ -69,6 +69,11 @@ def test_molar_fractions_must_sum_to_one():
     assert mass_fractions_from_molar(mix, 0.064, 0.936)[2] == 0.0
     assert mass_fractions_from_molar(mix, 0.5, 0.5 + 5e-13)[2] == 0.0
     assert mass_fractions_from_molar(mix, 0.25, 0.75)[2] == 0.0
+    # 1 - 1 - 1e-12 is exactly -1e-12, the bound, which is taken; the next
+    # double of molar_O is not
+    assert mass_fractions_from_molar(mix, 1.0, 1e-12)[2] == 0.0
+    with pytest.raises(ValueError, match="must not exceed 1"):
+        mass_fractions_from_molar(mix, 1.0, math.nextafter(1e-12, 1.0))
 
 
 def test_temperature_of_fresh_benchmark_gas():
@@ -100,6 +105,9 @@ def test_positive_parameters_enforced():
         MixtureSpec(nu_F=2.0, nu_O=1.0,
                     W_F=2.016e-3, W_O=31.998e-3, W_N=28.014e-3, W_P=18.015e-3,
                     gamma=1.0)
+    with pytest.raises(ValueError, match="nu_F must be positive"):
+        MixtureSpec(nu_F=0.0, nu_O=1.0,
+                    W_F=2.016e-3, W_O=31.998e-3, W_N=28.014e-3, W_P=18.015e-3)
 
 
 def test_endothermic_mixture_is_refused():

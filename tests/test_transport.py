@@ -91,6 +91,8 @@ def test_primal_flux_tie_takes_left_cell():
     rho = np.array([2.0, 4.0, 8.0])
     u = np.zeros(4)
     assert np.all(primal_mass_flux(rho, u) == 0.0)
+    # a zero velocity never reads the right cell, whatever its density
+    assert np.all(primal_mass_flux(np.array([2.0, np.inf]), np.zeros(3)) == 0.0)
     # the upwind face value at a zero flux of either sign takes it too
     F = np.array([0.0, 0.0, -0.0, 0.0])
     stencil = face_stencil(F, "upwind", rho, 1.0, grid3())
